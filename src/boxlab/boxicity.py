@@ -31,7 +31,7 @@ from itertools import combinations
 
 from .errors import ConstructionDefectError, InputError, ResourceBudgetError
 from .graphs import Graph, induced_subgraph, make_graph
-from .intervals import IntervalCover, IntervalRep, make_cover, verify_cover
+from .intervals import IntervalCover, IntervalRep, make_cover, verified_cover
 from .recognition import is_interval_graph
 
 DEFAULT_VERTEX_BUDGET = 10
@@ -210,8 +210,4 @@ def boxicity_exact(
             cursor += (hi_max - lo_min) + 1
         reps_out.append(IntervalRep(tuple(intervals)))
 
-    cover = make_cover(g, reps_out)
-    ok, problems = verify_cover(cover)
-    if not ok:
-        raise ConstructionDefectError("assembled witness cover failed verification", problems)
-    return value, cover
+    return value, verified_cover(g, reps_out, "assembled witness cover")

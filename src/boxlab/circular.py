@@ -5,8 +5,9 @@ chromatic number ceil(k/d). A cover of that size is assembled from one
 interval supergraph per color class: each class is a window of consecutive
 vertices, the window's supergraph comes from one of two explicit
 constructions, and vertex-transitivity (rotation) moves the window where
-it is needed. Every construction re-verifies itself before returning, and
-the assembled cover never leaves without passing `verify_cover`.
+it is needed. Each window construction checks its own supergraph and
+window independence, and the assembled cover is verified once, by
+`verified_cover`, before it leaves.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from .intervals import (
     IntervalCover,
     IntervalRep,
     graph_of_intervals,
-    make_cover,
     point,
-    verify_cover,
+    verified_cover,
 )
 
 
@@ -188,8 +188,6 @@ def chi_cover(k: int, d: int) -> IntervalCover:
     [i*d, (i+1)*d), handled by rotating a window construction into place.
     """
     p = circular_params(k, d)
-    g = circular_clique(k, d)
-    classes = color_classes(k, d)
     reps: list[IntervalRep] = []
     if p.m == 2 and p.b == 0:
         # perfect matching: one interval graph realizes it exactly, and it
@@ -210,22 +208,7 @@ def chi_cover(k: int, d: int) -> IntervalCover:
         short = step_window_rep(k, d, p.b)
         reps.append(rotate_rep(short, 2 * p.d))
 
-    for idx, (rep, blk) in enumerate(zip(reps, classes.blocks)):
-        realized = graph_of_intervals(rep)
-        if not is_spanning_supergraph(realized, g):
-            raise ConstructionDefectError(
-                f"cover member for (k={k}, d={d}) class {idx} lost an edge", (k, d, idx)
-            )
-        if not is_independent(realized, blk):
-            raise ConstructionDefectError(
-                f"cover member for (k={k}, d={d}) class {idx} joins its class", (k, d, idx)
-            )
-    cover = make_cover(g, reps)
-    ok, problems = verify_cover(cover)
-    if not ok:
-        raise ConstructionDefectError(
-            f"cover for (k={k}, d={d}) failed verification", (k, d, problems[0])
-        )
+    cover = verified_cover(circular_clique(k, d), reps, f"cover for (k={k}, d={d})")
     if len(cover) != p.chi:
         raise ConstructionDefectError(
             f"cover for (k={k}, d={d}) has {len(cover)} members, expected {p.chi}",

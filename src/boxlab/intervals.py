@@ -8,7 +8,8 @@ count as intersecting.
 A cover is a list of representations over one vertex set together with the
 graph it claims to certify: it is valid when every realized graph is a
 spanning supergraph of the claim and their edge intersection equals the
-claim exactly. `verify_cover` checks that from scratch.
+claim exactly. `verify_cover` checks that from scratch; the cover
+constructions leave through `verified_cover`, which checks once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import ConstructionDefectError, InputError
 from .graphs import Graph, edge_intersection, graph_from_obj, graph_to_obj, make_graph
 
 Interval = tuple[Fraction, Fraction]
@@ -119,6 +120,15 @@ def verify_cover(cover: IntervalCover) -> tuple[bool, list[CoverViolation]]:
         for e in sorted(meet.edges - claimed.edges):
             problems.append(CoverViolation("uncovered-non-edge", None, e))
     return not problems, problems
+
+
+def verified_cover(claimed: Graph, reps, what: str) -> IntervalCover:
+    """Cover of `claimed` by `reps`, verified once; a failure is a construction defect."""
+    cover = make_cover(claimed, reps)
+    ok, problems = verify_cover(cover)
+    if not ok:
+        raise ConstructionDefectError(f"{what} failed verification", problems[0])
+    return cover
 
 
 # ---------------------------------------------------------------------------

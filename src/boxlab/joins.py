@@ -7,6 +7,10 @@ intervals (squeezed into [0, 1/2]), giving [0, 1] to parts adjacent to it
 and [1, 2] to the rest. Complete parts hanging off a clique of the outer
 graph contribute nothing and can be skipped entirely.
 
+`lift_reps` is the one copy of that lift. It writes each part's vertices
+straight to caller-chosen target labels and checks nothing; each public
+cover built from it is verified once, by the function that returns it.
+
 Also here: the clique-sum lower bound on the join's boxicity, and the
 reduction-based cover that certifies box(G) <= number of neighborhood
 classes.
@@ -23,8 +27,8 @@ from .graphs import (
     Graph,
     empty_graph,
     generalized_join,
-    induced_subgraph,
     is_clique,
+    is_independent,
     reduced_graph,
 )
 from .intervals import (
@@ -33,6 +37,7 @@ from .intervals import (
     make_cover,
     make_rep,
     point,
+    verified_cover,
     verify_cover,
 )
 from .solvers import maximal_cliques
@@ -69,8 +74,10 @@ def make_plan(
 
     Complete and edgeless parts short-circuit to canonical one-rep covers;
     anything else goes through the exact boxicity oracle, so supply covers
-    yourself for parts beyond its budget. Skipped parts must be complete and
-    their outer vertices must form a clique.
+    yourself for parts beyond its budget. Only supplied covers are checked
+    here: the canonical ones are correct by construction and the oracle
+    verifies its own witness. Skipped parts must be complete and their
+    outer vertices must form a clique.
     """
     parts = tuple(parts)
     if len(parts) != outer.n:
@@ -98,10 +105,9 @@ def make_plan(
                 if res is None:
                     raise InputError(f"no cover found for part {i} within the default bound")
                 cov = res[1]
-        if cov.claimed_graph != part:
+        elif cov.claimed_graph != part:
             raise InputError(f"cover for part {i} certifies a different graph")
-        ok, _ = verify_cover(cov)
-        if not ok:
+        elif not verify_cover(cov)[0]:
             raise InputError(f"supplied cover for part {i} does not verify")
         covers.append(cov)
     return JoinCoverPlan(outer, parts, tuple(covers), skip)
@@ -127,7 +133,7 @@ def _squeeze(rep: IntervalRep) -> IntervalRep:
 
 def _lifted_rep(plan: JoinCoverPlan, blocks, part_index: int, part_rep: IntervalRep) -> IntervalRep:
     squeezed = _squeeze(part_rep)
-    intervals: list = [None] * sum(p.n for p in plan.parts)
+    intervals: list = [None] * sum(len(blk) for blk in blocks)
     for ell, blk in enumerate(blocks):
         if ell == part_index:
             for pos, v in enumerate(blk):
@@ -141,11 +147,12 @@ def _lifted_rep(plan: JoinCoverPlan, blocks, part_index: int, part_rep: Interval
     return IntervalRep(tuple(intervals))
 
 
-def skip_join_cover(plan: JoinCoverPlan) -> IntervalCover:
-    """Verified cover of the join using only the non-skipped parts' covers."""
-    if len(plan.skip) == plan.outer.n and plan.outer.n > 0:
-        raise InputError("at least one part must not be skipped")
-    joined, blocks = generalized_join(plan.outer, list(plan.parts))
+def lift_reps(plan: JoinCoverPlan, blocks) -> list[IntervalRep]:
+    """Unverified lifts of every non-skipped part-cover member into the join.
+
+    blocks[i] lists the target vertex of each vertex of part i, in order;
+    the blocks must partition 0..t-1, and the lifts are over those t labels.
+    """
     reps: list[IntervalRep] = []
     for i in range(plan.outer.n):
         if i in plan.skip:
@@ -155,11 +162,15 @@ def skip_join_cover(plan: JoinCoverPlan) -> IntervalCover:
             raise InputError(f"part {i} is not skipped but has no cover")
         for part_rep in cov.reps:
             reps.append(_lifted_rep(plan, blocks, i, part_rep))
-    cover = make_cover(joined, reps)
-    ok, problems = verify_cover(cover)
-    if not ok:
-        raise ConstructionDefectError("join cover failed verification", problems[0])
-    return cover
+    return reps
+
+
+def skip_join_cover(plan: JoinCoverPlan) -> IntervalCover:
+    """Verified cover of the join using only the non-skipped parts' covers."""
+    if len(plan.skip) == plan.outer.n and plan.outer.n > 0:
+        raise InputError("at least one part must not be skipped")
+    joined, blocks = generalized_join(plan.outer, list(plan.parts))
+    return verified_cover(joined, lift_reps(plan, blocks), "join cover")
 
 
 def join_cover(plan: JoinCoverPlan) -> IntervalCover:
@@ -189,35 +200,15 @@ def reduced_cover(g: Graph) -> IntervalCover:
     """Verified cover of g with one member per neighborhood class.
 
     The quotient by equal open neighborhoods has independent classes, each
-    an edgeless part of boxicity one, so lifting one representation per
-    class covers the rebuilt join; mapping the block labels back through
-    the class partition certifies g itself.
+    an edgeless part of boxicity one, and joining them over the quotient
+    rebuilds g with class c's vertices in place of block c. Lifting one
+    representation per class straight onto the class members certifies g.
     """
     if g.n == 0:
         return make_cover(g, (IntervalRep(()),))
     quotient, classes = reduced_graph(g)
-    parts = []
     for blk in classes.blocks:
-        sub, _ = induced_subgraph(g, blk)
-        if not sub.is_edgeless():
+        if not is_independent(g, blk):
             raise ConstructionDefectError("neighborhood class is not independent", blk)
-        parts.append(empty_graph(len(blk)))
-    plan = make_plan(quotient, parts)
-    join_built = join_cover(plan)
-    # block position t of class c is the t-th smallest original vertex
-    _, blocks = generalized_join(quotient, parts)
-    to_original = [None] * g.n
-    for c, blk in enumerate(blocks):
-        for pos, join_v in enumerate(blk):
-            to_original[join_v] = classes.blocks[c][pos]
-    reps = []
-    for rep in join_built.reps:
-        intervals: list = [None] * g.n
-        for join_v, iv in enumerate(rep.intervals):
-            intervals[to_original[join_v]] = iv
-        reps.append(IntervalRep(tuple(intervals)))
-    cover = make_cover(g, reps)
-    ok, problems = verify_cover(cover)
-    if not ok:
-        raise ConstructionDefectError("reduced cover failed verification", problems[0])
-    return cover
+    plan = make_plan(quotient, [empty_graph(len(blk)) for blk in classes.blocks])
+    return verified_cover(g, lift_reps(plan, classes.blocks), "reduced cover")

@@ -258,28 +258,38 @@ def consecutive_clique_order(
         }
         starts = sorted(exclusive) if exclusive else sorted(members)
 
-        def extend(order: list[int], placed: set[int], seen: set[int]) -> list[int] | None:
-            nodes[0] += 1
-            if nodes[0] > _ORDER_NODE_CAP:
-                raise ResourceBudgetError("clique ordering search exceeded its node cap")
-            if len(order) == len(members):
-                return order
-            prev = cliques[order[-1]]
-            open_vs = {v for v in prev if not vert_cliques[v] <= placed}
-            candidates = []
-            for i in member_set - placed:
-                c = cliques[i]
-                if open_vs <= c and (c & seen) <= prev:
-                    candidates.append(i)
-            candidates.sort(key=lambda i: (-len(cliques[i] & prev), i))
-            for i in candidates:
-                res = extend(order + [i], placed | {i}, seen | cliques[i])
-                if res is not None:
-                    return res
-            return None
+        def extend(start: int) -> list[int] | None:
+            # depth-first over partial orders; each stack frame keeps the
+            # untried candidates of one node, best first
+            order, placed, seen = [start], {start}, set(cliques[start])
+            stack = []
+            while True:
+                nodes[0] += 1
+                if nodes[0] > _ORDER_NODE_CAP:
+                    raise ResourceBudgetError("clique ordering search exceeded its node cap")
+                if len(order) == len(members):
+                    return order
+                prev = cliques[order[-1]]
+                open_vs = {v for v in prev if not vert_cliques[v] <= placed}
+                candidates = []
+                for i in member_set - placed:
+                    c = cliques[i]
+                    if open_vs <= c and (c & seen) <= prev:
+                        candidates.append(i)
+                candidates.sort(key=lambda i: (-len(cliques[i] & prev), i))
+                stack.append((order, placed, seen, iter(candidates)))
+                while stack:
+                    order, placed, seen, untried = stack[-1]
+                    i = next(untried, None)
+                    if i is not None:
+                        break
+                    stack.pop()
+                else:
+                    return None
+                order, placed, seen = order + [i], placed | {i}, seen | cliques[i]
 
         for s in starts:
-            res = extend([s], {s}, set(cliques[s]))
+            res = extend(s)
             if res is not None:
                 return res
         return None

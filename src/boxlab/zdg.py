@@ -20,11 +20,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConstructionDefectError, InputError
+from .errors import ConstructionDefectError, InputError, ResourceBudgetError
 from .graphs import Coloring, Graph, complete_graph, empty_graph, generalized_join, make_graph
-from .intervals import Interval, IntervalCover, IntervalRep, graph_of_intervals, make_cover, point, verify_cover
-from .joins import make_plan, skip_join_cover
-from .solvers import chromatic_number_exact, clique_number_exact
+from .intervals import Interval, IntervalCover, IntervalRep, graph_of_intervals, point, verified_cover
+from .joins import lift_reps, make_plan
 
 
 # ---------------------------------------------------------------------------
@@ -178,22 +177,30 @@ def compressed_zn(N: int) -> CompressedZN:
     return CompressedZN(N, divs, make_graph(len(divs), edges), sizes, complete)
 
 
-def expand_compressed(c: CompressedZN) -> Graph:
-    """Rebuild the full graph by joining class blocks; checked against the direct one."""
-    parts = [
+def _class_parts(c: CompressedZN) -> list[Graph]:
+    return [
         complete_graph(size) if comp else empty_graph(size)
         for size, comp in zip(c.sizes, c.complete)
     ]
-    joined, blocks = generalized_join(c.graph, parts)
-    direct, labels = zdg_zn(c.N)
-    position = {x: i for i, x in enumerate(labels)}
-    to_direct = [None] * joined.n
-    for block_index, d in enumerate(c.divisors):
-        members = sorted(x for x in labels if math.gcd(x, c.N) == d)
-        if len(members) != c.sizes[block_index]:
+
+
+def _class_positions(c: CompressedZN, labels: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Per divisor class, the direct-graph positions of its elements in increasing order."""
+    positions: dict[int, list[int]] = {d: [] for d in c.divisors}
+    for i, x in enumerate(labels):
+        positions[math.gcd(x, c.N)].append(i)
+    for d, size in zip(c.divisors, c.sizes):
+        if len(positions[d]) != size:
             raise ConstructionDefectError(f"class of divisor {d} has unexpected size")
-        for pos, join_v in enumerate(blocks[block_index]):
-            to_direct[join_v] = position[members[pos]]
+    return [tuple(positions[d]) for d in c.divisors]
+
+
+def expand_compressed(c: CompressedZN) -> Graph:
+    """Rebuild the full graph by joining class blocks; checked against the direct one."""
+    joined, _ = generalized_join(c.graph, _class_parts(c))
+    direct, labels = zdg_zn(c.N)
+    # join blocks are consecutive ranges in class order
+    to_direct = [v for blk in _class_positions(c, labels) for v in blk]
     relabeled = make_graph(
         joined.n, ((to_direct[u], to_direct[v]) for u, v in joined.edges)
     )
@@ -365,35 +372,10 @@ def zn_join_cover(c: CompressedZN) -> IntervalCover:
         raise InputError(
             f"every class of N={c.N} is nilpotent; the skip construction needs one more class"
         )
-    parts = [
-        complete_graph(size) if comp else empty_graph(size)
-        for size, comp in zip(c.sizes, c.complete)
-    ]
-    plan = make_plan(c.graph, parts, skip=skip)
-    built = skip_join_cover(plan)
-
-    # relabel block vertices to the element labels of the direct graph
+    plan = make_plan(c.graph, _class_parts(c), skip=skip)
     direct, labels = zdg_zn(c.N)
-    position = {x: i for i, x in enumerate(labels)}
-    _, blocks = generalized_join(c.graph, parts)
-    to_direct = [None] * direct.n
-    for block_index, d in enumerate(c.divisors):
-        members = sorted(x for x in labels if math.gcd(x, c.N) == d)
-        for pos, join_v in enumerate(blocks[block_index]):
-            to_direct[join_v] = position[members[pos]]
-    reps = []
-    for rep in built.reps:
-        intervals: list = [None] * direct.n
-        for join_v, iv in enumerate(rep.intervals):
-            intervals[to_direct[join_v]] = iv
-        reps.append(IntervalRep(tuple(intervals)))
-    cover = make_cover(direct, reps)
-    ok, problems = verify_cover(cover)
-    if not ok:
-        raise ConstructionDefectError(
-            f"cover of the zero-divisor graph of {c.N} failed verification", problems[0]
-        )
-    return cover
+    reps = lift_reps(plan, _class_positions(c, labels))
+    return verified_cover(direct, reps, f"cover of the zero-divisor graph of {c.N}")
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +493,20 @@ class BooleanRingGraph:
     labels: tuple[tuple[int, ...], ...]
 
 
-def boolean_ring_graph(k: int, limit: int | None = None) -> BooleanRingGraph:
-    """Build the vector-ring graph; checks the unit vectors form a clique and
-    that the clique and chromatic numbers both equal k (within solver budget)."""
+BOOLEAN_RING_MAX_K = 8  # 2^8 - 2 = 254 vertices, each with its own cover member
+
+
+def boolean_ring_graph(k: int) -> BooleanRingGraph:
+    """Build the vector-ring graph with clique and chromatic number k, certified.
+
+    The unit vectors form a k-clique, and coloring each vector by its
+    lowest set bit is proper (adjacent vectors have disjoint supports) with
+    k colors; both are checked, so omega = chi = k without any search.
+    """
     if k < 2:
         raise InputError(f"need k >= 2, got {k}")
+    if k > BOOLEAN_RING_MAX_K:
+        raise ResourceBudgetError(f"vector length {k} exceeds the limit {BOOLEAN_RING_MAX_K}")
     masks = list(range(1, 2**k - 1))
     edges = [
         (i, j)
@@ -530,16 +521,13 @@ def boolean_ring_graph(k: int, limit: int | None = None) -> BooleanRingGraph:
         for v in unit_indices[i + 1 :]:
             if not g.has_edge(u, v):
                 raise ConstructionDefectError("unit vectors are not a clique")
-    omega, _ = clique_number_exact(g, limit)
-    chi, _ = chromatic_number_exact(g, limit)
-    if omega != k or chi != k:
-        raise ConstructionDefectError(
-            f"expected clique and chromatic number {k}, solver found {omega}, {chi}"
-        )
+    lowest_bit = Coloring(tuple((m & -m).bit_length() - 1 for m in masks))
+    if not lowest_bit.is_proper(g) or lowest_bit.num_colors != k:
+        raise ConstructionDefectError(f"lowest-bit coloring is not a proper {k}-coloring")
     return BooleanRingGraph(k, g, labels)
 
 
-def reduced_ring_box_bounds(k: int, limit: int | None = None) -> tuple[int, int, IntervalCover]:
+def reduced_ring_box_bounds(k: int) -> tuple[int, int, IntervalCover]:
     """(claimed lower bound, certified upper bound, verified cover) for the vector ring.
 
     The lower bound k is reported as claimed, not certified: the
@@ -547,16 +535,12 @@ def reduced_ring_box_bounds(k: int, limit: int | None = None) -> tuple[int, int,
     does not apply. The upper bound 2^k - 2 comes with a verified cover of
     one representation per vertex.
     """
-    ring = boolean_ring_graph(k, limit)
+    ring = boolean_ring_graph(k)
     n = ring.graph.n
-    parts = [empty_graph(1)] * n
-    plan = make_plan(ring.graph, parts)
-    built = skip_join_cover(plan)
+    plan = make_plan(ring.graph, [empty_graph(1)] * n)
     # singleton blocks in vertex order: the join is the graph itself
-    cover = make_cover(ring.graph, built.reps)
-    ok, problems = verify_cover(cover)
-    if not ok:
-        raise ConstructionDefectError("vector-ring cover failed verification", problems[0])
+    reps = lift_reps(plan, [(v,) for v in range(n)])
+    cover = verified_cover(ring.graph, reps, "vector-ring cover")
     if len(cover) != 2**k - 2:
         raise ConstructionDefectError(
             f"vector-ring cover has {len(cover)} members, expected {2**k - 2}"

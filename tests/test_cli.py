@@ -1,6 +1,7 @@
 import json
 
-from boxlab import cycle_graph, graph_to_obj
+import boxlab.zdg
+from boxlab import cover_from_obj, cycle_graph, graph_to_obj, verify_cover
 from boxlab.cli import run
 
 
@@ -138,6 +139,28 @@ def test_cover_boolean_notes_claimed_bound(capsys):
     assert code == 0
     assert "claimed" in err
     assert len(json.loads(out)["reps"]) == 6
+
+
+def test_boolean_ring_k7_needs_no_solver(capsys):
+    code, out, _ = run_capture(capsys, ["gen", "boolean", "--k", "7"])
+    assert code == 0
+    assert json.loads(out)["n"] == 126
+    code, out, _ = run_capture(capsys, ["cover", "boolean", "--k", "7"])
+    assert code == 0
+    cover = cover_from_obj(json.loads(out))
+    assert len(cover) == 126
+    assert verify_cover(cover)[0]
+
+
+def test_boolean_ring_above_cap_exits_3_before_building(monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the ring graph was built")
+
+    monkeypatch.setattr(boxlab.zdg, "make_graph", no_build)
+    for verb in ("gen", "cover"):
+        code, _, err = run_capture(capsys, [verb, "boolean", "--k", "9"])
+        assert code == 3
+        assert "budget" in err
 
 
 def test_sweep_circular(capsys):

@@ -15,8 +15,6 @@ from boxlab import complete_graph, cycle_graph, empty_graph, graph_to_obj, path_
 from boxlab.cli import run
 
 INPUTS = {
-    "outer_p3": path_graph(3),
-    "outer_k3": complete_graph(3),
     "c4": cycle_graph(4),
     "k2": complete_graph(2),
     "k3": complete_graph(3),
@@ -42,8 +40,8 @@ CORPUS = (
         for k, d in ((4, 2), (6, 3), (7, 2), (11, 4), (13, 5), (30, 4))
     ]
     + [
-        _join("outer_p3", ["c4", "k2", "e3"]),
-        _join("outer_k3", ["k3", "c4", "p3"], skip=[0]),
+        _join("p3", ["c4", "k2", "e3"]),
+        _join("k3", ["k3", "c4", "p3"], skip=[0]),
         ["box", "--graph", "@c4"],
         ["zdg", "report", "--n", "72"],
         ["sweep", "circular", "--dmax", "4", "--kmax", "14"],
@@ -71,8 +69,8 @@ GOLDEN = {
     "cover circular --k 11 --d 4": (0, "96b2fea524d2bcf21136f2d3237c192e21175219dc208aa85c1b737f775cd960"),
     "cover circular --k 13 --d 5": (0, "1d540b070cc0251da27614965d588e525d8f154b4cdc0ecbcb3d65b3ee79d416"),
     "cover circular --k 30 --d 4": (0, "241e67d9c19ce4d4c7f97af99f11e41a9f35735e9a8c73585481b5b3ba987e01"),
-    "cover join --outer @outer_p3 --part @c4 --part @k2 --part @e3": (0, "4b93037c93e84a01f3062ac2dcf893f36ecb72c9128b010ef6cd1e9952c6e9ae"),
-    "cover join --outer @outer_k3 --part @k3 --part @c4 --part @p3 --skip 0": (0, "160e8446b35625c42f9bd810db1eb9c9e6b167379342b071b53859da8353e8ed"),
+    "cover join --outer @p3 --part @c4 --part @k2 --part @e3": (0, "4b93037c93e84a01f3062ac2dcf893f36ecb72c9128b010ef6cd1e9952c6e9ae"),
+    "cover join --outer @k3 --part @k3 --part @c4 --part @p3 --skip 0": (0, "160e8446b35625c42f9bd810db1eb9c9e6b167379342b071b53859da8353e8ed"),
     "box --graph @c4": (0, "7feebf231f189b92cb66006c02809c0a5efc9595e006fb41d2610458abd67200"),
     "zdg report --n 72": (0, "dbbbc55883130edd6d883fc465d9c5740edcf279df24ba1cd5f84de8c7651b35"),
     "sweep circular --dmax 4 --kmax 14": (0, "de43dbd5de6acd7dc228455a4d90cadc1899897f0e89f33558defb40e2bea919"),

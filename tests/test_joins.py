@@ -13,8 +13,10 @@ from boxlab import (
     empty_graph,
     generalized_join,
     join_cover,
+    make_cover,
     make_graph,
     make_plan,
+    make_rep,
     path_graph,
     reduced_cover,
     reduced_graph,
@@ -161,3 +163,17 @@ def test_net_reduced_cover():
     assert quotient.n == 6  # all neighborhoods distinct
     cover = reduced_cover(g)
     assert len(cover) == 6 and verify_cover(cover)[0]
+
+
+def test_make_plan_checks_supplied_part_covers():
+    c4 = cycle_graph(4)
+    _, good = boxicity_exact(c4)
+    parts = [c4, empty_graph(2)]
+    other_graph = make_cover(path_graph(4), good.reps)
+    with pytest.raises(InputError, match="different graph"):
+        make_plan(complete_graph(2), parts, part_covers=[other_graph, None])
+    overcover = make_cover(c4, (make_rep([(0, 1)] * 4),))
+    with pytest.raises(InputError, match="does not verify"):
+        make_plan(complete_graph(2), parts, part_covers=[overcover, None])
+    plan = make_plan(complete_graph(2), parts, part_covers=[good, None])
+    assert plan.part_covers[0] is good

@@ -11,8 +11,10 @@ from boxlab import (
     path_graph,
 )
 from boxlab.recognition import (
+    consecutive_clique_order,
     is_asteroidal_triple,
     is_induced_cycle,
+    maximal_cliques_chordal,
     perfect_elimination_order,
 )
 
@@ -89,3 +91,15 @@ def test_disconnected_interval_graph():
     ok, rep = is_interval_graph(g)
     assert ok
     assert graph_of_intervals(rep) == g
+
+
+def test_clique_order_search_is_not_bounded_by_recursion_depth():
+    # 1199 cliques: a search that recursed once per placed clique would
+    # overflow the interpreter stack here
+    g = path_graph(1200)
+    cliques = maximal_cliques_chordal(g, perfect_elimination_order(g))
+    order = consecutive_clique_order(cliques, g.n)
+    assert sorted(order) == list(range(len(cliques)))
+    for v in range(g.n):
+        where = [pos for pos, idx in enumerate(order) if v in cliques[idx]]
+        assert where == list(range(where[0], where[-1] + 1))
