@@ -137,13 +137,6 @@ class VertexPartition:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def block_of(self) -> list[int]:
-        out = [-1] * self.n
-        for i, blk in enumerate(self.blocks):
-            for v in blk:
-                out[v] = i
-        return out
-
 
 def make_partition(n: int, blocks) -> VertexPartition:
     tup = tuple(tuple(sorted(b)) for b in blocks)
@@ -291,10 +284,17 @@ def graph_to_obj(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.sorted_edges()]}
 
 
+def int_from_obj(x) -> int:
+    """A JSON integer as written: bools, floats and strings are refused, never rounded."""
+    if type(x) is not int:
+        raise InputError(f"expected an integer, got {x!r}")
+    return x
+
+
 def graph_from_obj(obj: dict) -> Graph:
     try:
-        n = int(obj["n"])
-        edges = [(int(u), int(v)) for u, v in obj["edges"]]
+        n = int_from_obj(obj["n"])
+        edges = [(int_from_obj(u), int_from_obj(v)) for u, v in obj["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph object: {exc}") from exc
     return make_graph(n, edges)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstructionDefectError, InputError
-from .graphs import Graph, edge_intersection, graph_from_obj, graph_to_obj, make_graph
+from .graphs import Graph, edge_intersection, graph_from_obj, graph_to_obj, int_from_obj, make_graph
 
 Interval = tuple[Fraction, Fraction]
 
@@ -142,7 +142,7 @@ def _frac_to_obj(f: Fraction) -> list[int]:
 
 def _frac_from_obj(obj) -> Fraction:
     num, den = obj
-    return Fraction(int(num), int(den))
+    return Fraction(int_from_obj(num), int_from_obj(den))
 
 
 def rep_to_obj(rep: IntervalRep) -> dict:
@@ -157,8 +157,10 @@ def rep_to_obj(rep: IntervalRep) -> dict:
 
 def rep_from_obj(obj: dict) -> IntervalRep:
     try:
-        n = int(obj["n"])
+        n = int_from_obj(obj["n"])
         raw = obj["intervals"]
+        if not isinstance(raw, dict):
+            raise InputError(f"intervals must be an object keyed by vertex, got {raw!r}")
         pairs = {}
         for key, (lo, hi) in raw.items():
             pairs[int(key)] = (_frac_from_obj(lo), _frac_from_obj(hi))

@@ -20,13 +20,18 @@ def _check_limit(g: Graph, limit: int | None) -> None:
         raise ResourceBudgetError(f"graph has {g.n} vertices, solver limit is {cap}")
 
 
-def maximal_cliques(g: Graph) -> list[frozenset[int]]:
-    """All maximal cliques, via Bron-Kerbosch with pivoting."""
-    out: list[frozenset[int]] = []
+def _bron_kerbosch(g: Graph, found, hopeless=lambda r, p: False) -> None:
+    """Bron-Kerbosch with pivoting: found(r) for every maximal clique r reached.
+
+    A branch is cut before it expands when hopeless(r, p) says no clique
+    between r and r | p can matter to the caller.
+    """
 
     def expand(r: set[int], p: set[int], x: set[int]) -> None:
         if not p and not x:
-            out.append(frozenset(r))
+            found(r)
+            return
+        if hopeless(r, p):
             return
         pivot = max(p | x, key=lambda u: len(g.adj[u] & p))
         for v in sorted(p - g.adj[pivot]):
@@ -36,6 +41,12 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
 
     if g.n:
         expand(set(), set(range(g.n)), set())
+
+
+def maximal_cliques(g: Graph) -> list[frozenset[int]]:
+    """All maximal cliques, via Bron-Kerbosch with pivoting."""
+    out: list[frozenset[int]] = []
+    _bron_kerbosch(g, lambda r: out.append(frozenset(r)))
     return out
 
 
@@ -46,20 +57,11 @@ def clique_number_exact(g: Graph, limit: int | None = None) -> tuple[int, frozen
         return 0, frozenset()
     best: list[frozenset[int]] = [frozenset([0])]
 
-    def expand(r: set[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
-            if len(r) > len(best[0]):
-                best[0] = frozenset(r)
-            return
-        if len(r) + len(p) <= len(best[0]):
-            return
-        pivot = max(p | x, key=lambda u: len(g.adj[u] & p))
-        for v in sorted(p - g.adj[pivot]):
-            expand(r | {v}, p & g.adj[v], x & g.adj[v])
-            p.remove(v)
-            x.add(v)
+    def found(r: set[int]) -> None:
+        if len(r) > len(best[0]):
+            best[0] = frozenset(r)
 
-    expand(set(), set(range(g.n)), set())
+    _bron_kerbosch(g, found, lambda r, p: len(r) + len(p) <= len(best[0]))
     witness = best[0]
     if not is_clique(g, witness):
         raise ConstructionDefectError("clique witness failed re-verification", witness)

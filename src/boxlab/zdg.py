@@ -142,12 +142,6 @@ class CompressedZN:
     sizes: tuple[int, ...]
     complete: tuple[bool, ...]
 
-    def size_of(self, d: int) -> int:
-        return self.sizes[self.divisors.index(d)]
-
-    def is_complete_class(self, d: int) -> bool:
-        return self.complete[self.divisors.index(d)]
-
 
 def compressed_zn(N: int) -> CompressedZN:
     f = factor(N)

@@ -1,7 +1,8 @@
 import json
 
+import boxlab.cli
 import boxlab.zdg
-from boxlab import cover_from_obj, cycle_graph, graph_to_obj, verify_cover
+from boxlab import ConstructionDefectError, cover_from_obj, cycle_graph, graph_to_obj, verify_cover
 from boxlab.cli import run
 
 
@@ -72,6 +73,44 @@ def test_verify_rejects_overcover(tmp_path, capsys):
     assert payload["verified"] is False
     assert any("uncovered-non-edge" in v for v in payload["violations"])
     assert "(0, 2)" in err
+
+
+def _verify_files(tmp_path, graph_obj, intervals):
+    gpath = tmp_path / "g.json"
+    cpath = tmp_path / "c.json"
+    gpath.write_text(json.dumps(graph_obj))
+    rep = {"n": graph_obj["n"], "intervals": intervals}
+    cpath.write_text(json.dumps({"graph": graph_obj, "reps": [rep]}))
+    return ["verify", "--graph", str(gpath), "--cover", str(cpath)]
+
+
+def test_verify_rejects_fractional_endpoint(tmp_path, capsys):
+    # as written, [3/2, 2] misses [0, 1]; truncating 1.5 to 1 would make them touch
+    argv = _verify_files(
+        tmp_path, {"n": 2, "edges": [[0, 1]]}, {"0": [[0, 1], [1, 1]], "1": [[1.5, 1], [2, 1]]}
+    )
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "1.5" in err
+
+
+def test_verify_rejects_fractional_edge_endpoint(tmp_path, capsys):
+    argv = _verify_files(
+        tmp_path, {"n": 2, "edges": [[0, 1.9]]}, {"0": [[0, 1], [1, 1]], "1": [[1, 1], [2, 1]]}
+    )
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "1.9" in err
+
+
+def test_verify_rejects_intervals_that_are_not_an_object(tmp_path, capsys):
+    argv = _verify_files(tmp_path, {"n": 2, "edges": [[0, 1]]}, [1, 2])
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "intervals" in err
 
 
 def test_box_command(tmp_path, capsys):
@@ -177,6 +216,43 @@ def test_sweep_zdg(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert all(line.endswith("PASS") for line in lines[1:])
+
+
+def test_sweep_circular_reports_defect_as_failed_row(monkeypatch, capsys):
+    chi_cover = boxlab.cli.chi_cover
+
+    def broken_at_7_2(k, d):
+        if (k, d) == (7, 2):
+            raise ConstructionDefectError("broken for the test", (k, d))
+        return chi_cover(k, d)
+
+    monkeypatch.setattr(boxlab.cli, "chi_cover", broken_at_7_2)
+    code, out, err = run_capture(capsys, ["sweep", "circular", "--dmax", "2", "--kmax", "8"])
+    assert code == 1
+    rows = {tuple(line.split("\t")[:2]): line for line in out.strip().splitlines()[1:]}
+    assert len(rows) == 5
+    assert rows["7", "2"].endswith("FAIL (broken for the test)")
+    assert all(line.endswith("PASS") for kd, line in rows.items() if kd != ("7", "2"))
+    assert "1 failures" in err
+
+
+def test_sweep_zdg_reports_defect_as_failed_cell(monkeypatch, capsys):
+    zn_join_cover = boxlab.cli.zn_join_cover
+
+    def broken_at_12(c):
+        if c.N == 12:
+            raise ConstructionDefectError("broken for the test", c.N)
+        return zn_join_cover(c)
+
+    monkeypatch.setattr(boxlab.cli, "zn_join_cover", broken_at_12)
+    code, out, err = run_capture(capsys, ["sweep", "zdg", "--nmax", "20"])
+    assert code == 1
+    header, *lines = out.strip().splitlines()
+    rows = {line.split("\t")[0]: dict(zip(header.split("\t"), line.split("\t"))) for line in lines}
+    assert rows["12"]["cover"] == "FAIL"
+    assert rows["12"]["status"] == "FAIL"
+    assert all(row["status"] == "PASS" for n, row in rows.items() if n != "12")
+    assert "1 failures" in err
 
 
 def test_input_error_exit_codes(capsys):

@@ -151,6 +151,21 @@ def test_graph_serialization_round_trip(g):
     assert graph_from_text(graph_to_text(g)) == g
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": True, "edges": []},
+        {"n": 2.0, "edges": [[0, 1]]},
+        {"n": "2", "edges": [[0, 1]]},
+        {"n": 2, "edges": [["0", "1"]]},
+        {"n": 2, "edges": [[False, True]]},
+    ],
+)
+def test_graph_from_obj_takes_only_json_integers(obj):
+    with pytest.raises(InputError):
+        graph_from_obj(obj)
+
+
 def test_graph_text_format():
     g = make_graph(3, [(0, 1), (1, 2)])
     assert graph_to_text(g) == "3 2\n0 1\n1 2\n"

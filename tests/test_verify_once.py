@@ -54,3 +54,10 @@ def test_reduced_cover_verifies_once(calls):
     cover = reduced_cover(cycle_graph(4))
     assert len(cover) == 2
     assert calls == {"verify_cover": 1, "graph_of_intervals": 2}
+
+
+def test_circular_sweep_verifies_each_cover_once(calls, capsys):
+    assert run(["sweep", "circular", "--dmax", "4", "--kmax", "14"]) == 0
+    cases = len(capsys.readouterr().out.strip().splitlines()) - 1
+    assert cases == 27
+    assert calls["verify_cover"] == cases
