@@ -7,11 +7,12 @@ the maximum over components). For a non-interval component the search
   1. enumerates candidate interval supergraphs G + A over added-edge sets
      A, smallest first, testing each candidate edge set exactly once;
   2. records the "kill set" of each hit (the non-edges the supergraph
-     still excludes), keeping only inclusion-maximal kills; two kills
-     whose union is every non-edge certify boxicity 2 immediately;
+     still excludes) with the representation its recognition returned,
+     keeping only inclusion-maximal kills; two kills whose union is every
+     non-edge certify boxicity 2 immediately;
   3. otherwise solves minimum set cover over the maximal kill sets
-     exactly, which is the boxicity, with the chosen supergraphs as the
-     witness.
+     exactly, which is the boxicity, with the chosen supergraphs'
+     representations as the witness, verified once by `boxicity_exact`.
 
 Kill sets are antitone in A, so inclusion-maximal kills (equivalently,
 minimal interval completions) suffice for the cover, and the unordered
@@ -59,57 +60,58 @@ class _ComponentSearch:
         self.g = g
         self.nonedges = tuple(g.non_edges())
         self.full = (1 << len(self.nonedges)) - 1
-        # maximal kill masks with one added-edge set realizing each
-        self.kills: list[tuple[int, frozenset]] = []
+        # maximal kill masks with the representation of the supergraph that
+        # realized each one
+        self.kills: list[tuple[int, IntervalRep]] = []
 
     def _try_added(self, added: frozenset) -> IntervalRep | None:
         h = make_graph(self.g.n, set(self.g.edges) | set(added))
         ok, payload = is_interval_graph(h)
         return payload if ok else None
 
-    def _note_kill(self, kill: int, added: frozenset) -> tuple[int, int] | None:
+    def _note_kill(self, kill: int, rep: IntervalRep) -> list[IntervalRep] | None:
         """Record a kill mask; report a covering pair the moment one exists."""
         for k, _ in self.kills:
             if k & kill == kill:
                 return None  # dominated, nothing new
-        for k, _ in self.kills:
+        for k, k_rep in self.kills:
             if k | kill == self.full:
-                self.kills.append((kill, added))
-                return (k, kill)
-        self.kills = [(k, a) for k, a in self.kills if kill & k != k]
-        self.kills.append((kill, added))
+                self.kills.append((kill, rep))
+                return [k_rep, rep]
+        self.kills = [(k, r) for k, r in self.kills if kill & k != k]
+        self.kills.append((kill, rep))
         return None
 
-    def enumerate_kills(self) -> tuple[int, int] | None:
+    def enumerate_kills(self) -> list[IntervalRep] | None:
         """Scan added-edge sets smallest first; stop at a certified 2-cover."""
         m = len(self.nonedges)
         for size in range(m + 1):
             for combo in combinations(range(m), size):
-                added = frozenset(self.nonedges[i] for i in combo)
-                if self._try_added(added) is None:
+                rep = self._try_added(frozenset(self.nonedges[i] for i in combo))
+                if rep is None:
                     continue
                 kill = self.full
                 for i in combo:
                     kill &= ~(1 << i)
-                pair = self._note_kill(kill, added)
+                pair = self._note_kill(kill, rep)
                 if pair is not None:
                     return pair
         return None
 
-    def min_cover(self) -> list[frozenset]:
-        """Exact minimum set cover over the maximal kills; added-edge sets out."""
-        memo: dict[int, tuple[int, tuple[int, frozenset] | None]] = {0: (0, None)}
+    def min_cover(self) -> list[IntervalRep]:
+        """Exact minimum set cover over the maximal kills; their reps out."""
+        memo: dict[int, tuple[int, tuple[int, IntervalRep] | None]] = {0: (0, None)}
 
         def solve(mask: int) -> int:
             if mask in memo:
                 return memo[mask][0]
             lowest = mask & -mask
             best, choice = len(self.nonedges) + 1, None
-            for k, added in self.kills:
+            for k, rep in self.kills:
                 if k & lowest:
                     sub = solve(mask & ~k)
                     if sub + 1 < best:
-                        best, choice = sub + 1, (k, added)
+                        best, choice = sub + 1, (k, rep)
             memo[mask] = (best, choice)
             return best
 
@@ -119,16 +121,10 @@ class _ComponentSearch:
             _, choice = memo[mask]
             if choice is None:
                 raise ConstructionDefectError("cover reconstruction lost its trail")
-            k, added = choice
-            chosen.append(added)
+            k, rep = choice
+            chosen.append(rep)
             mask &= ~k
         return chosen
-
-    def rep_for(self, added: frozenset) -> IntervalRep:
-        rep = self._try_added(added)
-        if rep is None:
-            raise ConstructionDefectError("chosen supergraph stopped being interval", added)
-        return rep
 
 
 def _component_boxicity(g: Graph, max_l: int, nonedge_budget: int):
@@ -147,30 +143,21 @@ def _component_boxicity(g: Graph, max_l: int, nonedge_budget: int):
     searcher = _ComponentSearch(g)
     pair = searcher.enumerate_kills()
     if pair is not None:
-        added_by_kill = dict((k, a) for k, a in searcher.kills)
-        reps = [searcher.rep_for(added_by_kill[k]) for k in pair]
-        return 2, reps
+        return 2, pair
     chosen = searcher.min_cover()
     if len(chosen) > max_l:
         return None
-    return len(chosen), [searcher.rep_for(a) for a in chosen]
+    return len(chosen), chosen
 
 
-def boxicity_exact(
-    g: Graph,
-    max_l: int = DEFAULT_MAX_COVERS,
-    vertex_budget: int | None = None,
-    nonedge_budget: int | None = None,
-) -> tuple[int, IntervalCover] | None:
+def boxicity_exact(g: Graph, max_l: int = DEFAULT_MAX_COVERS) -> tuple[int, IntervalCover] | None:
     """Exact boxicity with a verified witness cover; None when it exceeds max_l.
 
     Conventions: the empty graph has boxicity 0; any non-empty edgeless or
     complete graph has boxicity 1. Components are solved independently and
     laid out on disjoint segments of the line.
     """
-    env_v, env_e = budgets_from_env()
-    v_budget = env_v if vertex_budget is None else vertex_budget
-    e_budget = env_e if nonedge_budget is None else nonedge_budget
+    v_budget, e_budget = budgets_from_env()
     if g.n > v_budget:
         raise ResourceBudgetError(f"graph has {g.n} vertices, budget is {v_budget}")
     if max_l < 1:

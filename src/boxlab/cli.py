@@ -6,8 +6,9 @@ sweep (batch pass/fail tables). Machine artifacts go to stdout or the -o
 file; human summaries and diagnostics go to stderr. Output is deterministic
 for fixed inputs: no timestamps, fixed key order, sorted edges.
 
-Exit codes: 0 success / verified, 1 verification failed, 2 input error,
-3 resource budget exceeded.
+Exit codes: 0 success / verified, 1 verification failed or internal
+error, 2 input error, 3 resource budget exceeded. No exception leaves `run`
+as a traceback: anything unexpected is one "internal error" line on stderr.
 """
 
 from __future__ import annotations
@@ -316,6 +317,9 @@ def run(argv: list[str]) -> int:
         return EXIT_BUDGET
     except ConstructionDefectError as exc:
         _info(f"construction defect: {exc}")
+        return EXIT_VERIFY_FAILED
+    except Exception as exc:
+        _info(f"internal error: {type(exc).__name__}: {exc}")
         return EXIT_VERIFY_FAILED
 
 

@@ -133,7 +133,8 @@ def verified_cover(claimed: Graph, reps, what: str) -> IntervalCover:
 
 # ---------------------------------------------------------------------------
 # serialization: rationals as [numerator, denominator]; vertex keys are
-# decimal strings in increasing numeric order so emissions are stable.
+# decimal strings in increasing numeric order so emissions are stable, and
+# a key is read only in that canonical form, so no two keys name one vertex.
 
 
 def _frac_to_obj(f: Fraction) -> list[int]:
@@ -163,7 +164,10 @@ def rep_from_obj(obj: dict) -> IntervalRep:
             raise InputError(f"intervals must be an object keyed by vertex, got {raw!r}")
         pairs = {}
         for key, (lo, hi) in raw.items():
-            pairs[int(key)] = (_frac_from_obj(lo), _frac_from_obj(hi))
+            v = int(key)
+            if str(v) != key:
+                raise InputError(f"vertex key {key!r} is not written as {str(v)!r}")
+            pairs[v] = (_frac_from_obj(lo), _frac_from_obj(hi))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed interval representation: {exc}") from exc
     if set(pairs) != set(range(n)):

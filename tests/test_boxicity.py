@@ -47,11 +47,10 @@ def test_vertex_budget():
         boxicity_exact(cycle_graph(11))
 
 
-def test_nonedge_budget():
-    g = empty_graph(9)
-    g = make_graph(9, [(0, 1)])  # one huge sparse component would blow the search
+def test_nonedge_budget(monkeypatch):
+    monkeypatch.setenv("BOXLAB_BUDGET", "10:5")
     with pytest.raises(ResourceBudgetError):
-        boxicity_exact(make_graph(9, [(i, (i + 1) % 9) for i in range(9)]), nonedge_budget=5)
+        boxicity_exact(make_graph(9, [(i, (i + 1) % 9) for i in range(9)]))
 
 
 def test_env_budget_override(monkeypatch):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import boxlab.cli
 import boxlab.zdg
 from boxlab import ConstructionDefectError, cover_from_obj, cycle_graph, graph_to_obj, verify_cover
@@ -111,6 +113,29 @@ def test_verify_rejects_intervals_that_are_not_an_object(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "intervals" in err
+
+
+@pytest.mark.parametrize("keys", [("0", "1", "+1"), ("0", "+1", "1")], ids="-".join)
+def test_verify_rejects_two_keys_for_one_vertex(keys, tmp_path, capsys):
+    # two keys name vertex 1, once at [0, 1] (touching vertex 0) and once at
+    # [5, 6]; the verdict would hang on key order, so both orders are refused
+    spots = ([[0, 1], [1, 1]], [[0, 1], [1, 1]], [[5, 1], [6, 1]])
+    argv = _verify_files(tmp_path, {"n": 2, "edges": []}, dict(zip(keys, spots)))
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "'+1'" in err
+
+
+def test_uncaught_error_is_one_line_exit_1(monkeypatch, capsys):
+    def crash(k, d):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(boxlab.cli, "chi_cover", crash)
+    code, out, err = run_capture(capsys, ["cover", "circular", "--k", "7", "--d", "2"])
+    assert code == 1
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_box_command(tmp_path, capsys):

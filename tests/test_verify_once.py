@@ -9,8 +9,13 @@ import sys
 
 import pytest
 
-from boxlab import cycle_graph, intervals, reduced_cover
+import boxlab.circular
+import boxlab.zdg
+from boxlab import ConstructionDefectError, cycle_graph, factor, graph_to_obj, intervals, reduced_cover
+from boxlab.circular import chi_cover
 from boxlab.cli import run
+from boxlab.intervals import IntervalRep, point
+from boxlab.zdg import omega_chi_certificate
 
 COUNTED = ("verify_cover", "graph_of_intervals")
 
@@ -46,8 +51,19 @@ def test_join_cover_commands_verify_once(argv, calls, capsys):
 
 
 def test_circular_cover_verifies_once(calls, capsys):
+    # 3 members, each realized once by verify_cover and nowhere else
     assert run(["cover", "circular", "--k", "13", "--d", "5"]) == 0
-    assert calls["verify_cover"] == 1
+    assert calls == {"verify_cover": 1, "graph_of_intervals": 3}
+
+
+def test_box_witness_is_recognized_and_verified_once(tmp_path, calls, capsys):
+    # the two witness reps are the ones their recognitions returned (one
+    # realization each); verify_cover realizes each once more
+    gpath = tmp_path / "c4.json"
+    gpath.write_text(json.dumps(graph_to_obj(cycle_graph(4))))
+    assert run(["box", "--graph", str(gpath)]) == 0
+    assert json.loads(capsys.readouterr().out)["boxicity"] == 2
+    assert calls == {"verify_cover": 1, "graph_of_intervals": 4}
 
 
 def test_reduced_cover_verifies_once(calls):
@@ -61,3 +77,27 @@ def test_circular_sweep_verifies_each_cover_once(calls, capsys):
     cases = len(capsys.readouterr().out.strip().splitlines()) - 1
     assert cases == 27
     assert calls["verify_cover"] == cases
+
+
+# The builders below check nothing themselves; these show that the one exit
+# check catches what a builder-side check would have.
+
+
+def test_chi_cover_rejects_a_window_rep_that_misses_an_edge(monkeypatch):
+    original = boxlab.circular.step_window_rep
+
+    def far_last_vertex(k, d, r):
+        # the last vertex moves far off and loses all its edges
+        rep = original(k, d, r)
+        return IntervalRep(rep.intervals[:-1] + (point(100),))
+
+    monkeypatch.setattr(boxlab.circular, "step_window_rep", far_last_vertex)
+    with pytest.raises(ConstructionDefectError, match="failed verification"):
+        chi_cover(7, 2)
+
+
+def test_omega_chi_certificate_rejects_a_non_adjacent_augmenting_divisor(monkeypatch):
+    # 2 * 12 = 24 is not 0 mod 72, so 2 is no neighbour of the nilpotent clique
+    monkeypatch.setattr(boxlab.zdg, "augmenting_divisor", lambda f, eta: 2)
+    with pytest.raises(ConstructionDefectError, match="not adjacent"):
+        omega_chi_certificate(factor(72))
