@@ -44,6 +44,11 @@ CORPUS = (
         _join("k3", ["k3", "c4", "p3"], skip=[0]),
         ["box", "--graph", "@c4"],
         ["zdg", "report", "--n", "72"],
+        ["zdg", "report", "--n", "2310"],
+        ["zdg", "report", "--n", "25"],
+        ["zdg", "report", "--n", "13"],
+        ["gen", "zdg", "--n", "72"],
+        ["gen", "zdg", "--n", "72", "--compressed"],
         ["sweep", "circular", "--dmax", "4", "--kmax", "14"],
         ["sweep", "zdg", "--nmax", "60"],
     ]
@@ -73,6 +78,11 @@ GOLDEN = {
     "cover join --outer @k3 --part @k3 --part @c4 --part @p3 --skip 0": (0, "160e8446b35625c42f9bd810db1eb9c9e6b167379342b071b53859da8353e8ed"),
     "box --graph @c4": (0, "7feebf231f189b92cb66006c02809c0a5efc9595e006fb41d2610458abd67200"),
     "zdg report --n 72": (0, "dbbbc55883130edd6d883fc465d9c5740edcf279df24ba1cd5f84de8c7651b35"),
+    "zdg report --n 2310": (0, "d43e010b8a096cd6ab4ed30a4b5742267c4146fb28597f4b094bd3de72b40682"),
+    "zdg report --n 25": (0, "bcb361d8c7e819c0c045a4fd57273c6221148e71ace22be3c25f9ed148b2a368"),
+    "zdg report --n 13": (0, "578cf1863277de078b465ce7a4c04ede4c5cbaf8049ae1cd72d6b091e3afcecc"),
+    "gen zdg --n 72": (0, "c8540d0fdf0f54c23696de67ef54b02aab177ceda50b750c445ceb0e1173a1f0"),
+    "gen zdg --n 72 --compressed": (0, "499c2a31e5908654f567cc37f88bc77e851449f39972bf985c020cb271b8cfbe"),
     "sweep circular --dmax 4 --kmax 14": (0, "de43dbd5de6acd7dc228455a4d90cadc1899897f0e89f33558defb40e2bea919"),
     "sweep zdg --nmax 60": (0, "d987a90fa0c3202b661d62c8fee32dc659b054bfadc593d6ffe0f7785e935255"),
 }
