@@ -66,7 +66,6 @@ from .zdg import (
     expand_compressed,
     factor,
     is_box_one,
-    nilpotent_divisors,
     omega_chi_certificate,
     prime_power_rep,
     reduced_ring_box_bounds,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import ConstructionDefectError, InputError, ResourceBudgetError
@@ -57,6 +58,16 @@ class FactoredN:
         return out
 
     @property
+    def divisor_count(self) -> int:
+        """Number of divisors of N, 1 and N included: prod (2n+1) * prod (2m+2)."""
+        return math.prod(e + 1 for e in self.exponents.values())
+
+    @property
+    def root_divisor_count(self) -> int:
+        """Number of divisors d of N with N | d^2, N included: prod (n+1) * prod (m+1)."""
+        return math.prod(e // 2 + 1 for e in self.exponents.values())
+
+    @property
     def is_prime(self) -> bool:
         return self.even_part == () and len(self.odd_part) == 1 and self.odd_part[0][1] == 0
 
@@ -85,38 +96,24 @@ def factor(N: int) -> FactoredN:
     return FactoredN(N, tuple(sorted(even)), tuple(sorted(odd)))
 
 
-def _divisors(N: int) -> list[int]:
-    exps = factor(N).exponents
-    divs = [1]
-    for p, e in exps.items():
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
-
-
-def proper_divisors(N: int) -> list[int]:
-    return [d for d in _divisors(N) if 1 < d < N]
-
-
-def euler_phi(m: int) -> int:
-    if m == 1:
-        return 1
-    result = m
-    for p in factor(m).exponents:
-        result = result // p * (p - 1)
-    return result
-
-
 # ---------------------------------------------------------------------------
 # the graphs
+
+
+ZDG_MAX_N = 10_000  # the pair scan takes about 1.5 s here and grows as N^2
 
 
 def zdg_zn(N: int) -> tuple[Graph, tuple[int, ...]]:
     """Zero-divisor graph of Z_N with its vertex labels in increasing order.
 
+    Built by scanning every pair against the definition x*y = 0 mod N, so
+    it is the reference the compressed constructions are checked against.
     Prime N has no zero divisors and yields the empty graph.
     """
     if N < 2:
         raise InputError(f"need N >= 2, got {N}")
+    if N > ZDG_MAX_N:
+        raise ResourceBudgetError(f"N = {N} exceeds the direct-graph limit {ZDG_MAX_N}")
     labels = tuple(x for x in range(2, N) if math.gcd(x, N) > 1)
     edges = [
         (i, j)
@@ -129,31 +126,62 @@ def zdg_zn(N: int) -> tuple[Graph, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class CompressedZN:
-    """Divisor quotient of the zero-divisor graph of Z_N.
+    """The one record per N: the divisor quotient of the zero-divisor graph of Z_N.
 
     Vertex i is the proper divisor divisors[i]; sizes[i] counts the
     elements with that gcd; complete[i] says whether the class induces a
     complete block (N divides the divisor squared).
     """
 
-    N: int
+    f: FactoredN
     divisors: tuple[int, ...]
     graph: Graph
     sizes: tuple[int, ...]
     complete: tuple[bool, ...]
 
+    @property
+    def N(self) -> int:
+        return self.f.N
+
+    @property
+    def nilpotent(self) -> tuple[int, ...]:
+        """Divisors whose class is complete, ascending; together they form a clique."""
+        return tuple(d for d, comp in zip(self.divisors, self.complete) if comp)
+
+    @cached_property
+    def direct(self) -> tuple[Graph, tuple[int, ...]]:
+        """The direct graph `zdg_zn(N)`, built on first use."""
+        return zdg_zn(self.N)
+
+    @cached_property
+    def positions(self) -> tuple[tuple[int, ...], ...]:
+        """Per divisor class, the direct-graph positions of its elements in increasing order."""
+        positions: dict[int, list[int]] = {d: [] for d in self.divisors}
+        for i, x in enumerate(self.direct[1]):
+            positions[math.gcd(x, self.N)].append(i)
+        for d, size in zip(self.divisors, self.sizes):
+            if len(positions[d]) != size:
+                raise ConstructionDefectError(f"class of divisor {d} has unexpected size")
+        return tuple(tuple(positions[d]) for d in self.divisors)
+
 
 def compressed_zn(N: int) -> CompressedZN:
+    """Factor N once and derive its divisor classes; every Z_N certificate reads the record."""
     f = factor(N)
     if f.is_prime:
         raise InputError(f"{N} is prime; the compressed graph needs a composite N")
-    divs = tuple(proper_divisors(N))
-    expected = math.prod(2 * n + 1 for _, n in f.even_part) * math.prod(
-        2 * m + 2 for _, m in f.odd_part
-    ) - 2
-    if len(divs) != expected:
+    # every divisor d of N with phi(N/d), the size of its class, from the primes of N
+    phi_of_cofactor = {1: 1}
+    for p, e in f.exponents.items():
+        phi_of_cofactor = {
+            d * p**i: phi * (p ** (e - i - 1) * (p - 1) if i < e else 1)
+            for d, phi in phi_of_cofactor.items()
+            for i in range(e + 1)
+        }
+    divs = tuple(sorted(d for d in phi_of_cofactor if 1 < d < N))
+    if len(divs) != f.divisor_count - 2:
         raise ConstructionDefectError(
-            f"divisor count {len(divs)} does not match the factorization ({expected})"
+            f"divisor count {len(divs)} does not match the factorization ({f.divisor_count - 2})"
         )
     edges = [
         (i, j)
@@ -161,14 +189,18 @@ def compressed_zn(N: int) -> CompressedZN:
         for j in range(i + 1, len(divs))
         if divs[i] * divs[j] % N == 0
     ]
-    sizes = tuple(euler_phi(N // d) for d in divs)
-    zero_divisor_count = N - 1 - euler_phi(N)
+    sizes = tuple(phi_of_cofactor[d] for d in divs)
+    zero_divisor_count = N - 1 - phi_of_cofactor[1]
     if sum(sizes) != zero_divisor_count:
         raise ConstructionDefectError(
             f"class sizes sum to {sum(sizes)}, expected {zero_divisor_count}"
         )
     complete = tuple(d * d % N == 0 for d in divs)
-    return CompressedZN(N, divs, make_graph(len(divs), edges), sizes, complete)
+    if sum(complete) != f.root_divisor_count - 1:
+        raise ConstructionDefectError(
+            f"{sum(complete)} nilpotent divisors, the formula says {f.root_divisor_count - 1}"
+        )
+    return CompressedZN(f, divs, make_graph(len(divs), edges), sizes, complete)
 
 
 def _class_parts(c: CompressedZN) -> list[Graph]:
@@ -178,27 +210,15 @@ def _class_parts(c: CompressedZN) -> list[Graph]:
     ]
 
 
-def _class_positions(c: CompressedZN, labels: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Per divisor class, the direct-graph positions of its elements in increasing order."""
-    positions: dict[int, list[int]] = {d: [] for d in c.divisors}
-    for i, x in enumerate(labels):
-        positions[math.gcd(x, c.N)].append(i)
-    for d, size in zip(c.divisors, c.sizes):
-        if len(positions[d]) != size:
-            raise ConstructionDefectError(f"class of divisor {d} has unexpected size")
-    return [tuple(positions[d]) for d in c.divisors]
-
-
 def expand_compressed(c: CompressedZN) -> Graph:
     """Rebuild the full graph by joining class blocks; checked against the direct one."""
     joined, _ = generalized_join(c.graph, _class_parts(c))
-    direct, labels = zdg_zn(c.N)
     # join blocks are consecutive ranges in class order
-    to_direct = [v for blk in _class_positions(c, labels) for v in blk]
+    to_direct = [v for blk in c.positions for v in blk]
     relabeled = make_graph(
         joined.n, ((to_direct[u], to_direct[v]) for u, v in joined.edges)
     )
-    if relabeled != direct:
+    if relabeled != c.direct[0]:
         raise ConstructionDefectError(
             f"expanded graph for N={c.N} disagrees with the direct construction"
         )
@@ -207,26 +227,6 @@ def expand_compressed(c: CompressedZN) -> Graph:
 
 # ---------------------------------------------------------------------------
 # divisor certificates
-
-
-def nilpotent_divisors(f: FactoredN) -> tuple[int, ...]:
-    """Proper divisors d with N | d^2; their classes are the complete blocks.
-
-    Sorted ascending. The count is checked against the closed form (one
-    less than the product over primes of (half-exponent + 1)); that they
-    form a clique is checked by `omega_chi_certificate` and `make_plan`.
-    """
-    if f.is_prime:
-        raise InputError("prime N has no compressed graph")
-    out = tuple(d for d in proper_divisors(f.N) if d * d % f.N == 0)
-    expected = math.prod(n + 1 for _, n in f.even_part) * math.prod(
-        m + 1 for _, m in f.odd_part
-    ) - 1
-    if len(out) != expected:
-        raise ConstructionDefectError(
-            f"nilpotent divisor count {len(out)} does not match the formula ({expected})"
-        )
-    return out
 
 
 def augmenting_divisor(f: FactoredN, eta: int) -> int:
@@ -254,7 +254,7 @@ def _exponent_of(value: int, prime: int) -> int:
     return e
 
 
-def omega_chi_certificate(f: FactoredN) -> tuple[int, tuple[int, ...], Coloring]:
+def omega_chi_certificate(c: CompressedZN) -> tuple[int, tuple[int, ...], Coloring]:
     """Clique number = chromatic number of the compressed graph, certified.
 
     Returns (value, clique, coloring) where the clique has exactly `value`
@@ -262,15 +262,10 @@ def omega_chi_certificate(f: FactoredN) -> tuple[int, tuple[int, ...], Coloring]
     both bounds meet without any search. Every claim is re-checked before
     returning.
     """
-    if f.is_prime:
-        raise InputError("prime N has no compressed graph")
-    c = compressed_zn(f.N)
-    value = math.prod(n + 1 for _, n in f.even_part) * math.prod(
-        m + 1 for _, m in f.odd_part
-    ) + f.b - 1
-    clique_s = nilpotent_divisors(f)
+    f = c.f
+    value = f.root_divisor_count + f.b - 1
     xis = [augmenting_divisor(f, eta) for eta in range(1, f.b + 1)]
-    big_clique = tuple(sorted(set(clique_s) | set(xis)))
+    big_clique = tuple(sorted(set(c.nilpotent) | set(xis)))
     if len(big_clique) != value:
         raise ConstructionDefectError(
             f"clique has {len(big_clique)} members, formula says {value}"
@@ -317,21 +312,14 @@ def omega_chi_certificate(f: FactoredN) -> tuple[int, tuple[int, ...], Coloring]
     return value, big_clique, coloring
 
 
-def compressed_box_bound(f: FactoredN) -> int:
+def compressed_box_bound(c: CompressedZN) -> int:
     """Boxicity upper bound: compressed vertices minus the nilpotent clique, minus one more.
 
     Equals (number of proper divisors) - (nilpotent divisor count) by
     construction; that identity is asserted.
     """
-    if f.is_prime:
-        raise InputError("prime N has no compressed graph")
-    value = (
-        math.prod(2 * n + 1 for _, n in f.even_part)
-        * math.prod(2 * m + 2 for _, m in f.odd_part)
-        - math.prod(n + 1 for _, n in f.even_part) * math.prod(m + 1 for _, m in f.odd_part)
-        - 1
-    )
-    check = len(proper_divisors(f.N)) - len(nilpotent_divisors(f))
+    value = c.f.divisor_count - c.f.root_divisor_count - 1
+    check = len(c.divisors) - len(c.nilpotent)
     if value != check:
         raise ConstructionDefectError(
             f"bound formula {value} disagrees with vertex/clique count {check}"
@@ -345,17 +333,14 @@ def zn_join_cover(c: CompressedZN) -> IntervalCover:
     One representation per non-nilpotent divisor class, so the size is
     exactly the compressed vertex count minus the nilpotent clique size.
     """
-    f = factor(c.N)
-    skip_divisors = set(nilpotent_divisors(f))
-    skip = frozenset(i for i, d in enumerate(c.divisors) if d in skip_divisors)
+    skip = frozenset(i for i, comp in enumerate(c.complete) if comp)
     if len(skip) == len(c.divisors):
         raise InputError(
             f"every class of N={c.N} is nilpotent; the skip construction needs one more class"
         )
     plan = make_plan(c.graph, _class_parts(c), skip=skip)
-    direct, labels = zdg_zn(c.N)
-    reps = lift_reps(plan, _class_positions(c, labels))
-    return verified_cover(direct, reps, f"cover of the zero-divisor graph of {c.N}")
+    reps = lift_reps(plan, c.positions)
+    return verified_cover(c.direct[0], reps, f"cover of the zero-divisor graph of {c.N}")
 
 
 # ---------------------------------------------------------------------------
@@ -507,21 +492,20 @@ def boolean_ring_graph(k: int) -> BooleanRingGraph:
     return BooleanRingGraph(k, g, labels)
 
 
-def reduced_ring_box_bounds(k: int) -> tuple[int, int, IntervalCover]:
-    """(claimed lower bound, certified upper bound, verified cover) for the vector ring.
+def reduced_ring_box_bounds(k: int) -> tuple[int, IntervalCover]:
+    """(certified upper bound, verified cover) for the vector ring.
 
-    The lower bound k is reported as claimed, not certified: the
-    neighborhood classes here are singletons, so the clique-sum argument
-    does not apply. The upper bound 2^k - 2 comes with a verified cover of
-    one representation per vertex: distinct masks have distinct
-    neighborhoods, so `reduced_cover` has one singleton class per vertex.
+    The upper bound 2^k - 2 comes with a verified cover of one
+    representation per vertex: distinct masks have distinct neighborhoods,
+    so `reduced_cover` has one singleton class per vertex. No lower bound
+    is given: box = k fails already for k = 2 and 3 (boxicity 1 and 2).
     """
     cover = reduced_cover(boolean_ring_graph(k).graph)
     if len(cover) != 2**k - 2:
         raise ConstructionDefectError(
             f"vector-ring cover has {len(cover)} members, expected {2**k - 2}"
         )
-    return k, 2**k - 2, cover
+    return 2**k - 2, cover
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +523,9 @@ def zn_report(N: int) -> dict:
             "boxicity": 0,
             "note": "empty graph, boxicity 0 by convention",
         }
-    value, clique, _ = omega_chi_certificate(f)
-    bound = compressed_box_bound(f)
+    c = compressed_zn(N)
+    value, clique, _ = omega_chi_certificate(c)
+    bound = compressed_box_bound(c)
     clamped = bound < 1
     return {
         "N": N,
@@ -549,7 +534,7 @@ def zn_report(N: int) -> dict:
             "even": [[p, n] for p, n in f.even_part],
             "odd": [[q, m] for q, m in f.odd_part],
         },
-        "S": list(nilpotent_divisors(f)),
+        "S": list(c.nilpotent),
         "T": list(clique),
         "omega_chi": value,
         "box_upper": max(bound, 1),

@@ -90,7 +90,7 @@ def test_criterion_3_omega_chi_certificates():
         f = factor(n)
         if f.is_prime:
             continue
-        value, clique, coloring = omega_chi_certificate(f)
+        value, clique, coloring = omega_chi_certificate(compressed_zn(n))
         ok = ok and len(clique) == value and coloring.num_colors == value
         count += 1
     _report(3, "clique/coloring certificates for all composite N <= 5000", ok, started,
@@ -127,7 +127,7 @@ def test_criterion_5_divisor_covers_within_bound():
         if f.is_prime or f.is_prime_power:
             continue
         cover = zn_join_cover(compressed_zn(n))
-        ok = ok and verify_cover(cover)[0] and len(cover) <= compressed_box_bound(f)
+        ok = ok and verify_cover(cover)[0] and len(cover) <= compressed_box_bound(compressed_zn(n))
         count += 1
     _report(5, "divisor-class covers verify within the closed-form bound", ok, started,
             f"{count} cases")

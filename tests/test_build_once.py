@@ -1,0 +1,63 @@
+"""Each N gets one `CompressedZN` record: N is factored and each structure built once.
+
+`zdg_zn`, `compressed_zn` and `factor` are counted at every place the
+package binds them, so a rebuild hidden behind any import is seen.
+"""
+
+import pytest
+
+import boxlab.zdg
+from boxlab import ConstructionDefectError
+from boxlab.cli import run
+
+COUNTED = ("zdg_zn", "compressed_zn", "factor")
+
+
+@pytest.fixture
+def calls(count_calls):
+    return count_calls(boxlab.zdg, COUNTED)
+
+
+def test_sweep_builds_one_record_per_composite(calls, capsys):
+    assert run(["sweep", "zdg", "--nmax", "100"]) == 0
+    composites = len(capsys.readouterr().out.strip().splitlines()) - 1
+    assert composites == 74
+    assert calls["compressed_zn"] == composites
+    # one direct graph per record, plus a second one for each of the 10
+    # prime powers, whose explicit representation builds its own
+    assert calls["zdg_zn"] <= composites + 10
+    # once per N in the loop, once in each record, once per box-one
+    # classification and once per prime-power representation
+    assert calls["factor"] <= 97 + 2 * composites + 10
+
+
+def test_report_factors_n_at_most_three_times(calls, capsys):
+    # once for the prime test, once in the record, once in is_box_one
+    assert run(["zdg", "report", "--n", "2310"]) == 0
+    assert calls["factor"] <= 3
+    assert calls["zdg_zn"] == 0
+
+
+def test_cover_factors_n_once(calls, capsys):
+    assert run(["cover", "zdg", "--n", "180"]) == 0
+    assert calls == {"zdg_zn": 1, "compressed_zn": 1, "factor": 1}
+
+
+def test_sweep_reports_a_record_defect_as_failed_row(monkeypatch, capsys):
+    compressed_zn = boxlab.cli.compressed_zn
+
+    def broken_at_12(n):
+        if n == 12:
+            raise ConstructionDefectError("broken for the test", n)
+        return compressed_zn(n)
+
+    monkeypatch.setattr(boxlab.cli, "compressed_zn", broken_at_12)
+    code = run(["sweep", "zdg", "--nmax", "20"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    header, *lines = out.strip().splitlines()
+    rows = {line.split("\t")[0]: dict(zip(header.split("\t"), line.split("\t"))) for line in lines}
+    assert rows["12"]["status"] == "FAIL"
+    assert rows["12"]["omega_chi"] == rows["12"]["cover"] == "FAIL"
+    assert all(row["status"] == "PASS" for n, row in rows.items() if n != "12")
+    assert "1 failures" in err

@@ -198,10 +198,12 @@ def test_cover_join(tmp_path, capsys):
     assert len(payload["reps"]) == 2
 
 
-def test_cover_boolean_notes_claimed_bound(capsys):
+def test_cover_boolean_claims_no_lower_bound(capsys):
+    # box(Gamma(F_2^3)) = 2 < 3, so no lower bound k may be printed
     code, out, err = run_capture(capsys, ["cover", "boolean", "--k", "3"])
     assert code == 0
-    assert "claimed" in err
+    assert err == "cover of size 6 verified\n"
+    assert "lower" not in err and "claimed" not in err
     assert len(json.loads(out)["reps"]) == 6
 
 
@@ -301,3 +303,25 @@ def test_gen_output_reparses_bit_exact(tmp_path, capsys):
     first = path.read_text()
     code, _, _ = run_capture(capsys, ["gen", "zdg", "--n", "30", "-o", str(path)])
     assert path.read_text() == first
+
+
+def test_direct_zdg_budget_exits_3(monkeypatch, capsys):
+    for argv in (["gen", "zdg", "--n", "10001"], ["cover", "zdg", "--n", "10001"]):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 3 and out == ""
+        assert "direct-graph limit 10000" in err
+
+    def no_record(n):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(boxlab.cli, "compressed_zn", no_record)
+    code, out, err = run_capture(capsys, ["sweep", "zdg", "--nmax", "10001"])
+    assert code == 3 and out == ""
+    assert "budget" in err
+
+
+def test_zdg_report_needs_no_direct_graph(capsys):
+    code, out, _ = run_capture(capsys, ["zdg", "report", "--n", "20000"])
+    assert code == 0
+    # 20000 = 2^5 5^4: 6 * 5 divisors, 3 * 3 of them with N | d^2
+    assert json.loads(out)["box_upper"] == 6 * 5 - 3 * 3 - 1

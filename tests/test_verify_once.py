@@ -5,13 +5,12 @@ package binds them, so a second check hidden behind any import is seen.
 """
 
 import json
-import sys
 
 import pytest
 
 import boxlab.circular
 import boxlab.zdg
-from boxlab import ConstructionDefectError, cycle_graph, factor, graph_to_obj, intervals, reduced_cover
+from boxlab import ConstructionDefectError, compressed_zn, cycle_graph, graph_to_obj, intervals, reduced_cover
 from boxlab.circular import chi_cover
 from boxlab.cli import run
 from boxlab.intervals import IntervalRep, point
@@ -21,19 +20,8 @@ COUNTED = ("verify_cover", "graph_of_intervals")
 
 
 @pytest.fixture
-def calls(monkeypatch):
-    counts = dict.fromkeys(COUNTED, 0)
-    for name in COUNTED:
-        original = getattr(intervals, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.split(".")[0] == "boxlab" and getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counted)
-    return counts
+def calls(count_calls):
+    return count_calls(intervals, COUNTED)
 
 
 @pytest.mark.parametrize(
@@ -100,4 +88,4 @@ def test_omega_chi_certificate_rejects_a_non_adjacent_augmenting_divisor(monkeyp
     # 2 * 12 = 24 is not 0 mod 72, so 2 is no neighbour of the nilpotent clique
     monkeypatch.setattr(boxlab.zdg, "augmenting_divisor", lambda f, eta: 2)
     with pytest.raises(ConstructionDefectError, match="not adjacent"):
-        omega_chi_certificate(factor(72))
+        omega_chi_certificate(compressed_zn(72))

@@ -1,11 +1,15 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import boxlab.zdg
 from boxlab import (
     InputError,
     augmenting_divisor,
     boolean_ring_graph,
+    boxicity_exact,
     chromatic_number_exact,
     clique_number_exact,
     complete_graph,
@@ -17,7 +21,6 @@ from boxlab import (
     is_box_one,
     is_interval_graph,
     make_graph,
-    nilpotent_divisors,
     omega_chi_certificate,
     prime_power_rep,
     reduced_ring_box_bounds,
@@ -97,9 +100,9 @@ def test_expand_sweep_to_500():
 
 
 def test_nilpotent_divisors_examples():
-    assert nilpotent_divisors(factor(72)) == (12, 24, 36)
-    assert nilpotent_divisors(factor(12)) == (6,)
-    assert nilpotent_divisors(factor(49)) == (7,)
+    assert compressed_zn(72).nilpotent == (12, 24, 36)
+    assert compressed_zn(12).nilpotent == (6,)
+    assert compressed_zn(49).nilpotent == (7,)
 
 
 def test_augmenting_divisor_examples():
@@ -111,16 +114,16 @@ def test_augmenting_divisor_examples():
 
 
 def test_omega_chi_certificate_72():
-    value, clique, coloring = omega_chi_certificate(factor(72))
+    c = compressed_zn(72)
+    value, clique, coloring = omega_chi_certificate(c)
     assert value == 4
     assert clique == (12, 18, 24, 36)
-    c = compressed_zn(72)
     assert coloring.is_proper(c.graph)
     assert coloring.num_colors == 4
 
 
 def test_omega_chi_certificate_12_coloring_cases():
-    value, clique, coloring = omega_chi_certificate(factor(12))
+    value, clique, coloring = omega_chi_certificate(compressed_zn(12))
     assert value == 2
     assert clique == (4, 6)
     # divisors (2, 3, 4, 6): the class of 3 shares its color with 6, the
@@ -131,22 +134,22 @@ def test_omega_chi_certificate_12_coloring_cases():
 
 
 def test_omega_chi_two_primes():
-    value, clique, _ = omega_chi_certificate(factor(15))
+    value, clique, _ = omega_chi_certificate(compressed_zn(15))
     assert value == 2 and clique == (3, 5)
 
 
 def test_omega_chi_matches_exact_solvers():
     for n in (12, 16, 24, 36, 60, 72, 90, 128):
-        value, _, _ = omega_chi_certificate(factor(n))
         c = compressed_zn(n)
+        value, _, _ = omega_chi_certificate(c)
         assert clique_number_exact(c.graph)[0] == value
         assert chromatic_number_exact(c.graph)[0] == value
 
 
 def test_box_bound_examples():
-    assert compressed_box_bound(factor(72)) == 7
-    assert compressed_box_bound(factor(12)) == 3
-    assert compressed_box_bound(factor(25)) == 0
+    assert compressed_box_bound(compressed_zn(72)) == 7
+    assert compressed_box_bound(compressed_zn(12)) == 3
+    assert compressed_box_bound(compressed_zn(25)) == 0
 
 
 def test_zn_join_cover_examples():
@@ -242,11 +245,15 @@ def test_boolean_ring_graphs():
 
 def test_reduced_ring_bounds():
     for k, expected_upper in ((2, 2), (3, 6), (4, 14)):
-        lower, upper, cover = reduced_ring_box_bounds(k)
-        assert lower == k
+        upper, cover = reduced_ring_box_bounds(k)
         assert upper == expected_upper == 2**k - 2
         assert len(cover) == expected_upper
         assert verify_cover(cover)[0]
+    # box = k fails: Gamma(F_2^2) is K_2 and Gamma(F_2^3) is the net
+    for k, box in ((2, 1), (3, 2)):
+        value, witness = boxicity_exact(boolean_ring_graph(k).graph)
+        assert value == box
+        assert verify_cover(witness)[0]
 
 
 def test_zn_report_72():
@@ -262,3 +269,24 @@ def test_zn_report_prime_and_clamp():
     assert zn_report(13)["boxicity"] == 0
     r25 = zn_report(25)
     assert r25["box_upper"] == 1 and r25["box_upper_clamped"] is True
+
+
+def test_compressed_record_derives_from_one_factorization():
+    for n in (4, 12, 72, 2310, 2**5 * 3**4 * 5):
+        c = compressed_zn(n)
+        assert c.N == n and c.f == factor(n)
+        class_size = Counter(math.gcd(x, n) for x in range(1, n))
+        divisors = sorted(d for d in class_size if d > 1)
+        assert list(c.divisors) == divisors
+        assert c.sizes == tuple(class_size[d] for d in divisors)
+        assert c.nilpotent == tuple(d for d in divisors if d * d % n == 0)
+
+
+def test_direct_graph_is_built_once_per_record(monkeypatch):
+    built = []
+    monkeypatch.setattr(boxlab.zdg, "zdg_zn", lambda n: built.append(n) or zdg_zn(n))
+    c = compressed_zn(72)
+    assert built == []
+    expand_compressed(c)
+    zn_join_cover(c)
+    assert c.direct == zdg_zn(72) and built == [72]
