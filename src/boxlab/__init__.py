@@ -22,9 +22,7 @@ from .graphs import (
     empty_graph,
     generalized_join,
     graph_from_obj,
-    graph_from_text,
     graph_to_obj,
-    graph_to_text,
     induced_subgraph,
     is_clique,
     is_independent,

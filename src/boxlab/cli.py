@@ -67,7 +67,8 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and integers over the digit limit
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -212,11 +213,10 @@ def _cmd_sweep_zdg(args) -> int:
         cells = [
             on_record(lambda: omega_chi_certificate(c)),
             on_record(lambda: expand_compressed(c)),
-            on_record(lambda: is_box_one(n) == is_interval_graph(c.direct[0])[0]),
+            on_record(lambda: is_box_one(c) == is_interval_graph(c.direct[0])[0]),
         ]
         if f.is_prime_power:
-            p, exp = next(iter(f.exponents.items()))
-            cells += [_cell(lambda: prime_power_rep(p, exp)), "-"]
+            cells += [on_record(lambda: prime_power_rep(c)), "-"]
         else:
             cells += [
                 "-",

@@ -275,9 +275,8 @@ def is_spanning_supergraph(h: Graph, g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# serialization: JSON object {"n": int, "edges": [[u, v], ...]} and a plain
-# text form "n m" followed by one "u v" line per edge. Both round-trip
-# bit-exactly through the writers here.
+# serialization: JSON object {"n": int, "edges": [[u, v], ...]}, which
+# round-trips bit-exactly through the writer here.
 
 
 def graph_to_obj(g: Graph) -> dict:
@@ -297,24 +296,4 @@ def graph_from_obj(obj: dict) -> Graph:
         edges = [(int_from_obj(u), int_from_obj(v)) for u, v in obj["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph object: {exc}") from exc
-    return make_graph(n, edges)
-
-
-def graph_to_text(g: Graph) -> str:
-    lines = [f"{g.n} {g.num_edges}"]
-    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
-    return "\n".join(lines) + "\n"
-
-
-def graph_from_text(text: str) -> Graph:
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    if not rows or len(rows[0]) != 2:
-        raise InputError("expected 'n m' header line")
-    try:
-        n, m = int(rows[0][0]), int(rows[0][1])
-        edges = [(int(a), int(b)) for a, b in rows[1:]]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed graph text: {exc}") from exc
-    if len(edges) != m:
-        raise InputError(f"header promises {m} edges, found {len(edges)}")
     return make_graph(n, edges)

@@ -35,15 +35,9 @@ class IntervalRep:
 
 
 def make_rep(intervals) -> IntervalRep:
-    """Build a representation from (lo, hi) pairs (sequence or vertex-keyed dict)."""
-    if isinstance(intervals, dict):
-        if set(intervals) != set(range(len(intervals))):
-            raise InputError("interval dict must be keyed by 0..n-1")
-        pairs = [intervals[v] for v in range(len(intervals))]
-    else:
-        pairs = list(intervals)
+    """Build a representation from (lo, hi) pairs, one per vertex in order."""
     out: list[Interval] = []
-    for lo, hi in pairs:
+    for lo, hi in intervals:
         flo, fhi = Fraction(lo), Fraction(hi)
         if flo > fhi:
             raise InputError(f"empty interval [{flo}, {fhi}]")
@@ -170,7 +164,8 @@ def rep_from_obj(obj: dict) -> IntervalRep:
             pairs[v] = (_frac_from_obj(lo), _frac_from_obj(hi))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed interval representation: {exc}") from exc
-    if set(pairs) != set(range(n)):
+    # the length test first: a claimed n alone must not size the key set
+    if len(pairs) != n or set(pairs) != set(range(n)):
         raise InputError("interval keys must be exactly 0..n-1")
     return make_rep([pairs[v] for v in range(n)])
 

@@ -37,7 +37,6 @@ from .intervals import (
     make_rep,
     point,
     verified_cover,
-    verify_cover,
 )
 from .solvers import maximal_cliques
 
@@ -63,20 +62,14 @@ def canonical_unit_cover(part: Graph) -> IntervalCover:
     return make_cover(part, (rep,))
 
 
-def make_plan(
-    outer: Graph,
-    parts,
-    part_covers=None,
-    skip=(),
-) -> JoinCoverPlan:
-    """Validated plan; missing covers are filled in automatically.
+def make_plan(outer: Graph, parts, skip=()) -> JoinCoverPlan:
+    """Validated plan with a cover for every part that is not skipped.
 
     Complete and edgeless parts short-circuit to canonical one-rep covers;
-    anything else goes through the exact boxicity oracle, so supply covers
-    yourself for parts beyond its budget. Only supplied covers are checked
-    here: the canonical ones are correct by construction and the oracle
-    verifies its own witness. Skipped parts must be complete and their
-    outer vertices must form a clique.
+    anything else goes through the exact boxicity oracle. Nothing is
+    checked here: the canonical covers are correct by construction and the
+    oracle verifies its own witness. Skipped parts must be complete and
+    their outer vertices must form a clique.
     """
     parts = tuple(parts)
     if len(parts) != outer.n:
@@ -89,25 +82,17 @@ def make_plan(
             raise InputError(f"skipped part {i} is not complete")
     if not is_clique(outer, skip):
         raise InputError("skip set is not a clique of the outer graph")
-    if part_covers is None:
-        part_covers = [None] * outer.n
     covers: list[IntervalCover | None] = []
-    for i, (part, cov) in enumerate(zip(parts, part_covers)):
+    for i, part in enumerate(parts):
         if i in skip:
-            covers.append(None)
-            continue
-        if cov is None:
-            if part.is_complete() or part.is_edgeless():
-                cov = canonical_unit_cover(part)
-            else:
-                res = boxicity_exact(part)
-                if res is None:
-                    raise InputError(f"no cover found for part {i} within the default bound")
-                cov = res[1]
-        elif cov.claimed_graph != part:
-            raise InputError(f"cover for part {i} certifies a different graph")
-        elif not verify_cover(cov)[0]:
-            raise InputError(f"supplied cover for part {i} does not verify")
+            cov = None
+        elif part.is_complete() or part.is_edgeless():
+            cov = canonical_unit_cover(part)
+        else:
+            res = boxicity_exact(part)
+            if res is None:
+                raise InputError(f"no cover found for part {i} within the default bound")
+            cov = res[1]
         covers.append(cov)
     return JoinCoverPlan(outer, parts, tuple(covers), skip)
 

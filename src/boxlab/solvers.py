@@ -14,10 +14,11 @@ from .graphs import Coloring, Graph, is_clique
 DEFAULT_SOLVER_LIMIT = 64
 
 
-def _check_limit(g: Graph, limit: int | None) -> None:
-    cap = DEFAULT_SOLVER_LIMIT if limit is None else limit
-    if g.n > cap:
-        raise ResourceBudgetError(f"graph has {g.n} vertices, solver limit is {cap}")
+def _check_limit(g: Graph) -> None:
+    if g.n > DEFAULT_SOLVER_LIMIT:
+        raise ResourceBudgetError(
+            f"graph has {g.n} vertices, solver limit is {DEFAULT_SOLVER_LIMIT}"
+        )
 
 
 def _bron_kerbosch(g: Graph, found, hopeless=lambda r, p: False) -> None:
@@ -50,9 +51,9 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
     return out
 
 
-def clique_number_exact(g: Graph, limit: int | None = None) -> tuple[int, frozenset[int]]:
+def clique_number_exact(g: Graph) -> tuple[int, frozenset[int]]:
     """Largest clique size and a witness clique."""
-    _check_limit(g, limit)
+    _check_limit(g)
     if g.n == 0:
         return 0, frozenset()
     best: list[frozenset[int]] = [frozenset([0])]
@@ -124,12 +125,12 @@ def _try_k_coloring(g: Graph, k: int, seed: frozenset[int]) -> list[int] | None:
     return list(color) if extend(max_used) else None
 
 
-def chromatic_number_exact(g: Graph, limit: int | None = None) -> tuple[int, Coloring]:
+def chromatic_number_exact(g: Graph) -> tuple[int, Coloring]:
     """Minimum proper coloring size and a witness coloring."""
-    _check_limit(g, limit)
+    _check_limit(g)
     if g.n == 0:
         return 0, Coloring(())
-    omega, clique = clique_number_exact(g, limit)
+    omega, clique = clique_number_exact(g)
     greedy = _dsatur_greedy(g)
     upper = max(greedy) + 1
     best = greedy

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import ConstructionDefectError, InputError, ResourceBudgetError
 from .graphs import Coloring, Graph, complete_graph, empty_graph, generalized_join, make_graph
-from .intervals import Interval, IntervalCover, IntervalRep, graph_of_intervals, point, verified_cover
+from .intervals import IntervalCover, IntervalRep, graph_of_intervals, point, verified_cover
 from .joins import lift_reps, make_plan, reduced_cover
 
 
@@ -347,7 +347,7 @@ def zn_join_cover(c: CompressedZN) -> IntervalCover:
 # interval characterization
 
 
-def is_box_one(N: int) -> bool:
+def is_box_one(c: CompressedZN) -> bool:
     """True exactly when the zero-divisor graph of Z_N is an interval graph.
 
     That happens for prime powers p^n with n >= 2, for N = 2p, and for
@@ -362,80 +362,44 @@ def is_box_one(N: int) -> bool:
     [0, 1], the class of p at points inside (0, 1), p^2 on [1, 2], and the
     class of 2 at points inside (1, 2)).
     """
-    f = factor(N)
-    if f.is_prime:
-        raise InputError(f"{N} is prime; its zero-divisor graph is empty")
-    if f.is_prime_power:
+    if c.f.is_prime_power:
         return True
-    exps = f.exponents
+    exps = c.f.exponents
     if len(exps) != 2 or 2 not in exps or exps[2] != 1:
         return False
     odd_exponent = next(e for p, e in exps.items() if p != 2)
     return odd_exponent <= 2
 
 
-def prime_power_rep(p: int, n: int) -> IntervalRep:
+def prime_power_rep(c: CompressedZN) -> IntervalRep:
     """Explicit interval representation of the zero-divisor graph of Z_{p^n}.
 
-    Layers are the classes of gcd(x, p^n) = p^i for 1 <= i <= n-1; layers i
-    and j join exactly when i + j >= n. Upper layers get nested intervals
-    anchored at 0, lower layers get isolated points in unit gaps placed so
-    each layer touches exactly the tail of upper layers it joins; the
-    middle layer sits at [0, 1] (with extra in-gap points when n is odd).
-    The result is checked for exact equality with the direct graph.
+    Layer i is the class of gcd(x, p^n) = p^i for 1 <= i <= n-1; layers i
+    and j join exactly when i + j >= n. A layer with 2i >= n gets the
+    nested interval [0, i - ceil(n/2) + 1]; a lower layer gets isolated
+    points inside the unit gap above floor(n/2) - i, so each touches
+    exactly the upper layers it joins (for n = 3 the points 1/j, pinned
+    by the tests). The result is checked for exact equality with the
+    direct graph.
     """
-    N = p**n
-    f = factor(N)
-    if not f.is_prime_power or f.is_prime or n < 2:
-        raise InputError(f"need a prime power with exponent >= 2, got {p}^{n}")
-    direct, labels = zdg_zn(N)
-    layer_members: dict[int, list[int]] = {}
-    for x in labels:
-        i = _exponent_of(math.gcd(x, N), p)
-        layer_members.setdefault(i, []).append(x)
-    for members in layer_members.values():
-        members.sort()
-
-    layer_interval: dict[int, list[Interval]] = {}
-
-    def gap_points(base: int, count: int) -> list[Interval]:
-        return [point(Fraction(base * (count + 1) + j, count + 1)) for j in range(1, count + 1)]
-
-    if n == 2:
-        layer_interval[1] = [(Fraction(0), Fraction(1))] * len(layer_members[1])
-    elif n == 3:
-        layer_interval[2] = [(Fraction(0), Fraction(1))] * len(layer_members[2])
-        layer_interval[1] = [
-            point(Fraction(1, j)) for j in range(1, len(layer_members[1]) + 1)
-        ]
-    else:
-        half_down = n // 2
-        half_up = (n + 1) // 2
-        for i in range(1, half_down):
-            layer = n - i  # upper layers n-1 down to ceil(n/2)+1
-            layer_interval[layer] = [
-                (Fraction(0), Fraction(half_down - i + 1))
-            ] * len(layer_members[layer])
-        for i in range(half_up + 1, n):
-            layer = n - i  # lower layers floor(n/2)-1 down to 1
-            layer_interval[layer] = gap_points(i - half_up, len(layer_members[layer]))
-        if n % 2 == 0:
-            mid = n // 2
-            layer_interval[mid] = [(Fraction(0), Fraction(1))] * len(layer_members[mid])
+    if not c.f.is_prime_power:
+        raise InputError(f"need a prime power with exponent >= 2, got {c.N}")
+    n = len(c.divisors) + 1  # the classes are p^1 .. p^(n-1), ascending
+    intervals: list = [None] * c.direct[0].n
+    for i, members in enumerate(c.positions, start=1):
+        size = len(members)
+        if 2 * i >= n:
+            layer = [(Fraction(0), Fraction(i - (n + 1) // 2 + 1))] * size
+        elif n == 3:
+            layer = [point(Fraction(1, j)) for j in range(1, size + 1)]
         else:
-            layer_interval[half_down] = gap_points(0, len(layer_members[half_down]))
-            layer_interval[half_up] = [(Fraction(0), Fraction(1))] * len(
-                layer_members[half_up]
-            )
-
-    by_label: dict[int, Interval] = {}
-    for layer, members in layer_members.items():
-        for member, iv in zip(members, layer_interval[layer]):
-            by_label[member] = iv
-    rep = IntervalRep(tuple(by_label[x] for x in labels))
-    if graph_of_intervals(rep) != direct:
+            layer = [point(n // 2 - i + Fraction(j, size + 1)) for j in range(1, size + 1)]
+        for v, iv in zip(members, layer):
+            intervals[v] = iv
+    rep = IntervalRep(tuple(intervals))
+    if graph_of_intervals(rep) != c.direct[0]:
         raise ConstructionDefectError(
-            f"representation for {p}^{n} does not realize the zero-divisor graph"
+            f"representation for {c.N} does not realize the zero-divisor graph"
         )
     return rep
 
@@ -539,5 +503,5 @@ def zn_report(N: int) -> dict:
         "omega_chi": value,
         "box_upper": max(bound, 1),
         "box_upper_clamped": clamped,
-        "box_one": is_box_one(N),
+        "box_one": is_box_one(c),
     }

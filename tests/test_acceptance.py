@@ -104,15 +104,14 @@ def test_criterion_4_interval_characterization():
         f = factor(n)
         if f.is_prime:
             continue
-        if is_box_one(n) != is_interval_graph(zdg_zn(n)[0])[0]:
+        if is_box_one(compressed_zn(n)) != is_interval_graph(zdg_zn(n)[0])[0]:
             mismatches.append(n)
     reps_ok = True
     for n in range(4, 301):
         f = factor(n)
         if f.is_prime or not f.is_prime_power:
             continue
-        p, e = next(iter(f.exponents.items()))
-        rep = prime_power_rep(p, e)
+        rep = prime_power_rep(compressed_zn(n))
         reps_ok = reps_ok and graph_of_intervals(rep) == zdg_zn(n)[0]
     _report(4, "box-one classifier matches recognition; prime power reps exact",
             not mismatches and reps_ok, started, f"mismatches={mismatches}")

@@ -23,18 +23,17 @@ def test_sweep_builds_one_record_per_composite(calls, capsys):
     composites = len(capsys.readouterr().out.strip().splitlines()) - 1
     assert composites == 74
     assert calls["compressed_zn"] == composites
-    # one direct graph per record, plus a second one for each of the 10
-    # prime powers, whose explicit representation builds its own
-    assert calls["zdg_zn"] <= composites + 10
-    # once per N in the loop, once in each record, once per box-one
-    # classification and once per prime-power representation
-    assert calls["factor"] <= 97 + 2 * composites + 10
+    # one direct graph per record; the prime-power representation and the
+    # box-one verdict read the record
+    assert calls["zdg_zn"] == composites
+    # once per N in the loop (97 values) and once in each record
+    assert calls["factor"] == 97 + composites
 
 
-def test_report_factors_n_at_most_three_times(calls, capsys):
-    # once for the prime test, once in the record, once in is_box_one
+def test_report_factors_n_twice(calls, capsys):
+    # once for the prime test, once in the record
     assert run(["zdg", "report", "--n", "2310"]) == 0
-    assert calls["factor"] <= 3
+    assert calls["factor"] == 2
     assert calls["zdg_zn"] == 0
 
 

@@ -127,6 +127,30 @@ def test_verify_rejects_two_keys_for_one_vertex(keys, tmp_path, capsys):
     assert "'+1'" in err
 
 
+MALFORMED_JSON = {
+    "long-integer": b"1" * 4301,  # over Python's int-from-string digit limit
+    "deep-nesting": b"[" * 200_000,
+    "bad-utf8": b"\xff",
+}
+
+
+@pytest.mark.parametrize("verb", ["box", "verify"])
+@pytest.mark.parametrize("kind", list(MALFORMED_JSON))
+def test_malformed_json_file_is_input_error(kind, verb, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(MALFORMED_JSON[kind])
+    if verb == "box":
+        argv = ["box", "--graph", str(bad)]
+    else:
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"n": 1, "edges": []}))
+        argv = ["verify", "--graph", str(graph), "--cover", str(bad)]
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"input error: cannot read {bad}")
+
+
 def test_uncaught_error_is_one_line_exit_1(monkeypatch, capsys):
     def crash(k, d):
         raise RuntimeError("boom")

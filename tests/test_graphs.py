@@ -10,9 +10,7 @@ from boxlab import (
     empty_graph,
     generalized_join,
     graph_from_obj,
-    graph_from_text,
     graph_to_obj,
-    graph_to_text,
     induced_subgraph,
     is_clique,
     is_independent,
@@ -148,7 +146,6 @@ def test_spanning_supergraph():
 @settings(max_examples=100)
 def test_graph_serialization_round_trip(g):
     assert graph_from_obj(graph_to_obj(g)) == g
-    assert graph_from_text(graph_to_text(g)) == g
 
 
 @pytest.mark.parametrize(
@@ -164,8 +161,3 @@ def test_graph_serialization_round_trip(g):
 def test_graph_from_obj_takes_only_json_integers(obj):
     with pytest.raises(InputError):
         graph_from_obj(obj)
-
-
-def test_graph_text_format():
-    g = make_graph(3, [(0, 1), (1, 2)])
-    assert graph_to_text(g) == "3 2\n0 1\n1 2\n"

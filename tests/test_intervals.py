@@ -49,15 +49,13 @@ def test_block_rep_realizes_expected_supergraph():
 def test_make_rep_validation():
     with pytest.raises(InputError):
         make_rep([(1, 0)])
-    with pytest.raises(InputError):
-        make_rep({0: (0, 1), 2: (0, 1)})
 
 
 def _rep_c4_plus_chord(chord02: bool):
     # interval representation of a 4-cycle plus one chord
     if chord02:
-        return make_rep({0: (0, 2), 1: (0, 0), 2: (0, 2), 3: (2, 2)})
-    return make_rep({1: (0, 2), 2: (0, 0), 3: (0, 2), 0: (2, 2)})
+        return make_rep([(0, 2), (0, 0), (0, 2), (2, 2)])
+    return make_rep([(2, 2), (0, 2), (0, 0), (0, 2)])
 
 
 def test_verify_cover_happy_path():
@@ -104,6 +102,12 @@ def test_verify_cover_size_mismatch_is_reported_not_raised():
 def test_empty_cover_rejected():
     with pytest.raises(InputError):
         make_cover(complete_graph(2), ())
+
+
+def test_rep_from_obj_refuses_a_claimed_n_before_sizing_anything():
+    # a huge n with no intervals is refused at once, without a set of n keys
+    with pytest.raises(InputError, match="exactly 0..n-1"):
+        rep_from_obj({"n": 10**12, "intervals": {}})
 
 
 rationals = st.fractions(

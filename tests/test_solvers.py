@@ -38,11 +38,11 @@ def test_witnesses_verify():
 
 
 def test_limit_enforced():
-    g = cycle_graph(12)
+    g = cycle_graph(65)  # one vertex over DEFAULT_SOLVER_LIMIT
     with pytest.raises(ResourceBudgetError):
-        chromatic_number_exact(g, limit=10)
+        chromatic_number_exact(g)
     with pytest.raises(ResourceBudgetError):
-        clique_number_exact(g, limit=10)
+        clique_number_exact(g)
 
 
 def test_maximal_cliques_net():

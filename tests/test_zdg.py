@@ -170,26 +170,26 @@ def test_zn_join_cover_rejects_single_complete_class():
 
 
 def test_is_box_one_examples():
-    assert is_box_one(8)
-    assert is_box_one(10)
-    assert not is_box_one(12)
+    assert is_box_one(compressed_zn(8))
+    assert is_box_one(compressed_zn(10))
+    assert not is_box_one(compressed_zn(12))
     with pytest.raises(InputError):
-        is_box_one(11)
+        is_box_one(compressed_zn(11))
 
 
 def test_is_box_one_twice_odd_prime_square():
     # 2p^2 graphs are interval: the complete class of 2p sits on [0, 1],
     # the class of p at points inside it, p^2 bridges to the class of 2
     for n in (18, 50, 98):
-        assert is_box_one(n)
+        assert is_box_one(compressed_zn(n))
         assert is_interval_graph(zdg_zn(n)[0])[0]
     for n in (36, 54, 100):
-        assert not is_box_one(n)
+        assert not is_box_one(compressed_zn(n))
         assert not is_interval_graph(zdg_zn(n)[0])[0]
 
 
 def test_prime_power_rep_2_cubed_frozen():
-    rep = prime_power_rep(2, 3)
+    rep = prime_power_rep(compressed_zn(8))
     # labels (2, 4, 6): the path 2 - 4 - 6
     assert rep.intervals[0] == (Fraction(1), Fraction(1))
     assert rep.intervals[1] == (Fraction(0), Fraction(1))
@@ -198,8 +198,8 @@ def test_prime_power_rep_2_cubed_frozen():
 
 
 def test_prime_power_rep_small_cases():
-    assert graph_of_intervals(prime_power_rep(3, 2)) == complete_graph(2)
-    rep16 = prime_power_rep(2, 4)
+    assert graph_of_intervals(prime_power_rep(compressed_zn(9))) == complete_graph(2)
+    rep16 = prime_power_rep(compressed_zn(16))
     g16, labels = zdg_zn(16)
     assert graph_of_intervals(rep16) == g16
     # the lone top-layer element spans two units, the middle layer one
@@ -212,8 +212,13 @@ def test_prime_power_rep_small_cases():
 
 def test_prime_power_rep_sweep():
     for p, e in ((2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (5, 3), (7, 2)):
-        rep = prime_power_rep(p, e)
+        rep = prime_power_rep(compressed_zn(p**e))
         assert graph_of_intervals(rep) == zdg_zn(p**e)[0]
+
+
+def test_prime_power_rep_needs_a_prime_power():
+    with pytest.raises(InputError):
+        prime_power_rep(compressed_zn(12))
 
 
 def test_boolean_ring_graphs():
