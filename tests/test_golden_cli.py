@@ -8,10 +8,21 @@ fails here; regenerate only for an intended output change.
 
 import hashlib
 import json
+from functools import cache
 
 import pytest
 
-from boxlab import complete_graph, cycle_graph, empty_graph, graph_to_obj, path_graph
+from boxlab import (
+    complete_graph,
+    compressed_zn,
+    cover_to_obj,
+    cycle_graph,
+    empty_graph,
+    graph_to_obj,
+    path_graph,
+    zdg_zn,
+    zn_join_cover,
+)
 from boxlab.cli import run
 
 INPUTS = {
@@ -20,7 +31,24 @@ INPUTS = {
     "k3": complete_graph(3),
     "e3": empty_graph(3),
     "p3": path_graph(3),
+    "z72": zdg_zn(72)[0],
 }
+
+
+@cache
+def cover_fixtures() -> dict:
+    """The 7-member cover of Z_72 and three broken copies, as JSON objects."""
+    good = cover_to_obj(zn_join_cover(compressed_zn(72)))
+    far, dropped, short = (json.loads(json.dumps(good)) for _ in range(3))
+    # vertex 11 (17 neighbours) leaves member 1 for a far point
+    far["reps"][1]["intervals"]["11"] = [[1000, 1], [1000, 1]]
+    # without member 3 the others meet in 6 non-edges
+    del dropped["reps"][3]
+    # member 4 loses its last vertex
+    rep = short["reps"][4]
+    rep["n"] -= 1
+    del rep["intervals"][str(rep["n"])]
+    return {"z72_cover": good, "z72_far": far, "z72_dropped": dropped, "z72_short": short}
 
 
 def _join(outer, parts, skip=()):
@@ -51,6 +79,10 @@ CORPUS = (
         ["gen", "zdg", "--n", "72", "--compressed"],
         ["sweep", "circular", "--dmax", "4", "--kmax", "14"],
         ["sweep", "zdg", "--nmax", "60"],
+    ]
+    + [
+        ["verify", "--graph", "@z72", "--cover", f"@{name}"]
+        for name in ("z72_cover", "z72_far", "z72_dropped", "z72_short")
     ]
 )
 
@@ -85,6 +117,10 @@ GOLDEN = {
     "gen zdg --n 72 --compressed": (0, "499c2a31e5908654f567cc37f88bc77e851449f39972bf985c020cb271b8cfbe"),
     "sweep circular --dmax 4 --kmax 14": (0, "de43dbd5de6acd7dc228455a4d90cadc1899897f0e89f33558defb40e2bea919"),
     "sweep zdg --nmax 60": (0, "d987a90fa0c3202b661d62c8fee32dc659b054bfadc593d6ffe0f7785e935255"),
+    "verify --graph @z72 --cover @z72_cover": (0, "c755d3dcbec482786aeb857e92c35427050cfbe6e77d1997e67f6ecb1537b7ba"),
+    "verify --graph @z72 --cover @z72_far": (1, "6ae691cd9416346babc5ea0e64ec1a816a49ee2053be69d95c65a3a5319bbac0"),
+    "verify --graph @z72 --cover @z72_dropped": (1, "9d5cfe27259288ac5732654d1c5dae22e4a20357c0f073459352f83a3ee62e8a"),
+    "verify --graph @z72 --cover @z72_short": (1, "263e7e7b9ba597a05c87d937613c18cac3bef86c9134935b331ab581367660f7"),
 }
 
 
@@ -97,8 +133,10 @@ def run_case(argv, tmp_path):
     resolved = []
     for arg in argv:
         if arg.startswith("@"):
-            path = tmp_path / f"{arg[1:]}.json"
-            path.write_text(json.dumps(graph_to_obj(INPUTS[arg[1:]])))
+            name = arg[1:]
+            obj = graph_to_obj(INPUTS[name]) if name in INPUTS else cover_fixtures()[name]
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(obj))
             arg = str(path)
         resolved.append(arg)
     out = tmp_path / "out"
