@@ -201,11 +201,10 @@ def _cmd_sweep_zdg(args) -> int:
     rows = ["N\tomega_chi\texpand\tbox_one\tpp_rep\tcover\tstatus"]
     failures = 0
     for n in range(4, args.nmax + 1):
-        f = factor(n)
-        if f.is_prime:
-            continue
         try:
             c = compressed_zn(n)
+        except InputError:
+            continue  # a prime: no zero divisors
         except ConstructionDefectError:
             c = None  # then every cell that reads the record fails
         on_record = _cell if c else lambda check: "FAIL"
@@ -215,7 +214,7 @@ def _cmd_sweep_zdg(args) -> int:
             on_record(lambda: expand_compressed(c)),
             on_record(lambda: is_box_one(c) == is_interval_graph(c.direct[0])[0]),
         ]
-        if f.is_prime_power:
+        if (c.f if c else factor(n)).is_prime_power:
             cells += [on_record(lambda: prime_power_rep(c)), "-"]
         else:
             cells += [

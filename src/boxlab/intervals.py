@@ -14,11 +14,13 @@ constructions leave through `verified_cover`, which checks once.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstructionDefectError, InputError
-from .graphs import Graph, edge_intersection, graph_from_obj, graph_to_obj, int_from_obj, make_graph
+from .graphs import Graph, graph_from_obj, graph_to_obj, int_from_obj
 
 Interval = tuple[Fraction, Fraction]
 
@@ -50,21 +52,48 @@ def point(x) -> Interval:
     return (f, f)
 
 
+def interval_adjacency(rep: IntervalRep) -> list[int]:
+    """Neighbourhood of each vertex as an int bitset (closed intervals, exact).
+
+    v meets the u with lo_u <= hi_v and hi_u >= lo_v: one AND of two prefixes.
+    """
+    ends = [f for pair in rep.intervals for f in pair]
+    den = 1
+    for d in {f.denominator for f in ends}:
+        den = math.lcm(den, d)
+        if den.bit_length() > 64:
+            break  # the Fractions themselves are the keys
+    else:  # ints over the common denominator keep order and ties
+        ends = [f.numerator * (den // f.denominator) for f in ends]
+    lo, hi = ends[::2], ends[1::2]
+    by_lo = sorted(range(rep.n), key=lo.__getitem__)
+    by_hi = sorted(range(rep.n), key=hi.__getitem__, reverse=True)
+    lo_sorted = [lo[v] for v in by_lo]
+    neg_hi_sorted = [-hi[v] for v in by_hi]
+    pre_lo, pre_hi = [0], [0]
+    for a, b in zip(by_lo, by_hi):
+        pre_lo.append(pre_lo[-1] | 1 << a)
+        pre_hi.append(pre_hi[-1] | 1 << b)
+    return [
+        pre_lo[bisect_right(lo_sorted, hi[v])]
+        & pre_hi[bisect_right(neg_hi_sorted, -lo[v])]
+        & ~(1 << v)
+        for v in range(rep.n)
+    ]
+
+
+def _pairs(adj):
+    """The (u, v) with u < v and bit v set in adj[u], in increasing order."""
+    for u, m in enumerate(adj):
+        m &= -2 << u  # only the v > u
+        while m:
+            yield u, (m & -m).bit_length() - 1
+            m &= m - 1
+
+
 def graph_of_intervals(rep: IntervalRep) -> Graph:
     """Intersection graph of the representation (closed-interval semantics)."""
-    n = rep.n
-    iv = rep.intervals
-    order = sorted(range(n), key=lambda v: iv[v][0])
-    edges = []
-    for a in range(n):
-        u = order[a]
-        lo_u, hi_u = iv[u]
-        for b in range(a + 1, n):
-            v = order[b]
-            if iv[v][0] > hi_u:
-                break  # sorted by lo: no later vertex can reach back
-            edges.append((u, v) if u < v else (v, u))
-    return make_graph(n, edges)
+    return Graph(rep.n, frozenset(_pairs(interval_adjacency(rep))))
 
 
 @dataclass(frozen=True)
@@ -99,19 +128,19 @@ class CoverViolation:
 def verify_cover(cover: IntervalCover) -> tuple[bool, list[CoverViolation]]:
     """Check the cover from scratch; failures are reported, never raised."""
     claimed = cover.claimed_graph
+    g = [sum(1 << w for w in nbrs) for nbrs in claimed.adj]
     problems: list[CoverViolation] = []
-    realized: list[Graph] = []
+    meet = None
     for i, rep in enumerate(cover.reps):
         if rep.n != claimed.n:
             problems.append(CoverViolation("size-mismatch", i, None))
             continue
-        h = graph_of_intervals(rep)
-        realized.append(h)
-        for e in sorted(claimed.edges - h.edges):
+        h = interval_adjacency(rep)
+        for e in _pairs(a & ~b for a, b in zip(g, h)):
             problems.append(CoverViolation("missing-edge", i, e))
-    if realized and not problems:
-        meet = edge_intersection(realized)
-        for e in sorted(meet.edges - claimed.edges):
+        meet = h if meet is None else [a & b for a, b in zip(meet, h)]
+    if meet is not None and not problems:
+        for e in _pairs(a & ~b for a, b in zip(meet, g)):
             problems.append(CoverViolation("uncovered-non-edge", None, e))
     return not problems, problems
 

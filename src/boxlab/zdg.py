@@ -478,8 +478,11 @@ def reduced_ring_box_bounds(k: int) -> tuple[int, IntervalCover]:
 
 def zn_report(N: int) -> dict:
     """Machine-readable summary of everything certified for one N."""
-    f = factor(N)
-    if f.is_prime:
+    try:
+        c = compressed_zn(N)
+    except InputError:
+        if N < 2:
+            raise  # N < 2 is refused, not a prime
         return {
             "N": N,
             "prime": True,
@@ -487,7 +490,6 @@ def zn_report(N: int) -> dict:
             "boxicity": 0,
             "note": "empty graph, boxicity 0 by convention",
         }
-    c = compressed_zn(N)
     value, clique, _ = omega_chi_certificate(c)
     bound = compressed_box_bound(c)
     clamped = bound < 1
@@ -495,8 +497,8 @@ def zn_report(N: int) -> dict:
         "N": N,
         "prime": False,
         "factorization": {
-            "even": [[p, n] for p, n in f.even_part],
-            "odd": [[q, m] for q, m in f.odd_part],
+            "even": [[p, n] for p, n in c.f.even_part],
+            "odd": [[q, m] for q, m in c.f.odd_part],
         },
         "S": list(c.nilpotent),
         "T": list(clique),

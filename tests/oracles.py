@@ -2,14 +2,17 @@
 
 Everything here is deliberately naive and shares no code path with the
 package: interval recognition through vertex-order enumeration, coloring
-and cliques through exhaustive search.
+and cliques through exhaustive search. The cover checker and the
+intersection graph are the package's earlier edge-set versions, kept as
+differential references for the bitset kernel that replaced them.
 """
 
 from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
-from boxlab import Graph, make_graph
+from boxlab import Graph, edge_intersection, make_graph
+from boxlab.intervals import CoverViolation, IntervalCover, IntervalRep
 
 
 @st.composite
@@ -114,3 +117,40 @@ def atlas_connected(max_n: int = 6) -> list[Graph]:
 def net_graph() -> Graph:
     """Triangle 0,1,2 with pendants 3,4,5 hanging off each corner."""
     return make_graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)])
+
+
+def graph_of_intervals(rep: IntervalRep) -> Graph:
+    """Intersection graph of the representation (closed-interval semantics)."""
+    n = rep.n
+    iv = rep.intervals
+    order = sorted(range(n), key=lambda v: iv[v][0])
+    edges = []
+    for a in range(n):
+        u = order[a]
+        lo_u, hi_u = iv[u]
+        for b in range(a + 1, n):
+            v = order[b]
+            if iv[v][0] > hi_u:
+                break  # sorted by lo: no later vertex can reach back
+            edges.append((u, v) if u < v else (v, u))
+    return make_graph(n, edges)
+
+
+def verify_cover(cover: IntervalCover) -> tuple[bool, list[CoverViolation]]:
+    """Check the cover from scratch; failures are reported, never raised."""
+    claimed = cover.claimed_graph
+    problems: list[CoverViolation] = []
+    realized: list[Graph] = []
+    for i, rep in enumerate(cover.reps):
+        if rep.n != claimed.n:
+            problems.append(CoverViolation("size-mismatch", i, None))
+            continue
+        h = graph_of_intervals(rep)
+        realized.append(h)
+        for e in sorted(claimed.edges - h.edges):
+            problems.append(CoverViolation("missing-edge", i, e))
+    if realized and not problems:
+        meet = edge_intersection(realized)
+        for e in sorted(meet.edges - claimed.edges):
+            problems.append(CoverViolation("uncovered-non-edge", None, e))
+    return not problems, problems

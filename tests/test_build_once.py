@@ -22,18 +22,20 @@ def test_sweep_builds_one_record_per_composite(calls, capsys):
     assert run(["sweep", "zdg", "--nmax", "100"]) == 0
     composites = len(capsys.readouterr().out.strip().splitlines()) - 1
     assert composites == 74
-    assert calls["compressed_zn"] == composites
+    # one call per N in the loop (97 values): a record for each composite,
+    # an InputError and no row for each of the 23 primes
+    assert calls["compressed_zn"] == 97
     # one direct graph per record; the prime-power representation and the
     # box-one verdict read the record
     assert calls["zdg_zn"] == composites
-    # once per N in the loop (97 values) and once in each record
-    assert calls["factor"] == 97 + composites
+    # each N is factored once, inside compressed_zn
+    assert calls["factor"] == 97
 
 
-def test_report_factors_n_twice(calls, capsys):
-    # once for the prime test, once in the record
+def test_report_factors_n_once(calls, capsys):
+    # in the record, which also answers the prime test
     assert run(["zdg", "report", "--n", "2310"]) == 0
-    assert calls["factor"] == 2
+    assert calls["factor"] == 1
     assert calls["zdg_zn"] == 0
 
 

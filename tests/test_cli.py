@@ -6,6 +6,7 @@ import boxlab.cli
 import boxlab.zdg
 from boxlab import ConstructionDefectError, cover_from_obj, cycle_graph, graph_to_obj, verify_cover
 from boxlab.cli import run
+from oracles import verify_cover as oracle_verify_cover
 
 
 def run_capture(capsys, argv):
@@ -125,6 +126,31 @@ def test_verify_rejects_two_keys_for_one_vertex(keys, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "'+1'" in err
+
+
+def _first_primes(count):
+    sieve = bytearray([1]) * 250_000  # the 20 000th prime is 224 737
+    sieve[:2] = b"\0\0"
+    for p in range(2, 500):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, len(sieve), p)))
+    primes = [p for p, is_prime in enumerate(sieve) if is_prime]
+    assert len(primes) >= count
+    return primes[:count]
+
+
+@pytest.mark.parametrize("edges", [[], [[0, 1]]], ids=["edgeless", "one-edge"])
+def test_verify_survives_a_prime_denominator_per_vertex(edges, tmp_path, capsys):
+    # vertex v sits at 1/p_v for the v-th prime, so a common denominator
+    # would have about 15 * n bits; the check sorts the Fractions instead
+    n = 20_000
+    intervals = {str(v): [[1, p], [1, p]] for v, p in enumerate(_first_primes(n))}
+    argv = _verify_files(tmp_path, {"n": n, "edges": edges}, intervals)
+    code, out, _ = run_capture(capsys, argv)
+    cover = cover_from_obj(json.loads((tmp_path / "c.json").read_text()))
+    ok, violations = oracle_verify_cover(cover)
+    assert (code, ok) == ((0, True) if not edges else (1, False))
+    assert json.loads(out)["violations"] == [str(v) for v in violations]
 
 
 MALFORMED_JSON = {

@@ -21,6 +21,9 @@ from boxlab import (
     verify_cover,
 )
 from boxlab.circular import block_window_rep
+from boxlab.intervals import IntervalRep, interval_adjacency
+from oracles import graph_of_intervals as oracle_graph_of_intervals
+from oracles import verify_cover as oracle_verify_cover
 
 
 def test_graph_of_intervals_chain():
@@ -151,3 +154,67 @@ def test_realized_graph_matches_pairwise_definition(rep):
             lo_v, hi_v = rep.intervals[v]
             meets = max(lo_u, lo_v) <= min(hi_u, hi_v)
             assert g.has_edge(u, v) == meets
+
+
+# Differential tests: the bitset kernel against the edge-set checker it
+# replaced. Endpoints come from a small grid, so ties, touching ends and
+# points are common. Large distinct primes push the common denominator past
+# 64 bits, where the kernel sorts the Fractions themselves; the three primes
+# just below 2**64 give values such as 1/p and 1/q that differ by less than
+# a float can tell.
+
+SMALL_DENS = (1, 2, 3, 4, 6)
+LARGE_PRIMES = (1_000_000_007, 2**61 - 1, 2**64 - 95, 2**64 - 83, 2**64 - 59)
+denominators = st.sampled_from([SMALL_DENS, LARGE_PRIMES, SMALL_DENS + LARGE_PRIMES])
+
+
+@st.composite
+def grid_reps(draw, n, dens):
+    value = st.builds(Fraction, st.integers(-4, 8), st.sampled_from(dens))
+    return make_rep(sorted((draw(value), draw(value))) for _ in range(n))
+
+
+@st.composite
+def grid_covers(draw):
+    n = draw(st.integers(0, 12))
+    dens = draw(denominators)
+    members = draw(st.lists(grid_reps(n, dens), min_size=1, max_size=4))
+    # the claim starts as the members' true meet, then toggles a few pairs
+    edges = set.intersection(*(set(oracle_graph_of_intervals(r).edges) for r in members))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if pairs:
+        edges ^= draw(st.sets(st.sampled_from(pairs), max_size=3))
+    # perturbed members: one vertex moves, or a member has the wrong size
+    for i in draw(st.sets(st.integers(0, len(members) - 1), max_size=2)):
+        ivs = list(members[i].intervals)
+        if ivs and draw(st.booleans()):
+            ivs[draw(st.integers(0, n - 1))] = draw(grid_reps(1, dens)).intervals[0]
+        elif draw(st.booleans()):
+            ivs.append(ivs[-1] if ivs else (Fraction(0), Fraction(0)))
+        else:
+            ivs = ivs[:-1]
+        members[i] = IntervalRep(tuple(ivs))
+    return make_cover(make_graph(n, edges), members)
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_graph_of_intervals_matches_oracle(data):
+    rep = data.draw(grid_reps(data.draw(st.integers(0, 12)), data.draw(denominators)))
+    assert graph_of_intervals(rep) == oracle_graph_of_intervals(rep)
+
+
+@given(grid_covers())
+@settings(max_examples=150)
+def test_verify_cover_matches_oracle(cover):
+    assert verify_cover(cover) == oracle_verify_cover(cover)
+
+
+def test_fraction_keys_keep_ties():
+    # the common denominator of these primes passes 64 bits; 1/p and 1/r
+    # are one float, so only exact keys keep vertex 4 apart from vertex 0
+    p, q, r = 2**64 - 83, 1_000_000_007, 2**64 - 59
+    a, b, c = Fraction(1, p), Fraction(1, q), Fraction(2, q)
+    rep = make_rep([(a, b), (b, c), (c, c), (a, a), (Fraction(-1), Fraction(1, r))])
+    assert interval_adjacency(rep) == [0b01010, 0b00101, 0b00010, 0b00001, 0]
+    assert graph_of_intervals(rep) == oracle_graph_of_intervals(rep)
