@@ -19,6 +19,7 @@ from boxlab import (
     cycle_graph,
     empty_graph,
     graph_to_obj,
+    make_graph,
     path_graph,
     zdg_zn,
     zn_join_cover,
@@ -32,7 +33,19 @@ INPUTS = {
     "e3": empty_graph(3),
     "p3": path_graph(3),
     "z72": zdg_zn(72)[0],
+    # box 1 with 8 maximal cliques: the witness is the recognizer's rep
+    "int10": make_graph(
+        10,
+        [(0, 2), (0, 4), (0, 6), (0, 7), (0, 8), (1, 8), (2, 4), (2, 8),
+         (3, 6), (3, 7), (3, 9), (4, 7), (5, 6), (5, 9), (6, 7), (6, 9)],
+    ),
+    "p6": make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),
+    "net": make_graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)]),
+    "claw7": make_graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]),
 }
+
+# the subdivided claw has 15 non-edges, one over the oracle's default budget
+CASE_ENV = {"box --graph @claw7": {"BOXLAB_BUDGET": "10:15"}}
 
 
 @cache
@@ -71,6 +84,9 @@ CORPUS = (
         _join("p3", ["c4", "k2", "e3"]),
         _join("k3", ["k3", "c4", "p3"], skip=[0]),
         ["box", "--graph", "@c4"],
+    ]
+    + [["box", "--graph", f"@{name}"] for name in ("int10", "p6", "net", "claw7")]
+    + [
         ["zdg", "report", "--n", "72"],
         ["zdg", "report", "--n", "2310"],
         ["zdg", "report", "--n", "25"],
@@ -109,6 +125,10 @@ GOLDEN = {
     "cover join --outer @p3 --part @c4 --part @k2 --part @e3": (0, "4b93037c93e84a01f3062ac2dcf893f36ecb72c9128b010ef6cd1e9952c6e9ae"),
     "cover join --outer @k3 --part @k3 --part @c4 --part @p3 --skip 0": (0, "160e8446b35625c42f9bd810db1eb9c9e6b167379342b071b53859da8353e8ed"),
     "box --graph @c4": (0, "7feebf231f189b92cb66006c02809c0a5efc9595e006fb41d2610458abd67200"),
+    "box --graph @int10": (0, "6f7a36587b8c1484361138a1d1331b901381480b9c7f37edbbddfb1668ff7a36"),
+    "box --graph @p6": (0, "244fa0dd34445e535a7fa37121979f00e4c35c0f36cebab98d9adefdcc4cc844"),
+    "box --graph @net": (0, "c7fa14ac77e9dbea66fe3914a8fc630bf831635c62141e0d8e03272dd61c304a"),
+    "box --graph @claw7": (0, "18ce72cac8fa620a74a2dae2c246dac477dc570dd4dedf8f36b9907b71c1f52b"),
     "zdg report --n 72": (0, "dbbbc55883130edd6d883fc465d9c5740edcf279df24ba1cd5f84de8c7651b35"),
     "zdg report --n 2310": (0, "d43e010b8a096cd6ab4ed30a4b5742267c4146fb28597f4b094bd3de72b40682"),
     "zdg report --n 25": (0, "bcb361d8c7e819c0c045a4fd57273c6221148e71ace22be3c25f9ed148b2a368"),
@@ -146,5 +166,7 @@ def run_case(argv, tmp_path):
 
 
 @pytest.mark.parametrize("argv", CORPUS, ids=_key)
-def test_golden_output(argv, tmp_path, capsys):
+def test_golden_output(argv, tmp_path, capsys, monkeypatch):
+    for name, value in CASE_ENV.get(_key(argv), {}).items():
+        monkeypatch.setenv(name, value)
     assert run_case(argv, tmp_path) == GOLDEN[_key(argv)]
