@@ -157,13 +157,22 @@ def boxicity_exact(g: Graph, max_l: int = DEFAULT_MAX_COVERS) -> tuple[int, Inte
     complete graph has boxicity 1. Components are solved independently and
     laid out on disjoint segments of the line.
     """
+    res = _boxicity_reps(g, max_l)
+    if res is None:
+        return None
+    return res[0], verified_cover(g, res[1], "assembled witness cover")
+
+
+def _boxicity_reps(g: Graph, max_l: int = DEFAULT_MAX_COVERS) -> tuple[int, list[IntervalRep]] | None:
+    """`boxicity_exact` with its witness reps unchecked, for callers that
+    verify a cover built from them."""
     v_budget, e_budget = budgets_from_env()
     if g.n > v_budget:
         raise ResourceBudgetError(f"graph has {g.n} vertices, budget is {v_budget}")
     if max_l < 1:
         raise InputError("max_l must be at least 1")
     if g.n == 0:
-        return 0, make_cover(g, (IntervalRep(()),))
+        return 0, [IntervalRep(())]
 
     comps = g.connected_components()
     per_comp = []
@@ -196,5 +205,4 @@ def boxicity_exact(g: Graph, max_l: int = DEFAULT_MAX_COVERS) -> tuple[int, Inte
                 intervals[old_v] = (lo + shift, hi + shift)
             cursor += (hi_max - lo_min) + 1
         reps_out.append(IntervalRep(tuple(intervals)))
-
-    return value, verified_cover(g, reps_out, "assembled witness cover")
+    return value, reps_out

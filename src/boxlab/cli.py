@@ -51,6 +51,8 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
+VERIFY_MAX_N = 20_000  # the check keeps n^2/8 bytes of prefixes per member
+
 
 def _emit(payload: dict | str, out_path: str | None) -> None:
     text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
@@ -126,6 +128,8 @@ def _cmd_cover(args) -> int:
 
 def _cmd_verify(args) -> int:
     claimed = graph_from_obj(_load_json(args.graph))
+    if claimed.n > VERIFY_MAX_N:
+        raise ResourceBudgetError(f"graph has {claimed.n} vertices, verify limit is {VERIFY_MAX_N}")
     cover = cover_from_obj(_load_json(args.cover))
     problems = []
     if cover.claimed_graph != claimed:

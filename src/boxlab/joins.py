@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boxicity import boxicity_exact
+from .boxicity import _boxicity_reps
 from .errors import InputError
 from .graphs import (
     Graph,
@@ -66,10 +66,11 @@ def make_plan(outer: Graph, parts, skip=()) -> JoinCoverPlan:
     """Validated plan with a cover for every part that is not skipped.
 
     Complete and edgeless parts short-circuit to canonical one-rep covers;
-    anything else goes through the exact boxicity oracle. Nothing is
-    checked here: the canonical covers are correct by construction and the
-    oracle verifies its own witness. Skipped parts must be complete and
-    their outer vertices must form a clique.
+    anything else takes the exact boxicity oracle's witness. Nothing is
+    checked here: the canonical covers are correct by construction, and a
+    wrong oracle rep makes the lifted join cover fail its one check.
+    Skipped parts must be complete and their outer vertices must form a
+    clique.
     """
     parts = tuple(parts)
     if len(parts) != outer.n:
@@ -89,10 +90,10 @@ def make_plan(outer: Graph, parts, skip=()) -> JoinCoverPlan:
         elif part.is_complete() or part.is_edgeless():
             cov = canonical_unit_cover(part)
         else:
-            res = boxicity_exact(part)
+            res = _boxicity_reps(part)
             if res is None:
                 raise InputError(f"no cover found for part {i} within the default bound")
-            cov = res[1]
+            cov = make_cover(part, res[1])
         covers.append(cov)
     return JoinCoverPlan(outer, parts, tuple(covers), skip)
 

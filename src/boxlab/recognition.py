@@ -8,9 +8,9 @@ component labelings of the graph minus a closed neighborhood.
 Positive answers come with a representation extracted from a consecutive
 ordering of the maximal cliques; negative answers come with a re-verifiable
 obstruction (an induced cycle of length at least 4, or an asteroidal
-triple). Correctness is favored over asymptotics throughout: the clique
-ordering is found by an exhaustive search with consecutiveness pruning,
-which is immediate on the structured graphs this package produces.
+triple). The clique ordering is found by an exhaustive search with
+consecutiveness pruning, tried first under a node budget linear in the
+clique count; the cubic asteroidal-triple scan runs only when it fails.
 """
 
 from __future__ import annotations
@@ -35,20 +35,30 @@ class Obstruction:
 
 
 def lex_bfs_order(g: Graph) -> list[int]:
-    """Lexicographic BFS visit order (simple O(n^2) label version)."""
-    labels: list[list[int]] = [[] for _ in range(g.n)]
-    visited = [False] * g.n
+    """Lexicographic BFS visit order, by partition refinement on int bitsets.
+
+    The cells are the classes of equal label, largest label first. The first
+    cell's lowest vertex is visited next, which is the smallest vertex with
+    the largest label; then each cell splits into its neighbours and the rest.
+    """
+    nbr = [sum(1 << w for w in ws) for ws in g.adj]
+    cells = [(1 << g.n) - 1] if g.n else []
     order: list[int] = []
-    for step in range(g.n):
-        v = max(
-            (u for u in range(g.n) if not visited[u]),
-            key=lambda u: (labels[u], -u),
-        )
-        visited[v] = True
-        order.append(v)
-        for w in g.adj[v]:
-            if not visited[w]:
-                labels[w].append(g.n - step)
+    while cells:
+        low = cells[0] & -cells[0]
+        order.append(low.bit_length() - 1)
+        cells[0] ^= low
+        nv = nbr[order[-1]]
+        split = []
+        for cell in cells:
+            inside = cell & nv
+            if inside:
+                split.append(inside)
+                if inside != cell:
+                    split.append(cell ^ inside)
+            elif cell:
+                split.append(cell)
+        cells = split
     return order
 
 
@@ -103,13 +113,20 @@ def find_chordless_cycle(g: Graph) -> tuple[int, ...]:
     """
     for v in range(g.n):
         nbrs = sorted(g.adj[v])
+        reach = None
         for x, y in combinations(nbrs, 2):
-            if g.has_edge(x, y):
+            if g.has_edge(x, y) or (reach is not None and not reach[x] & reach[y]):
                 continue
             blocked = (set(g.adj[v]) | {v}) - {x, y}
             path = _bfs_path(g, x, y, blocked)
             if path is not None:
                 return (v, *path)
+            if reach is None:
+                # after a first miss, skip the pairs with no path: x and y are
+                # joined avoiding N[v] exactly when both have a neighbour in
+                # one component of g - N[v]
+                label = _components_avoiding(g, v)
+                reach = {u: {label[w] for w in g.adj[u]} - {-1} for u in nbrs}
     raise ConstructionDefectError("no chordless cycle found in a non-chordal graph")
 
 
@@ -208,7 +225,7 @@ _ORDER_NODE_CAP = 2_000_000
 
 
 def consecutive_clique_order(
-    cliques: list[frozenset[int]], n: int
+    cliques: list[frozenset[int]], n: int, *, _cap: int = _ORDER_NODE_CAP
 ) -> list[int] | None:
     """Order clique indices so every vertex's cliques appear consecutively.
 
@@ -216,7 +233,8 @@ def consecutive_clique_order(
     the consecutiveness condition, so the search returns an order whenever
     one exists: the next clique must contain every vertex of the previous
     clique that still has unplaced cliques, and may not contain a vertex
-    whose run already ended.
+    whose run already ended. More than `_cap` search nodes raise
+    `ResourceBudgetError`; below it the answer does not depend on the cap.
     """
     q = len(cliques)
     if q <= 1:
@@ -265,7 +283,7 @@ def consecutive_clique_order(
             stack = []
             while True:
                 nodes[0] += 1
-                if nodes[0] > _ORDER_NODE_CAP:
+                if nodes[0] > _cap:
                     raise ResourceBudgetError("clique ordering search exceeded its node cap")
                 if len(order) == len(members):
                     return order
@@ -336,16 +354,23 @@ def is_interval_graph(g: Graph) -> tuple[bool, IntervalRep | Obstruction]:
         if not is_induced_cycle(g, hole):
             raise ConstructionDefectError("hole witness failed re-verification", hole)
         return False, Obstruction("chordless-cycle", hole)
-    at = find_asteroidal_triple(g)
-    if at is not None:
-        if not is_asteroidal_triple(g, at):
-            raise ConstructionDefectError("AT witness failed re-verification", at)
-        return False, Obstruction("asteroidal-triple", at)
     cliques = maximal_cliques_chordal(g, peo)
-    order = consecutive_clique_order(cliques, g.n)
+    try:
+        # interval graphs stay far inside this budget; without it the search
+        # can go exponential on a chordal graph with an asteroidal triple
+        order = consecutive_clique_order(cliques, g.n, _cap=8 * len(cliques) + 64)
+    except ResourceBudgetError:
+        order = None
     if order is None:
-        # chordal and AT-free guarantees a consecutive ordering exists
-        raise ConstructionDefectError("no consecutive clique ordering found", g)
+        at = find_asteroidal_triple(g)
+        if at is not None:
+            if not is_asteroidal_triple(g, at):
+                raise ConstructionDefectError("AT witness failed re-verification", at)
+            return False, Obstruction("asteroidal-triple", at)
+        order = consecutive_clique_order(cliques, g.n)
+        if order is None:
+            # chordal and AT-free guarantees a consecutive ordering exists
+            raise ConstructionDefectError("no consecutive clique ordering found", g)
     rep = rep_from_clique_order(cliques, order, g.n)
     if graph_of_intervals(rep) != g:
         raise ConstructionDefectError("extracted representation does not realize the graph", rep)

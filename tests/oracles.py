@@ -1,10 +1,13 @@
 """Independent brute-force oracles used to pin expected test values.
 
-Everything here is deliberately naive and shares no code path with the
-package: interval recognition through vertex-order enumeration, coloring
-and cliques through exhaustive search. The cover checker and the
+The brute-force oracles are deliberately naive and share no code path with
+the package: interval recognition through vertex-order enumeration,
+coloring and cliques through exhaustive search. The cover checker and the
 intersection graph are the package's earlier edge-set versions, kept as
-differential references for the bitset kernel that replaced them.
+differential references for the bitset kernel that replaced them. The
+list-label Lex-BFS, the unfiltered hole scan and the asteroidal-triple-first
+recognizer are the package's earlier recognition steps, kept as references
+for the faster ones that replaced them.
 """
 
 from itertools import combinations, permutations
@@ -12,7 +15,16 @@ from itertools import combinations, permutations
 from hypothesis import strategies as st
 
 from boxlab import Graph, edge_intersection, make_graph
+from boxlab.errors import ConstructionDefectError
 from boxlab.intervals import CoverViolation, IntervalCover, IntervalRep
+from boxlab.recognition import (
+    Obstruction,
+    _bfs_path,
+    consecutive_clique_order,
+    find_asteroidal_triple,
+    maximal_cliques_chordal,
+    rep_from_clique_order,
+)
 
 
 @st.composite
@@ -23,6 +35,51 @@ def graphs(draw, max_n=6):
         return make_graph(n, [])
     edges = draw(st.sets(st.sampled_from(pairs)))
     return make_graph(n, edges)
+
+
+@st.composite
+def interval_graphs(draw, max_n=60):
+    """Intersection graph of random integer intervals, vertices in draw order."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    spans = draw(
+        st.lists(
+            st.tuples(st.integers(0, 3 * n), st.integers(0, 8)), min_size=n, max_size=n
+        )
+    )
+    return make_graph(
+        n,
+        [
+            (u, v)
+            for u, v in combinations(range(n), 2)
+            if spans[u][0] <= sum(spans[v]) and spans[v][0] <= sum(spans[u])
+        ],
+    )
+
+
+SUBDIVIDED_CLAW = [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]  # AT 2, 4, 6
+
+
+@st.composite
+def planted_graphs(draw, gadget, max_n=60):
+    """A random interval graph plus `gadget` (edges over 0..k-1) on new
+    vertices, gadget vertex 0 joined to one old vertex, all relabelled."""
+    k = 1 + max(max(e) for e in gadget)
+    base = draw(interval_graphs(max_n=max_n - k))
+    n = base.n + k
+    edges = [*base.edges, (draw(st.integers(0, base.n - 1)), base.n)]
+    edges += [(base.n + a, base.n + b) for a, b in gadget]
+    perm = draw(st.permutations(range(n)))
+    return make_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def planted_at_graphs(max_n=60):
+    return planted_graphs(SUBDIVIDED_CLAW, max_n=max_n)
+
+
+def planted_hole_graphs(max_n=60):
+    return st.integers(4, 8).flatmap(
+        lambda h: planted_graphs([(i, (i + 1) % h) for i in range(h)], max_n=max_n)
+    )
 
 
 def brute_is_interval(g: Graph) -> bool:
@@ -154,3 +211,65 @@ def verify_cover(cover: IntervalCover) -> tuple[bool, list[CoverViolation]]:
         for e in sorted(meet.edges - claimed.edges):
             problems.append(CoverViolation("uncovered-non-edge", None, e))
     return not problems, problems
+
+
+def lex_bfs_order(g: Graph) -> list[int]:
+    """Lexicographic BFS visit order (simple O(n^2) label version)."""
+    labels: list[list[int]] = [[] for _ in range(g.n)]
+    visited = [False] * g.n
+    order: list[int] = []
+    for step in range(g.n):
+        v = max(
+            (u for u in range(g.n) if not visited[u]),
+            key=lambda u: (labels[u], -u),
+        )
+        visited[v] = True
+        order.append(v)
+        for w in g.adj[v]:
+            if not visited[w]:
+                labels[w].append(g.n - step)
+    return order
+
+
+def perfect_elimination_order(g: Graph) -> list[int] | None:
+    """Reverse list-label Lex-BFS order if it passes the follower check."""
+    tau = list(reversed(lex_bfs_order(g)))
+    pos = {v: i for i, v in enumerate(tau)}
+    for v in tau:
+        later = [w for w in g.adj[v] if pos[w] > pos[v]]
+        if not later:
+            continue
+        first = min(later, key=lambda w: pos[w])
+        for w in later:
+            if w != first and w not in g.adj[first]:
+                return None
+    return tau
+
+
+def find_chordless_cycle(g: Graph) -> tuple[int, ...]:
+    """The hole scan that runs one path search for every pair of neighbours."""
+    for v in range(g.n):
+        nbrs = sorted(g.adj[v])
+        for x, y in combinations(nbrs, 2):
+            if g.has_edge(x, y):
+                continue
+            blocked = (set(g.adj[v]) | {v}) - {x, y}
+            path = _bfs_path(g, x, y, blocked)
+            if path is not None:
+                return (v, *path)
+    raise ConstructionDefectError("no chordless cycle found in a non-chordal graph")
+
+
+def is_interval_graph(g: Graph):
+    """The recognizer that runs the asteroidal-triple scan before any clique order."""
+    if g.n == 0:
+        return True, IntervalRep(())
+    peo = perfect_elimination_order(g)
+    if peo is None:
+        return False, Obstruction("chordless-cycle", find_chordless_cycle(g))
+    at = find_asteroidal_triple(g)
+    if at is not None:
+        return False, Obstruction("asteroidal-triple", at)
+    cliques = maximal_cliques_chordal(g, peo)
+    order = consecutive_clique_order(cliques, g.n)
+    return True, rep_from_clique_order(cliques, order, g.n)

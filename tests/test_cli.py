@@ -153,6 +153,15 @@ def test_verify_survives_a_prime_denominator_per_vertex(edges, tmp_path, capsys)
     assert json.loads(out)["violations"] == [str(v) for v in violations]
 
 
+def test_verify_refuses_a_graph_over_its_vertex_limit(tmp_path, capsys):
+    n = boxlab.cli.VERIFY_MAX_N + 1
+    argv = _verify_files(tmp_path, {"n": n, "edges": []}, {str(v): [[v, 1], [v, 1]] for v in range(n)})
+    code, out, err = run_capture(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+
+
 MALFORMED_JSON = {
     "long-integer": b"1" * 4301,  # over Python's int-from-string digit limit
     "deep-nesting": b"[" * 200_000,

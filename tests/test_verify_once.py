@@ -12,7 +12,17 @@ import pytest
 
 import boxlab.circular
 import boxlab.zdg
-from boxlab import ConstructionDefectError, compressed_zn, cycle_graph, graph_to_obj, intervals, reduced_cover
+from boxlab import (
+    ConstructionDefectError,
+    complete_graph,
+    compressed_zn,
+    cycle_graph,
+    empty_graph,
+    graph_to_obj,
+    intervals,
+    path_graph,
+    reduced_cover,
+)
 from boxlab.circular import chi_cover
 from boxlab.cli import run
 from boxlab.intervals import IntervalRep, point
@@ -38,6 +48,19 @@ def test_join_cover_commands_verify_once(argv, calls, capsys):
     assert run(argv) == 0
     reps = len(json.loads(capsys.readouterr().out)["reps"])
     assert calls == {"verify_cover": 1, "graph_of_intervals": 0, "interval_adjacency": reps}
+
+
+def test_join_cover_checks_part_witnesses_only_in_the_lifted_cover(tmp_path, calls, capsys):
+    # the c4 part's two oracle reps are checked once, inside the join cover
+    argv = ["cover", "join"]
+    for flag, g in (("--outer", path_graph(3)), ("--part", cycle_graph(4)),
+                    ("--part", complete_graph(2)), ("--part", empty_graph(3))):
+        path = tmp_path / f"{len(argv)}.json"
+        path.write_text(json.dumps(graph_to_obj(g)))
+        argv += [flag, str(path)]
+    assert run(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)["reps"]) == 4
+    assert calls["verify_cover"] == 1
 
 
 def test_circular_cover_verifies_once(calls, capsys):
