@@ -23,6 +23,7 @@ from boxlab.recognition import (
     consecutive_clique_order,
     find_asteroidal_triple,
     maximal_cliques_chordal,
+    perfect_elimination_order,
     rep_from_clique_order,
 )
 
@@ -229,21 +230,6 @@ def lex_bfs_order(g: Graph) -> list[int]:
             if not visited[w]:
                 labels[w].append(g.n - step)
     return order
-
-
-def perfect_elimination_order(g: Graph) -> list[int] | None:
-    """Reverse list-label Lex-BFS order if it passes the follower check."""
-    tau = list(reversed(lex_bfs_order(g)))
-    pos = {v: i for i, v in enumerate(tau)}
-    for v in tau:
-        later = [w for w in g.adj[v] if pos[w] > pos[v]]
-        if not later:
-            continue
-        first = min(later, key=lambda w: pos[w])
-        for w in later:
-            if w != first and w not in g.adj[first]:
-                return None
-    return tau
 
 
 def find_chordless_cycle(g: Graph) -> tuple[int, ...]:
