@@ -84,6 +84,7 @@ CORPUS = (
         _join("p3", ["c4", "k2", "e3"]),
         _join("k3", ["k3", "c4", "p3"], skip=[0]),
         ["box", "--graph", "@c4"],
+        ["box", "--graph", "@c4", "--max", "1"],
     ]
     + [["box", "--graph", f"@{name}"] for name in ("int10", "p6", "net", "claw7")]
     + [
@@ -93,6 +94,9 @@ CORPUS = (
         ["zdg", "report", "--n", "13"],
         ["gen", "zdg", "--n", "72"],
         ["gen", "zdg", "--n", "72", "--compressed"],
+        ["gen", "zdg", "--n", "4"],
+        ["gen", "boolean", "--k", "3"],
+        ["gen", "circular", "--k", "7", "--d", "2"],
         ["sweep", "circular", "--dmax", "4", "--kmax", "14"],
         ["sweep", "zdg", "--nmax", "60"],
     ]
@@ -125,6 +129,7 @@ GOLDEN = {
     "cover join --outer @p3 --part @c4 --part @k2 --part @e3": (0, "4b93037c93e84a01f3062ac2dcf893f36ecb72c9128b010ef6cd1e9952c6e9ae"),
     "cover join --outer @k3 --part @k3 --part @c4 --part @p3 --skip 0": (0, "160e8446b35625c42f9bd810db1eb9c9e6b167379342b071b53859da8353e8ed"),
     "box --graph @c4": (0, "7feebf231f189b92cb66006c02809c0a5efc9595e006fb41d2610458abd67200"),
+    "box --graph @c4 --max 1": (0, "62cc4307f5f5767007081675809562429425f2cf79406fe7bfabf5a525df9a88"),
     "box --graph @int10": (0, "6f7a36587b8c1484361138a1d1331b901381480b9c7f37edbbddfb1668ff7a36"),
     "box --graph @p6": (0, "244fa0dd34445e535a7fa37121979f00e4c35c0f36cebab98d9adefdcc4cc844"),
     "box --graph @net": (0, "c7fa14ac77e9dbea66fe3914a8fc630bf831635c62141e0d8e03272dd61c304a"),
@@ -135,6 +140,9 @@ GOLDEN = {
     "zdg report --n 13": (0, "578cf1863277de078b465ce7a4c04ede4c5cbaf8049ae1cd72d6b091e3afcecc"),
     "gen zdg --n 72": (0, "c8540d0fdf0f54c23696de67ef54b02aab177ceda50b750c445ceb0e1173a1f0"),
     "gen zdg --n 72 --compressed": (0, "499c2a31e5908654f567cc37f88bc77e851449f39972bf985c020cb271b8cfbe"),
+    "gen zdg --n 4": (0, "ef1d4eb1223222acd550fa485a21ec244cd504664caf8d3668784a3dc3e874e0"),
+    "gen boolean --k 3": (0, "240be8b269ffec516bf6da90e43bf7455a03234b6f96a0e66691a3add1f46d7b"),
+    "gen circular --k 7 --d 2": (0, "fc924cf7197ef7457e31f5933c403935778d29832c0f55887ea803776b5eb1f1"),
     "sweep circular --dmax 4 --kmax 14": (0, "de43dbd5de6acd7dc228455a4d90cadc1899897f0e89f33558defb40e2bea919"),
     "sweep zdg --nmax 60": (0, "d987a90fa0c3202b661d62c8fee32dc659b054bfadc593d6ffe0f7785e935255"),
     "verify --graph @z72 --cover @z72_cover": (0, "c755d3dcbec482786aeb857e92c35427050cfbe6e77d1997e67f6ecb1537b7ba"),
