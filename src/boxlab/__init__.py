@@ -35,6 +35,7 @@ from .intervals import (
     IntervalCover,
     IntervalRep,
     cover_from_obj,
+    cover_to_json,
     cover_to_obj,
     graph_of_intervals,
     make_cover,

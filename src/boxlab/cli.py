@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .boxicity import boxicity_exact
 from .circular import chi_cover, circular_chi, circular_clique
@@ -23,7 +24,7 @@ from .errors import ConstructionDefectError, InputError, ResourceBudgetError
 from .graphs import graph_from_obj, graph_to_obj
 from .intervals import (
     cover_from_obj,
-    cover_to_obj,
+    cover_to_json,
     graph_of_intervals,
     make_cover,
     verify_cover,
@@ -122,7 +123,7 @@ def _cmd_cover(args) -> int:
         plan = make_plan(outer, parts, skip=args.skip or ())
         cover = skip_join_cover(plan)
         _info(f"cover of size {len(cover)} for the join verified")
-    _emit(cover_to_obj(cover), args.output)
+    _emit(cover_to_json(cover), args.output)
     return EXIT_OK
 
 
@@ -155,7 +156,12 @@ def _cmd_box(args) -> int:
         _info(f"boxicity exceeds {args.max}")
         return EXIT_OK
     value, cover = res
-    _emit({"boxicity": value, "exceeded": False, "cover": cover_to_obj(cover)}, args.output)
+    # the bytes of json.dumps({"boxicity": ..., "exceeded": False, "cover": ...}, indent=2)
+    _emit(
+        '{\n  "boxicity": %d,\n  "exceeded": false,\n  "cover": %s\n}'
+        % (value, cover_to_json(cover, "\n  ")),
+        args.output,
+    )
     _info(f"boxicity {value} with verified witness cover")
     return EXIT_OK
 
@@ -238,7 +244,9 @@ def _cmd_sweep_zdg(args) -> int:
 # parser
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: `parse_args` returns a fresh namespace per call."""
     parser = argparse.ArgumentParser(
         prog="boxlab",
         description="generate, cover, and verify interval-graph certificates",

@@ -207,17 +207,28 @@ def is_asteroidal_triple(g: Graph, triple) -> bool:
 
 
 def maximal_cliques_chordal(g: Graph, peo: list[int]) -> list[frozenset[int]]:
-    """Maximal cliques of a chordal graph from a perfect elimination order."""
+    """Maximal cliques of a chordal graph from a perfect elimination order.
+
+    The candidates are C(v), v with its later neighbours; the maximal ones
+    come out largest first, in elimination order among equal sizes. C(p)
+    lies inside another candidate exactly when p is the first later
+    neighbour of some u with more later neighbours than p: those of u form
+    a clique, so all but p are later neighbours of p. One pass finds them.
+    """
     pos = {v: i for i, v in enumerate(peo)}
-    candidates = []
-    for v in peo:
-        c = frozenset({v} | {w for w in g.adj[v] if pos[w] > pos[v]})
-        candidates.append(c)
-    candidates.sort(key=len, reverse=True)
-    out: list[frozenset[int]] = []
-    for c in candidates:
-        if not any(c <= m for m in out):
-            out.append(c)
+    later = [[p for w in g.adj[v] if (p := pos[w]) > i] for i, v in enumerate(peo)]
+    inside = set()
+    for ps in later:
+        if ps:
+            first = min(ps)
+            if len(ps) > len(later[first]):
+                inside.add(first)
+    out = [
+        frozenset({peo[i]} | {peo[j] for j in ps})
+        for i, ps in enumerate(later)
+        if i not in inside
+    ]
+    out.sort(key=len, reverse=True)
     return out
 
 

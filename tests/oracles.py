@@ -5,9 +5,9 @@ the package: interval recognition through vertex-order enumeration,
 coloring and cliques through exhaustive search. The cover checker and the
 intersection graph are the package's earlier edge-set versions, kept as
 differential references for the bitset kernel that replaced them. The
-list-label Lex-BFS, the unfiltered hole scan and the asteroidal-triple-first
-recognizer are the package's earlier recognition steps, kept as references
-for the faster ones that replaced them.
+list-label Lex-BFS, the unfiltered hole scan, the pairwise maximal-clique
+filter and the asteroidal-triple-first recognizer are the package's earlier
+recognition steps, kept as references for the faster ones that replaced them.
 """
 
 from itertools import combinations, permutations
@@ -22,7 +22,6 @@ from boxlab.recognition import (
     _bfs_path,
     consecutive_clique_order,
     find_asteroidal_triple,
-    maximal_cliques_chordal,
     perfect_elimination_order,
     rep_from_clique_order,
 )
@@ -244,6 +243,21 @@ def find_chordless_cycle(g: Graph) -> tuple[int, ...]:
             if path is not None:
                 return (v, *path)
     raise ConstructionDefectError("no chordless cycle found in a non-chordal graph")
+
+
+def maximal_cliques_chordal(g: Graph, peo: list[int]) -> list[frozenset[int]]:
+    """Maximal cliques of a chordal graph from a perfect elimination order."""
+    pos = {v: i for i, v in enumerate(peo)}
+    candidates = []
+    for v in peo:
+        c = frozenset({v} | {w for w in g.adj[v] if pos[w] > pos[v]})
+        candidates.append(c)
+    candidates.sort(key=len, reverse=True)
+    out: list[frozenset[int]] = []
+    for c in candidates:
+        if not any(c <= m for m in out):
+            out.append(c)
+    return out
 
 
 def is_interval_graph(g: Graph):

@@ -1,10 +1,20 @@
+import argparse
 import json
 
 import pytest
 
 import boxlab.cli
 import boxlab.zdg
-from boxlab import ConstructionDefectError, cover_from_obj, cycle_graph, graph_to_obj, verify_cover
+from boxlab import (
+    ConstructionDefectError,
+    complete_graph,
+    cover_from_obj,
+    cycle_graph,
+    empty_graph,
+    graph_to_obj,
+    path_graph,
+    verify_cover,
+)
 from boxlab.cli import run
 from oracles import verify_cover as oracle_verify_cover
 
@@ -346,6 +356,48 @@ def test_input_error_exit_codes(capsys):
     assert code == 2
     code, _, _ = run_capture(capsys, ["nonsense"])
     assert code == 2
+    # argparse refuses a half-parsed join; the parser it leaves serves the next command
+    code, out, err = run_capture(capsys, ["cover", "join", "--part", "p.json", "--skip", "0"])
+    assert code == 2 and out == "" and "--outer" in err
+    code, out, _ = run_capture(capsys, ["cover", "zdg", "--n", "6"])
+    assert code == 0 and json.loads(out)["graph"]["n"] == 3
+
+
+def test_run_builds_no_parser_after_its_first_call(monkeypatch, capsys):
+    assert run(["gen", "circular", "--k", "5", "--d", "2"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(["cover", "circular", "--k", "7", "--d", "2"]) == 0
+    assert run(["nonsense"]) == 2
+    assert built == []
+
+
+def test_join_options_do_not_carry_to_the_next_command(tmp_path, capsys):
+    paths = {}
+    for name, g in (("k2", complete_graph(2)), ("k3", complete_graph(3)),
+                    ("c4", cycle_graph(4)), ("p3", path_graph(3)), ("e3", empty_graph(3))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(graph_to_obj(g)))
+
+    def join(outer, parts, skip=()):
+        argv = ["cover", "join", "--outer", str(paths[outer])]
+        for p in parts:
+            argv += ["--part", str(paths[p])]
+        for s in skip:
+            argv += ["--skip", str(s)]
+        return run_capture(capsys, argv)
+
+    boxlab.cli.build_parser.cache_clear()  # the second command alone, on a new parser
+    alone = join("k2", ["c4", "e3"])
+    assert alone[0] == 0
+    assert join("k3", ["k3", "c4", "p3"], skip=[0])[0] == 0
+    assert join("k2", ["c4", "e3"]) == alone
 
 
 def test_deterministic_output(capsys):

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from boxlab import (
     InputError,
     complete_graph,
     cover_from_obj,
+    cover_to_json,
     cover_to_obj,
     cycle_graph,
     empty_graph,
@@ -142,6 +145,34 @@ def test_cover_serialization_round_trip(r1, r2):
         return
     cover = make_cover(graph_of_intervals(r1), (r1, r2))
     assert cover_from_obj(cover_to_obj(cover)) == cover
+
+
+# Endpoints for the writer: small rationals, and numerators and denominators
+# past 2**64 of either sign.
+wide_fractions = st.one_of(
+    rationals,
+    st.builds(Fraction, st.integers(-(2**66), 2**66), st.integers(1, 2**66)),
+)
+
+
+@st.composite
+def any_covers(draw):
+    """Covers with n = 0..6, often edgeless claims; members need not match the claim."""
+    n = draw(st.integers(0, 6))
+    member = st.lists(st.tuples(wide_fractions, wide_fractions), min_size=n, max_size=n)
+    members = draw(st.lists(member, min_size=1, max_size=3))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return make_cover(make_graph(n, edges), [make_rep(sorted(p) for p in m) for m in members])
+
+
+@given(any_covers())
+@settings(max_examples=150)
+def test_cover_writer_matches_stdlib_encoder(cover):
+    assert cover_to_json(cover) == json.dumps(cover_to_obj(cover), indent=2)
+    # nested one level deep, as the box payload places it
+    nested = '{\n  "cover": ' + cover_to_json(cover, "\n  ") + "\n}"
+    assert nested == json.dumps({"cover": cover_to_obj(cover)}, indent=2)
 
 
 @given(reps())

@@ -167,3 +167,15 @@ def test_hole_scan_matches_unfiltered_scan(g):
 def test_lex_bfs_on_paths_matches_oracle(n):
     g = path_graph(n)
     assert lex_bfs_order(g) == oracles.lex_bfs_order(g)
+
+
+@given(RECOGNITION_INPUTS)
+@settings(max_examples=150, deadline=None)
+def test_maximal_cliques_match_pairwise_filter(g):
+    # the same cliques in the same order, each iterated in the same order,
+    # since the clique-order search and the rep are built by iterating them
+    peo = perfect_elimination_order(g)
+    assume(peo is not None)
+    fast = maximal_cliques_chordal(g, peo)
+    slow = oracles.maximal_cliques_chordal(g, peo)
+    assert [tuple(c) for c in fast] == [tuple(c) for c in slow]
