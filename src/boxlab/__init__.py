@@ -6,7 +6,6 @@ from .circular import (
     chi_cover,
     circular_chi,
     circular_clique,
-    color_classes,
     rotate_rep,
     step_window_rep,
 )
@@ -26,7 +25,6 @@ from .graphs import (
     induced_subgraph,
     is_clique,
     is_independent,
-    is_spanning_supergraph,
     make_graph,
     path_graph,
     reduced_graph,
@@ -47,7 +45,6 @@ from .intervals import (
 from .joins import (
     JoinCoverPlan,
     clique_sum_lower_bound,
-    join_cover,
     make_plan,
     reduced_cover,
     skip_join_cover,

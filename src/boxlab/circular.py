@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstructionDefectError, InputError
-from .graphs import Graph, VertexPartition, is_independent, make_graph, make_partition
+from .graphs import Graph, check_edge_budget, check_vertex_budget, make_graph
 from .intervals import Interval, IntervalCover, IntervalRep, point, verified_cover
 
 
@@ -40,6 +40,11 @@ class CircularParams:
     def chi(self) -> int:
         return -(-self.k // self.d)
 
+    @property
+    def num_edges(self) -> int:
+        """Each vertex meets the k - 2d + 1 others at circular distance d or more."""
+        return self.k * (self.k - 2 * self.d + 1) // 2
+
 
 def circular_params(k: int, d: int) -> CircularParams:
     if d < 1 or k < 2 * d:
@@ -50,31 +55,14 @@ def circular_params(k: int, d: int) -> CircularParams:
 def circular_clique(k: int, d: int) -> Graph:
     """Graph on 0..k-1 with i ~ j iff d <= |i-j| <= k-d."""
     p = circular_params(k, d)
-    edges = [
-        (i, j)
-        for i in range(p.k)
-        for j in range(i + 1, p.k)
-        if p.d <= j - i <= p.k - p.d
-    ]
+    check_edge_budget(p.num_edges, f"the circular clique (k={k}, d={d})")
+    # the j > i with d <= j - i <= k - d, so the cost is k plus the edges
+    edges = [(i, j) for i in range(p.k) for j in range(i + p.d, min(p.k, i + p.k - p.d + 1))]
     return make_graph(p.k, edges)
 
 
 def circular_chi(k: int, d: int) -> int:
     return circular_params(k, d).chi
-
-
-def color_classes(k: int, d: int) -> VertexPartition:
-    """Windows of d consecutive vertices (plus a short last window); all independent."""
-    p = circular_params(k, d)
-    blocks = [list(range(i * p.d, (i + 1) * p.d)) for i in range(p.m)]
-    if p.b:
-        blocks.append(list(range(p.m * p.d, p.k)))
-    part = make_partition(p.k, blocks)
-    g = circular_clique(k, d)
-    for blk in part.blocks:
-        if not is_independent(g, blk):
-            raise ConstructionDefectError("color class is not independent", blk)
-    return part
 
 
 def step_window_rep(k: int, d: int, r: int) -> IntervalRep:
@@ -158,6 +146,9 @@ def chi_cover(k: int, d: int) -> IntervalCover:
     [i*d, (i+1)*d), handled by rotating a window construction into place.
     """
     p = circular_params(k, d)
+    # first, so the budgets refuse before any rep is built
+    check_vertex_budget(k, f"the cover of the circular clique (k={k}, d={d})")
+    g = circular_clique(k, d)
     reps: list[IntervalRep] = []
     if p.m == 2 and p.b == 0:
         # perfect matching: one interval graph realizes it exactly, and it
@@ -178,7 +169,7 @@ def chi_cover(k: int, d: int) -> IntervalCover:
         short = step_window_rep(k, d, p.b)
         reps.append(rotate_rep(short, 2 * p.d))
 
-    cover = verified_cover(circular_clique(k, d), reps, f"cover for (k={k}, d={d})")
+    cover = verified_cover(g, reps, f"cover for (k={k}, d={d})")
     if len(cover) != p.chi:
         raise ConstructionDefectError(
             f"cover for (k={k}, d={d}) has {len(cover)} members, expected {p.chi}",

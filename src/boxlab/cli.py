@@ -19,9 +19,9 @@ import sys
 from functools import cache
 
 from .boxicity import boxicity_exact
-from .circular import chi_cover, circular_chi, circular_clique
+from .circular import chi_cover, circular_chi, circular_clique, circular_params
 from .errors import ConstructionDefectError, InputError, ResourceBudgetError
-from .graphs import graph_from_obj, graph_to_obj
+from .graphs import check_edge_budget, check_vertex_budget, graph_from_obj, graph_to_obj
 from .intervals import (
     cover_from_obj,
     cover_to_json,
@@ -51,8 +51,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
-
-VERIFY_MAX_N = 20_000  # the check keeps n^2/8 bytes of prefixes per member
 
 
 def _emit(payload: dict | str, out_path: str | None) -> None:
@@ -129,8 +127,7 @@ def _cmd_cover(args) -> int:
 
 def _cmd_verify(args) -> int:
     claimed = graph_from_obj(_load_json(args.graph))
-    if claimed.n > VERIFY_MAX_N:
-        raise ResourceBudgetError(f"graph has {claimed.n} vertices, verify limit is {VERIFY_MAX_N}")
+    check_vertex_budget(claimed.n, "the graph")
     cover = cover_from_obj(_load_json(args.cover))
     problems = []
     if cover.claimed_graph != claimed:
@@ -175,6 +172,9 @@ def _cmd_zdg_report(args) -> int:
 
 
 def _cmd_sweep_circular(args) -> int:
+    if args.dmax >= 2 and args.kmax >= 4:  # the sweep's largest graph, refused before any row
+        largest = circular_params(args.kmax, 2)
+        check_edge_budget(largest.num_edges, f"the circular clique (k={args.kmax}, d=2)")
     rows = ["k\td\tchi\treps\tall_interval\tverified\tstatus"]
     failures = 0
     for d in range(2, args.dmax + 1):

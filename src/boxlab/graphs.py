@@ -3,18 +3,37 @@
 Everything downstream (interval covers, join constructions, divisor graphs)
 is built from the values here. Operations are pure; anything that relabels
 vertices returns the relabeling explicitly, because silent relabeling is the
-main source of bugs in cover constructions.
+main source of bugs in cover constructions. Adjacency has one form, the int
+bitsets of `Graph.adj`, which every module reads through mask arithmetic and
+`bits`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .errors import InputError
+from .errors import InputError, ResourceBudgetError
 
 Edge = tuple[int, int]
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The set bits of an int bitset, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def pairs(adj) -> Iterator[Edge]:
+    """The (u, v) with u < v and bit v set in adj[u], in increasing order."""
+    for u, mask in enumerate(adj):
+        if mask := mask & -2 << u:
+            for v in bits(mask):
+                yield u, v
 
 
 @dataclass(frozen=True)
@@ -25,12 +44,13 @@ class Graph:
     edges: frozenset[Edge]
 
     @cached_property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
+    def adj(self) -> tuple[int, ...]:
+        """Neighbourhoods as int bitsets: bit w of adj[v] is set exactly when vw is an edge."""
+        nbrs = [0] * self.n
         for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+        return tuple(nbrs)
 
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
@@ -38,7 +58,7 @@ class Graph:
         return (u, v) in self.edges
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.adj[v].bit_count()
 
     @property
     def num_edges(self) -> int:
@@ -56,23 +76,24 @@ class Graph:
     def is_edgeless(self) -> bool:
         return not self.edges
 
-    def connected_components(self) -> list[list[int]]:
-        seen = [False] * self.n
-        comps: list[list[int]] = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            seen[s] = True
-            comp, stack = [], [s]
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self.adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
+    def components_within(self, within: int) -> list[int]:
+        """Vertex masks of the components of the subgraph induced by the mask
+        `within`, ordered by their lowest vertex."""
+        comps: list[int] = []
+        while within:
+            comp = frontier = within & -within
+            while frontier:
+                reach = 0
+                for v in bits(frontier):
+                    reach |= self.adj[v]
+                frontier = reach & within & ~comp
+                comp |= frontier
+            comps.append(comp)
+            within &= ~comp
         return comps
+
+    def connected_components(self) -> list[list[int]]:
+        return [list(bits(c)) for c in self.components_within((1 << self.n) - 1)]
 
     def __repr__(self) -> str:  # compact, deterministic; the default is noisy
         return f"Graph(n={self.n}, edges={self.sorted_edges()})"
@@ -193,6 +214,27 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
     return make_graph(len(sub), edges), tuple(sub)
 
 
+EDGE_BUDGET = 200_000  # a circular clique this size builds and verifies its cover in about 1 s
+VERIFY_MAX_N = 20_000  # the cover check keeps n^2/8 bytes of prefix bitsets per member
+
+
+def check_edge_budget(count: int, what: str) -> None:
+    """Refuse, before anything is allocated, a graph of more than EDGE_BUDGET edges."""
+    if count > EDGE_BUDGET:
+        raise ResourceBudgetError(f"{what} would have {count} edges, the limit is {EDGE_BUDGET}")
+
+
+def check_vertex_budget(n: int, what: str) -> None:
+    """Refuse, before anything is built, a cover check over more than VERIFY_MAX_N vertices."""
+    if n > VERIFY_MAX_N:
+        raise ResourceBudgetError(f"{what} has {n} vertices, the check's limit is {VERIFY_MAX_N}")
+
+
+def join_edge_count(g: Graph, parts: list[Graph]) -> int:
+    """Edges of the generalized join: the parts' own plus n_i * n_j per edge ij of g."""
+    return sum(p.num_edges for p in parts) + sum(parts[i].n * parts[j].n for i, j in g.edges)
+
+
 def generalized_join(g: Graph, parts: list[Graph]) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
     """Replace vertex i of g by parts[i]; join blocks i, j completely when ij is an edge.
 
@@ -201,6 +243,7 @@ def generalized_join(g: Graph, parts: list[Graph]) -> tuple[Graph, tuple[tuple[i
     """
     if len(parts) != g.n:
         raise InputError(f"need {g.n} parts, got {len(parts)}")
+    check_edge_budget(join_edge_count(g, parts), "the join")
     offsets, total = [], 0
     for p in parts:
         offsets.append(total)
@@ -225,18 +268,13 @@ def reduced_graph(g: Graph) -> tuple[Graph, VertexPartition]:
     Classes are ordered by their smallest member; the class of x and the
     class of y are adjacent exactly when x and y are adjacent.
     """
-    by_nbhd: dict[frozenset[int], list[int]] = {}
-    for v in range(g.n):
-        by_nbhd.setdefault(g.adj[v], []).append(v)
-    blocks = sorted(by_nbhd.values(), key=lambda blk: blk[0])
-    part = make_partition(g.n, blocks)
-    reps = [blk[0] for blk in part.blocks]
-    edges = [
-        (i, j)
-        for i, j in combinations(range(len(reps)), 2)
-        if g.has_edge(reps[i], reps[j])
-    ]
-    return make_graph(len(reps), edges), part
+    by_nbhd: dict[int, list[int]] = {}
+    for v, nbhd in enumerate(g.adj):
+        by_nbhd.setdefault(nbhd, []).append(v)
+    part = make_partition(g.n, by_nbhd.values())
+    class_of = {nbhd: i for i, nbhd in enumerate(by_nbhd)}
+    edges = [(i, class_of[g.adj[w]]) for i, nbhd in enumerate(by_nbhd) for w in bits(nbhd)]
+    return make_graph(len(part.blocks), edges), part
 
 
 def is_clique(g: Graph, vertices) -> bool:
@@ -265,13 +303,6 @@ def edge_intersection(graphs: list[Graph]) -> Graph:
             raise InputError(f"vertex count mismatch: {h.n} != {n}")
     common = frozenset.intersection(*(h.edges for h in graphs))
     return Graph(n, common)
-
-
-def is_spanning_supergraph(h: Graph, g: Graph) -> bool:
-    """True when h contains every edge of g (same vertex set)."""
-    if h.n != g.n:
-        raise InputError(f"vertex count mismatch: {h.n} != {g.n}")
-    return g.edges <= h.edges
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstructionDefectError, InputError
-from .graphs import Graph, graph_from_obj, graph_to_json, graph_to_obj, int_from_obj
+from .graphs import Graph, graph_from_obj, graph_to_json, graph_to_obj, int_from_obj, pairs
 
 Interval = tuple[Fraction, Fraction]
 
@@ -52,8 +52,9 @@ def point(x) -> Interval:
     return (f, f)
 
 
-def interval_adjacency(rep: IntervalRep) -> list[int]:
-    """Neighbourhood of each vertex as an int bitset (closed intervals, exact).
+def interval_adjacency(rep: IntervalRep) -> tuple[int, ...]:
+    """Neighbourhood of each vertex as an int bitset (closed intervals, exact),
+    in the form of `Graph.adj`.
 
     v meets the u with lo_u <= hi_v and hi_u >= lo_v: one AND of two prefixes.
     """
@@ -74,26 +75,17 @@ def interval_adjacency(rep: IntervalRep) -> list[int]:
     for a, b in zip(by_lo, by_hi):
         pre_lo.append(pre_lo[-1] | 1 << a)
         pre_hi.append(pre_hi[-1] | 1 << b)
-    return [
+    return tuple([
         pre_lo[bisect_right(lo_sorted, hi[v])]
         & pre_hi[bisect_right(neg_hi_sorted, -lo[v])]
         & ~(1 << v)
         for v in range(rep.n)
-    ]
-
-
-def _pairs(adj):
-    """The (u, v) with u < v and bit v set in adj[u], in increasing order."""
-    for u, m in enumerate(adj):
-        m &= -2 << u  # only the v > u
-        while m:
-            yield u, (m & -m).bit_length() - 1
-            m &= m - 1
+    ])
 
 
 def graph_of_intervals(rep: IntervalRep) -> Graph:
     """Intersection graph of the representation (closed-interval semantics)."""
-    return Graph(rep.n, frozenset(_pairs(interval_adjacency(rep))))
+    return Graph(rep.n, frozenset(pairs(interval_adjacency(rep))))
 
 
 @dataclass(frozen=True)
@@ -128,7 +120,6 @@ class CoverViolation:
 def verify_cover(cover: IntervalCover) -> tuple[bool, list[CoverViolation]]:
     """Check the cover from scratch; failures are reported, never raised."""
     claimed = cover.claimed_graph
-    g = [sum(1 << w for w in nbrs) for nbrs in claimed.adj]
     problems: list[CoverViolation] = []
     meet = None
     for i, rep in enumerate(cover.reps):
@@ -136,11 +127,11 @@ def verify_cover(cover: IntervalCover) -> tuple[bool, list[CoverViolation]]:
             problems.append(CoverViolation("size-mismatch", i, None))
             continue
         h = interval_adjacency(rep)
-        for e in _pairs(a & ~b for a, b in zip(g, h)):
+        for e in pairs(a & ~b for a, b in zip(claimed.adj, h)):
             problems.append(CoverViolation("missing-edge", i, e))
         meet = h if meet is None else [a & b for a, b in zip(meet, h)]
     if meet is not None and not problems:
-        for e in _pairs(a & ~b for a, b in zip(meet, g)):
+        for e in pairs(a & ~b for a, b in zip(meet, claimed.adj)):
             problems.append(CoverViolation("uncovered-non-edge", None, e))
     return not problems, problems
 
@@ -185,18 +176,18 @@ def rep_from_obj(obj: dict) -> IntervalRep:
         raw = obj["intervals"]
         if not isinstance(raw, dict):
             raise InputError(f"intervals must be an object keyed by vertex, got {raw!r}")
-        pairs = {}
+        spans = {}
         for key, (lo, hi) in raw.items():
             v = int(key)
             if str(v) != key:
                 raise InputError(f"vertex key {key!r} is not written as {str(v)!r}")
-            pairs[v] = (_frac_from_obj(lo), _frac_from_obj(hi))
+            spans[v] = (_frac_from_obj(lo), _frac_from_obj(hi))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed interval representation: {exc}") from exc
     # the length test first: a claimed n alone must not size the key set
-    if len(pairs) != n or set(pairs) != set(range(n)):
+    if len(spans) != n or set(spans) != set(range(n)):
         raise InputError("interval keys must be exactly 0..n-1")
-    return make_rep([pairs[v] for v in range(n)])
+    return make_rep([spans[v] for v in range(n)])
 
 
 def cover_to_obj(cover: IntervalCover) -> dict:

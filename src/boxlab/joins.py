@@ -25,9 +25,12 @@ from .boxicity import _boxicity_reps
 from .errors import InputError
 from .graphs import (
     Graph,
+    check_edge_budget,
+    check_vertex_budget,
     empty_graph,
     generalized_join,
     is_clique,
+    join_edge_count,
     reduced_graph,
 )
 from .intervals import (
@@ -70,11 +73,14 @@ def make_plan(outer: Graph, parts, skip=()) -> JoinCoverPlan:
     checked here: the canonical covers are correct by construction, and a
     wrong oracle rep makes the lifted join cover fail its one check.
     Skipped parts must be complete and their outer vertices must form a
-    clique.
+    clique. A join over the vertex or edge budget is refused before any
+    cover is built.
     """
     parts = tuple(parts)
     if len(parts) != outer.n:
         raise InputError(f"need {outer.n} parts, got {len(parts)}")
+    check_vertex_budget(sum(p.n for p in parts), "the join")
+    check_edge_budget(join_edge_count(outer, parts), "the join")
     skip = frozenset(skip)
     for i in skip:
         if not 0 <= i < outer.n:
@@ -156,13 +162,6 @@ def skip_join_cover(plan: JoinCoverPlan) -> IntervalCover:
         raise InputError("at least one part must not be skipped")
     joined, blocks = generalized_join(plan.outer, list(plan.parts))
     return verified_cover(joined, lift_reps(plan, blocks), "join cover")
-
-
-def join_cover(plan: JoinCoverPlan) -> IntervalCover:
-    """Verified cover of the join with one lift per part-cover member."""
-    if plan.skip:
-        raise InputError("plan has skipped parts; use skip_join_cover")
-    return skip_join_cover(plan)
 
 
 def clique_sum_lower_bound(outer: Graph, part_box: list[tuple[int, bool]]) -> int:

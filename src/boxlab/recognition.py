@@ -20,8 +20,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import ConstructionDefectError, ResourceBudgetError
-from .graphs import Graph
-from .intervals import IntervalRep, graph_of_intervals
+from .graphs import Graph, bits
+from .intervals import IntervalRep, interval_adjacency
 
 
 @dataclass(frozen=True)
@@ -41,14 +41,13 @@ def lex_bfs_order(g: Graph) -> list[int]:
     cell's lowest vertex is visited next, which is the smallest vertex with
     the largest label; then each cell splits into its neighbours and the rest.
     """
-    nbr = [sum(1 << w for w in ws) for ws in g.adj]
     cells = [(1 << g.n) - 1] if g.n else []
     order: list[int] = []
     while cells:
-        low = cells[0] & -cells[0]
-        order.append(low.bit_length() - 1)
-        cells[0] ^= low
-        nv = nbr[order[-1]]
+        v = next(bits(cells[0]))
+        order.append(v)
+        cells[0] ^= 1 << v
+        nv = g.adj[v]
         split = []
         for cell in cells:
             inside = cell & nv
@@ -68,40 +67,37 @@ def perfect_elimination_order(g: Graph) -> list[int] | None:
     The reverse of a Lex-BFS visit order is a perfect elimination order
     exactly on chordal graphs; this runs the standard follower check on it.
     """
-    tau = list(reversed(lex_bfs_order(g)))
+    tau = lex_bfs_order(g)[::-1]
     pos = {v: i for i, v in enumerate(tau)}
+    rest = (1 << g.n) - 1
     for v in tau:
-        later = [w for w in g.adj[v] if pos[w] > pos[v]]
-        if not later:
-            continue
-        first = min(later, key=lambda w: pos[w])
-        for w in later:
-            if w != first and w not in g.adj[first]:
+        rest ^= 1 << v
+        later = g.adj[v] & rest
+        if later:
+            first = min(bits(later), key=pos.__getitem__)
+            if later & ~g.adj[first] & ~(1 << first):
                 return None
     return tau
 
 
-def _bfs_path(g: Graph, start: int, goal: int, blocked: set[int]) -> list[int] | None:
-    """Shortest path avoiding `blocked`; shortest means the path is induced."""
-    if start in blocked or goal in blocked:
+def _bfs_path(g: Graph, start: int, goal: int, blocked: int) -> list[int] | None:
+    """Shortest path avoiding the mask `blocked`; shortest means the path is induced."""
+    if (blocked >> start | blocked >> goal) & 1:
         return None
-    prev = {start: start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in g.adj[v]:
-                if w in blocked or w in prev:
-                    continue
-                prev[w] = v
-                if w == goal:
-                    path = [w]
-                    while path[-1] != start:
-                        path.append(prev[path[-1]])
-                    return path[::-1]
-                nxt.append(w)
-        frontier = nxt
-    return None
+    layers, seen = [1 << start], blocked | 1 << start
+    while not layers[-1] >> goal & 1:
+        reach = 0
+        for v in bits(layers[-1]):
+            reach |= g.adj[v]
+        reach &= ~seen
+        if not reach:
+            return None
+        seen |= reach
+        layers.append(reach)
+    path = [goal]
+    for layer in reversed(layers[:-1]):
+        path.append(next(bits(layer & g.adj[path[-1]])))
+    return path[::-1]
 
 
 def find_chordless_cycle(g: Graph) -> tuple[int, ...]:
@@ -112,21 +108,20 @@ def find_chordless_cycle(g: Graph) -> tuple[int, ...]:
     N[v], so scanning all such triples must succeed.
     """
     for v in range(g.n):
-        nbrs = sorted(g.adj[v])
+        ball, nbrs = g.adj[v] | 1 << v, list(bits(g.adj[v]))
         reach = None
         for x, y in combinations(nbrs, 2):
-            if g.has_edge(x, y) or (reach is not None and not reach[x] & reach[y]):
+            if g.adj[x] >> y & 1 or (reach is not None and not reach[x] & reach[y]):
                 continue
-            blocked = (set(g.adj[v]) | {v}) - {x, y}
-            path = _bfs_path(g, x, y, blocked)
+            path = _bfs_path(g, x, y, ball ^ (1 << x | 1 << y))
             if path is not None:
                 return (v, *path)
             if reach is None:
                 # after a first miss, skip the pairs with no path: x and y are
                 # joined avoiding N[v] exactly when both have a neighbour in
                 # one component of g - N[v]
-                label = _components_avoiding(g, v)
-                reach = {u: {label[w] for w in g.adj[u]} - {-1} for u in nbrs}
+                comps = g.components_within(((1 << g.n) - 1) & ~ball)
+                reach = {u: {i for i, c in enumerate(comps) if c & g.adj[u]} for u in nbrs}
     raise ConstructionDefectError("no chordless cycle found in a non-chordal graph")
 
 
@@ -149,37 +144,22 @@ def is_induced_cycle(g: Graph, cycle: tuple[int, ...]) -> bool:
 def _components_avoiding(g: Graph, z: int) -> list[int]:
     """Component id per vertex in g minus N[z]; -1 inside the removed ball."""
     label = [-1] * g.n
-    removed = set(g.adj[z]) | {z}
-    comp = 0
-    for s in range(g.n):
-        if s in removed or label[s] >= 0:
-            continue
-        stack = [s]
-        label[s] = comp
-        while stack:
-            v = stack.pop()
-            for w in g.adj[v]:
-                if w not in removed and label[w] < 0:
-                    label[w] = comp
-                    stack.append(w)
-        comp += 1
+    outside = ((1 << g.n) - 1) & ~(g.adj[z] | 1 << z)
+    for comp, mask in enumerate(g.components_within(outside)):
+        for v in bits(mask):
+            label[v] = comp
     return label
 
 
 def find_asteroidal_triple(g: Graph) -> tuple[int, int, int] | None:
     """Some asteroidal triple, or None if the graph is AT-free."""
     comp = [_components_avoiding(g, z) for z in range(g.n)]
-    non_nbrs = [
-        [u for u in range(g.n) if u != v and u not in g.adj[v]] for v in range(g.n)
-    ]
+    full = (1 << g.n) - 1
+    non_nbrs = [full & ~(nv | 1 << v) for v, nv in enumerate(g.adj)]
     for x in range(g.n):
-        for y in non_nbrs[x]:
-            if y <= x:
-                continue
+        for y in bits(non_nbrs[x] & -2 << x):
             cxy = comp[x][y]
-            for z in non_nbrs[y]:
-                if z <= y or z in g.adj[x]:
-                    continue
+            for z in bits(non_nbrs[x] & non_nbrs[y] & -2 << y):
                 if (
                     comp[z][x] == comp[z][y]
                     and comp[y][x] == comp[y][z]
@@ -196,8 +176,7 @@ def is_asteroidal_triple(g: Graph, triple) -> bool:
     if g.has_edge(x, y) or g.has_edge(y, z) or g.has_edge(x, z):
         return False
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        label = _components_avoiding(g, c)
-        if label[a] < 0 or label[a] != label[b]:
+        if _bfs_path(g, a, b, g.adj[c] | 1 << c) is None:
             return False
     return True
 
@@ -216,7 +195,7 @@ def maximal_cliques_chordal(g: Graph, peo: list[int]) -> list[frozenset[int]]:
     a clique, so all but p are later neighbours of p. One pass finds them.
     """
     pos = {v: i for i, v in enumerate(peo)}
-    later = [[p for w in g.adj[v] if (p := pos[w]) > i] for i, v in enumerate(peo)]
+    later = [[p for w in bits(g.adj[v]) if (p := pos[w]) > i] for i, v in enumerate(peo)]
     inside = set()
     for ps in later:
         if ps:
@@ -383,6 +362,6 @@ def is_interval_graph(g: Graph) -> tuple[bool, IntervalRep | Obstruction]:
             # chordal and AT-free guarantees a consecutive ordering exists
             raise ConstructionDefectError("no consecutive clique ordering found", g)
     rep = rep_from_clique_order(cliques, order, g.n)
-    if graph_of_intervals(rep) != g:
+    if interval_adjacency(rep) != g.adj:
         raise ConstructionDefectError("extracted representation does not realize the graph", rep)
     return True, rep

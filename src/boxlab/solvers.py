@@ -9,7 +9,7 @@ witness is re-verified before it is returned.
 from __future__ import annotations
 
 from .errors import ConstructionDefectError, ResourceBudgetError
-from .graphs import Coloring, Graph, is_clique
+from .graphs import Coloring, Graph, bits, is_clique
 
 DEFAULT_SOLVER_LIMIT = 64
 
@@ -22,32 +22,33 @@ def _check_limit(g: Graph) -> None:
 
 
 def _bron_kerbosch(g: Graph, found, hopeless=lambda r, p: False) -> None:
-    """Bron-Kerbosch with pivoting: found(r) for every maximal clique r reached.
+    """Bron-Kerbosch with pivoting on vertex masks: found(r) for every maximal
+    clique mask r reached.
 
     A branch is cut before it expands when hopeless(r, p) says no clique
     between r and r | p can matter to the caller.
     """
 
-    def expand(r: set[int], p: set[int], x: set[int]) -> None:
+    def expand(r: int, p: int, x: int) -> None:
         if not p and not x:
             found(r)
             return
         if hopeless(r, p):
             return
-        pivot = max(p | x, key=lambda u: len(g.adj[u] & p))
-        for v in sorted(p - g.adj[pivot]):
-            expand(r | {v}, p & g.adj[v], x & g.adj[v])
-            p.remove(v)
-            x.add(v)
+        pivot = max(bits(p | x), key=lambda u: (g.adj[u] & p).bit_count())
+        for v in bits(p & ~g.adj[pivot]):
+            expand(r | 1 << v, p & g.adj[v], x & g.adj[v])
+            p ^= 1 << v
+            x |= 1 << v
 
     if g.n:
-        expand(set(), set(range(g.n)), set())
+        expand(0, (1 << g.n) - 1, 0)
 
 
 def maximal_cliques(g: Graph) -> list[frozenset[int]]:
     """All maximal cliques, via Bron-Kerbosch with pivoting."""
     out: list[frozenset[int]] = []
-    _bron_kerbosch(g, lambda r: out.append(frozenset(r)))
+    _bron_kerbosch(g, lambda r: out.append(frozenset(bits(r))))
     return out
 
 
@@ -56,14 +57,14 @@ def clique_number_exact(g: Graph) -> tuple[int, frozenset[int]]:
     _check_limit(g)
     if g.n == 0:
         return 0, frozenset()
-    best: list[frozenset[int]] = [frozenset([0])]
+    best = [1]  # the mask of vertex 0
 
-    def found(r: set[int]) -> None:
-        if len(r) > len(best[0]):
-            best[0] = frozenset(r)
+    def found(r: int) -> None:
+        if r.bit_count() > best[0].bit_count():
+            best[0] = r
 
-    _bron_kerbosch(g, found, lambda r, p: len(r) + len(p) <= len(best[0]))
-    witness = best[0]
+    _bron_kerbosch(g, found, lambda r, p: (r | p).bit_count() <= best[0].bit_count())
+    witness = frozenset(bits(best[0]))
     if not is_clique(g, witness):
         raise ConstructionDefectError("clique witness failed re-verification", witness)
     return len(witness), witness
@@ -71,18 +72,17 @@ def clique_number_exact(g: Graph) -> tuple[int, frozenset[int]]:
 
 def _dsatur_greedy(g: Graph) -> list[int]:
     color = [-1] * g.n
-    neighbor_colors: list[set[int]] = [set() for _ in range(g.n)]
+    neighbor_colors = [0] * g.n  # bit c set when a neighbour has color c
     for _ in range(g.n):
         v = max(
             (u for u in range(g.n) if color[u] < 0),
-            key=lambda u: (len(neighbor_colors[u]), g.degree(u), -u),
+            key=lambda u: (neighbor_colors[u].bit_count(), g.degree(u), -u),
         )
-        c = 0
-        while c in neighbor_colors[v]:
-            c += 1
+        taken = neighbor_colors[v]
+        c = (~taken & taken + 1).bit_length() - 1  # the lowest color not taken
         color[v] = c
-        for w in g.adj[v]:
-            neighbor_colors[w].add(c)
+        for w in bits(g.adj[v]):
+            neighbor_colors[w] |= 1 << c
     return color
 
 
@@ -104,12 +104,12 @@ def _try_k_coloring(g: Graph, k: int, seed: frozenset[int]) -> list[int] | None:
         v = max(
             uncolored,
             key=lambda u: (
-                len({color[w] for w in g.adj[u] if color[w] >= 0}),
+                len({color[w] for w in bits(g.adj[u]) if color[w] >= 0}),
                 g.degree(u),
                 -u,
             ),
         )
-        used = {color[w] for w in g.adj[v] if color[w] >= 0}
+        used = {color[w] for w in bits(g.adj[v]) if color[w] >= 0}
         uncolored.remove(v)
         # a fresh color beyond max_used+1 is symmetric to max_used+1
         for c in range(min(k, max_used + 2)):

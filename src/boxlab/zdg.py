@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import ConstructionDefectError, InputError, ResourceBudgetError
 from .graphs import Coloring, Graph, complete_graph, empty_graph, generalized_join, make_graph
-from .intervals import IntervalCover, IntervalRep, graph_of_intervals, point, verified_cover
+from .intervals import IntervalCover, IntervalRep, interval_adjacency, point, verified_cover
 from .joins import lift_reps, make_plan, reduced_cover
 
 
@@ -165,8 +165,15 @@ class CompressedZN:
         return tuple(tuple(positions[d]) for d in self.divisors)
 
 
+# factoring is trial division up to sqrt(N) and the divisor graph a scan of
+# every pair of divisors; the worst N below the cap has 6720 divisors
+COMPRESSED_MAX_N = 10**12
+
+
 def compressed_zn(N: int) -> CompressedZN:
     """Factor N once and derive its divisor classes; every Z_N certificate reads the record."""
+    if N > COMPRESSED_MAX_N:
+        raise ResourceBudgetError(f"N = {N} exceeds the divisor-graph limit {COMPRESSED_MAX_N}")
     f = factor(N)
     if f.is_prime:
         raise InputError(f"{N} is prime; the compressed graph needs a composite N")
@@ -397,7 +404,7 @@ def prime_power_rep(c: CompressedZN) -> IntervalRep:
         for v, iv in zip(members, layer):
             intervals[v] = iv
     rep = IntervalRep(tuple(intervals))
-    if graph_of_intervals(rep) != c.direct[0]:
+    if interval_adjacency(rep) != c.direct[0].adj:
         raise ConstructionDefectError(
             f"representation for {c.N} does not realize the zero-divisor graph"
         )

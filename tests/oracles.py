@@ -7,7 +7,10 @@ intersection graph are the package's earlier edge-set versions, kept as
 differential references for the bitset kernel that replaced them. The
 list-label Lex-BFS, the unfiltered hole scan, the pairwise maximal-clique
 filter and the asteroidal-triple-first recognizer are the package's earlier
-recognition steps, kept as references for the faster ones that replaced them.
+recognition steps, kept as references for the faster ones that replaced them;
+they read neighbours from the bitsets of `Graph.adj`. The component and
+neighbourhood-quotient versions below are the package's earlier ones on
+neighbour sets, kept as references for the bitset versions.
 """
 
 from itertools import combinations, permutations
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 from boxlab import Graph, edge_intersection, make_graph
 from boxlab.errors import ConstructionDefectError
+from boxlab.graphs import bits, make_partition
 from boxlab.intervals import CoverViolation, IntervalCover, IntervalRep
 from boxlab.recognition import (
     Obstruction,
@@ -90,7 +94,7 @@ def brute_is_interval(g: Graph) -> bool:
         pos = {v: i for i, v in enumerate(order)}
         ok = True
         for u in range(g.n):
-            later = [pos[w] for w in g.adj[u] if pos[w] > pos[u]]
+            later = [pos[w] for w in bits(g.adj[u]) if pos[w] > pos[u]]
             if not later:
                 continue
             # everything between u and its furthest later neighbor must be adjacent
@@ -116,7 +120,7 @@ def brute_chromatic(g: Graph) -> int:
             if v == g.n:
                 return True
             for c in range(k):
-                if all(colors[w] != c for w in g.adj[v]):
+                if all(colors[w] != c for w in bits(g.adj[v])):
                     colors[v] = c
                     if go(v + 1):
                         return True
@@ -140,6 +144,20 @@ def brute_clique(g: Graph) -> int:
         ):
             best = size
     return best
+
+
+def brute_maximal_cliques(g: Graph) -> list[list[int]]:
+    """Every clique no vertex extends, as sorted lists in increasing order."""
+    cliques = [
+        list(sub)
+        for size in range(1, g.n + 1)
+        for sub in combinations(range(g.n), size)
+        if all(g.has_edge(u, v) for u, v in combinations(sub, 2))
+    ]
+    return sorted(
+        c for c in cliques
+        if not any(all(g.has_edge(u, w) for u in c) for w in range(g.n) if w not in c)
+    )
 
 
 def all_labeled_graphs(n: int):
@@ -225,7 +243,7 @@ def lex_bfs_order(g: Graph) -> list[int]:
         )
         visited[v] = True
         order.append(v)
-        for w in g.adj[v]:
+        for w in bits(g.adj[v]):
             if not visited[w]:
                 labels[w].append(g.n - step)
     return order
@@ -234,11 +252,11 @@ def lex_bfs_order(g: Graph) -> list[int]:
 def find_chordless_cycle(g: Graph) -> tuple[int, ...]:
     """The hole scan that runs one path search for every pair of neighbours."""
     for v in range(g.n):
-        nbrs = sorted(g.adj[v])
+        nbrs = list(bits(g.adj[v]))
         for x, y in combinations(nbrs, 2):
             if g.has_edge(x, y):
                 continue
-            blocked = (set(g.adj[v]) | {v}) - {x, y}
+            blocked = (g.adj[v] | 1 << v) & ~(1 << x | 1 << y)
             path = _bfs_path(g, x, y, blocked)
             if path is not None:
                 return (v, *path)
@@ -250,7 +268,7 @@ def maximal_cliques_chordal(g: Graph, peo: list[int]) -> list[frozenset[int]]:
     pos = {v: i for i, v in enumerate(peo)}
     candidates = []
     for v in peo:
-        c = frozenset({v} | {w for w in g.adj[v] if pos[w] > pos[v]})
+        c = frozenset({v} | {w for w in bits(g.adj[v]) if pos[w] > pos[v]})
         candidates.append(c)
     candidates.sort(key=len, reverse=True)
     out: list[frozenset[int]] = []
@@ -273,3 +291,49 @@ def is_interval_graph(g: Graph):
     cliques = maximal_cliques_chordal(g, peo)
     order = consecutive_clique_order(cliques, g.n)
     return True, rep_from_clique_order(cliques, order, g.n)
+
+
+def set_adj(g: Graph) -> list[set[int]]:
+    """Neighbour sets built from the edge set alone."""
+    nbrs: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
+def connected_components(g: Graph) -> list[list[int]]:
+    """Components by depth-first search on neighbour sets, in order of their lowest vertex."""
+    adj = set_adj(g)
+    seen = [False] * g.n
+    comps: list[list[int]] = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp, stack = [], [s]
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def reduced_graph(g: Graph):
+    """Quotient by equal neighbour sets, classes ordered by their smallest member."""
+    by_nbhd: dict[frozenset[int], list[int]] = {}
+    for v, nbhd in enumerate(set_adj(g)):
+        by_nbhd.setdefault(frozenset(nbhd), []).append(v)
+    blocks = sorted(by_nbhd.values(), key=lambda blk: blk[0])
+    part = make_partition(g.n, blocks)
+    reps = [blk[0] for blk in part.blocks]
+    edges = [
+        (i, j)
+        for i, j in combinations(range(len(reps)), 2)
+        if g.has_edge(reps[i], reps[j])
+    ]
+    return make_graph(len(reps), edges), part

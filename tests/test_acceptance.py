@@ -20,7 +20,6 @@ from boxlab import (
     graph_of_intervals,
     is_box_one,
     is_interval_graph,
-    join_cover,
     make_graph,
     make_plan,
     omega_chi_certificate,
@@ -146,7 +145,7 @@ def test_criterion_6_join_synthesis():
         outer = random_graph(rng.randint(1, 4))
         parts = [random_graph(rng.randint(1, 4)) for _ in range(outer.n)]
         plan = make_plan(outer, parts)
-        cover = join_cover(plan)
+        cover = skip_join_cover(plan)
         ok = ok and verify_cover(cover)[0]
         ok = ok and len(cover) == sum(len(c.reps) for c in plan.part_covers)
 

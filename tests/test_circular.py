@@ -8,7 +8,6 @@ from boxlab import (
     graph_of_intervals,
     is_independent,
     is_interval_graph,
-    is_spanning_supergraph,
     make_graph,
     verify_cover,
 )
@@ -17,7 +16,7 @@ from boxlab.circular import (
     chi_cover,
     circular_chi,
     circular_clique,
-    color_classes,
+    circular_params,
     rotate_rep,
     step_window_rep,
 )
@@ -42,16 +41,16 @@ def test_chi_formula():
     assert circular_chi(6, 3) == 2
 
 
+def test_edge_count_formula_matches_the_graph():
+    for d in range(1, 5):
+        for k in range(2 * d, 2 * d + 9):
+            assert circular_params(k, d).num_edges == circular_clique(k, d).num_edges
+
+
 def test_chi_formula_matches_solver():
     for d in range(2, 5):
         for k in range(2 * d, 2 * d + 8):
             assert circular_chi(k, d) == chromatic_number_exact(circular_clique(k, d))[0]
-
-
-def test_color_classes():
-    assert color_classes(7, 2).blocks == ((0, 1), (2, 3), (4, 5), (6,))
-    assert color_classes(6, 3).blocks == ((0, 1, 2), (3, 4, 5))
-    assert color_classes(5, 2).blocks == ((0, 1), (2, 3), (4,))
 
 
 def test_step_rep_values_window_d():
@@ -79,7 +78,7 @@ def test_step_rep_values_window_b():
 def test_step_rep_boundary_case():
     rep = step_window_rep(6, 2, 2)
     realized = graph_of_intervals(rep)
-    assert is_spanning_supergraph(realized, circular_clique(6, 2))
+    assert realized.edges >= circular_clique(6, 2).edges
     assert is_independent(realized, [0, 1])
 
 
@@ -111,7 +110,7 @@ def test_block_rep_values_7_3():
 def test_block_rep_5_2_verifies():
     rep = block_window_rep(5, 2)
     realized = graph_of_intervals(rep)
-    assert is_spanning_supergraph(realized, circular_clique(5, 2))
+    assert realized.edges >= circular_clique(5, 2).edges
     assert is_independent(realized, [0, 1])
 
 
@@ -131,7 +130,7 @@ def test_rotate_identity_and_full_cycle():
 def test_rotate_moves_window():
     rep = rotate_rep(step_window_rep(7, 2, 2), 2)
     realized = graph_of_intervals(rep)
-    assert is_spanning_supergraph(realized, circular_clique(7, 2))
+    assert realized.edges >= circular_clique(7, 2).edges
     assert is_independent(realized, [2, 3])
 
 

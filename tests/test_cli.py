@@ -1,9 +1,12 @@
 import argparse
 import json
+from itertools import combinations, count, islice
 
 import pytest
 
+import boxlab.circular
 import boxlab.cli
+import boxlab.intervals
 import boxlab.zdg
 from boxlab import (
     ConstructionDefectError,
@@ -15,7 +18,10 @@ from boxlab import (
     path_graph,
     verify_cover,
 )
+from boxlab.circular import circular_params
 from boxlab.cli import run
+from boxlab.graphs import EDGE_BUDGET, VERIFY_MAX_N
+from boxlab.zdg import COMPRESSED_MAX_N
 from oracles import verify_cover as oracle_verify_cover
 
 
@@ -164,7 +170,7 @@ def test_verify_survives_a_prime_denominator_per_vertex(edges, tmp_path, capsys)
 
 
 def test_verify_refuses_a_graph_over_its_vertex_limit(tmp_path, capsys):
-    n = boxlab.cli.VERIFY_MAX_N + 1
+    n = VERIFY_MAX_N + 1
     argv = _verify_files(tmp_path, {"n": n, "edges": []}, {str(v): [[v, 1], [v, 1]] for v in range(n)})
     code, out, err = run_capture(capsys, argv)
     assert code == 3
@@ -436,3 +442,95 @@ def test_zdg_report_needs_no_direct_graph(capsys):
     assert code == 0
     # 20000 = 2^5 5^4: 6 * 5 divisors, 3 * 3 of them with N | d^2
     assert json.loads(out)["box_upper"] == 6 * 5 - 3 * 3 - 1
+
+
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{what} was called")
+
+    return refuse
+
+
+def _first_k_over_the_edge_budget(d):
+    return next(k for k in count(2 * d) if circular_params(k, d).num_edges > EDGE_BUDGET)
+
+
+def test_circular_clique_over_the_edge_budget_exits_3_before_building(monkeypatch, capsys):
+    monkeypatch.setattr(boxlab.circular, "make_graph", _refuse("make_graph"))
+    monkeypatch.setattr(boxlab.circular, "point", _refuse("point"))  # every window rep's
+    # k = 2d is a perfect matching with d edges, so d = cap + 1 is one edge over
+    d = EDGE_BUDGET + 1
+    code, out, err = run_capture(capsys, ["gen", "circular", "--k", str(2 * d), "--d", str(d)])
+    assert code == 3 and out == ""
+    assert f"would have {d} edges, the limit is {EDGE_BUDGET}" in err
+    k = _first_k_over_the_edge_budget(2)
+    code, out, err = run_capture(capsys, ["cover", "circular", "--k", str(k), "--d", "2"])
+    assert code == 3 and out == ""
+    assert f"(k={k}, d=2) would have" in err
+
+
+def test_circular_cover_over_the_vertex_budget_exits_3_before_building(monkeypatch, capsys):
+    # k = 2d + 1 is a cycle, far inside the edge budget
+    monkeypatch.setattr(boxlab.circular, "make_graph", _refuse("make_graph"))
+    monkeypatch.setattr(boxlab.circular, "point", _refuse("point"))
+    k = VERIFY_MAX_N + 1
+    code, out, err = run_capture(capsys, ["cover", "circular", "--k", str(k), "--d", str(k // 2)])
+    assert code == 3 and out == ""
+    assert f"has {k} vertices, the check's limit is {VERIFY_MAX_N}" in err
+
+
+def test_sweep_circular_refuses_an_oversized_kmax_before_its_first_row(monkeypatch, capsys):
+    # the sweep's largest graph has d = 2
+    kmax = _first_k_over_the_edge_budget(2)
+    monkeypatch.setattr(boxlab.cli, "chi_cover", _refuse("chi_cover"))
+    code, out, err = run_capture(capsys, ["sweep", "circular", "--dmax", "2", "--kmax", str(kmax)])
+    assert code == 3 and out == ""
+    assert f"(k={kmax}, d=2) would have" in err
+
+
+def _join(a_n, a_edges, b_n):
+    """Outer edge 01 over part 0, on a_n vertices with its first a_edges pairs, and an
+    edgeless part 1 on b_n vertices: a_edges + a_n * b_n edges."""
+    a = {"n": a_n, "edges": [list(e) for e in islice(combinations(range(a_n), 2), a_edges)]}
+    return {"n": 2, "edges": [[0, 1]]}, [a, {"n": b_n, "edges": []}]
+
+
+@pytest.mark.parametrize(
+    "outer, parts, message",
+    [
+        (*_join(400, EDGE_BUDGET + 1 - 400 * (EDGE_BUDGET // 400), EDGE_BUDGET // 400),
+         f"the join would have {EDGE_BUDGET + 1} edges"),
+        (*_join(1, 0, VERIFY_MAX_N), f"the join has {VERIFY_MAX_N + 1} vertices"),
+    ],
+    ids=["edges", "vertices"],
+)
+def test_cover_join_over_a_budget_exits_3_before_building(
+    outer, parts, message, tmp_path, count_calls, capsys
+):
+    argv = ["cover", "join"]
+    for flag, obj in [("--outer", outer)] + [("--part", p) for p in parts]:
+        path = tmp_path / f"{len(argv)}.json"
+        path.write_text(json.dumps(obj))
+        argv += [flag, str(path)]
+    calls = count_calls(boxlab.intervals, ("make_rep", "make_cover"))
+    code, out, err = run_capture(capsys, argv)
+    assert code == 3 and out == ""
+    assert message in err
+    assert calls == {"make_rep": 0, "make_cover": 0}
+
+
+def test_compressed_zn_over_its_limit_exits_3_before_factoring(monkeypatch, capsys):
+    monkeypatch.setattr(boxlab.zdg, "factor", _refuse("factor"))
+    n = str(COMPRESSED_MAX_N + 1)
+    for argv in (["zdg", "report", "--n", n], ["gen", "zdg", "--compressed", "--n", n]):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 3 and out == ""
+        assert f"divisor-graph limit {COMPRESSED_MAX_N}" in err
+
+
+def test_zdg_report_at_the_compressed_limit(capsys):
+    # 10^12 = 2^12 5^12 has 13 * 13 divisors; 999999999989 is the largest prime below it
+    code, out, _ = run_capture(capsys, ["zdg", "report", "--n", str(COMPRESSED_MAX_N)])
+    assert code == 0 and json.loads(out)["box_upper"] == 13 * 13 - 7 * 7 - 1
+    code, out, _ = run_capture(capsys, ["zdg", "report", "--n", "999999999989"])
+    assert code == 0 and json.loads(out)["prime"]

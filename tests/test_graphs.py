@@ -3,6 +3,7 @@ from hypothesis import given, settings
 
 from boxlab import (
     InputError,
+    ResourceBudgetError,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -14,13 +15,39 @@ from boxlab import (
     induced_subgraph,
     is_clique,
     is_independent,
-    is_spanning_supergraph,
     make_graph,
     path_graph,
     reduced_graph,
 )
+from boxlab.graphs import EDGE_BUDGET, join_edge_count
+from boxlab.zdg import _class_parts, compressed_zn
 
+import oracles
 from oracles import graphs
+
+
+@given(graphs(max_n=9))
+@settings(max_examples=150)
+def test_adjacency_bits_are_the_edge_set(g):
+    assert len(g.adj) == g.n
+    for u in range(g.n):
+        assert g.adj[u] >> g.n == 0 and not g.adj[u] >> u & 1
+        for v in range(g.n):
+            if v != u:
+                assert g.adj[u] >> v & 1 == g.has_edge(u, v)
+        assert g.degree(u) == sum(g.has_edge(u, v) for v in range(g.n) if v != u)
+
+
+@given(graphs(max_n=9))
+@settings(max_examples=150)
+def test_components_match_set_search(g):
+    assert g.connected_components() == oracles.connected_components(g)
+
+
+@given(graphs(max_n=9))
+@settings(max_examples=150)
+def test_reduced_graph_matches_set_quotient(g):
+    assert reduced_graph(g) == oracles.reduced_graph(g)
 
 
 def test_make_graph_basic():
@@ -65,6 +92,20 @@ def test_generalized_join_examples():
     assert p3 == path_graph(3)
     with pytest.raises(InputError):
         generalized_join(complete_graph(2), [empty_graph(1)])
+
+
+def test_generalized_join_edge_budget():
+    # parts of 1 and m vertices over one outer edge give exactly m join edges
+    joined, _ = generalized_join(complete_graph(2), [empty_graph(1), empty_graph(EDGE_BUDGET)])
+    assert joined.num_edges == EDGE_BUDGET
+    with pytest.raises(ResourceBudgetError, match=f"{EDGE_BUDGET + 1} edges"):
+        generalized_join(complete_graph(2), [empty_graph(1), empty_graph(EDGE_BUDGET + 1)])
+
+
+def test_largest_zero_divisor_join_fits_the_edge_budget():
+    # Z_9240 is the largest join that expand_compressed builds below ZDG_MAX_N
+    c = compressed_zn(9240)
+    assert join_edge_count(c.graph, _class_parts(c)) == 113_610 <= EDGE_BUDGET
 
 
 def test_reduced_graph_examples():
@@ -132,14 +173,6 @@ def test_edge_intersection_commutes(g, h):
         return
     assert edge_intersection([g, h]) == edge_intersection([h, g])
     assert edge_intersection([g, g]) == g
-
-
-def test_spanning_supergraph():
-    c4 = cycle_graph(4)
-    with_02 = make_graph(4, list(c4.edges) + [(0, 2)])
-    assert is_spanning_supergraph(with_02, c4)
-    assert is_spanning_supergraph(c4, c4)
-    assert not is_spanning_supergraph(path_graph(4), c4)
 
 
 @given(graphs())

@@ -247,5 +247,5 @@ def test_fraction_keys_keep_ties():
     p, q, r = 2**64 - 83, 1_000_000_007, 2**64 - 59
     a, b, c = Fraction(1, p), Fraction(1, q), Fraction(2, q)
     rep = make_rep([(a, b), (b, c), (c, c), (a, a), (Fraction(-1), Fraction(1, r))])
-    assert interval_adjacency(rep) == [0b01010, 0b00101, 0b00010, 0b00001, 0]
+    assert interval_adjacency(rep) == (0b01010, 0b00101, 0b00010, 0b00001, 0)
     assert graph_of_intervals(rep) == oracle_graph_of_intervals(rep)

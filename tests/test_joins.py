@@ -12,7 +12,6 @@ from boxlab import (
     cycle_graph,
     empty_graph,
     generalized_join,
-    join_cover,
     make_graph,
     make_plan,
     path_graph,
@@ -21,13 +20,14 @@ from boxlab import (
     skip_join_cover,
     verify_cover,
 )
+from boxlab.joins import lift_reps
 
 from oracles import net_graph
 
 
 def test_join_cover_two_edgeless_parts():
     plan = make_plan(complete_graph(2), [empty_graph(2), empty_graph(2)])
-    cover = join_cover(plan)
+    cover = skip_join_cover(plan)
     assert len(cover) == 2
     assert cover.claimed_graph == complete_multipartite([2, 2])
     assert verify_cover(cover)[0]
@@ -35,7 +35,7 @@ def test_join_cover_two_edgeless_parts():
 
 def test_join_cover_single_part_passthrough():
     plan = make_plan(complete_graph(1), [path_graph(4)])
-    cover = join_cover(plan)
+    cover = skip_join_cover(plan)
     assert len(cover) == 1
     assert cover.claimed_graph == path_graph(4)
     assert verify_cover(cover)[0]
@@ -43,16 +43,10 @@ def test_join_cover_single_part_passthrough():
 
 def test_join_cover_octahedron():
     plan = make_plan(complete_graph(3), [empty_graph(2)] * 3)
-    cover = join_cover(plan)
+    cover = skip_join_cover(plan)
     assert len(cover) == 3
     assert cover.claimed_graph == complete_multipartite([2, 2, 2])
     assert verify_cover(cover)[0]
-
-
-def test_join_cover_rejects_skips():
-    plan = make_plan(complete_graph(2), [complete_graph(3), empty_graph(2)], skip=[0])
-    with pytest.raises(InputError):
-        join_cover(plan)
 
 
 def test_skip_join_cover_drops_complete_clique_part():
@@ -65,8 +59,10 @@ def test_skip_join_cover_drops_complete_clique_part():
 
 
 def test_skip_join_cover_empty_skip_matches_plain():
+    # with nothing skipped the cover is the plain lift of every part-cover member
     plan = make_plan(path_graph(3), [empty_graph(2), complete_graph(2), empty_graph(1)])
-    assert skip_join_cover(plan).reps == join_cover(plan).reps
+    _, blocks = generalized_join(plan.outer, list(plan.parts))
+    assert skip_join_cover(plan).reps == tuple(lift_reps(plan, blocks))
 
 
 def test_make_plan_validates_skip():
@@ -140,7 +136,7 @@ def test_random_plans_verify_with_expected_size():
             ppairs = list(combinations(range(pn), 2))
             parts.append(make_graph(pn, [e for e in ppairs if rng.random() < 0.5]))
         plan = make_plan(outer, parts)
-        cover = join_cover(plan)
+        cover = skip_join_cover(plan)
         assert len(cover) == sum(len(c.reps) for c in plan.part_covers)
         assert verify_cover(cover)[0]
 

@@ -13,7 +13,7 @@ from boxlab import (
 )
 from boxlab.circular import circular_clique
 
-from oracles import brute_chromatic, brute_clique, graphs, net_graph
+from oracles import brute_chromatic, brute_clique, brute_maximal_cliques, graphs, net_graph
 
 
 def test_chromatic_examples():
@@ -48,6 +48,13 @@ def test_limit_enforced():
 def test_maximal_cliques_net():
     cliques = sorted(sorted(c) for c in maximal_cliques(net_graph()))
     assert cliques == [[0, 1, 2], [0, 3], [1, 4], [2, 5]]
+
+
+@given(graphs(max_n=7))
+@settings(max_examples=150, deadline=None)
+def test_maximal_cliques_match_brute_force(g):
+    # every maximal clique exactly once
+    assert sorted(sorted(c) for c in maximal_cliques(g)) == brute_maximal_cliques(g)
 
 
 @given(graphs(max_n=7))

@@ -70,13 +70,14 @@ def test_circular_cover_verifies_once(calls, capsys):
 
 
 def test_box_witness_is_recognized_and_verified_once(tmp_path, calls, capsys):
-    # the two witness reps are the ones their recognitions returned (one
-    # graph each); verify_cover runs the kernel on each once more
+    # the two witness reps are the ones their recognitions returned, each
+    # checked there by one kernel call against the graph's own bitsets;
+    # verify_cover runs the kernel on each once more
     gpath = tmp_path / "c4.json"
     gpath.write_text(json.dumps(graph_to_obj(cycle_graph(4))))
     assert run(["box", "--graph", str(gpath)]) == 0
     assert json.loads(capsys.readouterr().out)["boxicity"] == 2
-    assert calls == {"verify_cover": 1, "graph_of_intervals": 2, "interval_adjacency": 4}
+    assert calls == {"verify_cover": 1, "graph_of_intervals": 0, "interval_adjacency": 4}
 
 
 def test_reduced_cover_verifies_once(calls):
