@@ -5,7 +5,14 @@ E(G) is computed per connected component (boxicity of a disjoint union is
 the maximum over components). For a non-interval component the search
 
   1. enumerates candidate interval supergraphs G + A over added-edge sets
-     A, smallest first, testing each candidate edge set exactly once;
+     A, smallest first. Each recognition leaves a record (required,
+     forbidden) of non-edge masks, and a later A that holds `required` and
+     misses `forbidden` is skipped without one. A hit at A records (A, 0):
+     an interval superset has its kill set inside A's. A hole or an
+     asteroidal triple records its added edges and the non-edges that keep
+     it induced, so it survives in every G + A the record covers. A skipped
+     candidate would leave the maximal kills and the early 2-cover as they
+     are, so the witness is the one the full scan gives;
   2. records the "kill set" of each hit (the non-edges the supergraph
      still excludes) with the representation its recognition returned,
      keeping only inclusion-maximal kills; two kills whose union is every
@@ -33,7 +40,7 @@ from itertools import combinations
 from .errors import ConstructionDefectError, InputError, ResourceBudgetError
 from .graphs import Graph, induced_subgraph, make_graph
 from .intervals import IntervalCover, IntervalRep, make_cover, verified_cover
-from .recognition import is_interval_graph
+from .recognition import Obstruction, asteroidal_paths, is_interval_graph
 
 DEFAULT_VERTEX_BUDGET = 10
 DEFAULT_NONEDGE_BUDGET = 14
@@ -59,15 +66,46 @@ class _ComponentSearch:
     def __init__(self, g: Graph):
         self.g = g
         self.nonedges = tuple(g.non_edges())
+        self.index = {e: i for i, e in enumerate(self.nonedges)}
         self.full = (1 << len(self.nonedges)) - 1
         # maximal kill masks with the representation of the supergraph that
         # realized each one
         self.kills: list[tuple[int, IntervalRep]] = []
+        # (required, forbidden) masks over the non-edges: every added set that
+        # holds `required` and misses `forbidden` is already decided
+        self.decided: list[tuple[int, int]] = []
 
-    def _try_added(self, added: frozenset) -> IntervalRep | None:
-        h = make_graph(self.g.n, set(self.g.edges) | set(added))
-        ok, payload = is_interval_graph(h)
-        return payload if ok else None
+    def _mask(self, pairs) -> int:
+        """The non-edges of g among `pairs`, as a mask; edges of g are skipped."""
+        mask = 0
+        for u, v in pairs:
+            i = self.index.get((u, v) if u < v else (v, u))
+            if i is not None:
+                mask |= 1 << i
+        return mask
+
+    def _decide(self, added: int, h: Graph, payload: IntervalRep | Obstruction) -> tuple[int, int]:
+        """The (required, forbidden) record of one recognition of h = g + added.
+
+        A hole keeps its cycle edges and none of its chords. An asteroidal
+        triple keeps its three paths, and each path stays clear of the third
+        vertex.
+        """
+        if isinstance(payload, IntervalRep):
+            return added, 0
+        w = payload.witness
+        if payload.kind == "chordless-cycle":
+            k = len(w)
+            chords = ((w[i], w[j]) for i, j in combinations(range(k), 2) if j - i not in (1, k - 1))
+            return self._mask(zip(w, w[1:] + w[:1])), self._mask(chords)
+        paths = asteroidal_paths(h, w)
+        if paths is None:
+            raise ConstructionDefectError("AT witness lost its paths", w)
+        required = forbidden = 0
+        for path, third in zip(paths, (w[2], w[0], w[1])):
+            required |= self._mask(zip(path, path[1:]))
+            forbidden |= self._mask((third, p) for p in path)
+        return required, forbidden
 
     def _note_kill(self, kill: int, rep: IntervalRep) -> list[IntervalRep] | None:
         """Record a kill mask; report a covering pair the moment one exists."""
@@ -83,17 +121,22 @@ class _ComponentSearch:
         return None
 
     def enumerate_kills(self) -> list[IntervalRep] | None:
-        """Scan added-edge sets smallest first; stop at a certified 2-cover."""
+        """Scan undecided added-edge sets smallest first; stop at a certified 2-cover."""
         m = len(self.nonedges)
+        decided = self.decided
         for size in range(m + 1):
             for combo in combinations(range(m), size):
-                rep = self._try_added(frozenset(self.nonedges[i] for i in combo))
-                if rep is None:
-                    continue
-                kill = self.full
+                added = 0
                 for i in combo:
-                    kill &= ~(1 << i)
-                pair = self._note_kill(kill, rep)
+                    added |= 1 << i
+                if any(added & req == req and not added & forb for req, forb in decided):
+                    continue
+                h = make_graph(self.g.n, self.g.edges | {self.nonedges[i] for i in combo})
+                ok, payload = is_interval_graph(h)
+                decided.append(self._decide(added, h, payload))
+                if not ok:
+                    continue
+                pair = self._note_kill(self.full & ~added, payload)
                 if pair is not None:
                     return pair
         return None

@@ -169,16 +169,28 @@ def find_asteroidal_triple(g: Graph) -> tuple[int, int, int] | None:
     return None
 
 
-def is_asteroidal_triple(g: Graph, triple) -> bool:
+def asteroidal_paths(g: Graph, triple) -> tuple[list[int], list[int], list[int]] | None:
+    """The witness paths of an asteroidal triple (x, y, z), or None if it is not one.
+
+    The paths join x to y, y to z and z to x, each avoiding the closed
+    neighbourhood of the third vertex.
+    """
     x, y, z = triple
     if len({x, y, z}) != 3:
-        return False
+        return None
     if g.has_edge(x, y) or g.has_edge(y, z) or g.has_edge(x, z):
-        return False
+        return None
+    paths = []
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        if _bfs_path(g, a, b, g.adj[c] | 1 << c) is None:
-            return False
-    return True
+        path = _bfs_path(g, a, b, g.adj[c] | 1 << c)
+        if path is None:
+            return None
+        paths.append(path)
+    return tuple(paths)
+
+
+def is_asteroidal_triple(g: Graph, triple) -> bool:
+    return asteroidal_paths(g, triple) is not None
 
 
 # ---------------------------------------------------------------------------

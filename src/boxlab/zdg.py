@@ -22,7 +22,15 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import ConstructionDefectError, InputError, ResourceBudgetError
-from .graphs import Coloring, Graph, complete_graph, empty_graph, generalized_join, make_graph
+from .graphs import (
+    Coloring,
+    Graph,
+    check_edge_budget,
+    complete_graph,
+    empty_graph,
+    generalized_join,
+    make_graph,
+)
 from .intervals import IntervalCover, IntervalRep, interval_adjacency, point, verified_cover
 from .joins import lift_reps, make_plan, reduced_cover
 
@@ -66,6 +74,19 @@ class FactoredN:
     def root_divisor_count(self) -> int:
         """Number of divisors d of N with N | d^2, N included: prod (n+1) * prod (m+1)."""
         return math.prod(e // 2 + 1 for e in self.exponents.values())
+
+    @property
+    def divisor_graph_edges(self) -> int:
+        """Edges of the divisor graph: pairs of distinct proper divisors d, d' with N | dd'.
+
+        Per prime, (e+1)(e+2)/2 exponent pairs sum to at least e. Of those
+        ordered pairs of divisors, drop the ones holding N (1 pairs only
+        with N) and the nilpotent proper divisors paired with themselves,
+        then halve.
+        """
+        ordered = math.prod((e + 1) * (e + 2) // 2 for e in self.exponents.values())
+        ordered -= 2 * self.divisor_count - 1
+        return (ordered - (self.root_divisor_count - 1)) // 2
 
     @property
     def is_prime(self) -> bool:
@@ -165,8 +186,8 @@ class CompressedZN:
         return tuple(tuple(positions[d]) for d in self.divisors)
 
 
-# factoring is trial division up to sqrt(N) and the divisor graph a scan of
-# every pair of divisors; the worst N below the cap has 6720 divisors
+# factoring is trial division up to sqrt(N), and the divisor graph a scan
+# of every pair of divisors that runs only inside EDGE_BUDGET
 COMPRESSED_MAX_N = 10**12
 
 
@@ -177,6 +198,7 @@ def compressed_zn(N: int) -> CompressedZN:
     f = factor(N)
     if f.is_prime:
         raise InputError(f"{N} is prime; the compressed graph needs a composite N")
+    check_edge_budget(f.divisor_graph_edges, f"the divisor graph of Z_{N}")
     # every divisor d of N with phi(N/d), the size of its class, from the primes of N
     phi_of_cofactor = {1: 1}
     for p, e in f.exponents.items():

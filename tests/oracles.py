@@ -10,14 +10,18 @@ filter and the asteroidal-triple-first recognizer are the package's earlier
 recognition steps, kept as references for the faster ones that replaced them;
 they read neighbours from the bitsets of `Graph.adj`. The component and
 neighbourhood-quotient versions below are the package's earlier ones on
-neighbour sets, kept as references for the bitset versions.
+neighbour sets, kept as references for the bitset versions. The unpruned
+kill-set scan is the exact boxicity oracle's step 1 before it skipped
+already-decided candidates.
 """
 
 from itertools import combinations, permutations
+from unittest import mock
 
 from hypothesis import strategies as st
 
-from boxlab import Graph, edge_intersection, make_graph
+from boxlab import Graph, boxicity_exact, edge_intersection, make_graph
+from boxlab import boxicity
 from boxlab.errors import ConstructionDefectError
 from boxlab.graphs import bits, make_partition
 from boxlab.intervals import CoverViolation, IntervalCover, IntervalRep
@@ -337,3 +341,34 @@ def reduced_graph(g: Graph):
         if g.has_edge(reps[i], reps[j])
     ]
     return make_graph(len(reps), edges), part
+
+
+class UnprunedSearch(boxicity._ComponentSearch):
+    """The component search that recognizes every added-edge set."""
+
+    def _try_added(self, added: frozenset) -> IntervalRep | None:
+        h = make_graph(self.g.n, set(self.g.edges) | set(added))
+        ok, payload = boxicity.is_interval_graph(h)
+        return payload if ok else None
+
+    def enumerate_kills(self) -> list[IntervalRep] | None:
+        """Scan added-edge sets smallest first; stop at a certified 2-cover."""
+        m = len(self.nonedges)
+        for size in range(m + 1):
+            for combo in combinations(range(m), size):
+                rep = self._try_added(frozenset(self.nonedges[i] for i in combo))
+                if rep is None:
+                    continue
+                kill = self.full
+                for i in combo:
+                    kill &= ~(1 << i)
+                pair = self._note_kill(kill, rep)
+                if pair is not None:
+                    return pair
+        return None
+
+
+def unpruned_boxicity_exact(g: Graph, max_l: int = boxicity.DEFAULT_MAX_COVERS):
+    """`boxicity_exact` with every component searched by `UnprunedSearch`."""
+    with mock.patch.object(boxicity, "_ComponentSearch", UnprunedSearch):
+        return boxicity_exact(g, max_l)

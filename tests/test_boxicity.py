@@ -1,7 +1,11 @@
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from boxlab import (
+    Obstruction,
     ResourceBudgetError,
     boxicity_exact,
     complete_graph,
@@ -13,8 +17,10 @@ from boxlab import (
     path_graph,
     verify_cover,
 )
+from boxlab import recognition
+from boxlab.boxicity import _ComponentSearch
 
-from oracles import graphs
+from oracles import SUBDIVIDED_CLAW, graphs, planted_at_graphs, unpruned_boxicity_exact
 
 
 def test_pinned_values():
@@ -78,3 +84,121 @@ def test_box_one_iff_interval(g):
         assert (value == 1) == is_interval_graph(g)[0]
     ok, _ = verify_cover(cover)
     assert ok
+
+
+def from_non_edges(n, missing):
+    return make_graph(n, [e for e in combinations(range(n), 2) if e not in missing])
+
+
+# connected 10-vertex graphs at the oracle's budget edge: boxicity 3, 2, 3, 3
+# with 13, 10, 14 and 12 non-edges
+BUDGET_EDGE_GRAPHS = [
+    from_non_edges(10, {(0, 3), (0, 9), (1, 6), (1, 9), (2, 4), (2, 5), (2, 8),
+                        (3, 5), (3, 6), (4, 5), (4, 6), (4, 7), (6, 9)}),
+    from_non_edges(10, {(0, 3), (0, 6), (1, 3), (1, 6), (1, 9), (2, 5), (2, 9),
+                        (5, 9), (6, 9), (8, 9)}),
+    from_non_edges(10, {(0, 1), (0, 2), (0, 3), (0, 6), (1, 2), (1, 5), (1, 9),
+                        (2, 3), (2, 6), (2, 9), (4, 5), (4, 6), (5, 8), (7, 9)}),
+    from_non_edges(10, {(0, 3), (0, 4), (0, 5), (0, 7), (1, 2), (1, 6), (2, 9),
+                        (3, 5), (4, 7), (4, 9), (6, 9), (7, 8)}),
+]
+
+
+@st.composite
+def connected_graphs(draw, max_n=8, max_missing=9):
+    """Connected graphs given by at most `max_missing` non-edges."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    pairs = list(combinations(range(n), 2))
+    k = draw(st.integers(min_value=0, max_value=min(max_missing, len(pairs))))
+    g = from_non_edges(n, draw(st.permutations(pairs))[:k])
+    assume(len(g.connected_components()) == 1)
+    return g
+
+
+def same_answer(pruned, unpruned):
+    if pruned is None or unpruned is None:
+        return pruned is unpruned
+    return pruned[0] == unpruned[0] and pruned[1].reps == unpruned[1].reps
+
+
+@given(connected_graphs())
+@settings(max_examples=100, deadline=None)
+def test_pruned_search_matches_unpruned(g):
+    assert same_answer(boxicity_exact(g, max_l=2), unpruned_boxicity_exact(g, max_l=2))
+    assert same_answer(boxicity_exact(g), unpruned_boxicity_exact(g))
+
+
+@pytest.mark.parametrize("g", BUDGET_EDGE_GRAPHS[1:], ids=["m10", "m14", "m12"])
+def test_pruned_search_matches_unpruned_at_the_budget_edge(g):
+    assert same_answer(boxicity_exact(g), unpruned_boxicity_exact(g))
+
+
+def with_added(search, added):
+    extra = {e for i, e in enumerate(search.nonedges) if added >> i & 1}
+    return make_graph(search.g.n, search.g.edges | extra)
+
+
+def decided_sets(search, required, forbidden, rng, count=4):
+    """`required`, then random added-edge masks that hold it and miss `forbidden`."""
+    free = [i for i in range(len(search.nonedges)) if not (required | forbidden) >> i & 1]
+    yield required
+    for _ in range(count):
+        yield required | sum(1 << i for i in free if rng.random() < 0.5)
+
+
+@given(connected_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_search_records_are_sound(g, rng):
+    """Every added set a kept record decides is non-interval (obstruction
+    records) or has its kill set dominated by a kept kill (hit records)."""
+    assume(not is_interval_graph(g)[0])
+    search = _ComponentSearch(g)
+    search.enumerate_kills()
+    for required, forbidden in search.decided:
+        for added in decided_sets(search, required, forbidden, rng):
+            ok = is_interval_graph(with_added(search, added))[0]
+            if forbidden:
+                assert not ok
+            elif ok:
+                kill = search.full & ~added
+                assert any(k & kill == kill for k, _ in search.kills)
+
+
+@given(st.one_of(graphs(max_n=8), planted_at_graphs(max_n=10)), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_obstruction_records_are_sound(h, rng):
+    """Split a non-interval h into g plus added edges A at random: the
+    record of h's obstruction decides only non-interval supergraphs of g."""
+    ok, payload = is_interval_graph(h)
+    assume(not ok)
+    g = make_graph(h.n, [e for e in h.edges if rng.random() < 0.7])
+    search = _ComponentSearch(g)
+    added = sum(1 << i for i, e in enumerate(search.nonedges) if e in h.edges)
+    required, forbidden = search._decide(added, h, payload)
+    assert required & ~added == 0
+    for other in decided_sets(search, required, forbidden, rng):
+        assert not is_interval_graph(with_added(search, other))[0]
+
+
+def test_asteroidal_triple_record():
+    # g + (1, 2) is the subdivided claw, whose one AT (2, 4, 6) uses the added edge
+    h = make_graph(7, SUBDIVIDED_CLAW)
+    search = _ComponentSearch(make_graph(7, h.edges - {(1, 2)}))
+    _, payload = is_interval_graph(h)
+    assert payload == Obstruction("asteroidal-triple", (2, 4, 6))
+    added = search._mask([(1, 2)])
+    # each third vertex against its opposite path 2-1-0-3-4, 4-3-0-5-6 or 6-5-0-1-2
+    apart = [(6, p) for p in (2, 1, 0, 3, 4)] + [(2, p) for p in (4, 3, 0, 5)]
+    apart += [(4, p) for p in (5, 0, 1)]
+    assert search._decide(added, h, payload) == (added, search._mask(apart))
+
+
+def test_pruned_search_recognizes_few_candidates(count_calls):
+    g = BUDGET_EDGE_GRAPHS[0]
+    assert len(g.non_edges()) == 13
+    counts = count_calls(recognition, ["is_interval_graph"])
+    value, _ = boxicity_exact(g)
+    assert value == 3
+    # the unpruned scan recognizes all 2**13 + 1 candidates; with every rule
+    # 37 are left, 302 without the hit rule and 7627 without the hole rule
+    assert counts["is_interval_graph"] < 100

@@ -528,6 +528,16 @@ def test_compressed_zn_over_its_limit_exits_3_before_factoring(monkeypatch, caps
         assert f"divisor-graph limit {COMPRESSED_MAX_N}" in err
 
 
+def test_divisor_graph_over_the_edge_budget_exits_3_before_its_pair_scan(monkeypatch, capsys):
+    # N = 2^6 3^4 5^2 7 11 13 17 19 23, below COMPRESSED_MAX_N, has 911 809 divisor-graph edges
+    monkeypatch.setattr(boxlab.zdg, "make_graph", _refuse("make_graph"))
+    n = "963761198400"
+    for argv in (["zdg", "report", "--n", n], ["gen", "zdg", "--compressed", "--n", n]):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 3 and out == ""
+        assert f"Z_963761198400 would have 911809 edges, the limit is {EDGE_BUDGET}" in err
+
+
 def test_zdg_report_at_the_compressed_limit(capsys):
     # 10^12 = 2^12 5^12 has 13 * 13 divisors; 999999999989 is the largest prime below it
     code, out, _ = run_capture(capsys, ["zdg", "report", "--n", str(COMPRESSED_MAX_N)])

@@ -99,6 +99,14 @@ def test_expand_sweep_to_500():
         assert expand_compressed(compressed_zn(n)) == zdg_zn(n)[0]
 
 
+def test_divisor_graph_edge_count_matches_the_graph():
+    for n in range(4, 3001):
+        f = factor(n)
+        if not f.is_prime:
+            assert f.divisor_graph_edges == compressed_zn(n).graph.num_edges, n
+    assert factor(10**12).divisor_graph_edges == 3948
+
+
 def test_nilpotent_divisors_examples():
     assert compressed_zn(72).nilpotent == (12, 24, 36)
     assert compressed_zn(12).nilpotent == (6,)
