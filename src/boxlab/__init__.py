@@ -65,8 +65,10 @@ from .zdg import (
     omega_chi_certificate,
     prime_power_rep,
     reduced_ring_box_bounds,
+    threshold_rep,
     zdg_zn,
     zn_join_cover,
+    zn_prime_cover,
     zn_report,
 )
 

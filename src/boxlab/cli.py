@@ -29,7 +29,7 @@ from .intervals import (
     make_cover,
     verify_cover,
 )
-from .joins import make_plan, skip_join_cover
+from .joins import make_plan, reduced_cover, skip_join_cover
 from .recognition import is_interval_graph
 from .zdg import (
     ZDG_MAX_N,
@@ -44,6 +44,7 @@ from .zdg import (
     reduced_ring_box_bounds,
     zdg_zn,
     zn_join_cover,
+    zn_prime_cover,
     zn_report,
 )
 
@@ -110,11 +111,15 @@ def _cmd_cover(args) -> int:
         cover = chi_cover(args.k, args.d)
         _info(f"cover of size {len(cover)} = chi({args.k},{args.d}) verified")
     elif args.family == "zdg":
-        cover = zn_join_cover(compressed_zn(args.n))
+        c = compressed_zn(args.n)
+        cover = zn_join_cover(c) if args.method == "join" else zn_prime_cover(c)
         _info(f"cover of size {len(cover)} for the zero-divisor graph of {args.n} verified")
     elif args.family == "boolean":
-        upper, cover = reduced_ring_box_bounds(args.k)
-        _info(f"cover of size {upper} verified")
+        if args.method == "join":
+            cover = reduced_cover(boolean_ring_graph(args.k).graph)
+        else:
+            _, cover = reduced_ring_box_bounds(args.k)
+        _info(f"cover of size {len(cover)} verified")
     else:  # join
         outer = graph_from_obj(_load_json(args.outer))
         parts = [graph_from_obj(_load_json(p)) for p in args.part]
@@ -276,6 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     c_zdg.add_argument("--n", type=int, required=True)
     c_bool = cover_sub.add_parser("boolean")
     c_bool.add_argument("--k", type=int, required=True)
+    for p in (c_zdg, c_bool):
+        p.add_argument(
+            "--method",
+            choices=("prime", "join"),
+            default="prime",
+            help="prime: one threshold member per prime of N or vector coordinate (default); "
+            "join: the paper's join construction",
+        )
     c_join = cover_sub.add_parser("join")
     c_join.add_argument("--outer", required=True)
     c_join.add_argument("--part", action="append", required=True)

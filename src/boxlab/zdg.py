@@ -8,18 +8,20 @@ when N divides d^2 and an independent block otherwise, and joining the
 blocks over the compressed graph rebuilds the full graph exactly.
 
 The divisor arithmetic certifies the clique number and chromatic number of
-the compressed graph without search, yields a verified interval cover of
-the full graph through the join construction, and decides which N have an
-interval zero-divisor graph, with explicit representations for the prime
-power cases.
+the compressed graph without search, yields verified interval covers of
+the full graph (one threshold member per prime of N, or the paper's join
+construction), and decides which N have an interval zero-divisor graph,
+with explicit representations for the prime power cases.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import ConstructionDefectError, InputError, ResourceBudgetError
 from .graphs import (
@@ -32,7 +34,7 @@ from .graphs import (
     make_graph,
 )
 from .intervals import IntervalCover, IntervalRep, interval_adjacency, point, verified_cover
-from .joins import lift_reps, make_plan, reduced_cover
+from .joins import lift_reps, make_plan
 
 
 # ---------------------------------------------------------------------------
@@ -400,31 +402,70 @@ def is_box_one(c: CompressedZN) -> bool:
     return odd_exponent <= 2
 
 
+# ---------------------------------------------------------------------------
+# threshold covers: one member per prime (or vector coordinate)
+
+
+_ZERO = Fraction(0)
+
+
+def threshold_rep(weights, e: int) -> IntervalRep:
+    """Interval representation of the threshold graph: x ~ y exactly when w(x) + w(y) >= e.
+
+    A vertex with 2w >= e gets the nested interval [0, w - ceil(e/2) + 1],
+    one shared per weight. A vertex with 2w < e gets its own point in the
+    open unit gap above floor(e/2) - w, and the interval of weight w'
+    reaches into that gap exactly when w' >= e - w; two points never meet.
+    The j-th of the s vertices of one low weight, in vertex order, sits at
+    j/(s+1) of the way across its gap.
+    """
+    half_down, half_up = e // 2, (e + 1) // 2
+    spans = {w: repeat((_ZERO, Fraction(w - half_up + 1))) for w in set(weights) if 2 * w >= e}
+    for w, s in Counter(w for w in weights if 2 * w < e).items():
+        gap = (half_down - w) * (s + 1)
+        spans[w] = iter([(x, x) for x in (Fraction(gap + j, s + 1) for j in range(1, s + 1))])
+    return IntervalRep(tuple([next(spans[w]) for w in weights]))
+
+
+def _prime_weights(c: CompressedZN, p: int) -> list[int]:
+    """Per direct-graph vertex, the exponent of p in its class's divisor."""
+    weights = [0] * len(c.direct[1])
+    for d, members in zip(c.divisors, c.positions):
+        w = _exponent_of(d, p)
+        for v in members:
+            weights[v] = w
+    return weights
+
+
+def zn_prime_cover(c: CompressedZN) -> IntervalCover:
+    """Verified cover of the full zero-divisor graph with one member per prime of N.
+
+    x*y = 0 mod N exactly when v_p(x) + v_p(y) >= e for every p^e exactly
+    dividing N, and for a zero divisor x the exponent min(v_p(x), e) is
+    v_p(gcd(x, N)). So the graph is the edge intersection of one threshold
+    graph per prime, in ascending p, each weighing a class by the exponent
+    of p in its divisor.
+    """
+    reps = [threshold_rep(_prime_weights(c, p), e) for p, e in sorted(c.f.exponents.items())]
+    return verified_cover(c.direct[0], reps, f"per-prime cover of the zero-divisor graph of {c.N}")
+
+
 def prime_power_rep(c: CompressedZN) -> IntervalRep:
     """Explicit interval representation of the zero-divisor graph of Z_{p^n}.
 
     Layer i is the class of gcd(x, p^n) = p^i for 1 <= i <= n-1; layers i
-    and j join exactly when i + j >= n. A layer with 2i >= n gets the
-    nested interval [0, i - ceil(n/2) + 1]; a lower layer gets isolated
-    points inside the unit gap above floor(n/2) - i, so each touches
-    exactly the upper layers it joins (for n = 3 the points 1/j, pinned
-    by the tests). The result is checked for exact equality with the
-    direct graph.
+    and j join exactly when i + j >= n, so this is `threshold_rep` with the
+    layer as weight and no weight-0 layer (for n = 3 the low layer sits at
+    the points 1/j instead, pinned by the tests). The result is checked for
+    exact equality with the direct graph.
     """
     if not c.f.is_prime_power:
         raise InputError(f"need a prime power with exponent >= 2, got {c.N}")
-    n = len(c.divisors) + 1  # the classes are p^1 .. p^(n-1), ascending
-    intervals: list = [None] * c.direct[0].n
-    for i, members in enumerate(c.positions, start=1):
-        size = len(members)
-        if 2 * i >= n:
-            layer = [(Fraction(0), Fraction(i - (n + 1) // 2 + 1))] * size
-        elif n == 3:
-            layer = [point(Fraction(1, j)) for j in range(1, size + 1)]
-        else:
-            layer = [point(n // 2 - i + Fraction(j, size + 1)) for j in range(1, size + 1)]
-        for v, iv in zip(members, layer):
-            intervals[v] = iv
+    ((p, n),) = c.f.exponents.items()
+    intervals = list(threshold_rep(_prime_weights(c, p), n).intervals)
+    if n == 3:
+        for j, v in enumerate(c.positions[0], start=1):
+            intervals[v] = point(Fraction(1, j))
     rep = IntervalRep(tuple(intervals))
     if interval_adjacency(rep) != c.direct[0].adj:
         raise ConstructionDefectError(
@@ -486,19 +527,19 @@ def boolean_ring_graph(k: int) -> BooleanRingGraph:
 
 
 def reduced_ring_box_bounds(k: int) -> tuple[int, IntervalCover]:
-    """(certified upper bound, verified cover) for the vector ring.
+    """(certified upper bound k, verified cover) for the vector ring.
 
-    The upper bound 2^k - 2 comes with a verified cover of one
-    representation per vertex: distinct masks have distinct neighborhoods,
-    so `reduced_cover` has one singleton class per vertex. No lower bound
-    is given: box = k fails already for k = 2 and 3 (boxicity 1 and 2).
+    Two vectors join exactly when no coordinate is set in both, so the
+    graph is the edge intersection over coordinates t of the threshold
+    graphs with weight 1 - bit_t and threshold 1: member t puts the vectors
+    without bit t on one interval and those with it at points inside it.
+    No lower bound is given: box = k fails already for k = 2 and 3
+    (boxicity 1 and 2).
     """
-    cover = reduced_cover(boolean_ring_graph(k).graph)
-    if len(cover) != 2**k - 2:
-        raise ConstructionDefectError(
-            f"vector-ring cover has {len(cover)} members, expected {2**k - 2}"
-        )
-    return 2**k - 2, cover
+    ring = boolean_ring_graph(k)
+    masks = range(1, 2**k - 1)
+    reps = [threshold_rep([1 - (m >> t & 1) for m in masks], 1) for t in range(k)]
+    return k, verified_cover(ring.graph, reps, f"per-coordinate cover of the vector ring of length {k}")
 
 
 # ---------------------------------------------------------------------------

@@ -275,22 +275,52 @@ def test_cover_join(tmp_path, capsys):
 
 def test_cover_boolean_claims_no_lower_bound(capsys):
     # box(Gamma(F_2^3)) = 2 < 3, so no lower bound k may be printed
-    code, out, err = run_capture(capsys, ["cover", "boolean", "--k", "3"])
+    code, out, err = run_capture(capsys, ["cover", "boolean", "--k", "3", "--method", "join"])
     assert code == 0
     assert err == "cover of size 6 verified\n"
     assert "lower" not in err and "claimed" not in err
     assert len(json.loads(out)["reps"]) == 6
 
 
+def test_cover_boolean_default_claims_no_lower_bound(capsys):
+    code, out, err = run_capture(capsys, ["cover", "boolean", "--k", "3"])
+    assert code == 0
+    assert err == "cover of size 3 verified\n"
+    assert "lower" not in err and "claimed" not in err
+    assert len(json.loads(out)["reps"]) == 3
+
+
 def test_boolean_ring_k7_needs_no_solver(capsys):
     code, out, _ = run_capture(capsys, ["gen", "boolean", "--k", "7"])
     assert code == 0
     assert json.loads(out)["n"] == 126
-    code, out, _ = run_capture(capsys, ["cover", "boolean", "--k", "7"])
+    code, out, _ = run_capture(capsys, ["cover", "boolean", "--k", "7", "--method", "join"])
     assert code == 0
     cover = cover_from_obj(json.loads(out))
     assert len(cover) == 126
     assert verify_cover(cover)[0]
+
+
+def test_boolean_ring_k7_default_cover_has_k_members(capsys):
+    code, out, _ = run_capture(capsys, ["cover", "boolean", "--k", "7"])
+    assert code == 0
+    cover = cover_from_obj(json.loads(out))
+    assert cover.claimed_graph.n == 126
+    assert len(cover) == 7
+    assert verify_cover(cover)[0]
+
+
+@pytest.mark.parametrize("n", [9, 25, 49])
+def test_cover_zdg_prime_square(n, capsys):
+    # one complete class: the default emits its one member, the join refuses
+    code, out, err = run_capture(capsys, ["cover", "zdg", "--n", str(n)])
+    assert code == 0
+    cover = cover_from_obj(json.loads(out))
+    assert len(cover) == 1 and verify_cover(cover)[0]
+    assert err == f"cover of size 1 for the zero-divisor graph of {n} verified\n"
+    code, out, err = run_capture(capsys, ["cover", "zdg", "--n", str(n), "--method", "join"])
+    assert code == 2 and out == ""
+    assert "every class" in err and "nilpotent" in err
 
 
 def test_boolean_ring_above_cap_exits_3_before_building(monkeypatch, capsys):

@@ -73,9 +73,13 @@ def _join(outer, parts, skip=()):
     return argv
 
 
+ZDG_N = (6, 12, 45, 72, 100, 180, 210, 330)
+BOOLEAN_K = range(2, 7)
+
 CORPUS = (
-    [["cover", "zdg", "--n", str(n)] for n in (6, 12, 45, 72, 100, 180, 210, 330)]
-    + [["cover", "boolean", "--k", str(k)] for k in range(2, 7)]
+    # the paper's join construction, reachable with its original bytes
+    [["cover", "zdg", "--n", str(n), "--method", "join"] for n in ZDG_N]
+    + [["cover", "boolean", "--k", str(k), "--method", "join"] for k in BOOLEAN_K]
     + [
         ["cover", "circular", "--k", str(k), "--d", str(d)]
         for k, d in ((4, 2), (6, 3), (7, 2), (11, 4), (13, 5), (30, 4))
@@ -107,19 +111,19 @@ CORPUS = (
 )
 
 GOLDEN = {
-    "cover zdg --n 6": (0, "3ec96c416c83a26e300c9f72f42a4a1b0a01795085c5272d0fa7b3133ca88c50"),
-    "cover zdg --n 12": (0, "3aac6df349810d1b6f7ad68fa67435309adf5258e26417f00b71d7603627a200"),
-    "cover zdg --n 45": (0, "855d89e09a8c8d09e20ac362aa5d1f6775c3b8b3f087ae6f77bd468ab3c04080"),
-    "cover zdg --n 72": (0, "d0382c1cea1499c66e63da850a70995560860049c01e7ab51586d68f0a3f687f"),
-    "cover zdg --n 100": (0, "028f923f729ef438114972b91572169b26223877659da7ff57825471971afab1"),
-    "cover zdg --n 180": (0, "99acad95756f012017a4ebca7b50fcdf141665f2b44b40b879e7fae7f834d23d"),
-    "cover zdg --n 210": (0, "050a84690c3de69b6bca036acaafe872d5c77b2cd84e391241f796d0ae04a168"),
-    "cover zdg --n 330": (0, "a95b9f6ae9f5268dc1f915d0ad290e2eee08889ec0c992b9fcba14f94732f67c"),
-    "cover boolean --k 2": (0, "6a9ee846f8aaf2710e3b2fd52a7c2a2818318761a65601130509aee88823b308"),
-    "cover boolean --k 3": (0, "4e0b94a4d4d2ed8ecca9abd4e7a007401cc4fd2be6739337f3a6f807191c754c"),
-    "cover boolean --k 4": (0, "8655323378fafcf6aad13ce093cc1ac0155cbe8c601328628051c250c0c0a3a0"),
-    "cover boolean --k 5": (0, "a82524a7e0e4bd2a49ef85e65194c23c1e2e60181dae18db48e24f8ef2518a60"),
-    "cover boolean --k 6": (0, "858601a2b583834aa64451f563dd7068a3aa2d567dffa94a0c9c90312aa90242"),
+    "cover zdg --n 6 --method join": (0, "3ec96c416c83a26e300c9f72f42a4a1b0a01795085c5272d0fa7b3133ca88c50"),
+    "cover zdg --n 12 --method join": (0, "3aac6df349810d1b6f7ad68fa67435309adf5258e26417f00b71d7603627a200"),
+    "cover zdg --n 45 --method join": (0, "855d89e09a8c8d09e20ac362aa5d1f6775c3b8b3f087ae6f77bd468ab3c04080"),
+    "cover zdg --n 72 --method join": (0, "d0382c1cea1499c66e63da850a70995560860049c01e7ab51586d68f0a3f687f"),
+    "cover zdg --n 100 --method join": (0, "028f923f729ef438114972b91572169b26223877659da7ff57825471971afab1"),
+    "cover zdg --n 180 --method join": (0, "99acad95756f012017a4ebca7b50fcdf141665f2b44b40b879e7fae7f834d23d"),
+    "cover zdg --n 210 --method join": (0, "050a84690c3de69b6bca036acaafe872d5c77b2cd84e391241f796d0ae04a168"),
+    "cover zdg --n 330 --method join": (0, "a95b9f6ae9f5268dc1f915d0ad290e2eee08889ec0c992b9fcba14f94732f67c"),
+    "cover boolean --k 2 --method join": (0, "6a9ee846f8aaf2710e3b2fd52a7c2a2818318761a65601130509aee88823b308"),
+    "cover boolean --k 3 --method join": (0, "4e0b94a4d4d2ed8ecca9abd4e7a007401cc4fd2be6739337f3a6f807191c754c"),
+    "cover boolean --k 4 --method join": (0, "8655323378fafcf6aad13ce093cc1ac0155cbe8c601328628051c250c0c0a3a0"),
+    "cover boolean --k 5 --method join": (0, "a82524a7e0e4bd2a49ef85e65194c23c1e2e60181dae18db48e24f8ef2518a60"),
+    "cover boolean --k 6 --method join": (0, "858601a2b583834aa64451f563dd7068a3aa2d567dffa94a0c9c90312aa90242"),
     "cover circular --k 4 --d 2": (0, "82e77a65742973b7b84ab3d13dc2e823a85e83c453f959d89f21f6adfbceb19a"),
     "cover circular --k 6 --d 3": (0, "ee58ebd1c0f63f3ee292f5b0c954e198bb73d2b5c0bd99f327780c9c61ea1339"),
     "cover circular --k 7 --d 2": (0, "67a9bfc96dd368120d7b25d3e8612d4cc8013f31d5683dc6e85019f4406851bc"),

@@ -41,6 +41,8 @@ def calls(count_calls):
     [
         ["cover", "zdg", "--n", "72"],
         ["cover", "boolean", "--k", "4"],
+        ["cover", "zdg", "--n", "72", "--method", "join"],
+        ["cover", "boolean", "--k", "4", "--method", "join"],
     ],
     ids=" ".join,
 )

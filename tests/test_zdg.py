@@ -3,6 +3,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boxlab.zdg
 from boxlab import (
@@ -23,10 +25,13 @@ from boxlab import (
     make_graph,
     omega_chi_certificate,
     prime_power_rep,
+    reduced_cover,
     reduced_ring_box_bounds,
+    threshold_rep,
     verify_cover,
     zdg_zn,
     zn_join_cover,
+    zn_prime_cover,
     zn_report,
 )
 
@@ -257,16 +262,79 @@ def test_boolean_ring_graphs():
 
 
 def test_reduced_ring_bounds():
-    for k, expected_upper in ((2, 2), (3, 6), (4, 14)):
+    for k, expected_join in ((2, 2), (3, 6), (4, 14)):
         upper, cover = reduced_ring_box_bounds(k)
-        assert upper == expected_upper == 2**k - 2
-        assert len(cover) == expected_upper
+        assert upper == len(cover) == k
         assert verify_cover(cover)[0]
+        # the join construction: one member per vertex
+        join = reduced_cover(boolean_ring_graph(k).graph)
+        assert len(join) == expected_join == 2**k - 2
+        assert verify_cover(join)[0]
     # box = k fails: Gamma(F_2^2) is K_2 and Gamma(F_2^3) is the net
     for k, box in ((2, 1), (3, 2)):
         value, witness = boxicity_exact(boolean_ring_graph(k).graph)
         assert value == box
         assert verify_cover(witness)[0]
+
+
+@given(st.lists(st.integers(0, 5), max_size=12), st.integers(0, 6))
+@settings(max_examples=150)
+def test_threshold_rep_realizes_the_threshold_graph(weights, e):
+    expected = make_graph(
+        len(weights),
+        [(u, v) for u in range(len(weights)) for v in range(u + 1, len(weights))
+         if weights[u] + weights[v] >= e],
+    )
+    assert graph_of_intervals(threshold_rep(weights, e)) == expected
+
+
+def test_threshold_rep_shares_one_interval_per_high_weight():
+    rep = threshold_rep([3, 0, 2, 3, 1, 2, 0], 4)
+    assert rep.intervals[0] is rep.intervals[3] and rep.intervals[2] is rep.intervals[5]
+    assert rep.intervals[0] == (Fraction(0), Fraction(2))
+    assert rep.intervals[2] == (Fraction(0), Fraction(1))
+    # weight 1 alone in the gap (1, 2), weight 0 twice in the gap (2, 3)
+    assert rep.intervals[4] == (Fraction(3, 2), Fraction(3, 2))
+    assert [rep.intervals[v][0] for v in (1, 6)] == [Fraction(7, 3), Fraction(8, 3)]
+
+
+@st.composite
+def composites(draw):
+    n = draw(st.integers(4, 3000))
+    if factor(n).is_prime:
+        n += 1  # the successor of a prime above 3 is even
+    return n
+
+
+@given(composites())
+@settings(max_examples=40, deadline=None)
+def test_prime_cover_has_one_member_per_prime(n):
+    c = compressed_zn(n)
+    cover = zn_prime_cover(c)
+    primes = len(c.f.exponents)
+    assert len(cover) == primes <= max(1, compressed_box_bound(c))
+    assert cover.claimed_graph == zdg_zn(n)[0]
+    assert verify_cover(cover)[0]
+
+
+def test_prime_cover_of_prime_square_is_one_member():
+    for n in (9, 25, 49):
+        cover = zn_prime_cover(compressed_zn(n))
+        assert len(cover) == 1 and verify_cover(cover)[0]
+
+
+def test_prime_power_cover_is_the_prime_power_rep_off_n_3():
+    for n in (16, 32, 81, 625):
+        c = compressed_zn(n)
+        assert zn_prime_cover(c).reps == (prime_power_rep(c),)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_boolean_cover_has_one_member_per_coordinate(k):
+    upper, cover = reduced_ring_box_bounds(k)
+    assert upper == len(cover) == k
+    assert cover.claimed_graph == boolean_ring_graph(k).graph
+    assert verify_cover(cover)[0]
 
 
 def test_zn_report_72():
