@@ -213,7 +213,7 @@ def _cell(check) -> str:
 def _cmd_sweep_zdg(args) -> int:
     if args.nmax > ZDG_MAX_N:
         raise ResourceBudgetError(f"N = {args.nmax} exceeds the direct-graph limit {ZDG_MAX_N}")
-    rows = ["N\tomega_chi\texpand\tbox_one\tpp_rep\tcover\tstatus"]
+    rows = ["N\tomega_chi\texpand\tbox_one\tpp_rep\tcover\tprime\tstatus"]
     failures = 0
     for n in range(4, args.nmax + 1):
         try:
@@ -236,6 +236,8 @@ def _cmd_sweep_zdg(args) -> int:
                 "-",
                 on_record(lambda: len(zn_join_cover(c)) <= max(1, compressed_box_bound(c))),
             ]
+        # the per-prime cover: one verified member per prime of N
+        cells.append(on_record(lambda: len(zn_prime_cover(c)) == len(c.f.exponents)))
         ok = "FAIL" not in cells
         if not ok:
             failures += 1

@@ -77,8 +77,10 @@ ZDG_N = (6, 12, 45, 72, 100, 180, 210, 330)
 BOOLEAN_K = range(2, 7)
 
 CORPUS = (
+    [["cover", "zdg", "--n", str(n)] for n in ZDG_N]
+    + [["cover", "boolean", "--k", str(k)] for k in BOOLEAN_K]
     # the paper's join construction, reachable with its original bytes
-    [["cover", "zdg", "--n", str(n), "--method", "join"] for n in ZDG_N]
+    + [["cover", "zdg", "--n", str(n), "--method", "join"] for n in ZDG_N]
     + [["cover", "boolean", "--k", str(k), "--method", "join"] for k in BOOLEAN_K]
     + [
         ["cover", "circular", "--k", str(k), "--d", str(d)]
@@ -111,6 +113,19 @@ CORPUS = (
 )
 
 GOLDEN = {
+    "cover zdg --n 6": (0, "88811587799571b576f94f06110e32798d71b12068ad8c4a71dd42bb797bad24"),
+    "cover zdg --n 12": (0, "65400b719eddaacad9b8e1f98e9b822fba369f4c87f31b59df96208dd31f41d0"),
+    "cover zdg --n 45": (0, "a8d51fd19d5ca2c340d09b7a4fdc1ca1c451bf4239a8279380daf626a0ca0203"),
+    "cover zdg --n 72": (0, "79b32577e736954536d48e2c0337801392072fd0c076552f58b3c3c9d31e56fd"),
+    "cover zdg --n 100": (0, "6b30e22a7bafd0287a1c5bd2d2065d7bf3121426305e2b9016491536638bb1bd"),
+    "cover zdg --n 180": (0, "ae9f1bc5bd2f51933cbe720c197d90a43dabf2fc95484aacfcd978b0a12abdb0"),
+    "cover zdg --n 210": (0, "26e8b015894dfe87342e8eb36377228d7767a40b02d8e9b79e35b459bad16ebd"),
+    "cover zdg --n 330": (0, "36ff9742ca2e944ce6f8f4f34d59552e97fc36ea6ab85d56514c4bb853eb1ca7"),
+    "cover boolean --k 2": (0, "8fd5a21223c10f60c0beadd4e8533c089cfd586e077497add90719a77696d4f0"),
+    "cover boolean --k 3": (0, "987698cb048062e8c06667b1978096e04869cc990adb6245da67bc9615d91d2e"),
+    "cover boolean --k 4": (0, "4d8fbd5f4a0d80952ab659f56ee46518e9e38ca14c59c5c6e3f9cf619cf6db68"),
+    "cover boolean --k 5": (0, "ad221ddaac581c4d9becffe82da1f5c8c12774ff7156e052a6ce6ad503e0a02a"),
+    "cover boolean --k 6": (0, "c177278227bd4e974da5ed8b727711c6ad51732a9ff4f849bf26a388d7ea5a82"),
     "cover zdg --n 6 --method join": (0, "3ec96c416c83a26e300c9f72f42a4a1b0a01795085c5272d0fa7b3133ca88c50"),
     "cover zdg --n 12 --method join": (0, "3aac6df349810d1b6f7ad68fa67435309adf5258e26417f00b71d7603627a200"),
     "cover zdg --n 45 --method join": (0, "855d89e09a8c8d09e20ac362aa5d1f6775c3b8b3f087ae6f77bd468ab3c04080"),
@@ -148,7 +163,7 @@ GOLDEN = {
     "gen boolean --k 3": (0, "240be8b269ffec516bf6da90e43bf7455a03234b6f96a0e66691a3add1f46d7b"),
     "gen circular --k 7 --d 2": (0, "fc924cf7197ef7457e31f5933c403935778d29832c0f55887ea803776b5eb1f1"),
     "sweep circular --dmax 4 --kmax 14": (0, "de43dbd5de6acd7dc228455a4d90cadc1899897f0e89f33558defb40e2bea919"),
-    "sweep zdg --nmax 60": (0, "d987a90fa0c3202b661d62c8fee32dc659b054bfadc593d6ffe0f7785e935255"),
+    "sweep zdg --nmax 60": (0, "8c0e3b8b70160b28fda8ae4553adbf2d7d2ad0b2a882aab2adb2874ee52bb012"),
     "verify --graph @z72 --cover @z72_cover": (0, "c755d3dcbec482786aeb857e92c35427050cfbe6e77d1997e67f6ecb1537b7ba"),
     "verify --graph @z72 --cover @z72_far": (1, "6ae691cd9416346babc5ea0e64ec1a816a49ee2053be69d95c65a3a5319bbac0"),
     "verify --graph @z72 --cover @z72_dropped": (1, "9d5cfe27259288ac5732654d1c5dae22e4a20357c0f073459352f83a3ee62e8a"),
