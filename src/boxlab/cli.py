@@ -236,7 +236,7 @@ def _cmd_sweep_zdg(args) -> int:
                 "-",
                 on_record(lambda: len(zn_join_cover(c)) <= max(1, compressed_box_bound(c))),
             ]
-        # the per-prime cover: one verified member per prime of N
+        # r(N) verified members, one per prime of N
         cells.append(on_record(lambda: len(zn_prime_cover(c)) == len(c.f.exponents)))
         ok = "FAIL" not in cells
         if not ok:

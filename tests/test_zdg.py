@@ -317,12 +317,6 @@ def test_prime_cover_has_one_member_per_prime(n):
     assert verify_cover(cover)[0]
 
 
-def test_prime_cover_of_prime_square_is_one_member():
-    for n in (9, 25, 49):
-        cover = zn_prime_cover(compressed_zn(n))
-        assert len(cover) == 1 and verify_cover(cover)[0]
-
-
 def test_prime_power_cover_is_the_prime_power_rep_off_n_3():
     for n in (16, 32, 81, 625):
         c = compressed_zn(n)
