@@ -8,9 +8,9 @@ component labelings of the graph minus a closed neighborhood.
 Positive answers come with a representation extracted from a consecutive
 ordering of the maximal cliques; negative answers come with a re-verifiable
 obstruction (an induced cycle of length at least 4, or an asteroidal
-triple). The clique ordering is found by an exhaustive search with
-consecutiveness pruning, tried first under a node budget linear in the
-clique count; the cubic asteroidal-triple scan runs only when it fails.
+triple). The clique ordering comes from one deterministic pass of
+partition refinement on the cliques; the cubic asteroidal-triple scan runs
+only when that pass finds no consecutive order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import ConstructionDefectError, ResourceBudgetError
+from .errors import ConstructionDefectError
 from .graphs import Graph, bits
 from .intervals import IntervalRep, interval_adjacency
 
@@ -223,104 +223,83 @@ def maximal_cliques_chordal(g: Graph, peo: list[int]) -> list[frozenset[int]]:
     return out
 
 
-_ORDER_NODE_CAP = 2_000_000
-
-
 def consecutive_clique_order(
-    cliques: list[frozenset[int]], n: int, *, _cap: int = _ORDER_NODE_CAP
+    cliques: list[frozenset[int]], peo: list[int]
 ) -> list[int] | None:
     """Order clique indices so every vertex's cliques appear consecutively.
 
-    Exhaustive left-to-right placement. The two pruning rules are exactly
-    the consecutiveness condition, so the search returns an order whenever
-    one exists: the next clique must contain every vertex of the previous
-    clique that still has unplaced cliques, and may not contain a vertex
-    whose run already ended. More than `_cap` search nodes raise
-    `ResourceBudgetError`; below it the answer does not depend on the cap.
+    One pass of partition refinement on the cliques (Habib, McConnell, Paul
+    and Viennot, TCS 2000). The classes are contiguous ranges of one array,
+    in their final left-to-right order. A pivot is a vertex whose cliques
+    lie in two or more classes: in the first of them its cliques move to
+    the right end, in the last to the left end, and each real split queues
+    the vertices of the moved cliques. Each pivot is used once. With no
+    pivot left, the clique generated last by Lex-BFS among those not yet
+    alone moves to the right end of its class; a clique's generator is its
+    vertex that comes first in `peo`. Returns None when the final order is
+    not consecutive, which happens exactly when no order is.
     """
     q = len(cliques)
     if q <= 1:
         return list(range(q))
-    vert_cliques: dict[int, set[int]] = {}
+    rank = [0] * len(peo)
+    for i, v in enumerate(peo):
+        rank[v] = i
+    vert_cliques: list[list[int]] = [[] for _ in peo]
     for i, c in enumerate(cliques):
         for v in c:
-            vert_cliques.setdefault(v, set()).add(i)
-
-    # split by shared vertices; components can be concatenated freely
-    parent = list(range(q))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for ids in vert_cliques.values():
-        ids = sorted(ids)
-        for other in ids[1:]:
-            ra, rb = find(ids[0]), find(other)
-            if ra != rb:
-                parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for i in range(q):
-        groups.setdefault(find(i), []).append(i)
-
-    nodes = [0]
-
-    def solve_group(members: list[int]) -> list[int] | None:
-        if len(members) == 1:
-            return members
-        member_set = set(members)
-        exclusive = {
-            i
-            for i in members
-            if any(len(vert_cliques[v]) == 1 for v in cliques[i])
-        }
-        starts = sorted(exclusive) if exclusive else sorted(members)
-
-        def extend(start: int) -> list[int] | None:
-            # depth-first over partial orders; each stack frame keeps the
-            # untried candidates of one node, best first
-            order, placed, seen = [start], {start}, set(cliques[start])
-            stack = []
-            while True:
-                nodes[0] += 1
-                if nodes[0] > _cap:
-                    raise ResourceBudgetError("clique ordering search exceeded its node cap")
-                if len(order) == len(members):
-                    return order
-                prev = cliques[order[-1]]
-                open_vs = {v for v in prev if not vert_cliques[v] <= placed}
-                candidates = []
-                for i in member_set - placed:
-                    c = cliques[i]
-                    if open_vs <= c and (c & seen) <= prev:
-                        candidates.append(i)
-                candidates.sort(key=lambda i: (-len(cliques[i] & prev), i))
-                stack.append((order, placed, seen, iter(candidates)))
-                while stack:
-                    order, placed, seen, untried = stack[-1]
-                    i = next(untried, None)
-                    if i is not None:
-                        break
-                    stack.pop()
-                else:
-                    return None
-                order, placed, seen = order + [i], placed | {i}, seen | cliques[i]
-
-        for s in starts:
-            res = extend(s)
-            if res is not None:
-                return res
-        return None
-
-    ordered: list[int] = []
-    for members in groups.values():
-        sub = solve_group(sorted(members))
-        if sub is None:
-            return None
-        ordered.extend(sub)
-    return ordered
+            vert_cliques[v].append(i)
+    gen = [min(map(rank.__getitem__, c)) for c in cliques]
+    by_gen, nxt = sorted(range(q), key=gen.__getitem__), 0
+    arr, pos, cls, span = list(range(q)), list(range(q)), [0] * q, [(0, q)]
+    done, queue, head = [False] * len(peo), [], 0
+    while True:
+        if head < len(queue):
+            x = queue[head]
+            head += 1
+            if done[x]:
+                continue
+            mine = vert_cliques[x]
+            first = last = cls[mine[0]]
+            for i in mine:
+                k = cls[i]
+                if span[k] < span[first]:
+                    first = k
+                elif span[k] > span[last]:
+                    last = k
+            if first == last:
+                continue  # not a pivot yet; a later split queues x again
+            done[x] = True
+            moves = (
+                (first, [i for i in mine if cls[i] == first], True),
+                (last, [i for i in mine if cls[i] == last], False),
+            )
+        else:
+            while nxt < q and span[cls[by_gen[nxt]]][1] - span[cls[by_gen[nxt]]][0] == 1:
+                nxt += 1
+            if nxt == q:
+                break
+            moves = ((cls[by_gen[nxt]], [by_gen[nxt]], True),)
+        for k, moved, right in moves:
+            s, e = span[k]
+            if len(moved) == e - s:
+                continue
+            b = e - len(moved) if right else s + len(moved)
+            for t, i in enumerate(moved, b if right else s):
+                p, other = pos[i], arr[t]
+                arr[p], arr[t] = other, i
+                pos[other], pos[i] = p, t
+            span[k] = (s, b) if right else (b, e)
+            span.append((b, e) if right else (s, b))
+            for i in moved:
+                cls[i] = len(span) - 1
+                queue.extend(cliques[i])
+    for mine in vert_cliques:
+        if len(mine) > 1:
+            where = [pos[i] for i in mine]
+            if max(where) - min(where) >= len(where):
+                return None
+    return arr
 
 
 def rep_from_clique_order(
@@ -357,22 +336,15 @@ def is_interval_graph(g: Graph) -> tuple[bool, IntervalRep | Obstruction]:
             raise ConstructionDefectError("hole witness failed re-verification", hole)
         return False, Obstruction("chordless-cycle", hole)
     cliques = maximal_cliques_chordal(g, peo)
-    try:
-        # interval graphs stay far inside this budget; without it the search
-        # can go exponential on a chordal graph with an asteroidal triple
-        order = consecutive_clique_order(cliques, g.n, _cap=8 * len(cliques) + 64)
-    except ResourceBudgetError:
-        order = None
+    order = consecutive_clique_order(cliques, peo)
     if order is None:
+        # chordal without a consecutive clique order: an AT must exist
         at = find_asteroidal_triple(g)
-        if at is not None:
-            if not is_asteroidal_triple(g, at):
-                raise ConstructionDefectError("AT witness failed re-verification", at)
-            return False, Obstruction("asteroidal-triple", at)
-        order = consecutive_clique_order(cliques, g.n)
-        if order is None:
-            # chordal and AT-free guarantees a consecutive ordering exists
-            raise ConstructionDefectError("no consecutive clique ordering found", g)
+        if at is None:
+            raise ConstructionDefectError("no consecutive clique order and no asteroidal triple", g)
+        if not is_asteroidal_triple(g, at):
+            raise ConstructionDefectError("AT witness failed re-verification", at)
+        return False, Obstruction("asteroidal-triple", at)
     rep = rep_from_clique_order(cliques, order, g.n)
     if interval_adjacency(rep) != g.adj:
         raise ConstructionDefectError("extracted representation does not realize the graph", rep)

@@ -6,9 +6,10 @@ coloring and cliques through exhaustive search. The cover checker and the
 intersection graph are the package's earlier edge-set versions, kept as
 differential references for the bitset kernel that replaced them. The
 list-label Lex-BFS, the unfiltered hole scan, the pairwise maximal-clique
-filter and the asteroidal-triple-first recognizer are the package's earlier
-recognition steps, kept as references for the faster ones that replaced them;
-they read neighbours from the bitsets of `Graph.adj`. The component and
+filter, the exhaustive clique-order search and the asteroidal-triple-first
+recognizer are the package's earlier recognition steps, kept as references
+for the faster ones that replaced them; they read neighbours from the
+bitsets of `Graph.adj`. The component and
 neighbourhood-quotient versions below are the package's earlier ones on
 neighbour sets, kept as references for the bitset versions. The unpruned
 kill-set scan is the exact boxicity oracle's step 1 before it skipped
@@ -22,13 +23,12 @@ from hypothesis import strategies as st
 
 from boxlab import Graph, boxicity_exact, edge_intersection, make_graph
 from boxlab import boxicity
-from boxlab.errors import ConstructionDefectError
+from boxlab.errors import ConstructionDefectError, ResourceBudgetError
 from boxlab.graphs import bits, make_partition
 from boxlab.intervals import CoverViolation, IntervalCover, IntervalRep
 from boxlab.recognition import (
     Obstruction,
     _bfs_path,
-    consecutive_clique_order,
     find_asteroidal_triple,
     perfect_elimination_order,
     rep_from_clique_order,
@@ -62,6 +62,17 @@ def interval_graphs(draw, max_n=60):
             if spans[u][0] <= sum(spans[v]) and spans[v][0] <= sum(spans[u])
         ],
     )
+
+
+@st.composite
+def disjoint_interval_graphs(draw, max_n=60):
+    """Two random interval graphs side by side, all vertices relabelled."""
+    a = draw(interval_graphs(max_n=max_n // 2))
+    b = draw(interval_graphs(max_n=max_n // 2))
+    n = a.n + b.n
+    perm = draw(st.permutations(range(n)))
+    edges = [*a.edges, *((a.n + u, a.n + v) for u, v in b.edges)]
+    return make_graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 SUBDIVIDED_CLAW = [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]  # AT 2, 4, 6
@@ -280,6 +291,106 @@ def maximal_cliques_chordal(g: Graph, peo: list[int]) -> list[frozenset[int]]:
         if not any(c <= m for m in out):
             out.append(c)
     return out
+
+
+_ORDER_NODE_CAP = 2_000_000
+
+
+def consecutive_clique_order(
+    cliques: list[frozenset[int]], n: int, *, _cap: int = _ORDER_NODE_CAP
+) -> list[int] | None:
+    """Order clique indices so every vertex's cliques appear consecutively.
+
+    Exhaustive left-to-right placement. The two pruning rules are exactly
+    the consecutiveness condition, so the search returns an order whenever
+    one exists: the next clique must contain every vertex of the previous
+    clique that still has unplaced cliques, and may not contain a vertex
+    whose run already ended. More than `_cap` search nodes raise
+    `ResourceBudgetError`; below it the answer does not depend on the cap.
+    """
+    q = len(cliques)
+    if q <= 1:
+        return list(range(q))
+    vert_cliques: dict[int, set[int]] = {}
+    for i, c in enumerate(cliques):
+        for v in c:
+            vert_cliques.setdefault(v, set()).add(i)
+
+    # split by shared vertices; components can be concatenated freely
+    parent = list(range(q))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for ids in vert_cliques.values():
+        ids = sorted(ids)
+        for other in ids[1:]:
+            ra, rb = find(ids[0]), find(other)
+            if ra != rb:
+                parent[rb] = ra
+    groups: dict[int, list[int]] = {}
+    for i in range(q):
+        groups.setdefault(find(i), []).append(i)
+
+    nodes = [0]
+
+    def solve_group(members: list[int]) -> list[int] | None:
+        if len(members) == 1:
+            return members
+        member_set = set(members)
+        exclusive = {
+            i
+            for i in members
+            if any(len(vert_cliques[v]) == 1 for v in cliques[i])
+        }
+        starts = sorted(exclusive) if exclusive else sorted(members)
+
+        def extend(start: int) -> list[int] | None:
+            # depth-first over partial orders; each stack frame keeps the
+            # untried candidates of one node, best first
+            order, placed, seen = [start], {start}, set(cliques[start])
+            stack = []
+            while True:
+                nodes[0] += 1
+                if nodes[0] > _cap:
+                    raise ResourceBudgetError("clique ordering search exceeded its node cap")
+                if len(order) == len(members):
+                    return order
+                prev = cliques[order[-1]]
+                open_vs = {v for v in prev if not vert_cliques[v] <= placed}
+                candidates = []
+                for i in member_set - placed:
+                    c = cliques[i]
+                    if open_vs <= c and (c & seen) <= prev:
+                        candidates.append(i)
+                candidates.sort(key=lambda i: (-len(cliques[i] & prev), i))
+                stack.append((order, placed, seen, iter(candidates)))
+                while stack:
+                    order, placed, seen, untried = stack[-1]
+                    i = next(untried, None)
+                    if i is not None:
+                        break
+                    stack.pop()
+                else:
+                    return None
+                order, placed, seen = order + [i], placed | {i}, seen | cliques[i]
+
+        for s in starts:
+            res = extend(s)
+            if res is not None:
+                return res
+        return None
+
+    ordered: list[int] = []
+    for members in groups.values():
+        sub = solve_group(sorted(members))
+        if sub is None:
+            return None
+        ordered.extend(sub)
+    return ordered
 
 
 def is_interval_graph(g: Graph):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from boxlab import (
     make_graph,
     path_graph,
 )
+from boxlab.intervals import interval_adjacency
 from boxlab.recognition import (
     consecutive_clique_order,
     find_chordless_cycle,
@@ -26,6 +29,7 @@ import oracles
 from oracles import (
     atlas_connected,
     brute_is_interval,
+    disjoint_interval_graphs,
     graphs,
     interval_graphs,
     net_graph,
@@ -106,16 +110,24 @@ def test_disconnected_interval_graph():
     assert graph_of_intervals(rep) == g
 
 
+def is_consecutive(cliques, order) -> bool:
+    """`order` lists every clique once and each vertex's cliques form one run."""
+    if sorted(order) != list(range(len(cliques))):
+        return False
+    where: dict[int, list[int]] = {}
+    for pos, idx in enumerate(order):
+        for v in cliques[idx]:
+            where.setdefault(v, []).append(pos)
+    return all(w[-1] - w[0] + 1 == len(w) for w in where.values())
+
+
 def test_clique_order_search_is_not_bounded_by_recursion_depth():
     # 1199 cliques: a search that recursed once per placed clique would
     # overflow the interpreter stack here
     g = path_graph(1200)
-    cliques = maximal_cliques_chordal(g, perfect_elimination_order(g))
-    order = consecutive_clique_order(cliques, g.n)
-    assert sorted(order) == list(range(len(cliques)))
-    for v in range(g.n):
-        where = [pos for pos, idx in enumerate(order) if v in cliques[idx]]
-        assert where == list(range(where[0], where[-1] + 1))
+    peo = perfect_elimination_order(g)
+    cliques = maximal_cliques_chordal(g, peo)
+    assert is_consecutive(cliques, consecutive_clique_order(cliques, peo))
 
 
 def test_interval_path_is_recognized_without_the_cubic_scan():
@@ -124,6 +136,28 @@ def test_interval_path_is_recognized_without_the_cubic_scan():
     ok, rep = is_interval_graph(g)
     assert ok
     assert graph_of_intervals(rep) == g
+
+
+def random_interval_graph(n: int, seed: int):
+    """n integer intervals of length below 8 on [0, 3n], edges by a sweep."""
+    rng = random.Random(seed)
+    starts = rng.choices(range(3 * n), k=n)
+    spans = sorted((lo, lo + rng.randrange(8), v) for v, lo in enumerate(starts))
+    edges = []
+    for a, (lo, hi, u) in enumerate(spans):
+        for lo2, _, v in spans[a + 1 :]:
+            if lo2 > hi:
+                break
+            edges.append((u, v))
+    return make_graph(n, edges)
+
+
+@pytest.mark.parametrize("kind", ["path", "random"])
+def test_ten_thousand_vertex_interval_graphs_are_recognized(kind):
+    g = path_graph(10_000) if kind == "path" else random_interval_graph(10_000, seed=1)
+    ok, rep = is_interval_graph(g)
+    assert ok
+    assert interval_adjacency(rep) == g.adj
 
 
 def test_caterpillar_with_claw_yields_asteroidal_triple():
@@ -152,8 +186,36 @@ def test_lex_bfs_matches_list_label_oracle(g):
 @given(RECOGNITION_INPUTS)
 @settings(max_examples=150, deadline=None)
 def test_recognizer_matches_at_first_flow(g):
-    # same verdict, and the same representation or witness element by element
-    assert is_interval_graph(g) == oracles.is_interval_graph(g)
+    # same verdict and the same witness element by element; a representation
+    # may differ from the oracle's, but it must realize g exactly
+    ok, payload = is_interval_graph(g)
+    oracle_ok, oracle_payload = oracles.is_interval_graph(g)
+    assert ok == oracle_ok
+    if ok:
+        assert interval_adjacency(payload) == g.adj
+    else:
+        assert payload == oracle_payload
+
+
+def assert_order_matches_search(g):
+    peo = perfect_elimination_order(g)
+    cliques = maximal_cliques_chordal(g, peo)
+    order = consecutive_clique_order(cliques, peo)
+    assert (order is None) == (oracles.consecutive_clique_order(cliques, g.n) is None)
+    assert order is None or is_consecutive(cliques, order)
+
+
+def test_clique_order_matches_search_on_atlas():
+    chordal = [g for g in atlas_connected(7) if perfect_elimination_order(g) is not None]
+    for g in chordal:
+        assert_order_matches_search(g)
+
+
+@given(st.one_of(RECOGNITION_INPUTS, disjoint_interval_graphs()))
+@settings(max_examples=200, deadline=None)
+def test_clique_order_matches_search(g):
+    assume(perfect_elimination_order(g) is not None)
+    assert_order_matches_search(g)
 
 
 @given(st.one_of(graphs(max_n=9), planted_hole_graphs()))
