@@ -145,14 +145,14 @@ GOLDEN = {
     "cover circular --k 11 --d 4": (0, "96b2fea524d2bcf21136f2d3237c192e21175219dc208aa85c1b737f775cd960"),
     "cover circular --k 13 --d 5": (0, "1d540b070cc0251da27614965d588e525d8f154b4cdc0ecbcb3d65b3ee79d416"),
     "cover circular --k 30 --d 4": (0, "241e67d9c19ce4d4c7f97af99f11e41a9f35735e9a8c73585481b5b3ba987e01"),
-    "cover join --outer @p3 --part @c4 --part @k2 --part @e3": (0, "4b93037c93e84a01f3062ac2dcf893f36ecb72c9128b010ef6cd1e9952c6e9ae"),
-    "cover join --outer @k3 --part @k3 --part @c4 --part @p3 --skip 0": (0, "160e8446b35625c42f9bd810db1eb9c9e6b167379342b071b53859da8353e8ed"),
-    "box --graph @c4": (0, "7feebf231f189b92cb66006c02809c0a5efc9595e006fb41d2610458abd67200"),
+    "cover join --outer @p3 --part @c4 --part @k2 --part @e3": (0, "cdaf2927a5bea36d6e2c2a304218b6d3adbdc8ebc5d19bde062a5a7e0607a269"),
+    "cover join --outer @k3 --part @k3 --part @c4 --part @p3 --skip 0": (0, "b94af69c574d4214a208a93c8ed88cc23b0adfa336d7562a2df1e35003f0e8a9"),
+    "box --graph @c4": (0, "ef9a00cbc39b25ff1feb612a79a6a02c007013637cebeba24150c59880bdcda1"),
     "box --graph @c4 --max 1": (0, "62cc4307f5f5767007081675809562429425f2cf79406fe7bfabf5a525df9a88"),
-    "box --graph @int10": (0, "6f7a36587b8c1484361138a1d1331b901381480b9c7f37edbbddfb1668ff7a36"),
-    "box --graph @p6": (0, "244fa0dd34445e535a7fa37121979f00e4c35c0f36cebab98d9adefdcc4cc844"),
-    "box --graph @net": (0, "c7fa14ac77e9dbea66fe3914a8fc630bf831635c62141e0d8e03272dd61c304a"),
-    "box --graph @claw7": (0, "18ce72cac8fa620a74a2dae2c246dac477dc570dd4dedf8f36b9907b71c1f52b"),
+    "box --graph @int10": (0, "2adf3b2f17f74552f40a7d8a4342821f08b5f94431bb4e329f91fedfd0c7e5b8"),
+    "box --graph @p6": (0, "e2379e98da2476cb482931f84703130f3fb37def2612879092b85ab3c8fe3ed2"),
+    "box --graph @net": (0, "8a1312a312d7e3504de6428a2703f38d0ce8a03f4e5d44586aaded7d97cb7c4e"),
+    "box --graph @claw7": (0, "b77afe09fe9fafcdc95fd16073ce10f33609bca572c445abcf9ac85311d570f3"),
     "zdg report --n 72": (0, "dbbbc55883130edd6d883fc465d9c5740edcf279df24ba1cd5f84de8c7651b35"),
     "zdg report --n 2310": (0, "d43e010b8a096cd6ab4ed30a4b5742267c4146fb28597f4b094bd3de72b40682"),
     "zdg report --n 25": (0, "bcb361d8c7e819c0c045a4fd57273c6221148e71ace22be3c25f9ed148b2a368"),
