@@ -232,16 +232,13 @@ def consecutive_clique_order(
     and Viennot, TCS 2000). The classes are contiguous ranges of one array,
     in their final left-to-right order. A pivot is a vertex whose cliques
     lie in two or more classes: in the first of them its cliques move to
-    the right end, in the last to the left end, and each real split queues
-    the vertices of the moved cliques. Each pivot is used once. With no
-    pivot left, the clique generated last by Lex-BFS among those not yet
-    alone moves to the right end of its class; a clique's generator is its
-    vertex that comes first in `peo`. Returns None when the final order is
-    not consecutive, which happens exactly when no order is.
+    the right end, in the last to the left end. Each pivot is used once.
+    With no pivot left, the clique generated last by Lex-BFS among those
+    not yet alone moves to the right end of its class; a clique's generator
+    is its vertex that comes first in `peo`. Returns None when the final
+    order is not consecutive, which happens exactly when no order is.
     """
     q = len(cliques)
-    if q <= 1:
-        return list(range(q))
     rank = [0] * len(peo)
     for i, v in enumerate(peo):
         rank[v] = i
@@ -293,12 +290,16 @@ def consecutive_clique_order(
             span.append((b, e) if right else (s, b))
             for i in moved:
                 cls[i] = len(span) - 1
+            # a vertex that now has cliques in both parts has one in the
+            # smaller part, and a clique is in the smaller part of at most
+            # log2(q) splits
+            smaller = moved if 2 * len(moved) <= e - s else arr[s:b] if right else arr[b:e]
+            for i in smaller:
                 queue.extend(cliques[i])
     for mine in vert_cliques:
-        if len(mine) > 1:
-            where = [pos[i] for i in mine]
-            if max(where) - min(where) >= len(where):
-                return None
+        where = [pos[i] for i in mine]
+        if max(where) - min(where) >= len(where):
+            return None
     return arr
 
 
