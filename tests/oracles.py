@@ -9,10 +9,9 @@ list-label Lex-BFS, the unfiltered hole scan, the pairwise maximal-clique
 filter, the exhaustive clique-order search and the asteroidal-triple-first
 recognizer are the package's earlier recognition steps, kept as references
 for the faster ones that replaced them; they read neighbours from the
-bitsets of `Graph.adj`. The component and
-neighbourhood-quotient versions below are the package's earlier ones on
-neighbour sets, kept as references for the bitset versions. The unpruned
-kill-set scan is the exact boxicity oracle's step 1 before it skipped
+bitsets of `Graph.adj`. The component and neighbourhood-quotient versions
+below are the package's earlier ones on neighbour sets, kept as references
+for the bitset versions. The unpruned kill-set scan is the exact boxicity oracle's step 1 before it skipped
 already-decided candidates.
 """
 
