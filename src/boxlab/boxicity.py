@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import ConstructionDefectError, InputError, ResourceBudgetError
-from .graphs import Graph, induced_subgraph, make_graph
+from .graphs import Graph, induced_subgraph
 from .intervals import IntervalCover, IntervalRep, make_cover, verified_cover
 from .recognition import Obstruction, asteroidal_paths, is_interval_graph
 
@@ -131,7 +131,12 @@ class _ComponentSearch:
                     added |= 1 << i
                 if any(added & req == req and not added & forb for req, forb in decided):
                     continue
-                h = make_graph(self.g.n, self.g.edges | {self.nonedges[i] for i in combo})
+                adj = list(self.g.adj)
+                for i in combo:
+                    u, v = self.nonedges[i]
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+                h = Graph.from_adj(adj)
                 ok, payload = is_interval_graph(h)
                 decided.append(self._decide(added, h, payload))
                 if not ok:
@@ -179,11 +184,11 @@ def _component_boxicity(g: Graph, max_l: int, nonedge_budget: int):
         return 1, [payload]
     if max_l < 2:
         return None
-    if len(g.non_edges()) > nonedge_budget:
-        raise ResourceBudgetError(
-            f"component has {len(g.non_edges())} non-edges, budget is {nonedge_budget}"
-        )
     searcher = _ComponentSearch(g)
+    if len(searcher.nonedges) > nonedge_budget:
+        raise ResourceBudgetError(
+            f"component has {len(searcher.nonedges)} non-edges, budget is {nonedge_budget}"
+        )
     pair = searcher.enumerate_kills()
     if pair is not None:
         return 2, pair

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstructionDefectError, InputError
-from .graphs import Graph, check_edge_budget, check_vertex_budget, make_graph
+from .graphs import Graph, check_edge_budget, check_vertex_budget
 from .intervals import Interval, IntervalCover, IntervalRep, point, verified_cover
 
 
@@ -53,12 +53,13 @@ def circular_params(k: int, d: int) -> CircularParams:
 
 
 def circular_clique(k: int, d: int) -> Graph:
-    """Graph on 0..k-1 with i ~ j iff d <= |i-j| <= k-d."""
+    """Graph on 0..k-1 with i ~ j iff d <= |i-j| <= k-d: vertex 0's mask d..k-d, rotated by i."""
     p = circular_params(k, d)
-    check_edge_budget(p.num_edges, f"the circular clique (k={k}, d={d})")
-    # the j > i with d <= j - i <= k - d, so the cost is k plus the edges
-    edges = [(i, j) for i in range(p.k) for j in range(i + p.d, min(p.k, i + p.k - p.d + 1))]
-    return make_graph(p.k, edges)
+    what = f"the circular clique (k={k}, d={d})"
+    check_edge_budget(p.num_edges, what)
+    check_vertex_budget(k, what)  # the masks of a near-matching span all k bits
+    ring, base = (1 << k) - 1, (1 << k - 2 * d + 1) - 1 << d
+    return Graph.from_adj([(base << i | base >> k - i) & ring for i in range(k)])
 
 
 def circular_chi(k: int, d: int) -> int:
@@ -146,9 +147,7 @@ def chi_cover(k: int, d: int) -> IntervalCover:
     [i*d, (i+1)*d), handled by rotating a window construction into place.
     """
     p = circular_params(k, d)
-    # first, so the budgets refuse before any rep is built
-    check_vertex_budget(k, f"the cover of the circular clique (k={k}, d={d})")
-    g = circular_clique(k, d)
+    g = circular_clique(k, d)  # first, so its budgets refuse before any rep is built
     reps: list[IntervalRep] = []
     if p.m == 2 and p.b == 0:
         # perfect matching: one interval graph realizes it exactly, and it

@@ -3,17 +3,17 @@
 Everything downstream (interval covers, join constructions, divisor graphs)
 is built from the values here. Operations are pure; anything that relabels
 vertices returns the relabeling explicitly, because silent relabeling is the
-main source of bugs in cover constructions. Adjacency has one form, the int
-bitsets of `Graph.adj`, which every module reads through mask arithmetic and
-`bits`.
+main source of bugs in cover constructions. A graph is stored as its int
+bitsets `Graph.adj` alone: every builder writes them, every module reads them
+through mask arithmetic and `bits`, and `Graph.edges` is read out of them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from functools import reduce
+from operator import and_
 
 from .errors import InputError, ResourceBudgetError
 
@@ -36,45 +36,63 @@ def pairs(adj) -> Iterator[Edge]:
                 yield u, v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Graph:
-    """Finite simple undirected graph; edges stored once as (u, v) with u < v."""
+    """Finite simple undirected graph, held only as n and `adj`: bit w of adj[v]
+    is set exactly when vw is an edge. Equality and hashing are on (n, adj)."""
 
     n: int
-    edges: frozenset[Edge]
+    adj: tuple[int, ...]
 
-    @cached_property
-    def adj(self) -> tuple[int, ...]:
-        """Neighbourhoods as int bitsets: bit w of adj[v] is set exactly when vw is an edge."""
-        nbrs = [0] * self.n
-        for u, v in self.edges:
-            nbrs[u] |= 1 << v
-            nbrs[v] |= 1 << u
-        return tuple(nbrs)
+    def __init__(self, n: int, edges=()) -> None:
+        if n < 0:
+            raise InputError(f"vertex count must be non-negative, got {n}")
+        adj = [0] * n
+        for u, v in edges:
+            if u == v:
+                raise InputError(f"loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise InputError(f"edge ({u}, {v}) out of range for n={n}")
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", tuple(adj))
+
+    @classmethod
+    def from_adj(cls, adj) -> Graph:
+        """The graph of these neighbourhoods, taken unchecked: symmetric, loop-free, in range."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", len(adj))
+        object.__setattr__(g, "adj", tuple(adj))
+        return g
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """The (u, v) with u < v, read out of the bitsets on every access."""
+        return frozenset(pairs(self.adj))
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edges
+        return bool(self.adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return sum(nbrs.bit_count() for nbrs in self.adj) // 2
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        return list(pairs(self.adj))
 
     def non_edges(self) -> list[Edge]:
-        return [e for e in combinations(range(self.n), 2) if e not in self.edges]
+        full = (1 << self.n) - 1
+        return list(pairs([full & ~nbrs for nbrs in self.adj]))
 
     def is_complete(self) -> bool:
         return self.num_edges == self.n * (self.n - 1) // 2
 
     def is_edgeless(self) -> bool:
-        return not self.edges
+        return not any(self.adj)
 
     def components_within(self, within: int) -> list[int]:
         """Vertex masks of the components of the subgraph induced by the mask
@@ -101,24 +119,16 @@ class Graph:
 
 def make_graph(n: int, edges) -> Graph:
     """Canonical graph value; duplicate pairs collapse, loops are rejected."""
-    if n < 0:
-        raise InputError(f"vertex count must be non-negative, got {n}")
-    canon: set[Edge] = set()
-    for u, v in edges:
-        if u == v:
-            raise InputError(f"loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"edge ({u}, {v}) out of range for n={n}")
-        canon.add((u, v) if u < v else (v, u))
-    return Graph(n, frozenset(canon))
+    return Graph(n, edges)
 
 
 def complete_graph(n: int) -> Graph:
-    return make_graph(n, combinations(range(n), 2))
+    full = (1 << n) - 1
+    return Graph.from_adj([full ^ 1 << v for v in range(n)])
 
 
 def empty_graph(n: int) -> Graph:
-    return make_graph(n, ())
+    return Graph(n)
 
 
 def path_graph(n: int) -> Graph:
@@ -133,19 +143,9 @@ def cycle_graph(n: int) -> Graph:
 
 def complete_multipartite(sizes: list[int]) -> Graph:
     """Complete multipartite graph; blocks are consecutive vertex ranges."""
-    offsets, total = [], 0
-    for s in sizes:
-        if s <= 0:
-            raise InputError("block sizes must be positive")
-        offsets.append(total)
-        total += s
-    edges = []
-    for i, si in enumerate(sizes):
-        for j in range(i + 1, len(sizes)):
-            for u in range(offsets[i], offsets[i] + si):
-                for v in range(offsets[j], offsets[j] + sizes[j]):
-                    edges.append((u, v))
-    return make_graph(total, edges)
+    if any(s <= 0 for s in sizes):
+        raise InputError("block sizes must be positive")
+    return generalized_join(complete_graph(len(sizes)), [empty_graph(s) for s in sizes])[0]
 
 
 @dataclass(frozen=True)
@@ -189,11 +189,23 @@ class Coloring:
     def is_proper(self, g: Graph) -> bool:
         if len(self.colors) != g.n:
             return False
-        return all(self.colors[u] != self.colors[v] for u, v in g.edges)
+        classes: dict[int, int] = {}
+        for v, c in enumerate(self.colors):
+            classes[c] = classes.get(c, 0) | 1 << v
+        return not any(nbrs & classes[c] for nbrs, c in zip(g.adj, self.colors))
 
 
 # ---------------------------------------------------------------------------
 # constructions
+
+
+def _vertex_mask(g: Graph, vertices) -> int:
+    mask = 0
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise InputError(f"vertex {v} out of range")
+        mask |= 1 << v
+    return mask
 
 
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
@@ -201,21 +213,17 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
 
     Returns (subgraph, map) where map[new_index] = original vertex.
     """
-    sub = sorted(set(vertices))
-    for v in sub:
-        if not 0 <= v < g.n:
-            raise InputError(f"vertex {v} out of range")
+    within = _vertex_mask(g, vertices)
+    sub = list(bits(within))
     index = {v: i for i, v in enumerate(sub)}
-    edges = [
-        (index[u], index[v])
-        for u, v in combinations(sub, 2)
-        if g.has_edge(u, v)
-    ]
-    return make_graph(len(sub), edges), tuple(sub)
+    adj = [sum(1 << index[w] for w in bits(g.adj[v] & within)) for v in sub]
+    return Graph.from_adj(adj), tuple(sub)
 
 
 EDGE_BUDGET = 200_000  # a circular clique this size builds and verifies its cover in about 1 s
-VERIFY_MAX_N = 20_000  # the cover check keeps n^2/8 bytes of prefix bitsets per member
+# the cover check keeps n^2/8 bytes of prefix bitsets per member, and a graph's
+# own bitsets take up to as much when its edges span the vertex range
+VERIFY_MAX_N = 20_000
 
 
 def check_edge_budget(count: int, what: str) -> None:
@@ -225,14 +233,15 @@ def check_edge_budget(count: int, what: str) -> None:
 
 
 def check_vertex_budget(n: int, what: str) -> None:
-    """Refuse, before anything is built, a cover check over more than VERIFY_MAX_N vertices."""
+    """Refuse, before anything is built, a cover check or a graph of unbounded
+    width over more than VERIFY_MAX_N vertices."""
     if n > VERIFY_MAX_N:
         raise ResourceBudgetError(f"{what} has {n} vertices, the check's limit is {VERIFY_MAX_N}")
 
 
 def join_edge_count(g: Graph, parts: list[Graph]) -> int:
     """Edges of the generalized join: the parts' own plus n_i * n_j per edge ij of g."""
-    return sum(p.num_edges for p in parts) + sum(parts[i].n * parts[j].n for i, j in g.edges)
+    return sum(p.num_edges for p in parts) + sum(parts[i].n * parts[j].n for i, j in pairs(g.adj))
 
 
 def generalized_join(g: Graph, parts: list[Graph]) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
@@ -244,22 +253,21 @@ def generalized_join(g: Graph, parts: list[Graph]) -> tuple[Graph, tuple[tuple[i
     if len(parts) != g.n:
         raise InputError(f"need {g.n} parts, got {len(parts)}")
     check_edge_budget(join_edge_count(g, parts), "the join")
-    offsets, total = [], 0
+    offsets, block_masks, total = [], [], 0
     for p in parts:
         offsets.append(total)
+        block_masks.append((1 << p.n) - 1 << total)
         total += p.n
-    edges: list[Edge] = []
+    adj: list[int] = []
     for i, p in enumerate(parts):
-        off = offsets[i]
-        edges.extend((off + u, off + v) for u, v in p.edges)
-    for i, j in g.edges:
-        for u in range(offsets[i], offsets[i] + parts[i].n):
-            for v in range(offsets[j], offsets[j] + parts[j].n):
-                edges.append((u, v))
+        joined = 0
+        for j in bits(g.adj[i]):
+            joined |= block_masks[j]
+        adj.extend(joined | nbrs << offsets[i] for nbrs in p.adj)
     blocks = tuple(
         tuple(range(offsets[i], offsets[i] + parts[i].n)) for i in range(g.n)
     )
-    return make_graph(total, edges), blocks
+    return Graph.from_adj(adj), blocks
 
 
 def reduced_graph(g: Graph) -> tuple[Graph, VertexPartition]:
@@ -272,25 +280,18 @@ def reduced_graph(g: Graph) -> tuple[Graph, VertexPartition]:
     for v, nbhd in enumerate(g.adj):
         by_nbhd.setdefault(nbhd, []).append(v)
     part = make_partition(g.n, by_nbhd.values())
-    class_of = {nbhd: i for i, nbhd in enumerate(by_nbhd)}
-    edges = [(i, class_of[g.adj[w]]) for i, nbhd in enumerate(by_nbhd) for w in bits(nbhd)]
-    return make_graph(len(part.blocks), edges), part
+    quotient, _ = induced_subgraph(g, [blk[0] for blk in part.blocks])
+    return quotient, part
 
 
 def is_clique(g: Graph, vertices) -> bool:
-    vs = list(set(vertices))
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise InputError(f"vertex {v} out of range")
-    return all(g.has_edge(u, v) for u, v in combinations(vs, 2))
+    mask = _vertex_mask(g, vertices)
+    return all((g.adj[v] | 1 << v) & mask == mask for v in bits(mask))
 
 
 def is_independent(g: Graph, vertices) -> bool:
-    vs = list(set(vertices))
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise InputError(f"vertex {v} out of range")
-    return not any(g.has_edge(u, v) for u, v in combinations(vs, 2))
+    mask = _vertex_mask(g, vertices)
+    return not any(g.adj[v] & mask for v in bits(mask))
 
 
 def edge_intersection(graphs: list[Graph]) -> Graph:
@@ -301,8 +302,7 @@ def edge_intersection(graphs: list[Graph]) -> Graph:
     for h in graphs:
         if h.n != n:
             raise InputError(f"vertex count mismatch: {h.n} != {n}")
-    common = frozenset.intersection(*(h.edges for h in graphs))
-    return Graph(n, common)
+    return Graph.from_adj([reduce(and_, nbrs) for nbrs in zip(*(h.adj for h in graphs))])
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +340,7 @@ def int_from_obj(x) -> int:
 def graph_from_obj(obj: dict) -> Graph:
     try:
         n = int_from_obj(obj["n"])
+        check_vertex_budget(n, "the graph")
         edges = [(int_from_obj(u), int_from_obj(v)) for u, v in obj["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph object: {exc}") from exc

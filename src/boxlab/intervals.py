@@ -85,7 +85,7 @@ def interval_adjacency(rep: IntervalRep) -> tuple[int, ...]:
 
 def graph_of_intervals(rep: IntervalRep) -> Graph:
     """Intersection graph of the representation (closed-interval semantics)."""
-    return Graph(rep.n, frozenset(pairs(interval_adjacency(rep))))
+    return Graph.from_adj(interval_adjacency(rep))
 
 
 @dataclass(frozen=True)

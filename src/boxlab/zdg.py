@@ -27,11 +27,13 @@ from .errors import ConstructionDefectError, InputError, ResourceBudgetError
 from .graphs import (
     Coloring,
     Graph,
+    bits,
     check_edge_budget,
     complete_graph,
     empty_graph,
     generalized_join,
-    make_graph,
+    is_clique,
+    pairs,
 )
 from .intervals import IntervalCover, IntervalRep, interval_adjacency, point, verified_cover
 from .joins import lift_reps, make_plan
@@ -138,13 +140,18 @@ def zdg_zn(N: int) -> tuple[Graph, tuple[int, ...]]:
     if N > ZDG_MAX_N:
         raise ResourceBudgetError(f"N = {N} exceeds the direct-graph limit {ZDG_MAX_N}")
     labels = tuple(x for x in range(2, N) if math.gcd(x, N) > 1)
-    edges = [
-        (i, j)
-        for i in range(len(labels))
-        for j in range(i + 1, len(labels))
-        if labels[i] * labels[j] % N == 0
-    ]
-    return make_graph(len(labels), edges), labels
+    return _zero_product_graph(labels, N), labels
+
+
+def _zero_product_graph(labels: tuple[int, ...], N: int) -> Graph:
+    """labels[i] ~ labels[j] exactly when their product is 0 mod N, by scanning every pair."""
+    adj = [0] * len(labels)
+    for i, x in enumerate(labels):
+        for j in range(i + 1, len(labels)):
+            if x * labels[j] % N == 0:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return Graph.from_adj(adj)
 
 
 @dataclass(frozen=True)
@@ -214,12 +221,6 @@ def compressed_zn(N: int) -> CompressedZN:
         raise ConstructionDefectError(
             f"divisor count {len(divs)} does not match the factorization ({f.divisor_count - 2})"
         )
-    edges = [
-        (i, j)
-        for i in range(len(divs))
-        for j in range(i + 1, len(divs))
-        if divs[i] * divs[j] % N == 0
-    ]
     sizes = tuple(phi_of_cofactor[d] for d in divs)
     zero_divisor_count = N - 1 - phi_of_cofactor[1]
     if sum(sizes) != zero_divisor_count:
@@ -231,7 +232,7 @@ def compressed_zn(N: int) -> CompressedZN:
         raise ConstructionDefectError(
             f"{sum(complete)} nilpotent divisors, the formula says {f.root_divisor_count - 1}"
         )
-    return CompressedZN(f, divs, make_graph(len(divs), edges), sizes, complete)
+    return CompressedZN(f, divs, _zero_product_graph(divs, N), sizes, complete)
 
 
 def _class_parts(c: CompressedZN) -> list[Graph]:
@@ -243,12 +244,14 @@ def _class_parts(c: CompressedZN) -> list[Graph]:
 
 def expand_compressed(c: CompressedZN) -> Graph:
     """Rebuild the full graph by joining class blocks; checked against the direct one."""
-    joined, _ = generalized_join(c.graph, _class_parts(c))
-    # join blocks are consecutive ranges in class order
+    # join blocks are consecutive ranges in class order; the positions come
+    # first, so the direct graph's limit refuses before the parts are built
     to_direct = [v for blk in c.positions for v in blk]
-    relabeled = make_graph(
-        joined.n, ((to_direct[u], to_direct[v]) for u, v in joined.edges)
-    )
+    joined, _ = generalized_join(c.graph, _class_parts(c))
+    adj = [0] * joined.n
+    for u, nbrs in enumerate(joined.adj):
+        adj[to_direct[u]] = sum(1 << to_direct[w] for w in bits(nbrs))
+    relabeled = Graph.from_adj(adj)
     if relabeled != c.direct[0]:
         raise ConstructionDefectError(
             f"expanded graph for N={c.N} disagrees with the direct construction"
@@ -332,7 +335,7 @@ def omega_chi_certificate(c: CompressedZN) -> tuple[int, tuple[int, ...], Colori
     if not coloring.is_proper(c.graph):
         bad = next(
             (c.divisors[u], c.divisors[v])
-            for u, v in c.graph.edges
+            for u, v in pairs(c.graph.adj)
             if colors[u] == colors[v]
         )
         raise ConstructionDefectError(f"coloring merges adjacent classes {bad}", bad)
@@ -369,8 +372,10 @@ def zn_join_cover(c: CompressedZN) -> IntervalCover:
         raise InputError(
             f"every class of N={c.N} is nilpotent; the skip construction needs one more class"
         )
+    # the positions first: the direct graph's limit refuses before the parts are built
+    positions = c.positions
     plan = make_plan(c.graph, _class_parts(c), skip=skip)
-    reps = lift_reps(plan, c.positions)
+    reps = lift_reps(plan, positions)
     return verified_cover(c.direct[0], reps, f"cover of the zero-divisor graph of {c.N}")
 
 
@@ -506,20 +511,12 @@ def boolean_ring_graph(k: int) -> BooleanRingGraph:
         raise InputError(f"need k >= 2, got {k}")
     if k > BOOLEAN_RING_MAX_K:
         raise ResourceBudgetError(f"vector length {k} exceeds the limit {BOOLEAN_RING_MAX_K}")
-    masks = list(range(1, 2**k - 1))
-    edges = [
-        (i, j)
-        for i in range(len(masks))
-        for j in range(i + 1, len(masks))
-        if masks[i] & masks[j] == 0
-    ]
-    g = make_graph(len(masks), edges)
+    masks = range(1, 2**k - 1)
+    # vector m is vertex m - 1
+    g = Graph.from_adj([sum(1 << s - 1 for s in masks if not s & m) for m in masks])
     labels = tuple(tuple(m >> t & 1 for t in range(k)) for m in masks)
-    unit_indices = [masks.index(1 << t) for t in range(k)]
-    for i, u in enumerate(unit_indices):
-        for v in unit_indices[i + 1 :]:
-            if not g.has_edge(u, v):
-                raise ConstructionDefectError("unit vectors are not a clique")
+    if not is_clique(g, [(1 << t) - 1 for t in range(k)]):
+        raise ConstructionDefectError("unit vectors are not a clique")
     lowest_bit = Coloring(tuple((m & -m).bit_length() - 1 for m in masks))
     if not lowest_bit.is_proper(g) or lowest_bit.num_colors != k:
         raise ConstructionDefectError(f"lowest-bit coloring is not a proper {k}-coloring")

@@ -11,19 +11,25 @@ recognizer are the package's earlier recognition steps, kept as references
 for the faster ones that replaced them; they read neighbours from the
 bitsets of `Graph.adj`. The component and neighbourhood-quotient versions
 below are the package's earlier ones on neighbour sets, kept as references
-for the bitset versions. The unpruned kill-set scan is the exact boxicity oracle's step 1 before it skipped
-already-decided candidates.
+for the bitset versions. The unpruned kill-set scan is the exact boxicity
+oracle's step 1 before it skipped already-decided candidates. The induced
+subgraph, generalized join, edge intersection, circular clique, zero-divisor
+graph and vector-ring graph are the package's builders from when a graph
+kept its edge set, kept as references for the ones that write bitsets.
 """
 
+import math
 from itertools import combinations, permutations
 from unittest import mock
 
 from hypothesis import strategies as st
 
-from boxlab import Graph, boxicity_exact, edge_intersection, make_graph
+from boxlab import Graph, boxicity_exact, make_graph
 from boxlab import boxicity
-from boxlab.errors import ConstructionDefectError, ResourceBudgetError
-from boxlab.graphs import bits, make_partition
+from boxlab.circular import circular_params
+from boxlab.errors import ConstructionDefectError, InputError, ResourceBudgetError
+from boxlab.graphs import Coloring, Edge, bits, check_edge_budget, join_edge_count, make_partition
+from boxlab.zdg import BOOLEAN_RING_MAX_K, ZDG_MAX_N, BooleanRingGraph
 from boxlab.intervals import CoverViolation, IntervalCover, IntervalRep
 from boxlab.recognition import (
     Obstruction,
@@ -223,6 +229,124 @@ def graph_of_intervals(rep: IntervalRep) -> Graph:
                 break  # sorted by lo: no later vertex can reach back
             edges.append((u, v) if u < v else (v, u))
     return make_graph(n, edges)
+
+
+def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
+    """Subgraph induced by `vertices`, relabeled to 0..|S|-1.
+
+    Returns (subgraph, map) where map[new_index] = original vertex.
+    """
+    sub = sorted(set(vertices))
+    for v in sub:
+        if not 0 <= v < g.n:
+            raise InputError(f"vertex {v} out of range")
+    index = {v: i for i, v in enumerate(sub)}
+    edges = [
+        (index[u], index[v])
+        for u, v in combinations(sub, 2)
+        if g.has_edge(u, v)
+    ]
+    return make_graph(len(sub), edges), tuple(sub)
+
+
+def generalized_join(g: Graph, parts: list[Graph]) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
+    """Replace vertex i of g by parts[i]; join blocks i, j completely when ij is an edge.
+
+    Blocks occupy consecutive vertex ranges in part order. Returns
+    (join graph, blocks) where blocks[i] lists the new ids of part i.
+    """
+    if len(parts) != g.n:
+        raise InputError(f"need {g.n} parts, got {len(parts)}")
+    check_edge_budget(join_edge_count(g, parts), "the join")
+    offsets, total = [], 0
+    for p in parts:
+        offsets.append(total)
+        total += p.n
+    edges: list[Edge] = []
+    for i, p in enumerate(parts):
+        off = offsets[i]
+        edges.extend((off + u, off + v) for u, v in p.edges)
+    for i, j in g.edges:
+        for u in range(offsets[i], offsets[i] + parts[i].n):
+            for v in range(offsets[j], offsets[j] + parts[j].n):
+                edges.append((u, v))
+    blocks = tuple(
+        tuple(range(offsets[i], offsets[i] + parts[i].n)) for i in range(g.n)
+    )
+    return make_graph(total, edges), blocks
+
+
+def edge_intersection(graphs: list[Graph]) -> Graph:
+    """Graph whose edges appear in every input; inputs must share a vertex count."""
+    if not graphs:
+        raise InputError("need at least one graph")
+    n = graphs[0].n
+    for h in graphs:
+        if h.n != n:
+            raise InputError(f"vertex count mismatch: {h.n} != {n}")
+    common = frozenset.intersection(*(h.edges for h in graphs))
+    return Graph(n, common)
+
+
+def circular_clique(k: int, d: int) -> Graph:
+    """Graph on 0..k-1 with i ~ j iff d <= |i-j| <= k-d."""
+    p = circular_params(k, d)
+    check_edge_budget(p.num_edges, f"the circular clique (k={k}, d={d})")
+    # the j > i with d <= j - i <= k - d, so the cost is k plus the edges
+    edges = [(i, j) for i in range(p.k) for j in range(i + p.d, min(p.k, i + p.k - p.d + 1))]
+    return make_graph(p.k, edges)
+
+
+def zdg_zn(N: int) -> tuple[Graph, tuple[int, ...]]:
+    """Zero-divisor graph of Z_N with its vertex labels in increasing order.
+
+    Built by scanning every pair against the definition x*y = 0 mod N, so
+    it is the reference the compressed constructions are checked against.
+    Prime N has no zero divisors and yields the empty graph.
+    """
+    if N < 2:
+        raise InputError(f"need N >= 2, got {N}")
+    if N > ZDG_MAX_N:
+        raise ResourceBudgetError(f"N = {N} exceeds the direct-graph limit {ZDG_MAX_N}")
+    labels = tuple(x for x in range(2, N) if math.gcd(x, N) > 1)
+    edges = [
+        (i, j)
+        for i in range(len(labels))
+        for j in range(i + 1, len(labels))
+        if labels[i] * labels[j] % N == 0
+    ]
+    return make_graph(len(labels), edges), labels
+
+
+def boolean_ring_graph(k: int) -> BooleanRingGraph:
+    """Build the vector-ring graph with clique and chromatic number k, certified.
+
+    The unit vectors form a k-clique, and coloring each vector by its
+    lowest set bit is proper (adjacent vectors have disjoint supports) with
+    k colors; both are checked, so omega = chi = k without any search.
+    """
+    if k < 2:
+        raise InputError(f"need k >= 2, got {k}")
+    if k > BOOLEAN_RING_MAX_K:
+        raise ResourceBudgetError(f"vector length {k} exceeds the limit {BOOLEAN_RING_MAX_K}")
+    masks = list(range(1, 2**k - 1))
+    edges = [
+        (i, j)
+        for i in range(len(masks))
+        for j in range(i + 1, len(masks))
+        if masks[i] & masks[j] == 0
+    ]
+    g = make_graph(len(masks), edges)
+    labels = tuple(tuple(m >> t & 1 for t in range(k)) for m in masks)
+    unit_indices = [masks.index(1 << t) for t in range(k)]
+    for i, u in enumerate(unit_indices):
+        for v in unit_indices[i + 1 :]:
+            if not g.has_edge(u, v):
+                raise ConstructionDefectError("unit vectors are not a clique")
+    lowest_bit = Coloring(tuple((m & -m).bit_length() - 1 for m in masks))
+    if not lowest_bit.is_proper(g) or lowest_bit.num_colors != k:
+        raise ConstructionDefectError(f"lowest-bit coloring is not a proper {k}-coloring")
+    return BooleanRingGraph(k, g, labels)
 
 
 def verify_cover(cover: IntervalCover) -> tuple[bool, list[CoverViolation]]:

@@ -22,6 +22,16 @@ from boxlab.circular import (
 )
 
 
+import oracles
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_circular_clique_matches_edge_set_version(d):
+    # k = 2d is a perfect matching and k = 2d + 1 a cycle; d = 1 is complete
+    for k in range(2 * d, 2 * d + 25):
+        assert circular_clique(k, d) == oracles.circular_clique(k, d)
+
+
 def F(a, b=1):
     return Fraction(a, b)
 

@@ -6,6 +6,7 @@ import pytest
 
 import boxlab.circular
 import boxlab.cli
+import boxlab.graphs
 import boxlab.intervals
 import boxlab.zdg
 from boxlab import (
@@ -178,6 +179,17 @@ def test_verify_refuses_a_graph_over_its_vertex_limit(tmp_path, capsys):
     assert err.startswith("budget exceeded: ") and err.count("\n") == 1
 
 
+def test_a_graph_file_over_the_vertex_limit_exits_3_before_building(tmp_path, monkeypatch, capsys):
+    # a graph's bitsets can take n^2/8 bytes, and n alone sizes their tuple
+    monkeypatch.setattr(boxlab.graphs, "make_graph", _refuse("make_graph"))
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 10**9, "edges": []}))
+    for argv in (["box", "--graph", str(path)], ["cover", "join", "--outer", str(path), "--part", str(path)]):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 3 and out == ""
+        assert f"the graph has {10**9} vertices, the check's limit is {VERIFY_MAX_N}" in err
+
+
 MALFORMED_JSON = {
     "long-integer": b"1" * 4301,  # over Python's int-from-string digit limit
     "deep-nesting": b"[" * 200_000,
@@ -327,7 +339,7 @@ def test_boolean_ring_above_cap_exits_3_before_building(monkeypatch, capsys):
     def no_build(*args, **kwargs):
         raise AssertionError("the ring graph was built")
 
-    monkeypatch.setattr(boxlab.zdg, "make_graph", no_build)
+    monkeypatch.setattr(boxlab.graphs.Graph, "from_adj", no_build)
     for verb in ("gen", "cover"):
         code, _, err = run_capture(capsys, [verb, "boolean", "--k", "9"])
         assert code == 3
@@ -486,7 +498,7 @@ def _first_k_over_the_edge_budget(d):
 
 
 def test_circular_clique_over_the_edge_budget_exits_3_before_building(monkeypatch, capsys):
-    monkeypatch.setattr(boxlab.circular, "make_graph", _refuse("make_graph"))
+    monkeypatch.setattr(boxlab.graphs.Graph, "from_adj", _refuse("Graph.from_adj"))
     monkeypatch.setattr(boxlab.circular, "point", _refuse("point"))  # every window rep's
     # k = 2d is a perfect matching with d edges, so d = cap + 1 is one edge over
     d = EDGE_BUDGET + 1
@@ -500,13 +512,15 @@ def test_circular_clique_over_the_edge_budget_exits_3_before_building(monkeypatc
 
 
 def test_circular_cover_over_the_vertex_budget_exits_3_before_building(monkeypatch, capsys):
-    # k = 2d + 1 is a cycle, far inside the edge budget
-    monkeypatch.setattr(boxlab.circular, "make_graph", _refuse("make_graph"))
+    # k = 2d + 1 is a cycle, far inside the edge budget, but the masks of a
+    # near-matching span all k bits, so `gen` is held to the same limit
+    monkeypatch.setattr(boxlab.graphs.Graph, "from_adj", _refuse("Graph.from_adj"))
     monkeypatch.setattr(boxlab.circular, "point", _refuse("point"))
     k = VERIFY_MAX_N + 1
-    code, out, err = run_capture(capsys, ["cover", "circular", "--k", str(k), "--d", str(k // 2)])
-    assert code == 3 and out == ""
-    assert f"has {k} vertices, the check's limit is {VERIFY_MAX_N}" in err
+    for verb in ("gen", "cover"):
+        code, out, err = run_capture(capsys, [verb, "circular", "--k", str(k), "--d", str(k // 2)])
+        assert code == 3 and out == ""
+        assert f"has {k} vertices, the check's limit is {VERIFY_MAX_N}" in err
 
 
 def test_sweep_circular_refuses_an_oversized_kmax_before_its_first_row(monkeypatch, capsys):
@@ -560,7 +574,7 @@ def test_compressed_zn_over_its_limit_exits_3_before_factoring(monkeypatch, caps
 
 def test_divisor_graph_over_the_edge_budget_exits_3_before_its_pair_scan(monkeypatch, capsys):
     # N = 2^6 3^4 5^2 7 11 13 17 19 23, below COMPRESSED_MAX_N, has 911 809 divisor-graph edges
-    monkeypatch.setattr(boxlab.zdg, "make_graph", _refuse("make_graph"))
+    monkeypatch.setattr(boxlab.zdg, "_zero_product_graph", _refuse("_zero_product_graph"))
     n = "963761198400"
     for argv in (["zdg", "report", "--n", n], ["gen", "zdg", "--compressed", "--n", n]):
         code, out, err = run_capture(capsys, argv)

@@ -1,7 +1,12 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxlab import (
+    Coloring,
+    Graph,
     InputError,
     ResourceBudgetError,
     complete_graph,
@@ -29,13 +34,84 @@ from oracles import graphs
 @given(graphs(max_n=9))
 @settings(max_examples=150)
 def test_adjacency_bits_are_the_edge_set(g):
-    assert len(g.adj) == g.n
-    for u in range(g.n):
-        assert g.adj[u] >> g.n == 0 and not g.adj[u] >> u & 1
-        for v in range(g.n):
-            if v != u:
-                assert g.adj[u] >> v & 1 == g.has_edge(u, v)
-        assert g.degree(u) == sum(g.has_edge(u, v) for v in range(g.n) if v != u)
+    # both constructors, from pairs and from bitsets, give the one value
+    for h in (Graph(g.n, g.edges), Graph.from_adj(g.adj)):
+        assert h == g and hash(h) == hash(g)
+        assert len(h.adj) == h.n
+        assert h.edges == frozenset(
+            (u, v) for u, v in combinations(range(h.n), 2) if h.adj[u] >> v & 1
+        )
+        for u in range(h.n):
+            assert h.adj[u] >> h.n == 0 and not h.adj[u] >> u & 1
+            for v in range(h.n):
+                if v != u:
+                    assert h.adj[u] >> v & 1 == h.adj[v] >> u & 1 == h.has_edge(u, v)
+            assert h.degree(u) == sum(h.has_edge(u, v) for v in range(h.n) if v != u)
+
+
+@given(graphs(max_n=8), st.data())
+@settings(max_examples=150)
+def test_readers_match_the_edge_set(g, data):
+    edges = g.edges
+    everything = list(combinations(range(g.n), 2))
+    assert g.num_edges == len(edges)
+    assert g.sorted_edges() == sorted(edges)
+    assert g.non_edges() == [e for e in everything if e not in edges]
+    assert g.is_complete() == (len(edges) == len(everything))
+    assert g.is_edgeless() == (not edges)
+    some = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    inside = [e for e in everything if set(e) <= some]
+    assert is_clique(g, some) == all(e in edges for e in inside)
+    assert is_independent(g, some) == (not any(e in edges for e in inside))
+    colors = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+    assert Coloring(tuple(colors)).is_proper(g) == all(colors[u] != colors[v] for u, v in edges)
+
+
+def parts_for(outer_n):
+    """Any small graph, or an edgeless or complete one, per outer vertex."""
+    part = st.one_of(
+        graphs(max_n=4),
+        st.integers(0, 4).map(empty_graph),
+        st.integers(0, 4).map(complete_graph),
+    )
+    return st.lists(part, min_size=outer_n, max_size=outer_n)
+
+
+@given(graphs(max_n=5).flatmap(lambda g: st.tuples(st.just(g), parts_for(g.n))))
+@settings(max_examples=150)
+def test_generalized_join_matches_edge_set_join(outer_parts):
+    outer, parts = outer_parts
+    assert generalized_join(outer, parts) == oracles.generalized_join(outer, parts)
+
+
+@given(graphs(max_n=9), st.data())
+@settings(max_examples=150)
+def test_induced_subgraph_matches_edge_set_version(g, data):
+    some = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    assert induced_subgraph(g, some) == oracles.induced_subgraph(g, some)
+
+
+def graphs_on(n):
+    """Any graph on exactly n vertices, or the edgeless or complete one."""
+    pairs = list(combinations(range(n), 2))
+    drawn = st.sets(st.sampled_from(pairs)).map(lambda es: make_graph(n, es)) if pairs else st.nothing()
+    return st.one_of(drawn, st.just(empty_graph(n)), st.just(complete_graph(n)))
+
+
+@given(st.integers(0, 7).flatmap(lambda n: st.lists(graphs_on(n), min_size=1, max_size=4)))
+@settings(max_examples=150)
+def test_edge_intersection_matches_edge_set_version(gs):
+    assert edge_intersection(gs) == oracles.edge_intersection(gs)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_complete_empty_and_multipartite_builders(n):
+    assert complete_graph(n) == make_graph(n, combinations(range(n), 2))
+    assert empty_graph(n) == make_graph(n, [])
+    sizes = [1 + i % 3 for i in range(n)]
+    block = [i for i, s in enumerate(sizes) for _ in range(s)]
+    cross = [(u, v) for u, v in combinations(range(len(block)), 2) if block[u] != block[v]]
+    assert complete_multipartite(sizes) == make_graph(len(block), cross)
 
 
 @given(graphs(max_n=9))

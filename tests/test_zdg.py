@@ -35,7 +35,19 @@ from boxlab import (
     zn_report,
 )
 
+import oracles
 from oracles import net_graph
+
+
+def test_zdg_zn_matches_edge_set_version():
+    # primes give the empty graph; 4 has one vertex
+    for n in range(2, 301):
+        assert zdg_zn(n) == oracles.zdg_zn(n)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_boolean_ring_graph_matches_edge_set_version(k):
+    assert boolean_ring_graph(k) == oracles.boolean_ring_graph(k)
 
 
 def test_factor_examples():
