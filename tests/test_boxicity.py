@@ -115,6 +115,40 @@ def connected_graphs(draw, max_n=8, max_missing=9):
     return g
 
 
+# induced obstructions on 4, 5 and 6 vertices, with 2, 5 and 9 non-edges
+OBSTRUCTIONS = [
+    [(0, 1), (1, 2), (2, 3), (0, 3)],
+    [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
+    [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)],  # the net
+]
+
+
+@st.composite
+def obstructed_graphs(draw, max_n=8, max_missing=9):
+    """Connected graphs with an induced C4, C5 or net on drawn vertices, given
+    by at most `max_missing` non-edges. The rest of the non-edges avoid the
+    obstruction's first vertex, which every other vertex stays joined to."""
+    gadget = draw(st.sampled_from(OBSTRUCTIONS))
+    k = 1 + max(max(e) for e in gadget)
+    n = draw(st.integers(min_value=k, max_value=max_n))
+    place = draw(st.permutations(range(n)))
+    missing = {
+        tuple(sorted((place[a], place[b])))
+        for a, b in combinations(range(k), 2)
+        if (a, b) not in gadget
+    }
+    inside = set(place[:k])
+    free = [
+        (u, v)
+        for u, v in combinations(range(n), 2)
+        if not {u, v} <= inside and place[0] not in (u, v)
+    ]
+    room = max_missing - len(missing)
+    if free and room:
+        missing |= draw(st.sets(st.sampled_from(free), max_size=room))
+    return from_non_edges(n, missing)
+
+
 def same_answer(pruned, unpruned):
     if pruned is None or unpruned is None:
         return pruned is unpruned
@@ -146,7 +180,7 @@ def decided_sets(search, required, forbidden, rng, count=4):
         yield required | sum(1 << i for i in free if rng.random() < 0.5)
 
 
-@given(connected_graphs(), st.randoms(use_true_random=False))
+@given(st.one_of(connected_graphs(), obstructed_graphs()), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_search_records_are_sound(g, rng):
     """Every added set a kept record decides is non-interval (obstruction
