@@ -1,15 +1,16 @@
 """Interval graph recognition with certificates in both directions.
 
 Decision procedure: a graph is an interval graph exactly when it is chordal
-and has no asteroidal triple. Chordality is tested through a Lex-BFS
-perfect-elimination order; the asteroidal-triple search uses per-vertex
-component labelings of the graph minus a closed neighborhood.
+and has no asteroidal triple (Lekkerkerker and Boland, 1962). Chordality is
+tested through a Lex-BFS perfect-elimination order; the asteroidal-triple
+search tries only one simplicial vertex per maximal clique, with a
+component labeling of the graph minus each candidate's closed neighborhood.
 
 Positive answers come with a representation extracted from a consecutive
 ordering of the maximal cliques; negative answers come with a re-verifiable
 obstruction (an induced cycle of length at least 4, or an asteroidal
 triple). The clique ordering comes from one deterministic pass of
-partition refinement on the cliques; the cubic asteroidal-triple scan runs
+partition refinement on the cliques; the asteroidal-triple search runs
 only when that pass finds no consecutive order.
 """
 
@@ -141,30 +142,53 @@ def is_induced_cycle(g: Graph, cycle: tuple[int, ...]) -> bool:
 # asteroidal triples
 
 
-def _components_avoiding(g: Graph, z: int) -> list[int]:
-    """Component id per vertex in g minus N[z]; -1 inside the removed ball."""
+def _components_avoiding(g: Graph, z: int, labelled: int) -> list[int]:
+    """Component id in g minus N[z] for each vertex of the mask `labelled`;
+    -1 inside the removed ball and for the vertices left unlabelled."""
     label = [-1] * g.n
     outside = ((1 << g.n) - 1) & ~(g.adj[z] | 1 << z)
     for comp, mask in enumerate(g.components_within(outside)):
-        for v in bits(mask):
+        for v in bits(mask & labelled):
             label[v] = comp
     return label
 
 
-def find_asteroidal_triple(g: Graph) -> tuple[int, int, int] | None:
-    """Some asteroidal triple, or None if the graph is AT-free."""
-    comp = [_components_avoiding(g, z) for z in range(g.n)]
-    full = (1 << g.n) - 1
-    non_nbrs = [full & ~(nv | 1 << v) for v, nv in enumerate(g.adj)]
-    for x in range(g.n):
-        for y in bits(non_nbrs[x] & -2 << x):
-            cxy = comp[x][y]
-            for z in bits(non_nbrs[x] & non_nbrs[y] & -2 << y):
-                if (
-                    comp[z][x] == comp[z][y]
-                    and comp[y][x] == comp[y][z]
-                    and cxy == comp[x][z]
-                ):
+def find_asteroidal_triple(
+    g: Graph, cliques: list[frozenset[int]]
+) -> tuple[int, int, int] | None:
+    """Some asteroidal triple of the chordal graph g, or None if it is AT-free.
+
+    `cliques` are g's maximal cliques. Only the lowest simplicial vertex of
+    each clique is tried; a vertex is simplicial exactly when it lies in one
+    maximal clique. That loses no AT. Let {x, y, z} be one, D the component
+    of g - N[x] that holds y and z, and S = N(D), which lies in N(x). D and
+    the component C of g - S that holds x are full components of S, so S is
+    a minimal separator and, g being chordal, a clique. By Dirac's theorem
+    g[C + S] is complete or has two non-adjacent simplicial vertices, so C
+    holds a vertex x' simplicial in g[C + S], hence in g. N[y] and N[z] lie
+    in D + S, so a path inside C joins x' to x around them, and N[x'] lies
+    in C + S, so {x', y, z} is an AT. The same step replaces y, then z. Two
+    simplicial vertices of one clique are adjacent twins with the same
+    closed neighbourhood, so the lowest stands for them all.
+    """
+    count = [0] * g.n
+    for c in cliques:
+        for v in c:
+            count[v] += 1
+    cand = 0
+    for c in cliques:
+        simplicial = [v for v in c if count[v] == 1]
+        if simplicial:
+            cand |= 1 << min(simplicial)
+    comp = {z: _components_avoiding(g, z, cand) for z in bits(cand)}
+    for x in bits(cand):
+        far_x = cand & ~g.adj[x] & -2 << x
+        cx = comp[x]
+        for y in bits(far_x):
+            cy, cxy = comp[y], cx[y]
+            for z in bits(far_x & ~g.adj[y] & -2 << y):
+                cz = comp[z]
+                if cz[x] == cz[y] and cy[x] == cy[z] and cxy == cx[z]:
                     return (x, y, z)
     return None
 
@@ -340,7 +364,7 @@ def is_interval_graph(g: Graph) -> tuple[bool, IntervalRep | Obstruction]:
     order = consecutive_clique_order(cliques, peo)
     if order is None:
         # chordal without a consecutive clique order: an AT must exist
-        at = find_asteroidal_triple(g)
+        at = find_asteroidal_triple(g, cliques)
         if at is None:
             raise ConstructionDefectError("no consecutive clique order and no asteroidal triple", g)
         if not is_asteroidal_triple(g, at):

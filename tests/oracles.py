@@ -6,9 +6,10 @@ coloring and cliques through exhaustive search. The cover checker and the
 intersection graph are the package's earlier edge-set versions, kept as
 differential references for the bitset kernel that replaced them. The
 list-label Lex-BFS, the unfiltered hole scan, the pairwise maximal-clique
-filter, the exhaustive clique-order search and the asteroidal-triple-first
-recognizer are the package's earlier recognition steps, kept as references
-for the faster ones that replaced them; they read neighbours from the
+filter, the exhaustive clique-order search, the full asteroidal-triple scan
+over every vertex and the asteroidal-triple-first recognizer are the
+package's earlier recognition steps, kept as references for the faster
+ones that replaced them; they read neighbours from the
 bitsets of `Graph.adj`. The component and neighbourhood-quotient versions
 below are the package's earlier ones on neighbour sets, kept as references
 for the bitset versions. The unpruned kill-set scan is the exact boxicity
@@ -28,12 +29,13 @@ from boxlab import Graph, boxicity_exact, make_graph
 from boxlab import boxicity
 from boxlab.circular import circular_params
 from boxlab.errors import ConstructionDefectError, InputError, ResourceBudgetError
-from boxlab.graphs import Coloring, Edge, bits, check_edge_budget, join_edge_count, make_partition
+from boxlab.graphs import Coloring, Edge, bits, check_edge_budget, join_edge_count, make_partition, pairs
 from boxlab.zdg import BOOLEAN_RING_MAX_K, ZDG_MAX_N, BooleanRingGraph
 from boxlab.intervals import CoverViolation, IntervalCover, IntervalRep
 from boxlab.recognition import (
     Obstruction,
     _bfs_path,
+    _components_avoiding,
     find_asteroidal_triple,
     perfect_elimination_order,
     rep_from_clique_order,
@@ -98,6 +100,26 @@ def planted_graphs(draw, gadget, max_n=60):
 
 def planted_at_graphs(max_n=60):
     return planted_graphs(SUBDIVIDED_CLAW, max_n=max_n)
+
+
+@st.composite
+def chordal_graphs(draw, max_n=30):
+    """Each new vertex joined to a clique of the graph so far, or to nothing;
+    it is simplicial when added, so the graph is chordal. All relabelled."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    adj = [0] * n
+    for v in range(1, n):
+        if not draw(st.integers(0, 7)):
+            continue
+        clique = 1 << draw(st.integers(0, v - 1))
+        for w in bits(adj[clique.bit_length() - 1]):
+            if adj[w] & clique == clique and draw(st.booleans()):
+                clique |= 1 << w
+        adj[v] = clique
+        for w in bits(clique):
+            adj[w] |= 1 << v
+    perm = draw(st.permutations(range(n)))
+    return make_graph(n, [(perm[u], perm[v]) for u, v in pairs(adj)])
 
 
 def planted_hole_graphs(max_n=60):
@@ -192,14 +214,13 @@ def connected_labeled_graphs(n: int):
             yield g
 
 
-def atlas_connected(max_n: int = 6) -> list[Graph]:
-    """Connected isomorphism representatives with 1..max_n vertices."""
-    import networkx as nx
+def atlas_graphs(max_n: int = 6) -> list[Graph]:
+    """Isomorphism representatives with 1..max_n vertices, from networkx's atlas."""
     from networkx.generators.atlas import graph_atlas_g
 
     out = []
     for G in graph_atlas_g():
-        if not 1 <= G.number_of_nodes() <= max_n or not nx.is_connected(G):
+        if not 1 <= G.number_of_nodes() <= max_n:
             continue
         nodes = sorted(G.nodes())
         relabel = {v: i for i, v in enumerate(nodes)}
@@ -207,6 +228,11 @@ def atlas_connected(max_n: int = 6) -> list[Graph]:
             make_graph(len(nodes), [(relabel[u], relabel[v]) for u, v in G.edges()])
         )
     return out
+
+
+def atlas_connected(max_n: int = 6) -> list[Graph]:
+    """Connected isomorphism representatives with 1..max_n vertices."""
+    return [g for g in atlas_graphs(max_n) if len(g.connected_components()) == 1]
 
 
 def net_graph() -> Graph:
@@ -516,17 +542,35 @@ def consecutive_clique_order(
     return ordered
 
 
+def full_scan_asteroidal_triple(g: Graph) -> tuple[int, int, int] | None:
+    """Some asteroidal triple, or None if the graph is AT-free."""
+    full = (1 << g.n) - 1
+    comp = [_components_avoiding(g, z, full) for z in range(g.n)]
+    non_nbrs = [full & ~(nv | 1 << v) for v, nv in enumerate(g.adj)]
+    for x in range(g.n):
+        for y in bits(non_nbrs[x] & -2 << x):
+            cxy = comp[x][y]
+            for z in bits(non_nbrs[x] & non_nbrs[y] & -2 << y):
+                if (
+                    comp[z][x] == comp[z][y]
+                    and comp[y][x] == comp[y][z]
+                    and cxy == comp[x][z]
+                ):
+                    return (x, y, z)
+    return None
+
+
 def is_interval_graph(g: Graph):
-    """The recognizer that runs the asteroidal-triple scan before any clique order."""
+    """The recognizer that runs the asteroidal-triple search before any clique order."""
     if g.n == 0:
         return True, IntervalRep(())
     peo = perfect_elimination_order(g)
     if peo is None:
         return False, Obstruction("chordless-cycle", find_chordless_cycle(g))
-    at = find_asteroidal_triple(g)
+    cliques = maximal_cliques_chordal(g, peo)
+    at = find_asteroidal_triple(g, cliques)
     if at is not None:
         return False, Obstruction("asteroidal-triple", at)
-    cliques = maximal_cliques_chordal(g, peo)
     order = consecutive_clique_order(cliques, g.n)
     return True, rep_from_clique_order(cliques, order, g.n)
 

@@ -14,9 +14,11 @@ from boxlab import (
     make_graph,
     path_graph,
 )
+from boxlab import recognition
 from boxlab.intervals import interval_adjacency
 from boxlab.recognition import (
     consecutive_clique_order,
+    find_asteroidal_triple,
     find_chordless_cycle,
     is_asteroidal_triple,
     is_induced_cycle,
@@ -27,8 +29,11 @@ from boxlab.recognition import (
 
 import oracles
 from oracles import (
+    SUBDIVIDED_CLAW,
     atlas_connected,
+    atlas_graphs,
     brute_is_interval,
+    chordal_graphs,
     disjoint_interval_graphs,
     graphs,
     interval_graphs,
@@ -241,3 +246,49 @@ def test_maximal_cliques_match_pairwise_filter(g):
     fast = maximal_cliques_chordal(g, peo)
     slow = oracles.maximal_cliques_chordal(g, peo)
     assert [tuple(c) for c in fast] == [tuple(c) for c in slow]
+
+
+def assert_at_search_matches_full_scan(g):
+    at = find_asteroidal_triple(g, maximal_cliques_chordal(g, perfect_elimination_order(g)))
+    assert (at is None) == (oracles.full_scan_asteroidal_triple(g) is None)
+    assert at is None or is_asteroidal_triple(g, at)
+
+
+def test_at_search_matches_full_scan_on_atlas():
+    chordal = [g for g in atlas_graphs(7) if perfect_elimination_order(g) is not None]
+    for g in chordal:
+        assert_at_search_matches_full_scan(g)
+
+
+@given(st.one_of(planted_at_graphs(), interval_graphs(), chordal_graphs()))
+@settings(max_examples=200, deadline=None)
+def test_at_search_matches_full_scan(g):
+    assume(perfect_elimination_order(g) is not None)
+    assert_at_search_matches_full_scan(g)
+
+
+def test_at_search_labels_once_per_clique(count_calls):
+    # a subdivided claw hung off a random 143-vertex interval graph; the
+    # full scan labels g - N[z] for all 150 vertices z
+    base = random_interval_graph(143, seed=5)
+    claw = [(143 + a, 143 + b) for a, b in SUBDIVIDED_CLAW]
+    g = make_graph(150, [*base.edges, (0, 143), *claw])
+    cliques = maximal_cliques_chordal(g, perfect_elimination_order(g))
+    assert len(cliques) < g.n
+    counts = count_calls(recognition, ["_components_avoiding"])
+    ok, payload = is_interval_graph(g)
+    assert not ok and payload.kind == "asteroidal-triple"
+    assert is_asteroidal_triple(g, payload.witness)
+    assert counts["_components_avoiding"] <= len(cliques)
+
+
+def test_asteroidal_triple_beside_interval_components():
+    # a path on 0..3, a triangle on 4..6, the isolated 7 and the net on 8..13,
+    # whose one AT is its three pendants
+    net = [(8 + a, 8 + b) for a, b in net_graph().edges]
+    g = make_graph(14, [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (5, 6), *net])
+    ok, payload = is_interval_graph(g)
+    assert not ok
+    assert payload == Obstruction("asteroidal-triple", (11, 12, 13))
+    assert is_asteroidal_triple(g, payload.witness)
+    assert oracles.full_scan_asteroidal_triple(g) == (11, 12, 13)
