@@ -35,7 +35,6 @@ from boxlab.intervals import CoverViolation, IntervalCover, IntervalRep
 from boxlab.recognition import (
     Obstruction,
     _bfs_path,
-    _components_avoiding,
     find_asteroidal_triple,
     perfect_elimination_order,
     rep_from_clique_order,
@@ -111,8 +110,9 @@ def chordal_graphs(draw, max_n=30):
     for v in range(1, n):
         if not draw(st.integers(0, 7)):
             continue
-        clique = 1 << draw(st.integers(0, v - 1))
-        for w in bits(adj[clique.bit_length() - 1]):
+        u = draw(st.integers(0, v - 1))
+        clique = 1 << u
+        for w in bits(adj[u]):
             if adj[w] & clique == clique and draw(st.booleans()):
                 clique |= 1 << w
         adj[v] = clique
@@ -542,10 +542,20 @@ def consecutive_clique_order(
     return ordered
 
 
+def _components_avoiding(g: Graph, z: int) -> list[int]:
+    """Component id per vertex in g minus N[z]; -1 inside the removed ball."""
+    label = [-1] * g.n
+    outside = ((1 << g.n) - 1) & ~(g.adj[z] | 1 << z)
+    for comp, mask in enumerate(g.components_within(outside)):
+        for v in bits(mask):
+            label[v] = comp
+    return label
+
+
 def full_scan_asteroidal_triple(g: Graph) -> tuple[int, int, int] | None:
     """Some asteroidal triple, or None if the graph is AT-free."""
+    comp = [_components_avoiding(g, z) for z in range(g.n)]
     full = (1 << g.n) - 1
-    comp = [_components_avoiding(g, z, full) for z in range(g.n)]
     non_nbrs = [full & ~(nv | 1 << v) for v, nv in enumerate(g.adj)]
     for x in range(g.n):
         for y in bits(non_nbrs[x] & -2 << x):
