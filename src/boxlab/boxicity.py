@@ -4,15 +4,17 @@ The minimum number of interval graphs on V(G) whose edge intersection is
 E(G) is computed per connected component (boxicity of a disjoint union is
 the maximum over components). For a non-interval component the search
 
-  1. enumerates candidate interval supergraphs G + A over added-edge sets
-     A, smallest first. Each recognition leaves a record (required,
-     forbidden) of non-edge masks, and a later A that holds `required` and
-     misses `forbidden` is skipped without one. A hit at A records (A, 0):
-     an interval superset has its kill set inside A's. A hole or an
-     asteroidal triple records its added edges and the non-edges that keep
-     it induced, so it survives in every G + A the record covers. A skipped
-     candidate would leave the maximal kills and the early 2-cover as they
-     are, so the witness is the one the full scan gives;
+  1. explores added-edge sets A level by level, one size per level, from
+     A = {}. An A whose kill set lies inside a kept kill holds a kept hit,
+     and is dropped with everything built from it. Otherwise G + A is
+     recognized. An obstruction of G + A branches to A + f for each pair f
+     it forbids: a hole's chords, or an asteroidal triple's third vertex
+     paired with the path that avoids it. Every interval supergraph of
+     G + A adds one such f, so every minimal interval completion is
+     reached. Each level is deduplicated and sorted in `combinations`
+     order. A non-minimal hit would hold a smaller hit kept on an earlier
+     level, so the hits are the minimal completions in the order a walk
+     over all 2^m sets finds them, and the witness is the one it gives;
   2. records the "kill set" of each hit (the non-edges the supergraph
      still excludes) with the representation its recognition returned,
      keeping only inclusion-maximal kills; two kills whose union is every
@@ -38,7 +40,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import ConstructionDefectError, InputError, ResourceBudgetError
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, bits, induced_subgraph
 from .intervals import IntervalCover, IntervalRep, make_cover, verified_cover
 from .recognition import Obstruction, asteroidal_paths, is_interval_graph
 
@@ -71,9 +73,6 @@ class _ComponentSearch:
         # maximal kill masks with the representation of the supergraph that
         # realized each one
         self.kills: list[tuple[int, IntervalRep]] = []
-        # (required, forbidden) masks over the non-edges: every added set that
-        # holds `required` and misses `forbidden` is already decided
-        self.decided: list[tuple[int, int]] = []
 
     def _mask(self, pairs) -> int:
         """The non-edges of g among `pairs`, as a mask; edges of g are skipped."""
@@ -84,66 +83,60 @@ class _ComponentSearch:
                 mask |= 1 << i
         return mask
 
-    def _decide(self, added: int, h: Graph, payload: IntervalRep | Obstruction) -> tuple[int, int]:
-        """The (required, forbidden) record of one recognition of h = g + added.
+    def _forbidden(self, h: Graph, obstruction: Obstruction) -> int:
+        """The non-edges of h that every interval supergraph of h adds one of.
 
-        A hole keeps its cycle edges and none of its chords. An asteroidal
-        triple keeps its three paths, and each path stays clear of the third
-        vertex.
+        A hole's chords; for an asteroidal triple, each third vertex paired
+        with every vertex of the witness path that avoids it.
         """
-        if isinstance(payload, IntervalRep):
-            return added, 0
-        w = payload.witness
-        if payload.kind == "chordless-cycle":
+        w = obstruction.witness
+        if obstruction.kind == "chordless-cycle":
             k = len(w)
             chords = ((w[i], w[j]) for i, j in combinations(range(k), 2) if j - i not in (1, k - 1))
-            return self._mask(zip(w, w[1:] + w[:1])), self._mask(chords)
+            return self._mask(chords)
         paths = asteroidal_paths(h, w)
         if paths is None:
             raise ConstructionDefectError("AT witness lost its paths", w)
-        required = forbidden = 0
+        forbidden = 0
         for path, third in zip(paths, (w[2], w[0], w[1])):
-            required |= self._mask(zip(path, path[1:]))
             forbidden |= self._mask((third, p) for p in path)
-        return required, forbidden
+        return forbidden
 
     def _note_kill(self, kill: int, rep: IntervalRep) -> list[IntervalRep] | None:
-        """Record a kill mask; report a covering pair the moment one exists."""
-        for k, _ in self.kills:
-            if k & kill == kill:
-                return None  # dominated, nothing new
+        """Keep a kill that no kept kill holds, as the caller checks; report a
+        covering pair the moment one exists. Kills arrive in nondecreasing
+        added-set size, so the new kill holds no kept one either."""
         for k, k_rep in self.kills:
             if k | kill == self.full:
                 self.kills.append((kill, rep))
                 return [k_rep, rep]
-        self.kills = [(k, r) for k, r in self.kills if kill & k != k]
         self.kills.append((kill, rep))
         return None
 
     def enumerate_kills(self) -> list[IntervalRep] | None:
-        """Scan undecided added-edge sets smallest first; stop at a certified 2-cover."""
-        m = len(self.nonedges)
-        decided = self.decided
-        for size in range(m + 1):
-            for combo in combinations(range(m), size):
-                added = 0
-                for i in combo:
-                    added |= 1 << i
-                if any(added & req == req and not added & forb for req, forb in decided):
-                    continue
+        """Branch on obstructions, one added-set size per level; stop at a
+        certified 2-cover."""
+        level = [0]
+        while level:
+            children = set()
+            for added in level:
+                kill = self.full & ~added
+                if any(k & kill == kill for k, _ in self.kills):
+                    continue  # holds a kept hit
                 adj = list(self.g.adj)
-                for i in combo:
+                for i in bits(added):
                     u, v = self.nonedges[i]
                     adj[u] |= 1 << v
                     adj[v] |= 1 << u
                 h = Graph.from_adj(adj)
                 ok, payload = is_interval_graph(h)
-                decided.append(self._decide(added, h, payload))
-                if not ok:
-                    continue
-                pair = self._note_kill(self.full & ~added, payload)
-                if pair is not None:
-                    return pair
+                if ok:
+                    pair = self._note_kill(kill, payload)
+                    if pair is not None:
+                        return pair
+                else:
+                    children.update(added | 1 << f for f in bits(self._forbidden(h, payload)))
+            level = sorted(children, key=lambda a: list(bits(a)))
         return None
 
     def min_cover(self) -> list[IntervalRep]:
@@ -176,9 +169,8 @@ class _ComponentSearch:
 
 
 def _component_boxicity(g: Graph, max_l: int, nonedge_budget: int):
-    """(value, reps) for a connected graph, or None when value exceeds max_l."""
-    if g.n == 0:
-        return 0, []
+    """(value, reps) for a non-empty connected graph, or None when value
+    exceeds max_l."""
     ok, payload = is_interval_graph(g)
     if ok:
         return 1, [payload]

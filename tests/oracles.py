@@ -13,7 +13,7 @@ ones that replaced them; they read neighbours from the
 bitsets of `Graph.adj`. The component and neighbourhood-quotient versions
 below are the package's earlier ones on neighbour sets, kept as references
 for the bitset versions. The unpruned kill-set scan is the exact boxicity
-oracle's step 1 before it skipped already-decided candidates. The induced
+oracle's step 1 before it branched on obstructions. The induced
 subgraph, generalized join, edge intersection, circular clique, zero-divisor
 graph and vector-ring graph are the package's builders from when a graph
 kept its edge set, kept as references for the ones that write bitsets.
@@ -650,6 +650,8 @@ class UnprunedSearch(boxicity._ComponentSearch):
                 kill = self.full
                 for i in combo:
                     kill &= ~(1 << i)
+                if any(k & kill == kill for k, _ in self.kills):
+                    continue  # dominated, nothing new
                 pair = self._note_kill(kill, rep)
                 if pair is not None:
                     return pair

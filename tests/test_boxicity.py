@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from boxlab import (
@@ -20,7 +20,13 @@ from boxlab import (
 from boxlab import recognition
 from boxlab.boxicity import _ComponentSearch
 
-from oracles import SUBDIVIDED_CLAW, graphs, planted_at_graphs, unpruned_boxicity_exact
+from oracles import (
+    SUBDIVIDED_CLAW,
+    UnprunedSearch,
+    graphs,
+    planted_at_graphs,
+    unpruned_boxicity_exact,
+)
 
 
 def test_pinned_values():
@@ -167,50 +173,46 @@ def test_pruned_search_matches_unpruned_at_the_budget_edge(g):
     assert same_answer(boxicity_exact(g), unpruned_boxicity_exact(g))
 
 
+@given(st.one_of(connected_graphs(), obstructed_graphs()))
+@example(BUDGET_EDGE_GRAPHS[1]).via("m10")
+@example(BUDGET_EDGE_GRAPHS[3]).via("m12")
+@example(BUDGET_EDGE_GRAPHS[2]).via("m14")
+@settings(max_examples=100, deadline=None)
+def test_search_kills_match_unpruned_walk(g):
+    """The branching search keeps the walk's kills, masks and reps in order,
+    and stops at the same 2-cover."""
+    search, walk = _ComponentSearch(g), UnprunedSearch(g)
+    assert search.enumerate_kills() == walk.enumerate_kills()
+    assert search.kills == walk.kills
+
+
 def with_added(search, added):
     extra = {e for i, e in enumerate(search.nonedges) if added >> i & 1}
     return make_graph(search.g.n, search.g.edges | extra)
 
 
-def decided_sets(search, required, forbidden, rng, count=4):
-    """`required`, then random added-edge masks that hold it and miss `forbidden`."""
-    free = [i for i in range(len(search.nonedges)) if not (required | forbidden) >> i & 1]
-    yield required
+def supersets_avoiding(search, added, forbidden, rng, count=4):
+    """`added`, then random added-edge masks that hold it and miss `forbidden`."""
+    free = [i for i in range(len(search.nonedges)) if not (added | forbidden) >> i & 1]
+    yield added
     for _ in range(count):
-        yield required | sum(1 << i for i in free if rng.random() < 0.5)
-
-
-@given(st.one_of(connected_graphs(), obstructed_graphs()), st.randoms(use_true_random=False))
-@settings(max_examples=40, deadline=None)
-def test_search_records_are_sound(g, rng):
-    """Every added set a kept record decides is non-interval (obstruction
-    records) or has its kill set dominated by a kept kill (hit records)."""
-    assume(not is_interval_graph(g)[0])
-    search = _ComponentSearch(g)
-    search.enumerate_kills()
-    for required, forbidden in search.decided:
-        for added in decided_sets(search, required, forbidden, rng):
-            ok = is_interval_graph(with_added(search, added))[0]
-            if forbidden:
-                assert not ok
-            elif ok:
-                kill = search.full & ~added
-                assert any(k & kill == kill for k, _ in search.kills)
+        yield added | sum(1 << i for i in free if rng.random() < 0.5)
 
 
 @given(st.one_of(graphs(max_n=8), planted_at_graphs(max_n=10)), st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
 def test_obstruction_records_are_sound(h, rng):
-    """Split a non-interval h into g plus added edges A at random: the
-    record of h's obstruction decides only non-interval supergraphs of g."""
+    """Split a non-interval h into g plus added edges A at random: every
+    supergraph of g + A that adds no forbidden pair of h's obstruction is
+    non-interval."""
     ok, payload = is_interval_graph(h)
     assume(not ok)
     g = make_graph(h.n, [e for e in h.edges if rng.random() < 0.7])
     search = _ComponentSearch(g)
     added = sum(1 << i for i, e in enumerate(search.nonedges) if e in h.edges)
-    required, forbidden = search._decide(added, h, payload)
-    assert required & ~added == 0
-    for other in decided_sets(search, required, forbidden, rng):
+    forbidden = search._forbidden(h, payload)
+    assert forbidden and not forbidden & added
+    for other in supersets_avoiding(search, added, forbidden, rng):
         assert not is_interval_graph(with_added(search, other))[0]
 
 
@@ -220,11 +222,10 @@ def test_asteroidal_triple_record():
     search = _ComponentSearch(make_graph(7, h.edges - {(1, 2)}))
     _, payload = is_interval_graph(h)
     assert payload == Obstruction("asteroidal-triple", (2, 4, 6))
-    added = search._mask([(1, 2)])
     # each third vertex against its opposite path 2-1-0-3-4, 4-3-0-5-6 or 6-5-0-1-2
     apart = [(6, p) for p in (2, 1, 0, 3, 4)] + [(2, p) for p in (4, 3, 0, 5)]
     apart += [(4, p) for p in (5, 0, 1)]
-    assert search._decide(added, h, payload) == (added, search._mask(apart))
+    assert search._forbidden(h, payload) == search._mask(apart)
 
 
 def test_pruned_search_recognizes_few_candidates(count_calls):
@@ -233,6 +234,7 @@ def test_pruned_search_recognizes_few_candidates(count_calls):
     counts = count_calls(recognition, ["is_interval_graph"])
     value, _ = boxicity_exact(g)
     assert value == 3
-    # the unpruned scan recognizes all 2**13 + 1 candidates; with every rule
-    # 37 are left, 302 without the hit rule and 7627 without the hole rule
+    # the unpruned scan recognizes all 2**13 + 1 candidates; branching on
+    # obstructions recognizes 76 (37 for the skip records it replaced, which
+    # reused one recognition for many later sets)
     assert counts["is_interval_graph"] < 100
