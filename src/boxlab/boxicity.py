@@ -5,16 +5,17 @@ E(G) is computed per connected component (boxicity of a disjoint union is
 the maximum over components). For a non-interval component the search
 
   1. explores added-edge sets A level by level, one size per level, from
-     A = {}. An A whose kill set lies inside a kept kill holds a kept hit,
-     and is dropped with everything built from it. Otherwise G + A is
-     recognized. An obstruction of G + A branches to A + f for each pair f
-     it forbids: a hole's chords, or an asteroidal triple's third vertex
-     paired with the path that avoids it. Every interval supergraph of
-     G + A adds one such f, so every minimal interval completion is
-     reached. Each level is deduplicated and sorted in `combinations`
-     order. A non-minimal hit would hold a smaller hit kept on an earlier
-     level, so the hits are the minimal completions in the order a walk
-     over all 2^m sets finds them, and the witness is the one it gives;
+     A = {}, whose obstruction G's own recognition gave. An A whose kill
+     set lies inside a kept kill holds a kept hit, and is dropped with
+     everything built from it. Otherwise G + A is recognized. An
+     obstruction of G + A branches to A + f for each pair f it forbids: a
+     hole's chords, or an asteroidal triple's third vertex paired with the
+     path that avoids it. Every interval supergraph of G + A adds one such
+     f, so every minimal interval completion is reached. Each level is
+     deduplicated and sorted in `combinations` order. A non-minimal hit
+     would hold a smaller hit kept on an earlier level, so the hits are the
+     minimal completions in the order a walk over all 2^m sets finds them,
+     and the witness is the one it gives;
   2. records the "kill set" of each hit (the non-edges the supergraph
      still excludes) with the representation its recognition returned,
      keeping only inclusion-maximal kills; two kills whose union is every
@@ -65,8 +66,9 @@ def budgets_from_env() -> tuple[int, int]:
 class _ComponentSearch:
     """Kill-set enumeration and exact cover for one connected component."""
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, obstruction: Obstruction):
         self.g = g
+        self.obstruction = obstruction
         self.nonedges = tuple(g.non_edges())
         self.index = {e: i for i, e in enumerate(self.nonedges)}
         self.full = (1 << len(self.nonedges)) - 1
@@ -114,9 +116,9 @@ class _ComponentSearch:
         return None
 
     def enumerate_kills(self) -> list[IntervalRep] | None:
-        """Branch on obstructions, one added-set size per level; stop at a
-        certified 2-cover."""
-        level = [0]
+        """Branch on obstructions, from the one g's recognition gave, one
+        added-set size per level; stop at a certified 2-cover."""
+        level = [1 << f for f in bits(self._forbidden(self.g, self.obstruction))]
         while level:
             children = set()
             for added in level:
@@ -176,7 +178,7 @@ def _component_boxicity(g: Graph, max_l: int, nonedge_budget: int):
         return 1, [payload]
     if max_l < 2:
         return None
-    searcher = _ComponentSearch(g)
+    searcher = _ComponentSearch(g, payload)
     if len(searcher.nonedges) > nonedge_budget:
         raise ResourceBudgetError(
             f"component has {len(searcher.nonedges)} non-edges, budget is {nonedge_budget}"

@@ -2,7 +2,9 @@
 
 Decision procedure: a graph is an interval graph exactly when it is chordal
 and has no asteroidal triple (Lekkerkerker and Boland, 1962). Chordality is
-tested through a Lex-BFS perfect-elimination order; the asteroidal-triple
+tested by one walk of the reverse Lex-BFS order, which keeps each vertex's
+later neighbours and follower: a failed check yields a hole through the
+failing vertex, and a passed one the maximal cliques. The asteroidal-triple
 search tries only one simplicial vertex per maximal clique, with a
 component labeling of the graph minus each candidate's closed neighborhood.
 
@@ -62,23 +64,45 @@ def lex_bfs_order(g: Graph) -> list[int]:
     return order
 
 
-def perfect_elimination_order(g: Graph) -> list[int] | None:
-    """A perfect elimination order, or None when the graph is not chordal.
+@dataclass(frozen=True)
+class Elimination:
+    order: list[int]  # the reverse Lex-BFS order
+    later: list[int]  # by vertex, the mask of its neighbours after it in `order`
+    follower: list[int]  # by vertex, the first of them; -1 when there is none
+    failure: tuple[int, int, int] | None  # (v, p, w): v's follower p misses w
 
-    The reverse of a Lex-BFS visit order is a perfect elimination order
-    exactly on chordal graphs; this runs the standard follower check on it.
+
+def perfect_elimination_order(g: Graph) -> Elimination:
+    """The follower check on the reverse of a Lex-BFS visit order.
+
+    That order is a perfect elimination order exactly on chordal graphs,
+    where `failure` is None. A vertex waits from its own turn to its
+    follower's, the first of its later neighbours to come, so each
+    follower is set once and checked then. A failure names, of the
+    vertices some follower misses, the one Lex-BFS visited first: the
+    exact oracle's candidates G + A, which Lex-BFS all enters at vertex 0,
+    then tend to report the same hole, and its search tree stays small.
     """
-    tau = lex_bfs_order(g)[::-1]
-    pos = {v: i for i, v in enumerate(tau)}
-    rest = (1 << g.n) - 1
-    for v in tau:
-        rest ^= 1 << v
-        later = g.adj[v] & rest
-        if later:
-            first = min(bits(later), key=pos.__getitem__)
-            if later & ~g.adj[first] & ~(1 << first):
-                return None
-    return tau
+    order = lex_bfs_order(g)[::-1]
+    later, follower = [0] * g.n, [-1] * g.n
+    rest, waiting, missed, failures = (1 << g.n) - 1, 0, 0, []
+    for p in order:
+        rest ^= 1 << p
+        later[p] = g.adj[p] & rest
+        mine = g.adj[p] & waiting
+        waiting ^= mine
+        for v in bits(mine):
+            follower[v] = p
+            if miss := later[v] & ~(g.adj[p] | 1 << p):
+                missed |= miss
+                failures.append((v, p, miss))
+        if later[p]:
+            waiting |= 1 << p
+    failure = None
+    if missed:
+        w = next(w for w in reversed(order) if missed >> w & 1)
+        failure = next((v, p, w) for v, p, miss in failures if miss >> w & 1)
+    return Elimination(order, later, follower, failure)
 
 
 def _bfs_path(g: Graph, start: int, goal: int, blocked: int) -> list[int] | None:
@@ -101,29 +125,26 @@ def _bfs_path(g: Graph, start: int, goal: int, blocked: int) -> list[int] | None
     return path[::-1]
 
 
-def find_chordless_cycle(g: Graph) -> tuple[int, ...]:
-    """An induced cycle of length >= 4; callers guarantee one exists.
+def find_chordless_cycle(g: Graph, v: int, p: int, w: int) -> tuple[int, ...]:
+    """A hole through v, where the follower check fails: (v, p, ..., w).
 
-    For any hole and any vertex v on it, the two cycle neighbors of v are
-    non-adjacent and the rest of the hole connects them while avoiding
-    N[v], so scanning all such triples must succeed.
+    The rest is a shortest path from p to w avoiding N[v] but for p and w:
+    it is induced, its inner vertices miss v, and p, w are not adjacent.
+    It exists (Rose, Tarjan and Lueker, 1976; Tarjan and Yannakakis, 1984).
+    Write a < b when Lex-BFS visits a before b, so w < p < v. (P) If
+    a < b < c, ac is an edge and ab is not, the first vertex d, in visit
+    order, adjacent to exactly one of b and c has d < a, db an edge and dc
+    not, as b's label was at least c's when b was visited. (Q) Then a path
+    joins a to b whose inner vertices come before a and miss N(c), by
+    induction on a: take d from (P); if d is adjacent to a, take a, d, b;
+    if not, (Q) for d < a < b joins d to a with inner vertices before d
+    and outside N(b), so outside N(c), as b and c agree on the vertices
+    before d; then add b. (Q) for (w, p, v) is the claim.
     """
-    for v in range(g.n):
-        ball, nbrs = g.adj[v] | 1 << v, list(bits(g.adj[v]))
-        reach = None
-        for x, y in combinations(nbrs, 2):
-            if g.adj[x] >> y & 1 or (reach is not None and not reach[x] & reach[y]):
-                continue
-            path = _bfs_path(g, x, y, ball ^ (1 << x | 1 << y))
-            if path is not None:
-                return (v, *path)
-            if reach is None:
-                # after a first miss, skip the pairs with no path: x and y are
-                # joined avoiding N[v] exactly when both have a neighbour in
-                # one component of g - N[v]
-                comps = g.components_within(((1 << g.n) - 1) & ~ball)
-                reach = {u: {i for i, c in enumerate(comps) if c & g.adj[u]} for u in nbrs}
-    raise ConstructionDefectError("no chordless cycle found in a non-chordal graph")
+    path = _bfs_path(g, p, w, (g.adj[v] | 1 << v) ^ (1 << p | 1 << w))
+    if path is None:
+        raise ConstructionDefectError("no hole through the vertex where the follower check fails", (v, p, w))
+    return (v, *path)
 
 
 def is_induced_cycle(g: Graph, cycle: tuple[int, ...]) -> bool:
@@ -221,28 +242,21 @@ def is_asteroidal_triple(g: Graph, triple) -> bool:
 # maximal cliques and consecutive ordering
 
 
-def maximal_cliques_chordal(g: Graph, peo: list[int]) -> list[frozenset[int]]:
-    """Maximal cliques of a chordal graph from a perfect elimination order.
+def maximal_cliques_chordal(elim: Elimination) -> list[frozenset[int]]:
+    """Maximal cliques of a chordal graph from its elimination walk.
 
     The candidates are C(v), v with its later neighbours; the maximal ones
     come out largest first, in elimination order among equal sizes. C(p)
-    lies inside another candidate exactly when p is the first later
-    neighbour of some u with more later neighbours than p: those of u form
-    a clique, so all but p are later neighbours of p. One pass finds them.
+    lies inside another candidate exactly when p is the follower of some u
+    with more later neighbours than p: those of u form a clique, so all but
+    p are later neighbours of p. One pass finds them.
     """
-    pos = {v: i for i, v in enumerate(peo)}
-    later = [[p for w in bits(g.adj[v]) if (p := pos[w]) > i] for i, v in enumerate(peo)]
+    later, follower = elim.later, elim.follower
     inside = set()
-    for ps in later:
-        if ps:
-            first = min(ps)
-            if len(ps) > len(later[first]):
-                inside.add(first)
-    out = [
-        frozenset({peo[i]} | {peo[j] for j in ps})
-        for i, ps in enumerate(later)
-        if i not in inside
-    ]
+    for v, p in enumerate(follower):
+        if p >= 0 and later[v].bit_count() > later[p].bit_count():
+            inside.add(p)
+    out = [frozenset({v} | set(bits(later[v]))) for v in elim.order if v not in inside]
     out.sort(key=len, reverse=True)
     return out
 
@@ -354,14 +368,14 @@ def is_interval_graph(g: Graph) -> tuple[bool, IntervalRep | Obstruction]:
     """Decide interval-ness; returns a realized-exact representation or an obstruction."""
     if g.n == 0:
         return True, IntervalRep(())
-    peo = perfect_elimination_order(g)
-    if peo is None:
-        hole = find_chordless_cycle(g)
+    elim = perfect_elimination_order(g)
+    if elim.failure is not None:
+        hole = find_chordless_cycle(g, *elim.failure)
         if not is_induced_cycle(g, hole):
             raise ConstructionDefectError("hole witness failed re-verification", hole)
         return False, Obstruction("chordless-cycle", hole)
-    cliques = maximal_cliques_chordal(g, peo)
-    order = consecutive_clique_order(cliques, peo)
+    cliques = maximal_cliques_chordal(elim)
+    order = consecutive_clique_order(cliques, elim.order)
     if order is None:
         # chordal without a consecutive clique order: an AT must exist
         at = find_asteroidal_triple(g, cliques)

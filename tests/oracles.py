@@ -5,7 +5,7 @@ the package: interval recognition through vertex-order enumeration,
 coloring and cliques through exhaustive search. The cover checker and the
 intersection graph are the package's earlier edge-set versions, kept as
 differential references for the bitset kernel that replaced them. The
-list-label Lex-BFS, the unfiltered hole scan, the pairwise maximal-clique
+list-label Lex-BFS, the all-vertex hole scan, the pairwise maximal-clique
 filter, the exhaustive clique-order search, the full asteroidal-triple scan
 over every vertex and the asteroidal-triple-first recognizer are the
 package's earlier recognition steps, kept as references for the faster
@@ -574,10 +574,10 @@ def is_interval_graph(g: Graph):
     """The recognizer that runs the asteroidal-triple search before any clique order."""
     if g.n == 0:
         return True, IntervalRep(())
-    peo = perfect_elimination_order(g)
-    if peo is None:
+    elim = perfect_elimination_order(g)
+    if elim.failure is not None:
         return False, Obstruction("chordless-cycle", find_chordless_cycle(g))
-    cliques = maximal_cliques_chordal(g, peo)
+    cliques = maximal_cliques_chordal(g, elim.order)
     at = find_asteroidal_triple(g, cliques)
     if at is not None:
         return False, Obstruction("asteroidal-triple", at)

@@ -179,9 +179,12 @@ def test_pruned_search_matches_unpruned_at_the_budget_edge(g):
 @example(BUDGET_EDGE_GRAPHS[2]).via("m14")
 @settings(max_examples=100, deadline=None)
 def test_search_kills_match_unpruned_walk(g):
-    """The branching search keeps the walk's kills, masks and reps in order,
-    and stops at the same 2-cover."""
-    search, walk = _ComponentSearch(g), UnprunedSearch(g)
+    """On a non-interval g, which is all the oracle searches, the branching
+    search keeps the walk's kills, masks and reps in order, and stops at the
+    same 2-cover."""
+    ok, payload = is_interval_graph(g)
+    assume(not ok)
+    search, walk = _ComponentSearch(g, payload), UnprunedSearch(g, payload)
     assert search.enumerate_kills() == walk.enumerate_kills()
     assert search.kills == walk.kills
 
@@ -208,7 +211,7 @@ def test_obstruction_records_are_sound(h, rng):
     ok, payload = is_interval_graph(h)
     assume(not ok)
     g = make_graph(h.n, [e for e in h.edges if rng.random() < 0.7])
-    search = _ComponentSearch(g)
+    search = _ComponentSearch(g, None)  # not run: only its non-edge index is used
     added = sum(1 << i for i, e in enumerate(search.nonedges) if e in h.edges)
     forbidden = search._forbidden(h, payload)
     assert forbidden and not forbidden & added
@@ -219,7 +222,7 @@ def test_obstruction_records_are_sound(h, rng):
 def test_asteroidal_triple_record():
     # g + (1, 2) is the subdivided claw, whose one AT (2, 4, 6) uses the added edge
     h = make_graph(7, SUBDIVIDED_CLAW)
-    search = _ComponentSearch(make_graph(7, h.edges - {(1, 2)}))
+    search = _ComponentSearch(make_graph(7, h.edges - {(1, 2)}), None)
     _, payload = is_interval_graph(h)
     assert payload == Obstruction("asteroidal-triple", (2, 4, 6))
     # each third vertex against its opposite path 2-1-0-3-4, 4-3-0-5-6 or 6-5-0-1-2
@@ -235,6 +238,7 @@ def test_pruned_search_recognizes_few_candidates(count_calls):
     value, _ = boxicity_exact(g)
     assert value == 3
     # the unpruned scan recognizes all 2**13 + 1 candidates; branching on
-    # obstructions recognizes 76 (37 for the skip records it replaced, which
-    # reused one recognition for many later sets)
+    # obstructions recognizes 85: g once, then 84 candidates from the
+    # children of g's obstruction on (37 for the skip records it replaced,
+    # which reused one recognition for many later sets)
     assert counts["is_interval_graph"] < 100

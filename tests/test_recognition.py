@@ -14,12 +14,12 @@ from boxlab import (
     make_graph,
     path_graph,
 )
-from boxlab import recognition
+from boxlab import Graph, recognition
+from boxlab.errors import ConstructionDefectError
 from boxlab.intervals import interval_adjacency
 from boxlab.recognition import (
     consecutive_clique_order,
     find_asteroidal_triple,
-    find_chordless_cycle,
     is_asteroidal_triple,
     is_induced_cycle,
     lex_bfs_order,
@@ -66,10 +66,14 @@ def test_net_yields_asteroidal_triple():
     assert is_asteroidal_triple(g, payload.witness)
 
 
+def is_chordal(g) -> bool:
+    return perfect_elimination_order(g).failure is None
+
+
 def test_peo_on_chordal_and_not():
-    assert perfect_elimination_order(cycle_graph(4)) is None
-    assert perfect_elimination_order(complete_graph(5)) is not None
-    assert perfect_elimination_order(path_graph(6)) is not None
+    assert not is_chordal(cycle_graph(4))
+    assert is_chordal(complete_graph(5))
+    assert is_chordal(path_graph(6))
 
 
 def test_long_holes_are_found():
@@ -130,9 +134,9 @@ def test_clique_order_search_is_not_bounded_by_recursion_depth():
     # 1199 cliques: a search that recursed once per placed clique would
     # overflow the interpreter stack here
     g = path_graph(1200)
-    peo = perfect_elimination_order(g)
-    cliques = maximal_cliques_chordal(g, peo)
-    assert is_consecutive(cliques, consecutive_clique_order(cliques, peo))
+    elim = perfect_elimination_order(g)
+    cliques = maximal_cliques_chordal(elim)
+    assert is_consecutive(cliques, consecutive_clique_order(cliques, elim.order))
 
 
 def test_interval_path_is_recognized_without_the_cubic_scan():
@@ -188,30 +192,40 @@ def test_lex_bfs_matches_list_label_oracle(g):
     assert lex_bfs_order(g) == oracles.lex_bfs_order(g)
 
 
+def assert_hole_through_failing_vertex(g, payload):
+    assert is_induced_cycle(g, payload.witness)
+    assert perfect_elimination_order(g).failure[0] in payload.witness
+
+
 @given(RECOGNITION_INPUTS)
 @settings(max_examples=150, deadline=None)
 def test_recognizer_matches_at_first_flow(g):
-    # same verdict and the same witness element by element; a representation
-    # may differ from the oracle's, but it must realize g exactly
+    # same verdict and obstruction kind, and the same AT element by element;
+    # a representation or a hole may differ from the oracle's, but the
+    # representation must realize g exactly and the hole must be one of g
+    # through the vertex where the follower check fails
     ok, payload = is_interval_graph(g)
     oracle_ok, oracle_payload = oracles.is_interval_graph(g)
     assert ok == oracle_ok
     if ok:
         assert interval_adjacency(payload) == g.adj
-    else:
+    elif payload.kind == "asteroidal-triple":
         assert payload == oracle_payload
+    else:
+        assert oracle_payload.kind == "chordless-cycle"
+        assert_hole_through_failing_vertex(g, payload)
 
 
 def assert_order_matches_search(g):
-    peo = perfect_elimination_order(g)
-    cliques = maximal_cliques_chordal(g, peo)
-    order = consecutive_clique_order(cliques, peo)
+    elim = perfect_elimination_order(g)
+    cliques = maximal_cliques_chordal(elim)
+    order = consecutive_clique_order(cliques, elim.order)
     assert (order is None) == (oracles.consecutive_clique_order(cliques, g.n) is None)
     assert order is None or is_consecutive(cliques, order)
 
 
 def test_clique_order_matches_search_on_atlas():
-    chordal = [g for g in atlas_connected(7) if perfect_elimination_order(g) is not None]
+    chordal = [g for g in atlas_connected(7) if is_chordal(g)]
     for g in chordal:
         assert_order_matches_search(g)
 
@@ -219,15 +233,66 @@ def test_clique_order_matches_search_on_atlas():
 @given(st.one_of(RECOGNITION_INPUTS, disjoint_interval_graphs()))
 @settings(max_examples=200, deadline=None)
 def test_clique_order_matches_search(g):
-    assume(perfect_elimination_order(g) is not None)
+    assume(is_chordal(g))
     assert_order_matches_search(g)
+
+
+def assert_hole_found_as_by_scan(g):
+    """A hole exactly when the all-vertex scan finds one, re-verified and
+    through the vertex where the follower check fails."""
+    ok, payload = is_interval_graph(g)
+    try:
+        scanned = oracles.find_chordless_cycle(g)
+    except ConstructionDefectError:
+        scanned = None
+    found = not ok and payload.kind == "chordless-cycle"
+    assert found == (scanned is not None)
+    if found:
+        assert_hole_through_failing_vertex(g, payload)
 
 
 @given(st.one_of(graphs(max_n=9), planted_hole_graphs()))
 @settings(max_examples=150, deadline=None)
 def test_hole_scan_matches_unfiltered_scan(g):
-    assume(perfect_elimination_order(g) is None)
-    assert find_chordless_cycle(g) == oracles.find_chordless_cycle(g)
+    assert_hole_found_as_by_scan(g)
+
+
+def test_hole_matches_scan_on_atlas():
+    for g in atlas_graphs(7):
+        if not is_chordal(g):
+            assert_hole_found_as_by_scan(g)
+
+
+def hung_hole(n: int, k: int, seed: int):
+    """A k-cycle hung off vertex 0 of a random interval graph on n vertices."""
+    base = random_interval_graph(n, seed)
+    cycle = [(n + i, n + (i + 1) % k) for i in range(k)]
+    return make_graph(n + k, [*base.edges, (0, n), *cycle])
+
+
+@pytest.mark.parametrize("k", range(4, 9))
+def test_hole_matches_scan_in_interval_graphs(k):
+    for seed in range(4):
+        g = hung_hole(100, k, seed)
+        perm = random.Random(seed).sample(range(g.n), g.n)
+        assert_hole_found_as_by_scan(make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
+
+
+def test_one_path_search_finds_the_hole(count_calls, monkeypatch):
+    # the all-vertex scan searched paths at vertex after vertex, and labelled
+    # the components of g - N[v] after a first miss
+    g = hung_hole(144, 6, seed=5)
+    counts = count_calls(recognition, ["_bfs_path"])
+    labelled = []
+    components_within = Graph.components_within
+    monkeypatch.setattr(
+        Graph, "components_within", lambda h, within: labelled.append(within) or components_within(h, within)
+    )
+    ok, payload = is_interval_graph(g)
+    assert not ok and payload.kind == "chordless-cycle"
+    assert sorted(payload.witness) == list(range(144, 150))
+    assert counts["_bfs_path"] == 1
+    assert not labelled
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 50, 800])
@@ -241,21 +306,21 @@ def test_lex_bfs_on_paths_matches_oracle(n):
 def test_maximal_cliques_match_pairwise_filter(g):
     # the same cliques in the same order, each iterated in the same order,
     # since the clique-order search and the rep are built by iterating them
-    peo = perfect_elimination_order(g)
-    assume(peo is not None)
-    fast = maximal_cliques_chordal(g, peo)
-    slow = oracles.maximal_cliques_chordal(g, peo)
+    elim = perfect_elimination_order(g)
+    assume(elim.failure is None)
+    fast = maximal_cliques_chordal(elim)
+    slow = oracles.maximal_cliques_chordal(g, elim.order)
     assert [tuple(c) for c in fast] == [tuple(c) for c in slow]
 
 
 def assert_at_search_matches_full_scan(g):
-    at = find_asteroidal_triple(g, maximal_cliques_chordal(g, perfect_elimination_order(g)))
+    at = find_asteroidal_triple(g, maximal_cliques_chordal(perfect_elimination_order(g)))
     assert (at is None) == (oracles.full_scan_asteroidal_triple(g) is None)
     assert at is None or is_asteroidal_triple(g, at)
 
 
 def test_at_search_matches_full_scan_on_atlas():
-    chordal = [g for g in atlas_graphs(7) if perfect_elimination_order(g) is not None]
+    chordal = [g for g in atlas_graphs(7) if is_chordal(g)]
     for g in chordal:
         assert_at_search_matches_full_scan(g)
 
@@ -263,7 +328,7 @@ def test_at_search_matches_full_scan_on_atlas():
 @given(st.one_of(planted_at_graphs(), interval_graphs(), chordal_graphs()))
 @settings(max_examples=200, deadline=None)
 def test_at_search_matches_full_scan(g):
-    assume(perfect_elimination_order(g) is not None)
+    assume(is_chordal(g))
     assert_at_search_matches_full_scan(g)
 
 
@@ -273,7 +338,7 @@ def test_at_search_labels_once_per_clique(count_calls):
     base = random_interval_graph(143, seed=5)
     claw = [(143 + a, 143 + b) for a, b in SUBDIVIDED_CLAW]
     g = make_graph(150, [*base.edges, (0, 143), *claw])
-    cliques = maximal_cliques_chordal(g, perfect_elimination_order(g))
+    cliques = maximal_cliques_chordal(perfect_elimination_order(g))
     assert len(cliques) < g.n
     counts = count_calls(recognition, ["_components_avoiding"])
     ok, payload = is_interval_graph(g)
