@@ -52,23 +52,16 @@ def point(x) -> Interval:
     return (f, f)
 
 
-def interval_adjacency(rep: IntervalRep) -> tuple[int, ...]:
-    """Neighbourhood of each vertex as an int bitset (closed intervals, exact),
-    in the form of `Graph.adj`.
+def ends_adjacency(lo, hi) -> tuple[int, ...]:
+    """Neighbourhood of each vertex as an int bitset, in the form of `Graph.adj`,
+    for the closed intervals [lo[v], hi[v]] given by two lists of endpoints
+    that compare exactly (ints or Fractions).
 
     v meets the u with lo_u <= hi_v and hi_u >= lo_v: one AND of two prefixes.
     """
-    ends = [f for pair in rep.intervals for f in pair]
-    den = 1
-    for d in {f.denominator for f in ends}:
-        den = math.lcm(den, d)
-        if den.bit_length() > 64:
-            break  # the Fractions themselves are the keys
-    else:  # ints over the common denominator keep order and ties
-        ends = [f.numerator * (den // f.denominator) for f in ends]
-    lo, hi = ends[::2], ends[1::2]
-    by_lo = sorted(range(rep.n), key=lo.__getitem__)
-    by_hi = sorted(range(rep.n), key=hi.__getitem__, reverse=True)
+    n = len(lo)
+    by_lo = sorted(range(n), key=lo.__getitem__)
+    by_hi = sorted(range(n), key=hi.__getitem__, reverse=True)
     lo_sorted = [lo[v] for v in by_lo]
     neg_hi_sorted = [-hi[v] for v in by_hi]
     pre_lo, pre_hi = [0], [0]
@@ -79,8 +72,21 @@ def interval_adjacency(rep: IntervalRep) -> tuple[int, ...]:
         pre_lo[bisect_right(lo_sorted, hi[v])]
         & pre_hi[bisect_right(neg_hi_sorted, -lo[v])]
         & ~(1 << v)
-        for v in range(rep.n)
+        for v in range(n)
     ])
+
+
+def interval_adjacency(rep: IntervalRep) -> tuple[int, ...]:
+    """`ends_adjacency` of the representation (closed intervals, exact)."""
+    ends = [f for pair in rep.intervals for f in pair]
+    den = 1
+    for d in {f.denominator for f in ends}:
+        den = math.lcm(den, d)
+        if den.bit_length() > 64:
+            break  # the Fractions themselves are the keys
+    else:  # ints over the common denominator keep order and ties
+        ends = [f.numerator * (den // f.denominator) for f in ends]
+    return ends_adjacency(ends[::2], ends[1::2])
 
 
 def graph_of_intervals(rep: IntervalRep) -> Graph:

@@ -5,15 +5,17 @@ and has no asteroidal triple (Lekkerkerker and Boland, 1962). Chordality is
 tested by one walk of the reverse Lex-BFS order, which keeps each vertex's
 later neighbours and follower: a failed check yields a hole through the
 failing vertex, and a passed one the maximal cliques. The asteroidal-triple
-search tries only one simplicial vertex per maximal clique, with a
-component labeling of the graph minus each candidate's closed neighborhood.
+search tries only one simplicial vertex per maximal clique, and labels the
+components of the graph minus a candidate's closed neighborhood only when a
+triple needs them.
 
 Positive answers come with a representation extracted from a consecutive
 ordering of the maximal cliques; negative answers come with a re-verifiable
 obstruction (an induced cycle of length at least 4, or an asteroidal
 triple). The clique ordering comes from one deterministic pass of
-partition refinement on the cliques; the asteroidal-triple search runs
-only when that pass finds no consecutive order.
+partition refinement on the cliques, and one pass over that order reads
+each vertex's span of clique positions; the asteroidal-triple search runs
+only when the spans show the order is not consecutive.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import combinations
 
 from .errors import ConstructionDefectError
 from .graphs import Graph, bits
-from .intervals import IntervalRep, interval_adjacency
+from .intervals import IntervalRep, ends_adjacency
 
 
 @dataclass(frozen=True)
@@ -47,9 +49,10 @@ def lex_bfs_order(g: Graph) -> list[int]:
     cells = [(1 << g.n) - 1] if g.n else []
     order: list[int] = []
     while cells:
-        v = next(bits(cells[0]))
+        low = cells[0] & -cells[0]
+        v = low.bit_length() - 1
         order.append(v)
-        cells[0] ^= 1 << v
+        cells[0] ^= low
         nv = g.adj[v]
         split = []
         for cell in cells:
@@ -163,17 +166,6 @@ def is_induced_cycle(g: Graph, cycle: tuple[int, ...]) -> bool:
 # asteroidal triples
 
 
-def _components_avoiding(g: Graph, z: int, labelled: int) -> list[int]:
-    """Component id in g minus N[z] for each vertex of the mask `labelled`;
-    -1 inside the removed ball and for the vertices left unlabelled."""
-    label = [-1] * g.n
-    outside = ((1 << g.n) - 1) & ~(g.adj[z] | 1 << z)
-    for comp, mask in enumerate(g.components_within(outside)):
-        for v in bits(mask & labelled):
-            label[v] = comp
-    return label
-
-
 def find_asteroidal_triple(
     g: Graph, cliques: list[frozenset[int]]
 ) -> tuple[int, int, int] | None:
@@ -191,6 +183,12 @@ def find_asteroidal_triple(
     in C + S, so {x', y, z} is an AT. The same step replaces y, then z. Two
     simplicial vertices of one clique are adjacent twins with the same
     closed neighbourhood, so the lowest stands for them all.
+
+    For x < y < z, pairwise non-adjacent, the triple is an AT when z lies in
+    y's component of g - N[x], z in x's of g - N[y], and y in x's of
+    g - N[z]. Each candidate's components are labelled the first time a
+    triple needs them, as the mask of the component that holds each other
+    candidate, so the tests are mask ANDs.
     """
     count = [0] * g.n
     for c in cliques:
@@ -201,16 +199,28 @@ def find_asteroidal_triple(
         simplicial = [v for v in c if count[v] == 1]
         if simplicial:
             cand |= 1 << min(simplicial)
-    comp = {z: _components_avoiding(g, z, cand) for z in bits(cand)}
+    full, sides = (1 << g.n) - 1, [None] * g.n
+
+    def side(z: int) -> list[int]:
+        """By candidate v outside N[z], the mask of v's component of g - N[z]."""
+        mine = sides[z]
+        if mine is None:
+            mine = sides[z] = [0] * g.n
+            for comp in g.components_within(full & ~(g.adj[z] | 1 << z)):
+                for v in bits(comp & cand):
+                    mine[v] = comp
+        return mine
+
     for x in bits(cand):
         far_x = cand & ~g.adj[x] & -2 << x
-        cx = comp[x]
+        if not far_x:
+            continue
+        sx = side(x)
         for y in bits(far_x):
-            cy, cxy = comp[y], cx[y]
-            for z in bits(far_x & ~g.adj[y] & -2 << y):
-                cz = comp[z]
-                if cz[x] == cz[y] and cy[x] == cy[z] and cxy == cx[z]:
-                    return (x, y, z)
+            if rest := far_x & ~g.adj[y] & -2 << y & sx[y]:
+                for z in bits(rest & side(y)[x]):
+                    if side(z)[x] >> y & 1:
+                        return (x, y, z)
     return None
 
 
@@ -261,9 +271,7 @@ def maximal_cliques_chordal(elim: Elimination) -> list[frozenset[int]]:
     return out
 
 
-def consecutive_clique_order(
-    cliques: list[frozenset[int]], peo: list[int]
-) -> list[int] | None:
+def consecutive_clique_order(cliques: list[frozenset[int]], peo: list[int]) -> list[int]:
     """Order clique indices so every vertex's cliques appear consecutively.
 
     One pass of partition refinement on the cliques (Habib, McConnell, Paul
@@ -273,8 +281,8 @@ def consecutive_clique_order(
     the right end, in the last to the left end. Each pivot is used once.
     With no pivot left, the clique generated last by Lex-BFS among those
     not yet alone moves to the right end of its class; a clique's generator
-    is its vertex that comes first in `peo`. Returns None when the final
-    order is not consecutive, which happens exactly when no order is.
+    is its vertex that comes first in `peo`. The refined order is
+    consecutive exactly when some order is; `clique_spans` tells which.
     """
     q = len(cliques)
     rank = [0] * len(peo)
@@ -334,30 +342,30 @@ def consecutive_clique_order(
             smaller = moved if 2 * len(moved) <= e - s else arr[s:b] if right else arr[b:e]
             for i in smaller:
                 queue.extend(cliques[i])
-    for mine in vert_cliques:
-        where = [pos[i] for i in mine]
-        if max(where) - min(where) >= len(where):
-            return None
     return arr
 
 
-def rep_from_clique_order(
+def clique_spans(
     cliques: list[frozenset[int]], order: list[int], n: int
-) -> IntervalRep:
-    """Vertex v gets [first, last] over the positions of cliques containing v."""
-    first = [None] * n
-    last = [None] * n
-    for posn, idx in enumerate(order):
-        for v in cliques[idx]:
-            if first[v] is None:
+) -> tuple[list[int], list[int]] | None:
+    """Each vertex's first and last position among the cliques in `order`, or
+    None when some vertex's cliques are not consecutive there.
+
+    A vertex lies in at most last - first + 1 cliques, one per position, and
+    in exactly that many when its cliques are consecutive; so the order is
+    consecutive exactly when the spans add up to the clique sizes.
+    """
+    first, last = [-1] * n, [-1] * n
+    for posn, i in enumerate(order):
+        for v in cliques[i]:
+            if first[v] < 0:
                 first[v] = posn
             last[v] = posn
-    intervals = []
-    for v in range(n):
-        if first[v] is None:
-            raise ConstructionDefectError(f"vertex {v} missing from all cliques")
-        intervals.append((Fraction(first[v]), Fraction(last[v])))
-    return IntervalRep(tuple(intervals))
+    if -1 in first:
+        raise ConstructionDefectError(f"vertex {first.index(-1)} missing from all cliques")
+    if sum(last) - sum(first) + n != sum(map(len, cliques)):
+        return None
+    return first, last
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +383,8 @@ def is_interval_graph(g: Graph) -> tuple[bool, IntervalRep | Obstruction]:
             raise ConstructionDefectError("hole witness failed re-verification", hole)
         return False, Obstruction("chordless-cycle", hole)
     cliques = maximal_cliques_chordal(elim)
-    order = consecutive_clique_order(cliques, elim.order)
-    if order is None:
+    spans = clique_spans(cliques, consecutive_clique_order(cliques, elim.order), g.n)
+    if spans is None:
         # chordal without a consecutive clique order: an AT must exist
         at = find_asteroidal_triple(g, cliques)
         if at is None:
@@ -384,7 +392,8 @@ def is_interval_graph(g: Graph) -> tuple[bool, IntervalRep | Obstruction]:
         if not is_asteroidal_triple(g, at):
             raise ConstructionDefectError("AT witness failed re-verification", at)
         return False, Obstruction("asteroidal-triple", at)
-    rep = rep_from_clique_order(cliques, order, g.n)
-    if interval_adjacency(rep) != g.adj:
-        raise ConstructionDefectError("extracted representation does not realize the graph", rep)
-    return True, rep
+    first, last = spans
+    if ends_adjacency(first, last) != g.adj:
+        raise ConstructionDefectError("clique spans do not realize the graph", spans)
+    ends = [Fraction(p) for p in range(len(cliques))]
+    return True, IntervalRep(tuple(zip(map(ends.__getitem__, first), map(ends.__getitem__, last))))

@@ -6,11 +6,12 @@ coloring and cliques through exhaustive search. The cover checker and the
 intersection graph are the package's earlier edge-set versions, kept as
 differential references for the bitset kernel that replaced them. The
 list-label Lex-BFS, the all-vertex hole scan, the pairwise maximal-clique
-filter, the exhaustive clique-order search, the full asteroidal-triple scan
-over every vertex and the asteroidal-triple-first recognizer are the
-package's earlier recognition steps, kept as references for the faster
-ones that replaced them; they read neighbours from the
-bitsets of `Graph.adj`. The component and neighbourhood-quotient versions
+filter, the exhaustive clique-order search, the representation built from
+a clique order, the full asteroidal-triple scan over every vertex, the
+asteroidal-triple search that labels every candidate up front and the
+asteroidal-triple-first recognizer are the package's earlier recognition
+steps, kept as references for the faster ones that replaced them; they
+read neighbours from the bitsets of `Graph.adj`. The component and neighbourhood-quotient versions
 below are the package's earlier ones on neighbour sets, kept as references
 for the bitset versions. The unpruned kill-set scan is the exact boxicity
 oracle's step 1 before it branched on obstructions. The induced
@@ -20,6 +21,7 @@ kept its edge set, kept as references for the ones that write bitsets.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations, permutations
 from unittest import mock
 
@@ -32,13 +34,7 @@ from boxlab.errors import ConstructionDefectError, InputError, ResourceBudgetErr
 from boxlab.graphs import Coloring, Edge, bits, check_edge_budget, join_edge_count, make_partition, pairs
 from boxlab.zdg import BOOLEAN_RING_MAX_K, ZDG_MAX_N, BooleanRingGraph
 from boxlab.intervals import CoverViolation, IntervalCover, IntervalRep
-from boxlab.recognition import (
-    Obstruction,
-    _bfs_path,
-    find_asteroidal_triple,
-    perfect_elimination_order,
-    rep_from_clique_order,
-)
+from boxlab.recognition import Obstruction, _bfs_path, perfect_elimination_order
 
 
 @st.composite
@@ -570,6 +566,76 @@ def full_scan_asteroidal_triple(g: Graph) -> tuple[int, int, int] | None:
     return None
 
 
+def rep_from_clique_order(
+    cliques: list[frozenset[int]], order: list[int], n: int
+) -> IntervalRep:
+    """Vertex v gets [first, last] over the positions of cliques containing v."""
+    first = [None] * n
+    last = [None] * n
+    for posn, idx in enumerate(order):
+        for v in cliques[idx]:
+            if first[v] is None:
+                first[v] = posn
+            last[v] = posn
+    intervals = []
+    for v in range(n):
+        if first[v] is None:
+            raise ConstructionDefectError(f"vertex {v} missing from all cliques")
+        intervals.append((Fraction(first[v]), Fraction(last[v])))
+    return IntervalRep(tuple(intervals))
+
+
+def _components_avoiding_within(g: Graph, z: int, labelled: int) -> list[int]:
+    """Component id in g minus N[z] for each vertex of the mask `labelled`;
+    -1 inside the removed ball and for the vertices left unlabelled."""
+    label = [-1] * g.n
+    outside = ((1 << g.n) - 1) & ~(g.adj[z] | 1 << z)
+    for comp, mask in enumerate(g.components_within(outside)):
+        for v in bits(mask & labelled):
+            label[v] = comp
+    return label
+
+
+def labelling_asteroidal_triple(
+    g: Graph, cliques: list[frozenset[int]]
+) -> tuple[int, int, int] | None:
+    """Some asteroidal triple of the chordal graph g, or None if it is AT-free.
+
+    `cliques` are g's maximal cliques. Only the lowest simplicial vertex of
+    each clique is tried; a vertex is simplicial exactly when it lies in one
+    maximal clique. That loses no AT. Let {x, y, z} be one, D the component
+    of g - N[x] that holds y and z, and S = N(D), which lies in N(x). D and
+    the component C of g - S that holds x are full components of S, so S is
+    a minimal separator and, g being chordal, a clique. By Dirac's theorem
+    g[C + S] is complete or has two non-adjacent simplicial vertices, so C
+    holds a vertex x' simplicial in g[C + S], hence in g. N[y] and N[z] lie
+    in D + S, so a path inside C joins x' to x around them, and N[x'] lies
+    in C + S, so {x', y, z} is an AT. The same step replaces y, then z. Two
+    simplicial vertices of one clique are adjacent twins with the same
+    closed neighbourhood, so the lowest stands for them all.
+    """
+    count = [0] * g.n
+    for c in cliques:
+        for v in c:
+            count[v] += 1
+    cand = 0
+    for c in cliques:
+        simplicial = [v for v in c if count[v] == 1]
+        if simplicial:
+            cand |= 1 << min(simplicial)
+    comp = {z: _components_avoiding_within(g, z, cand) for z in bits(cand)}
+    for x in bits(cand):
+        far_x = cand & ~g.adj[x] & -2 << x
+        cx = comp[x]
+        for y in bits(far_x):
+            cy, cxy = comp[y], cx[y]
+            for z in bits(far_x & ~g.adj[y] & -2 << y):
+                cz = comp[z]
+                if cz[x] == cz[y] and cy[x] == cy[z] and cxy == cx[z]:
+                    return (x, y, z)
+    return None
+
+
 def is_interval_graph(g: Graph):
     """The recognizer that runs the asteroidal-triple search before any clique order."""
     if g.n == 0:
@@ -578,7 +644,7 @@ def is_interval_graph(g: Graph):
     if elim.failure is not None:
         return False, Obstruction("chordless-cycle", find_chordless_cycle(g))
     cliques = maximal_cliques_chordal(g, elim.order)
-    at = find_asteroidal_triple(g, cliques)
+    at = labelling_asteroidal_triple(g, cliques)
     if at is not None:
         return False, Obstruction("asteroidal-triple", at)
     order = consecutive_clique_order(cliques, g.n)

@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations, count, islice
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +97,24 @@ def test_verify_rejects_overcover(tmp_path, capsys):
     assert payload["verified"] is False
     assert any("uncovered-non-edge" in v for v in payload["violations"])
     assert "(0, 2)" in err
+
+
+SRC = str(Path(boxlab.cli.__file__).parents[1])
+
+
+@pytest.mark.parametrize("module", ["boxlab", "boxlab.cli"])
+def test_python_m_exits_as_run(module, tmp_path, capsys):
+    # from a fresh interpreter, a cover that fails its check exits 1 and a
+    # generator prints the bytes run() prints
+    bad = _verify_files(tmp_path, graph_to_obj(path_graph(3)), {str(v): [[0, 1], [0, 1]] for v in range(3)})
+    for argv, expected in ((bad, 1), (["gen", "zdg", "--n", "6"], 0)):
+        code, out, _ = run_capture(capsys, argv)
+        assert code == expected
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC}, cwd=tmp_path,
+        )
+        assert (proc.returncode, proc.stdout) == (code, out)
 
 
 def _verify_files(tmp_path, graph_obj, intervals):

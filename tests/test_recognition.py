@@ -18,6 +18,7 @@ from boxlab import Graph, recognition
 from boxlab.errors import ConstructionDefectError
 from boxlab.intervals import interval_adjacency
 from boxlab.recognition import (
+    clique_spans,
     consecutive_clique_order,
     find_asteroidal_triple,
     is_asteroidal_triple,
@@ -192,6 +193,18 @@ def test_lex_bfs_matches_list_label_oracle(g):
     assert lex_bfs_order(g) == oracles.lex_bfs_order(g)
 
 
+def test_recognizer_checks_its_certificates(monkeypatch):
+    # clique spans that do not realize the graph, and a chordal graph with
+    # neither a consecutive clique order nor an AT, are defects
+    with monkeypatch.context() as m:
+        m.setattr(recognition, "maximal_cliques_chordal", lambda elim: [frozenset({0, 1, 2})])
+        with pytest.raises(ConstructionDefectError, match="do not realize"):
+            is_interval_graph(path_graph(3))
+    monkeypatch.setattr(recognition, "find_asteroidal_triple", lambda g, cliques: None)
+    with pytest.raises(ConstructionDefectError, match="no asteroidal triple"):
+        is_interval_graph(net_graph())
+
+
 def assert_hole_through_failing_vertex(g, payload):
     assert is_induced_cycle(g, payload.witness)
     assert perfect_elimination_order(g).failure[0] in payload.witness
@@ -217,11 +230,21 @@ def test_recognizer_matches_at_first_flow(g):
 
 
 def assert_order_matches_search(g):
+    # the pass refuses the refined order exactly when the search finds none
     elim = perfect_elimination_order(g)
     cliques = maximal_cliques_chordal(elim)
     order = consecutive_clique_order(cliques, elim.order)
-    assert (order is None) == (oracles.consecutive_clique_order(cliques, g.n) is None)
-    assert order is None or is_consecutive(cliques, order)
+    spans = clique_spans(cliques, order, g.n)
+    assert (spans is None) == (oracles.consecutive_clique_order(cliques, g.n) is None)
+    assert (spans is None) != is_consecutive(cliques, order)
+
+
+def test_clique_spans_refuse_a_non_consecutive_order():
+    # the cliques of P4 with the middle one last: vertex 1 lies in the first
+    # and the last clique but not in the one between
+    cliques = [frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})]
+    assert clique_spans(cliques, [0, 2, 1], 4) is None
+    assert clique_spans(cliques, [0, 1, 2], 4) == ([0, 0, 1, 2], [0, 1, 2, 2])
 
 
 def test_clique_order_matches_search_on_atlas():
@@ -278,16 +301,22 @@ def test_hole_matches_scan_in_interval_graphs(k):
         assert_hole_found_as_by_scan(make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
 
 
-def test_one_path_search_finds_the_hole(count_calls, monkeypatch):
-    # the all-vertex scan searched paths at vertex after vertex, and labelled
-    # the components of g - N[v] after a first miss
-    g = hung_hole(144, 6, seed=5)
-    counts = count_calls(recognition, ["_bfs_path"])
+def record_labellings(monkeypatch) -> list[int]:
+    """The masks passed to `Graph.components_within` from now on, in call order."""
     labelled = []
     components_within = Graph.components_within
     monkeypatch.setattr(
         Graph, "components_within", lambda h, within: labelled.append(within) or components_within(h, within)
     )
+    return labelled
+
+
+def test_one_path_search_finds_the_hole(count_calls, monkeypatch):
+    # the all-vertex scan searched paths at vertex after vertex, and labelled
+    # the components of g - N[v] after a first miss
+    g = hung_hole(144, 6, seed=5)
+    counts = count_calls(recognition, ["_bfs_path"])
+    labelled = record_labellings(monkeypatch)
     ok, payload = is_interval_graph(g)
     assert not ok and payload.kind == "chordless-cycle"
     assert sorted(payload.witness) == list(range(144, 150))
@@ -314,7 +343,11 @@ def test_maximal_cliques_match_pairwise_filter(g):
 
 
 def assert_at_search_matches_full_scan(g):
-    at = find_asteroidal_triple(g, maximal_cliques_chordal(perfect_elimination_order(g)))
+    # "an AT exists" as by the scan over every vertex, and the very triple
+    # of the search that labelled every candidate up front
+    cliques = maximal_cliques_chordal(perfect_elimination_order(g))
+    at = find_asteroidal_triple(g, cliques)
+    assert at == oracles.labelling_asteroidal_triple(g, cliques)
     assert (at is None) == (oracles.full_scan_asteroidal_triple(g) is None)
     assert at is None or is_asteroidal_triple(g, at)
 
@@ -332,19 +365,21 @@ def test_at_search_matches_full_scan(g):
     assert_at_search_matches_full_scan(g)
 
 
-def test_at_search_labels_once_per_clique(count_calls):
+def test_at_search_labels_once_per_clique(monkeypatch):
     # a subdivided claw hung off a random 143-vertex interval graph; the
-    # full scan labels g - N[z] for all 150 vertices z
+    # full scan labels g - N[z] for all 150 vertices z, and labelling each
+    # of the 60 candidates up front takes 60; the search labels 39
     base = random_interval_graph(143, seed=5)
     claw = [(143 + a, 143 + b) for a, b in SUBDIVIDED_CLAW]
     g = make_graph(150, [*base.edges, (0, 143), *claw])
     cliques = maximal_cliques_chordal(perfect_elimination_order(g))
-    assert len(cliques) < g.n
-    counts = count_calls(recognition, ["_components_avoiding"])
+    candidates = sum(any(sum(v in d for d in cliques) == 1 for v in c) for c in cliques)
+    assert candidates == 60 and len(cliques) == 90
+    labelled = record_labellings(monkeypatch)
     ok, payload = is_interval_graph(g)
     assert not ok and payload.kind == "asteroidal-triple"
     assert is_asteroidal_triple(g, payload.witness)
-    assert counts["_components_avoiding"] <= len(cliques)
+    assert len(labelled) < candidates
 
 
 def test_asteroidal_triple_beside_interval_components():

@@ -1,9 +1,9 @@
 """Every cover is verified exactly once, by the public function that returns it.
 
-`verify_cover`, `graph_of_intervals` and the kernel under both,
-`interval_adjacency`, are counted at every place the package binds them,
-so a second check hidden behind any import is seen. `verify_cover` runs
-the kernel once per member and builds no graph.
+`verify_cover`, `graph_of_intervals`, `interval_adjacency` under both and
+the kernel under all three, `ends_adjacency`, are counted at every place
+the package binds them, so a second check hidden behind any import is
+seen. `verify_cover` runs the kernel once per member and builds no graph.
 """
 
 import json
@@ -28,7 +28,7 @@ from boxlab.cli import run
 from boxlab.intervals import IntervalRep, point
 from boxlab.zdg import omega_chi_certificate
 
-COUNTED = ("verify_cover", "graph_of_intervals", "interval_adjacency")
+COUNTED = ("verify_cover", "graph_of_intervals", "interval_adjacency", "ends_adjacency")
 
 
 @pytest.fixture
@@ -49,7 +49,7 @@ def calls(count_calls):
 def test_join_cover_commands_verify_once(argv, calls, capsys):
     assert run(argv) == 0
     reps = len(json.loads(capsys.readouterr().out)["reps"])
-    assert calls == {"verify_cover": 1, "graph_of_intervals": 0, "interval_adjacency": reps}
+    assert calls == {"verify_cover": 1, "graph_of_intervals": 0, "interval_adjacency": reps, "ends_adjacency": reps}
 
 
 def test_join_cover_checks_part_witnesses_only_in_the_lifted_cover(tmp_path, calls, capsys):
@@ -68,24 +68,24 @@ def test_join_cover_checks_part_witnesses_only_in_the_lifted_cover(tmp_path, cal
 def test_circular_cover_verifies_once(calls, capsys):
     # 3 members, each realized once by verify_cover and nowhere else
     assert run(["cover", "circular", "--k", "13", "--d", "5"]) == 0
-    assert calls == {"verify_cover": 1, "graph_of_intervals": 0, "interval_adjacency": 3}
+    assert calls == {"verify_cover": 1, "graph_of_intervals": 0, "interval_adjacency": 3, "ends_adjacency": 3}
 
 
 def test_box_witness_is_recognized_and_verified_once(tmp_path, calls, capsys):
     # the two witness reps are the ones their recognitions returned, each
-    # checked there by one kernel call against the graph's own bitsets;
-    # verify_cover runs the kernel on each once more
+    # checked there by one kernel call on its clique positions against the
+    # graph's own bitsets; verify_cover runs the kernel on each once more
     gpath = tmp_path / "c4.json"
     gpath.write_text(json.dumps(graph_to_obj(cycle_graph(4))))
     assert run(["box", "--graph", str(gpath)]) == 0
     assert json.loads(capsys.readouterr().out)["boxicity"] == 2
-    assert calls == {"verify_cover": 1, "graph_of_intervals": 0, "interval_adjacency": 4}
+    assert calls == {"verify_cover": 1, "graph_of_intervals": 0, "interval_adjacency": 2, "ends_adjacency": 4}
 
 
 def test_reduced_cover_verifies_once(calls):
     cover = reduced_cover(cycle_graph(4))
     assert len(cover) == 2
-    assert calls == {"verify_cover": 1, "graph_of_intervals": 0, "interval_adjacency": 2}
+    assert calls == {"verify_cover": 1, "graph_of_intervals": 0, "interval_adjacency": 2, "ends_adjacency": 2}
 
 
 def test_circular_sweep_verifies_each_cover_once(calls, capsys):
