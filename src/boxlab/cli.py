@@ -7,8 +7,9 @@ file; human summaries and diagnostics go to stderr. Output is deterministic
 for fixed inputs: no timestamps, fixed key order, sorted edges.
 
 Exit codes: 0 success / verified, 1 verification failed or internal
-error, 2 input error, 3 resource budget exceeded. No exception leaves `run`
-as a traceback: anything unexpected is one "internal error" line on stderr.
+error, 2 input error (an unreadable input or an unwritable -o path), 3
+resource budget exceeded. No exception leaves `run` as a traceback:
+anything unexpected is one "internal error" line on stderr.
 """
 
 from __future__ import annotations
@@ -58,8 +59,11 @@ def _emit(payload: dict | str, out_path: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -421,9 +421,17 @@ def test_sweep_zdg_reports_defect_as_failed_cell(monkeypatch, capsys):
     assert "1 failures" in err
 
 
-def test_input_error_exit_codes(capsys):
+def test_input_error_exit_codes(tmp_path, capsys):
     code, _, _ = run_capture(capsys, ["gen", "circular", "--k", "3", "--d", "2"])
     assert code == 2
+    # an output path that cannot be written is refused as an unreadable input file is
+    for argv, path in [
+        (["gen", "zdg", "--n", "6"], tmp_path / "missing" / "x.json"),
+        (["cover", "zdg", "--n", "6"], tmp_path),
+    ]:
+        code, out, err = run_capture(capsys, [*argv, "-o", str(path)])
+        assert code == 2 and out == ""
+        assert f"input error: cannot write {path}: " in err and "internal error" not in err
     code, _, _ = run_capture(capsys, ["nonsense"])
     assert code == 2
     # argparse refuses a half-parsed join; the parser it leaves serves the next command
