@@ -13,7 +13,6 @@ from .errors import ConstructionDefectError, InputError, ResourceBudgetError
 from .graphs import (
     Coloring,
     Graph,
-    VertexPartition,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -44,7 +43,6 @@ from .intervals import (
 )
 from .joins import (
     JoinCoverPlan,
-    clique_sum_lower_bound,
     make_plan,
     reduced_cover,
     skip_join_cover,

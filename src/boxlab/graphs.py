@@ -149,34 +149,6 @@ def complete_multipartite(sizes: list[int]) -> Graph:
 
 
 @dataclass(frozen=True)
-class VertexPartition:
-    """Disjoint non-empty blocks whose union is 0..n-1."""
-
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
-def make_partition(n: int, blocks) -> VertexPartition:
-    tup = tuple(tuple(sorted(b)) for b in blocks)
-    seen: set[int] = set()
-    for blk in tup:
-        if not blk:
-            raise InputError("empty block")
-        for v in blk:
-            if not 0 <= v < n:
-                raise InputError(f"vertex {v} out of range")
-            if v in seen:
-                raise InputError(f"vertex {v} in two blocks")
-            seen.add(v)
-    if len(seen) != n:
-        raise InputError("blocks do not cover all vertices")
-    return VertexPartition(n, tup)
-
-
-@dataclass(frozen=True)
 class Coloring:
     """Color assignment indexed by vertex; color ids are 0-based."""
 
@@ -270,18 +242,20 @@ def generalized_join(g: Graph, parts: list[Graph]) -> tuple[Graph, tuple[tuple[i
     return Graph.from_adj(adj), blocks
 
 
-def reduced_graph(g: Graph) -> tuple[Graph, VertexPartition]:
-    """Quotient by the equal-open-neighborhood relation.
+def reduced_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
+    """Quotient by the equal-open-neighborhood relation, with its classes.
 
-    Classes are ordered by their smallest member; the class of x and the
-    class of y are adjacent exactly when x and y are adjacent.
+    Returns (quotient, blocks): blocks[c] lists the members of class c in
+    increasing order, and the classes are ordered by their smallest member,
+    so together they partition 0..n-1. The class of x and the class of y
+    are adjacent exactly when x and y are adjacent.
     """
     by_nbhd: dict[int, list[int]] = {}
     for v, nbhd in enumerate(g.adj):
         by_nbhd.setdefault(nbhd, []).append(v)
-    part = make_partition(g.n, by_nbhd.values())
-    quotient, _ = induced_subgraph(g, [blk[0] for blk in part.blocks])
-    return quotient, part
+    blocks = tuple(map(tuple, by_nbhd.values()))
+    quotient, _ = induced_subgraph(g, [blk[0] for blk in blocks])
+    return quotient, blocks
 
 
 def is_clique(g: Graph, vertices) -> bool:

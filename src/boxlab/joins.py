@@ -7,13 +7,13 @@ intervals (squeezed into [0, 1/2]), giving [0, 1] to parts adjacent to it
 and [1, 2] to the rest. Complete parts hanging off a clique of the outer
 graph contribute nothing and can be skipped entirely.
 
-`lift_reps` is the one copy of that lift. It writes each part's vertices
-straight to caller-chosen target labels and checks nothing; each public
-cover built from it is verified once, by the function that returns it.
-
-Also here: the clique-sum lower bound on the join's boxicity, and the
-reduction-based cover that certifies box(G) <= number of neighborhood
-classes.
+`lift_reps` is the one copy of that lift. It takes plain member tuples, one
+per part (empty for a skipped part), writes each part's vertices straight to
+caller-chosen target labels and checks nothing; each public cover built from
+it is verified once, by the function that returns it. `cover join` plans
+its parts with `make_plan`, the zero-divisor join cover lifts one `unit_rep`
+per class, and the reduction-based cover here certifies box(G) <= number of
+neighborhood classes the same way.
 """
 
 from __future__ import annotations
@@ -27,54 +27,47 @@ from .graphs import (
     Graph,
     check_edge_budget,
     check_vertex_budget,
-    empty_graph,
     generalized_join,
     is_clique,
     join_edge_count,
     reduced_graph,
 )
-from .intervals import (
-    IntervalCover,
-    IntervalRep,
-    make_cover,
-    make_rep,
-    point,
-    verified_cover,
-)
-from .solvers import maximal_cliques
+from .intervals import IntervalCover, IntervalRep, make_cover, point, verified_cover
 
 
 @dataclass(frozen=True)
 class JoinCoverPlan:
-    """Outer graph, one part per outer vertex, covers for non-skipped parts."""
+    """Outer graph, one part per outer vertex, and the members lifted from each part
+    (none for a skipped part)."""
 
     outer: Graph
     parts: tuple[Graph, ...]
-    part_covers: tuple[IntervalCover | None, ...]
-    skip: frozenset[int]
+    part_reps: tuple[tuple[IntervalRep, ...], ...]
 
 
-def canonical_unit_cover(part: Graph) -> IntervalCover:
-    """One-representation cover for a complete or edgeless part."""
-    if part.is_complete():
-        rep = make_rep([(0, 1)] * part.n)
-    elif part.is_edgeless():
-        rep = make_rep([point(v) for v in range(part.n)])
-    else:
-        raise InputError("canonical cover exists only for complete or edgeless parts")
-    return make_cover(part, (rep,))
+_UNIT = (Fraction(0), Fraction(1))
+
+
+def unit_rep(size: int, complete: bool) -> IntervalRep:
+    """The one member of a complete or edgeless part of `size` vertices.
+
+    A complete part shares [0, 1]; an edgeless one puts vertex v at the
+    point v. One vertex counts as complete, as `Graph.is_complete` says.
+    """
+    if complete or size == 1:
+        return IntervalRep((_UNIT,) * size)
+    return IntervalRep(tuple(point(v) for v in range(size)))
 
 
 def make_plan(outer: Graph, parts, skip=()) -> JoinCoverPlan:
-    """Validated plan with a cover for every part that is not skipped.
+    """Validated plan with the members of every part that is not skipped.
 
-    Complete and edgeless parts short-circuit to canonical one-rep covers;
-    anything else takes the exact boxicity oracle's witness. Nothing is
-    checked here: the canonical covers are correct by construction, and a
-    wrong oracle rep makes the lifted join cover fail its one check.
-    Skipped parts must be complete and their outer vertices must form a
-    clique. A join over the vertex or edge budget is refused before any
-    cover is built.
+    Complete and edgeless parts take their one `unit_rep`; anything else
+    takes the exact boxicity oracle's witness. Nothing is checked here: the
+    unit members are correct by construction, and a wrong oracle rep makes
+    the lifted join cover fail its one check. Skipped parts must be
+    complete and their outer vertices must form a clique. A join over the
+    vertex or edge budget is refused before any member is built.
     """
     parts = tuple(parts)
     if len(parts) != outer.n:
@@ -89,19 +82,19 @@ def make_plan(outer: Graph, parts, skip=()) -> JoinCoverPlan:
             raise InputError(f"skipped part {i} is not complete")
     if not is_clique(outer, skip):
         raise InputError("skip set is not a clique of the outer graph")
-    covers: list[IntervalCover | None] = []
+    part_reps: list[tuple[IntervalRep, ...]] = []
     for i, part in enumerate(parts):
         if i in skip:
-            cov = None
+            reps = ()
         elif part.is_complete() or part.is_edgeless():
-            cov = canonical_unit_cover(part)
+            reps = (unit_rep(part.n, part.is_complete()),)
         else:
             res = _boxicity_reps(part)
             if res is None:
                 raise InputError(f"no cover found for part {i} within the default bound")
-            cov = make_cover(part, res[1])
-        covers.append(cov)
-    return JoinCoverPlan(outer, parts, tuple(covers), skip)
+            reps = tuple(res[1])
+        part_reps.append(reps)
+    return JoinCoverPlan(outer, parts, tuple(part_reps))
 
 
 def _squeeze(rep: IntervalRep) -> IntervalRep:
@@ -122,62 +115,40 @@ def _squeeze(rep: IntervalRep) -> IntervalRep:
     )
 
 
-def _lifted_rep(plan: JoinCoverPlan, blocks, part_index: int, part_rep: IntervalRep) -> IntervalRep:
+def _lifted_rep(outer: Graph, blocks, part_index: int, part_rep: IntervalRep) -> IntervalRep:
     squeezed = _squeeze(part_rep)
     intervals: list = [None] * sum(len(blk) for blk in blocks)
     for ell, blk in enumerate(blocks):
         if ell == part_index:
             for pos, v in enumerate(blk):
                 intervals[v] = squeezed.intervals[pos]
-        elif plan.outer.has_edge(ell, part_index):
+        elif outer.has_edge(ell, part_index):
             for v in blk:
-                intervals[v] = (Fraction(0), Fraction(1))
+                intervals[v] = _UNIT
         else:
             for v in blk:
                 intervals[v] = (Fraction(1), Fraction(2))
     return IntervalRep(tuple(intervals))
 
 
-def lift_reps(plan: JoinCoverPlan, blocks) -> list[IntervalRep]:
-    """Unverified lifts of every non-skipped part-cover member into the join.
+def lift_reps(outer: Graph, part_reps, blocks) -> list[IntervalRep]:
+    """Unverified lifts of every part member into the join, part by part.
 
-    blocks[i] lists the target vertex of each vertex of part i, in order;
-    the blocks must partition 0..t-1, and the lifts are over those t labels.
+    part_reps[i] holds the members of part i (empty for a skipped part);
+    blocks[i] lists the target vertex of each vertex of part i, in order.
+    The blocks must partition 0..t-1, and the lifts are over those t labels.
     """
-    reps: list[IntervalRep] = []
-    for i in range(plan.outer.n):
-        if i in plan.skip:
-            continue
-        cov = plan.part_covers[i]
-        if cov is None:
-            raise InputError(f"part {i} is not skipped but has no cover")
-        for part_rep in cov.reps:
-            reps.append(_lifted_rep(plan, blocks, i, part_rep))
-    return reps
+    return [
+        _lifted_rep(outer, blocks, i, rep) for i, reps in enumerate(part_reps) for rep in reps
+    ]
 
 
 def skip_join_cover(plan: JoinCoverPlan) -> IntervalCover:
-    """Verified cover of the join using only the non-skipped parts' covers."""
-    if len(plan.skip) == plan.outer.n and plan.outer.n > 0:
+    """Verified cover of the join using only the non-skipped parts' members."""
+    if plan.parts and not any(plan.part_reps):
         raise InputError("at least one part must not be skipped")
     joined, blocks = generalized_join(plan.outer, list(plan.parts))
-    return verified_cover(joined, lift_reps(plan, blocks), "join cover")
-
-
-def clique_sum_lower_bound(outer: Graph, part_box: list[tuple[int, bool]]) -> int:
-    """Max over outer cliques of the boxicity sum of their non-complete parts.
-
-    `part_box` pairs each part's boxicity value with an is-complete flag;
-    complete parts never contribute. Returns 0 when no non-complete part
-    exists. Clique enumeration is exact.
-    """
-    if len(part_box) != outer.n:
-        raise InputError(f"need {outer.n} entries, got {len(part_box)}")
-    best = 0
-    for clique in maximal_cliques(outer):
-        total = sum(part_box[i][0] for i in clique if not part_box[i][1])
-        best = max(best, total)
-    return best
+    return verified_cover(joined, lift_reps(plan.outer, plan.part_reps, blocks), "join cover")
 
 
 def reduced_cover(g: Graph) -> IntervalCover:
@@ -187,11 +158,11 @@ def reduced_cover(g: Graph) -> IntervalCover:
     loopless graph two vertices with one open neighborhood are never
     adjacent), each an edgeless part of boxicity one, and joining them over
     the quotient rebuilds g with class c's vertices in place of block c.
-    Lifting one representation per class straight onto the class members
+    Lifting one unit member per class straight onto the class members
     certifies g.
     """
     if g.n == 0:
         return make_cover(g, (IntervalRep(()),))
-    quotient, classes = reduced_graph(g)
-    plan = make_plan(quotient, [empty_graph(len(blk)) for blk in classes.blocks])
-    return verified_cover(g, lift_reps(plan, classes.blocks), "reduced cover")
+    quotient, blocks = reduced_graph(g)
+    part_reps = [(unit_rep(len(blk), False),) for blk in blocks]
+    return verified_cover(g, lift_reps(quotient, part_reps, blocks), "reduced cover")

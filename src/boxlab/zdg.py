@@ -36,7 +36,7 @@ from .graphs import (
     pairs,
 )
 from .intervals import IntervalCover, IntervalRep, interval_adjacency, point, verified_cover
-from .joins import lift_reps, make_plan
+from .joins import lift_reps, unit_rep
 
 
 # ---------------------------------------------------------------------------
@@ -364,18 +364,21 @@ def compressed_box_bound(c: CompressedZN) -> int:
 def zn_join_cover(c: CompressedZN) -> IntervalCover:
     """Verified cover of the full zero-divisor graph, skipping the nilpotent clique.
 
-    One representation per non-nilpotent divisor class, so the size is
-    exactly the compressed vertex count minus the nilpotent clique size.
+    The nilpotent classes are complete and pairwise joined, so they lift
+    nothing; every other class is independent and lifts its one `unit_rep`
+    onto its positions in the direct graph. The size is exactly the
+    compressed vertex count minus the nilpotent clique size.
     """
-    skip = frozenset(i for i, comp in enumerate(c.complete) if comp)
-    if len(skip) == len(c.divisors):
+    if all(c.complete):
         raise InputError(
             f"every class of N={c.N} is nilpotent; the skip construction needs one more class"
         )
-    # the positions first: the direct graph's limit refuses before the parts are built
+    # the positions first: the direct graph's limit refuses before the members are built
     positions = c.positions
-    plan = make_plan(c.graph, _class_parts(c), skip=skip)
-    reps = lift_reps(plan, positions)
+    part_reps = [
+        () if comp else (unit_rep(size, False),) for size, comp in zip(c.sizes, c.complete)
+    ]
+    reps = lift_reps(c.graph, part_reps, positions)
     return verified_cover(c.direct[0], reps, f"cover of the zero-divisor graph of {c.N}")
 
 

@@ -18,6 +18,9 @@ oracle's step 1 before it branched on obstructions. The induced
 subgraph, generalized join, edge intersection, circular clique, zero-divisor
 graph and vector-ring graph are the package's builders from when a graph
 kept its edge set, kept as references for the ones that write bitsets.
+The clique-sum lower bound on a join's boxicity is the package's earlier
+one, kept as the reference the join covers are sandwiched against; it reads
+the outer cliques from the brute-force enumeration.
 """
 
 import math
@@ -31,7 +34,7 @@ from boxlab import Graph, boxicity_exact, make_graph
 from boxlab import boxicity
 from boxlab.circular import circular_params
 from boxlab.errors import ConstructionDefectError, InputError, ResourceBudgetError
-from boxlab.graphs import Coloring, Edge, bits, check_edge_budget, join_edge_count, make_partition, pairs
+from boxlab.graphs import Coloring, Edge, bits, check_edge_budget, join_edge_count, pairs
 from boxlab.zdg import BOOLEAN_RING_MAX_K, ZDG_MAX_N, BooleanRingGraph
 from boxlab.intervals import CoverViolation, IntervalCover, IntervalRep
 from boxlab.recognition import Obstruction, _bfs_path, perfect_elimination_order
@@ -195,6 +198,21 @@ def brute_maximal_cliques(g: Graph) -> list[list[int]]:
     return sorted(
         c for c in cliques
         if not any(all(g.has_edge(u, w) for u in c) for w in range(g.n) if w not in c)
+    )
+
+
+def clique_sum_lower_bound(outer: Graph, part_box: list[tuple[int, bool]]) -> int:
+    """Max over outer cliques of the boxicity sum of their non-complete parts.
+
+    `part_box` pairs each part's boxicity value with an is-complete flag;
+    complete parts never contribute. Returns 0 when no non-complete part
+    exists.
+    """
+    assert len(part_box) == outer.n
+    return max(
+        (sum(part_box[i][0] for i in clique if not part_box[i][1])
+         for clique in brute_maximal_cliques(outer)),
+        default=0,
     )
 
 
@@ -686,15 +704,14 @@ def reduced_graph(g: Graph):
     by_nbhd: dict[frozenset[int], list[int]] = {}
     for v, nbhd in enumerate(set_adj(g)):
         by_nbhd.setdefault(frozenset(nbhd), []).append(v)
-    blocks = sorted(by_nbhd.values(), key=lambda blk: blk[0])
-    part = make_partition(g.n, blocks)
-    reps = [blk[0] for blk in part.blocks]
+    blocks = tuple(tuple(blk) for blk in sorted(by_nbhd.values(), key=lambda blk: blk[0]))
+    reps = [blk[0] for blk in blocks]
     edges = [
         (i, j)
         for i, j in combinations(range(len(reps)), 2)
         if g.has_edge(reps[i], reps[j])
     ]
-    return make_graph(len(reps), edges), part
+    return make_graph(len(reps), edges), blocks
 
 
 class UnprunedSearch(boxicity._ComponentSearch):

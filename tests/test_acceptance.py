@@ -12,7 +12,6 @@ from itertools import combinations
 from boxlab import (
     ResourceBudgetError,
     boxicity_exact,
-    clique_sum_lower_bound,
     compressed_box_bound,
     compressed_zn,
     factor,
@@ -34,7 +33,7 @@ from boxlab import (
 from boxlab.circular import chi_cover, circular_chi
 from boxlab.graphs import complete_multipartite, cycle_graph, is_clique
 
-from oracles import atlas_connected, connected_labeled_graphs
+from oracles import atlas_connected, clique_sum_lower_bound, connected_labeled_graphs
 
 
 def _report(num: int, name: str, ok: bool, started: float, detail: str = "") -> None:
@@ -147,7 +146,7 @@ def test_criterion_6_join_synthesis():
         plan = make_plan(outer, parts)
         cover = skip_join_cover(plan)
         ok = ok and verify_cover(cover)[0]
-        ok = ok and len(cover) == sum(len(c.reps) for c in plan.part_covers)
+        ok = ok and len(cover) == sum(len(reps) for reps in plan.part_reps)
 
         skip = []
         for i, p in enumerate(parts):

@@ -500,6 +500,16 @@ def test_direct_zdg_budget_exits_3(monkeypatch, capsys):
         assert code == 3 and out == ""
         assert "direct-graph limit 10000" in err
 
+    # the join reads the class positions first: 10^10 = 2^10 5^10 has classes of
+    # billions of elements, so a member built before the refusal would not return
+    with monkeypatch.context() as guard:
+        guard.setattr(boxlab.zdg, "unit_rep", _refuse("unit_rep"))
+        guard.setattr(boxlab.zdg, "lift_reps", _refuse("lift_reps"))
+        argv = ["cover", "zdg", "--n", "10000000000", "--method", "join"]
+        code, out, err = run_capture(capsys, argv)
+        assert code == 3 and out == ""
+        assert "budget" in err and "direct-graph limit 10000" in err
+
     def no_record(n):
         raise AssertionError("the sweep started")
 

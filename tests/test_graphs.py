@@ -185,39 +185,45 @@ def test_largest_zero_divisor_join_fits_the_edge_budget():
 
 
 def test_reduced_graph_examples():
-    q, part = reduced_graph(cycle_graph(4))
+    q, blocks = reduced_graph(cycle_graph(4))
     assert q == complete_graph(2)
-    assert part.blocks == ((0, 2), (1, 3))
+    assert blocks == ((0, 2), (1, 3))
 
-    q2, part2 = reduced_graph(complete_multipartite([2, 2, 2]))
+    q2, blocks2 = reduced_graph(complete_multipartite([2, 2, 2]))
     assert q2 == complete_graph(3)
-    assert part2.blocks == ((0, 1), (2, 3), (4, 5))
+    assert blocks2 == ((0, 1), (2, 3), (4, 5))
 
-    q3, part3 = reduced_graph(path_graph(4))
+    q3, blocks3 = reduced_graph(path_graph(4))
     assert q3 == path_graph(4)
-    assert part3.blocks == ((0,), (1,), (2,), (3,))
+    assert blocks3 == ((0,), (1,), (2,), (3,))
 
 
 @given(graphs())
 @settings(max_examples=150)
 def test_reduced_graph_classes_share_neighborhoods(g):
-    _, part = reduced_graph(g)
-    for blk in part.blocks:
-        nbhds = {g.adj[v] for v in blk}
-        assert len(nbhds) == 1
+    quotient, blocks = reduced_graph(g)
+    # the blocks partition 0..n-1, each in increasing order, ordered by smallest member
+    assert len(blocks) == quotient.n
+    assert sorted(v for blk in blocks for v in blk) == list(range(g.n))
+    assert all(list(blk) == sorted(set(blk)) for blk in blocks)
+    assert [blk[0] for blk in blocks] == sorted(blk[0] for blk in blocks)
+    # one open neighborhood per class, a different one for each class
+    nbhds = [{g.adj[v] for v in blk} for blk in blocks]
+    assert all(len(nb) == 1 for nb in nbhds)
+    assert len(set().union(*nbhds)) == len(blocks)
 
 
 @given(graphs())
 @settings(max_examples=150)
 def test_reduce_then_join_rebuilds(g):
-    quotient, part = reduced_graph(g)
-    parts = [induced_subgraph(g, blk)[0] for blk in part.blocks]
+    quotient, classes = reduced_graph(g)
+    parts = [induced_subgraph(g, blk)[0] for blk in classes]
     rebuilt, blocks = generalized_join(quotient, parts)
     # block position t of class c is the t-th smallest class member
     to_orig = {}
     for c, blk in enumerate(blocks):
         for pos, v in enumerate(blk):
-            to_orig[v] = part.blocks[c][pos]
+            to_orig[v] = classes[c][pos]
     mapped = make_graph(g.n, ((to_orig[u], to_orig[v]) for u, v in rebuilt.edges))
     assert mapped == g
 

@@ -6,7 +6,6 @@ import pytest
 from boxlab import (
     InputError,
     boxicity_exact,
-    clique_sum_lower_bound,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -14,15 +13,16 @@ from boxlab import (
     generalized_join,
     make_graph,
     make_plan,
+    make_rep,
     path_graph,
     reduced_cover,
     reduced_graph,
     skip_join_cover,
     verify_cover,
 )
-from boxlab.joins import lift_reps
+from boxlab.joins import lift_reps, unit_rep
 
-from oracles import net_graph
+from oracles import clique_sum_lower_bound, net_graph
 
 
 def test_join_cover_two_edgeless_parts():
@@ -59,10 +59,21 @@ def test_skip_join_cover_drops_complete_clique_part():
 
 
 def test_skip_join_cover_empty_skip_matches_plain():
-    # with nothing skipped the cover is the plain lift of every part-cover member
+    # with nothing skipped the cover is the plain lift of every part member
     plan = make_plan(path_graph(3), [empty_graph(2), complete_graph(2), empty_graph(1)])
     _, blocks = generalized_join(plan.outer, list(plan.parts))
-    assert skip_join_cover(plan).reps == tuple(lift_reps(plan, blocks))
+    assert skip_join_cover(plan).reps == tuple(lift_reps(plan.outer, plan.part_reps, blocks))
+
+
+def test_plan_members_are_unit_reps_and_none_when_skipped():
+    parts = [complete_graph(3), empty_graph(2), empty_graph(1), path_graph(4)]
+    plan = make_plan(complete_graph(4), parts, skip=[0])
+    assert plan.part_reps[:3] == ((), (unit_rep(2, False),), (unit_rep(1, True),))
+    assert len(plan.part_reps[3]) == 1  # the oracle's witness for the interval path
+    # a one-vertex part counts as complete and keeps [0, 1]; edgeless parts get points
+    assert unit_rep(1, False) == unit_rep(1, True) == make_rep([(0, 1)])
+    assert unit_rep(3, False) == make_rep([(0, 0), (1, 1), (2, 2)])
+    assert unit_rep(0, False) == make_rep([])
 
 
 def test_make_plan_validates_skip():
@@ -137,7 +148,7 @@ def test_random_plans_verify_with_expected_size():
             parts.append(make_graph(pn, [e for e in ppairs if rng.random() < 0.5]))
         plan = make_plan(outer, parts)
         cover = skip_join_cover(plan)
-        assert len(cover) == sum(len(c.reps) for c in plan.part_covers)
+        assert len(cover) == sum(len(reps) for reps in plan.part_reps)
         assert verify_cover(cover)[0]
 
 
