@@ -37,8 +37,7 @@ from .intervals import IntervalCover, IntervalRep, make_cover, point, verified_c
 
 @dataclass(frozen=True)
 class JoinCoverPlan:
-    """Outer graph, one part per outer vertex, and the members lifted from each part
-    (none for a skipped part)."""
+    """Outer graph, one part per outer vertex, and each part's members (none if skipped)."""
 
     outer: Graph
     parts: tuple[Graph, ...]
