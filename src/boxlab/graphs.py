@@ -94,18 +94,24 @@ class Graph:
     def is_edgeless(self) -> bool:
         return not any(self.adj)
 
+    def reach(self, start: int, within: int) -> int:
+        """The vertices of the mask `within` that paths inside it join to the
+        mask `start`, which lies in `within`; `start` included."""
+        comp = frontier = start
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                reach |= self.adj[v]
+            frontier = reach & within & ~comp
+            comp |= frontier
+        return comp
+
     def components_within(self, within: int) -> list[int]:
         """Vertex masks of the components of the subgraph induced by the mask
         `within`, ordered by their lowest vertex."""
         comps: list[int] = []
         while within:
-            comp = frontier = within & -within
-            while frontier:
-                reach = 0
-                for v in bits(frontier):
-                    reach |= self.adj[v]
-                frontier = reach & within & ~comp
-                comp |= frontier
+            comp = self.reach(within & -within, within)
             comps.append(comp)
             within &= ~comp
         return comps

@@ -4,10 +4,12 @@ Decision procedure: a graph is an interval graph exactly when it is chordal
 and has no asteroidal triple (Lekkerkerker and Boland, 1962). Chordality is
 tested by one walk of the reverse Lex-BFS order, which keeps each vertex's
 later neighbours and follower: a failed check yields a hole through the
-failing vertex, and a passed one the maximal cliques. The asteroidal-triple
-search tries only one simplicial vertex per maximal clique, and labels the
-components of the graph minus a candidate's closed neighborhood only when a
-triple needs them.
+failing vertex, and a passed one the maximal cliques, each a tuple led by
+its generator. The asteroidal-triple search tries only one simplicial vertex
+per maximal clique, looks only at the components that hold a scattered
+vertex (one whose cliques are not consecutive in the refined order), and
+labels the components of that part minus a candidate's closed neighborhood
+only when a triple needs them.
 
 Positive answers come with a representation extracted from a consecutive
 ordering of the maximal cliques; negative answers come with a re-verifiable
@@ -15,7 +17,11 @@ obstruction (an induced cycle of length at least 4, or an asteroidal
 triple). The clique ordering comes from one deterministic pass of
 partition refinement on the cliques, and one pass over that order reads
 each vertex's span of clique positions; the asteroidal-triple search runs
-only when the spans show the order is not consecutive.
+only when the spans show the order is not consecutive. A component that
+holds an asteroidal triple is not interval, so no order of its maximal
+cliques is consecutive (Fulkerson and Gross, 1965) and the refined order
+scatters one of its vertices; the search returns the triple it would return
+on the whole graph (see `find_asteroidal_triple`).
 """
 
 from __future__ import annotations
@@ -167,9 +173,10 @@ def is_induced_cycle(g: Graph, cycle: tuple[int, ...]) -> bool:
 
 
 def find_asteroidal_triple(
-    g: Graph, cliques: list[frozenset[int]]
+    g: Graph, cliques: list[tuple[int, ...]], within: int
 ) -> tuple[int, int, int] | None:
-    """Some asteroidal triple of the chordal graph g, or None if it is AT-free.
+    """Some asteroidal triple of the chordal graph g inside the mask `within`,
+    a union of whole components, or None if that part is AT-free.
 
     `cliques` are g's maximal cliques. Only the lowest simplicial vertex of
     each clique is tried; a vertex is simplicial exactly when it lies in one
@@ -189,24 +196,39 @@ def find_asteroidal_triple(
     g - N[z]. Each candidate's components are labelled the first time a
     triple needs them, as the mask of the component that holds each other
     candidate, so the tests are mask ANDs.
+
+    Only the cliques, candidates and components inside `within` are looked
+    at, and when `within` holds every component with a scattered vertex of
+    some clique order, the triple is the one the search returns on all of g.
+    An AT lies inside one component, as paths join its vertices. A
+    component that holds one is not interval, so by Fulkerson and Gross no
+    order of its maximal cliques, which are g's maximal cliques inside it,
+    is consecutive: the order restricted to them scatters some vertex, and
+    so does the whole order. Each AT of g thus lies inside `within`, so no
+    triple the loop skips is one. For z in `within`, N[z] lies in z's
+    component, so the components of `within` - N[z] are exactly those of
+    g - N[z] inside `within`, and every test reads as on all of g; so the
+    loop meets the same triples in the same order, less some that are not
+    ATs, and returns the same first one.
     """
     count = [0] * g.n
-    for c in cliques:
+    kept = [c for c in cliques if within >> c[0] & 1]
+    for c in kept:
         for v in c:
             count[v] += 1
     cand = 0
-    for c in cliques:
+    for c in kept:
         simplicial = [v for v in c if count[v] == 1]
         if simplicial:
             cand |= 1 << min(simplicial)
-    full, sides = (1 << g.n) - 1, [None] * g.n
+    sides = [None] * g.n
 
     def side(z: int) -> list[int]:
         """By candidate v outside N[z], the mask of v's component of g - N[z]."""
         mine = sides[z]
         if mine is None:
             mine = sides[z] = [0] * g.n
-            for comp in g.components_within(full & ~(g.adj[z] | 1 << z)):
+            for comp in g.components_within(within & ~(g.adj[z] | 1 << z)):
                 for v in bits(comp & cand):
                     mine[v] = comp
         return mine
@@ -252,10 +274,12 @@ def is_asteroidal_triple(g: Graph, triple) -> bool:
 # maximal cliques and consecutive ordering
 
 
-def maximal_cliques_chordal(elim: Elimination) -> list[frozenset[int]]:
+def maximal_cliques_chordal(elim: Elimination) -> list[tuple[int, ...]]:
     """Maximal cliques of a chordal graph from its elimination walk.
 
-    The candidates are C(v), v with its later neighbours; the maximal ones
+    The candidates are C(v), v with its later neighbours, as the tuple of v
+    and then its later neighbours in increasing order, so v, the clique's
+    generator, comes first in it and in `elim.order`. The maximal ones
     come out largest first, in elimination order among equal sizes. C(p)
     lies inside another candidate exactly when p is the follower of some u
     with more later neighbours than p: those of u form a clique, so all but
@@ -266,12 +290,12 @@ def maximal_cliques_chordal(elim: Elimination) -> list[frozenset[int]]:
     for v, p in enumerate(follower):
         if p >= 0 and later[v].bit_count() > later[p].bit_count():
             inside.add(p)
-    out = [frozenset({v} | set(bits(later[v]))) for v in elim.order if v not in inside]
+    out = [(v, *bits(later[v])) for v in elim.order if v not in inside]
     out.sort(key=len, reverse=True)
     return out
 
 
-def consecutive_clique_order(cliques: list[frozenset[int]], peo: list[int]) -> list[int]:
+def consecutive_clique_order(cliques: list[tuple[int, ...]], peo: list[int]) -> list[int]:
     """Order clique indices so every vertex's cliques appear consecutively.
 
     One pass of partition refinement on the cliques (Habib, McConnell, Paul
@@ -281,7 +305,8 @@ def consecutive_clique_order(cliques: list[frozenset[int]], peo: list[int]) -> l
     the right end, in the last to the left end. Each pivot is used once.
     With no pivot left, the clique generated last by Lex-BFS among those
     not yet alone moves to the right end of its class; a clique's generator
-    is its vertex that comes first in `peo`. The refined order is
+    is its vertex that comes first in `peo`, which `maximal_cliques_chordal`
+    puts first in the clique. The refined order is
     consecutive exactly when some order is; `clique_spans` tells which.
     """
     q = len(cliques)
@@ -292,7 +317,7 @@ def consecutive_clique_order(cliques: list[frozenset[int]], peo: list[int]) -> l
     for i, c in enumerate(cliques):
         for v in c:
             vert_cliques[v].append(i)
-    gen = [min(map(rank.__getitem__, c)) for c in cliques]
+    gen = [rank[c[0]] for c in cliques]
     by_gen, nxt = sorted(range(q), key=gen.__getitem__), 0
     arr, pos, cls, span = list(range(q)), list(range(q)), [0] * q, [(0, q)]
     done, queue, head = [False] * len(peo), [], 0
@@ -345,16 +370,8 @@ def consecutive_clique_order(cliques: list[frozenset[int]], peo: list[int]) -> l
     return arr
 
 
-def clique_spans(
-    cliques: list[frozenset[int]], order: list[int], n: int
-) -> tuple[list[int], list[int]] | None:
-    """Each vertex's first and last position among the cliques in `order`, or
-    None when some vertex's cliques are not consecutive there.
-
-    A vertex lies in at most last - first + 1 cliques, one per position, and
-    in exactly that many when its cliques are consecutive; so the order is
-    consecutive exactly when the spans add up to the clique sizes.
-    """
+def _clique_ends(cliques: list[tuple[int, ...]], order: list[int], n: int) -> tuple[list[int], list[int]]:
+    """Each vertex's first and last position among the cliques in `order`."""
     first, last = [-1] * n, [-1] * n
     for posn, i in enumerate(order):
         for v in cliques[i]:
@@ -363,9 +380,34 @@ def clique_spans(
             last[v] = posn
     if -1 in first:
         raise ConstructionDefectError(f"vertex {first.index(-1)} missing from all cliques")
+    return first, last
+
+
+def clique_spans(
+    cliques: list[tuple[int, ...]], order: list[int], n: int
+) -> tuple[list[int], list[int]] | None:
+    """Each vertex's first and last position among the cliques in `order`, or
+    None when some vertex's cliques are not consecutive there.
+
+    A vertex lies in at most last - first + 1 cliques, one per position, and
+    in exactly that many when its cliques are consecutive; so the order is
+    consecutive exactly when the spans add up to the clique sizes.
+    """
+    first, last = _clique_ends(cliques, order, n)
     if sum(last) - sum(first) + n != sum(map(len, cliques)):
         return None
     return first, last
+
+
+def scattered_vertices(cliques: list[tuple[int, ...]], order: list[int], n: int) -> int:
+    """The mask of the vertices whose cliques are not consecutive in `order`:
+    those in fewer cliques than last - first + 1."""
+    first, last = _clique_ends(cliques, order, n)
+    count = [0] * n
+    for c in cliques:
+        for v in c:
+            count[v] += 1
+    return sum(1 << v for v in range(n) if count[v] != last[v] - first[v] + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +425,13 @@ def is_interval_graph(g: Graph) -> tuple[bool, IntervalRep | Obstruction]:
             raise ConstructionDefectError("hole witness failed re-verification", hole)
         return False, Obstruction("chordless-cycle", hole)
     cliques = maximal_cliques_chordal(elim)
-    spans = clique_spans(cliques, consecutive_clique_order(cliques, elim.order), g.n)
+    order = consecutive_clique_order(cliques, elim.order)
+    spans = clique_spans(cliques, order, g.n)
     if spans is None:
-        # chordal without a consecutive clique order: an AT must exist
-        at = find_asteroidal_triple(g, cliques)
+        # chordal without a consecutive clique order: an AT must exist, in a
+        # component that holds a scattered vertex (see find_asteroidal_triple)
+        within = g.reach(scattered_vertices(cliques, order, g.n), (1 << g.n) - 1)
+        at = find_asteroidal_triple(g, cliques, within)
         if at is None:
             raise ConstructionDefectError("no consecutive clique order and no asteroidal triple", g)
         if not is_asteroidal_triple(g, at):

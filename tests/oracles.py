@@ -20,7 +20,11 @@ graph and vector-ring graph are the package's builders from when a graph
 kept its edge set, kept as references for the ones that write bitsets.
 The clique-sum lower bound on a join's boxicity is the package's earlier
 one, kept as the reference the join covers are sandwiched against; it reads
-the outer cliques from the brute-force enumeration.
+the outer cliques from the brute-force enumeration. The recognizer on
+frozenset cliques, with its rank-scan clique order and its asteroidal-triple
+search over every component, is the package's pipeline before the cliques
+became tuples and the search was confined to the components that hold a
+scattered vertex; it pins their representations and triples.
 """
 
 import math
@@ -36,8 +40,17 @@ from boxlab.circular import circular_params
 from boxlab.errors import ConstructionDefectError, InputError, ResourceBudgetError
 from boxlab.graphs import Coloring, Edge, bits, check_edge_budget, join_edge_count, pairs
 from boxlab.zdg import BOOLEAN_RING_MAX_K, ZDG_MAX_N, BooleanRingGraph
-from boxlab.intervals import CoverViolation, IntervalCover, IntervalRep
-from boxlab.recognition import Obstruction, _bfs_path, perfect_elimination_order
+from boxlab.intervals import CoverViolation, IntervalCover, IntervalRep, ends_adjacency
+from boxlab.recognition import (
+    Elimination,
+    Obstruction,
+    _bfs_path,
+    clique_spans,
+    find_chordless_cycle as package_find_chordless_cycle,
+    is_asteroidal_triple,
+    is_induced_cycle,
+    perfect_elimination_order,
+)
 
 
 @st.composite
@@ -69,15 +82,20 @@ def interval_graphs(draw, max_n=60):
     )
 
 
+def disjoint_union(draw, parts: list[Graph]) -> Graph:
+    """The graphs of `parts` side by side, all vertices relabelled."""
+    edges, n = [], 0
+    for h in parts:
+        edges += [(n + u, n + v) for u, v in h.edges]
+        n += h.n
+    perm = draw(st.permutations(range(n)))
+    return make_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
 @st.composite
 def disjoint_interval_graphs(draw, max_n=60):
     """Two random interval graphs side by side, all vertices relabelled."""
-    a = draw(interval_graphs(max_n=max_n // 2))
-    b = draw(interval_graphs(max_n=max_n // 2))
-    n = a.n + b.n
-    perm = draw(st.permutations(range(n)))
-    edges = [*a.edges, *((a.n + u, a.n + v) for u, v in b.edges)]
-    return make_graph(n, [(perm[u], perm[v]) for u, v in edges])
+    return disjoint_union(draw, [draw(interval_graphs(max_n=max_n // 2)) for _ in range(2)])
 
 
 SUBDIVIDED_CLAW = [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]  # AT 2, 4, 6
@@ -98,6 +116,15 @@ def planted_graphs(draw, gadget, max_n=60):
 
 def planted_at_graphs(max_n=60):
     return planted_graphs(SUBDIVIDED_CLAW, max_n=max_n)
+
+
+@st.composite
+def two_at_unions(draw, max_n=60):
+    """Two planted-AT graphs and one to three interval graphs side by side,
+    all vertices relabelled: the two ATs lie in different components."""
+    parts = [draw(planted_at_graphs(max_n=max_n // 4)) for _ in range(2)]
+    parts += [draw(interval_graphs(max_n=max_n // 8)) for _ in range(draw(st.integers(1, 3)))]
+    return disjoint_union(draw, draw(st.permutations(parts)))
 
 
 @st.composite
@@ -667,6 +694,146 @@ def is_interval_graph(g: Graph):
         return False, Obstruction("asteroidal-triple", at)
     order = consecutive_clique_order(cliques, g.n)
     return True, rep_from_clique_order(cliques, order, g.n)
+
+
+def frozenset_cliques_chordal(elim: Elimination) -> list[frozenset[int]]:
+    """The maximal cliques of the elimination walk as frozensets."""
+    later, follower = elim.later, elim.follower
+    inside = set()
+    for v, p in enumerate(follower):
+        if p >= 0 and later[v].bit_count() > later[p].bit_count():
+            inside.add(p)
+    out = [frozenset({v} | set(bits(later[v]))) for v in elim.order if v not in inside]
+    out.sort(key=len, reverse=True)
+    return out
+
+
+def min_rank_clique_order(cliques: list[frozenset[int]], peo: list[int]) -> list[int]:
+    """The clique order refinement that finds each generator by a rank scan."""
+    q = len(cliques)
+    rank = [0] * len(peo)
+    for i, v in enumerate(peo):
+        rank[v] = i
+    vert_cliques: list[list[int]] = [[] for _ in peo]
+    for i, c in enumerate(cliques):
+        for v in c:
+            vert_cliques[v].append(i)
+    gen = [min(map(rank.__getitem__, c)) for c in cliques]
+    by_gen, nxt = sorted(range(q), key=gen.__getitem__), 0
+    arr, pos, cls, span = list(range(q)), list(range(q)), [0] * q, [(0, q)]
+    done, queue, head = [False] * len(peo), [], 0
+    while True:
+        if head < len(queue):
+            x = queue[head]
+            head += 1
+            if done[x]:
+                continue
+            mine = vert_cliques[x]
+            first = last = cls[mine[0]]
+            for i in mine:
+                k = cls[i]
+                if span[k] < span[first]:
+                    first = k
+                elif span[k] > span[last]:
+                    last = k
+            if first == last:
+                continue  # not a pivot yet; a later split queues x again
+            done[x] = True
+            moves = (
+                (first, [i for i in mine if cls[i] == first], True),
+                (last, [i for i in mine if cls[i] == last], False),
+            )
+        else:
+            while nxt < q and span[cls[by_gen[nxt]]][1] - span[cls[by_gen[nxt]]][0] == 1:
+                nxt += 1
+            if nxt == q:
+                break
+            moves = ((cls[by_gen[nxt]], [by_gen[nxt]], True),)
+        for k, moved, right in moves:
+            s, e = span[k]
+            if len(moved) == e - s:
+                continue
+            b = e - len(moved) if right else s + len(moved)
+            for t, i in enumerate(moved, b if right else s):
+                p, other = pos[i], arr[t]
+                arr[p], arr[t] = other, i
+                pos[other], pos[i] = p, t
+            span[k] = (s, b) if right else (b, e)
+            span.append((b, e) if right else (s, b))
+            for i in moved:
+                cls[i] = len(span) - 1
+            # a vertex that now has cliques in both parts has one in the
+            # smaller part, and a clique is in the smaller part of at most
+            # log2(q) splits
+            smaller = moved if 2 * len(moved) <= e - s else arr[s:b] if right else arr[b:e]
+            for i in smaller:
+                queue.extend(cliques[i])
+    return arr
+
+
+def unconfined_asteroidal_triple(
+    g: Graph, cliques: list[frozenset[int]]
+) -> tuple[int, int, int] | None:
+    """The asteroidal-triple search over every component, on frozenset cliques."""
+    count = [0] * g.n
+    for c in cliques:
+        for v in c:
+            count[v] += 1
+    cand = 0
+    for c in cliques:
+        simplicial = [v for v in c if count[v] == 1]
+        if simplicial:
+            cand |= 1 << min(simplicial)
+    full, sides = (1 << g.n) - 1, [None] * g.n
+
+    def side(z: int) -> list[int]:
+        """By candidate v outside N[z], the mask of v's component of g - N[z]."""
+        mine = sides[z]
+        if mine is None:
+            mine = sides[z] = [0] * g.n
+            for comp in g.components_within(full & ~(g.adj[z] | 1 << z)):
+                for v in bits(comp & cand):
+                    mine[v] = comp
+        return mine
+
+    for x in bits(cand):
+        far_x = cand & ~g.adj[x] & -2 << x
+        if not far_x:
+            continue
+        sx = side(x)
+        for y in bits(far_x):
+            if rest := far_x & ~g.adj[y] & -2 << y & sx[y]:
+                for z in bits(rest & side(y)[x]):
+                    if side(z)[x] >> y & 1:
+                        return (x, y, z)
+    return None
+
+
+def frozenset_is_interval_graph(g: Graph) -> tuple[bool, IntervalRep | Obstruction]:
+    """The recognizer on frozenset cliques with the unconfined asteroidal-triple search."""
+    if g.n == 0:
+        return True, IntervalRep(())
+    elim = perfect_elimination_order(g)
+    if elim.failure is not None:
+        hole = package_find_chordless_cycle(g, *elim.failure)
+        if not is_induced_cycle(g, hole):
+            raise ConstructionDefectError("hole witness failed re-verification", hole)
+        return False, Obstruction("chordless-cycle", hole)
+    cliques = frozenset_cliques_chordal(elim)
+    spans = clique_spans(cliques, min_rank_clique_order(cliques, elim.order), g.n)
+    if spans is None:
+        # chordal without a consecutive clique order: an AT must exist
+        at = unconfined_asteroidal_triple(g, cliques)
+        if at is None:
+            raise ConstructionDefectError("no consecutive clique order and no asteroidal triple", g)
+        if not is_asteroidal_triple(g, at):
+            raise ConstructionDefectError("AT witness failed re-verification", at)
+        return False, Obstruction("asteroidal-triple", at)
+    first, last = spans
+    if ends_adjacency(first, last) != g.adj:
+        raise ConstructionDefectError("clique spans do not realize the graph", spans)
+    ends = [Fraction(p) for p in range(len(cliques))]
+    return True, IntervalRep(tuple(zip(map(ends.__getitem__, first), map(ends.__getitem__, last))))
 
 
 def set_adj(g: Graph) -> list[set[int]]:

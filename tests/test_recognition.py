@@ -26,6 +26,7 @@ from boxlab.recognition import (
     lex_bfs_order,
     maximal_cliques_chordal,
     perfect_elimination_order,
+    scattered_vertices,
 )
 
 import oracles
@@ -41,6 +42,7 @@ from oracles import (
     net_graph,
     planted_at_graphs,
     planted_hole_graphs,
+    two_at_unions,
 )
 
 
@@ -197,10 +199,10 @@ def test_recognizer_checks_its_certificates(monkeypatch):
     # clique spans that do not realize the graph, and a chordal graph with
     # neither a consecutive clique order nor an AT, are defects
     with monkeypatch.context() as m:
-        m.setattr(recognition, "maximal_cliques_chordal", lambda elim: [frozenset({0, 1, 2})])
+        m.setattr(recognition, "maximal_cliques_chordal", lambda elim: [(0, 1, 2)])
         with pytest.raises(ConstructionDefectError, match="do not realize"):
             is_interval_graph(path_graph(3))
-    monkeypatch.setattr(recognition, "find_asteroidal_triple", lambda g, cliques: None)
+    monkeypatch.setattr(recognition, "find_asteroidal_triple", lambda g, cliques, within: None)
     with pytest.raises(ConstructionDefectError, match="no asteroidal triple"):
         is_interval_graph(net_graph())
 
@@ -229,22 +231,40 @@ def test_recognizer_matches_at_first_flow(g):
         assert_hole_through_failing_vertex(g, payload)
 
 
+@given(st.one_of(interval_graphs(), disjoint_interval_graphs(), planted_at_graphs(), two_at_unions()))
+@settings(max_examples=300, deadline=None)
+def test_recognizer_matches_frozenset_pipeline(g):
+    # the same verdict, the very same intervals and the same AT element by
+    # element as the recognizer on frozenset cliques, whose AT search runs
+    # over every component
+    ok, payload = is_interval_graph(g)
+    oracle_ok, oracle_payload = oracles.frozenset_is_interval_graph(g)
+    assert ok == oracle_ok
+    if ok:
+        assert payload.intervals == oracle_payload.intervals
+    else:
+        assert payload == oracle_payload
+
+
 def assert_order_matches_search(g):
     # the pass refuses the refined order exactly when the search finds none
     elim = perfect_elimination_order(g)
     cliques = maximal_cliques_chordal(elim)
     order = consecutive_clique_order(cliques, elim.order)
     spans = clique_spans(cliques, order, g.n)
-    assert (spans is None) == (oracles.consecutive_clique_order(cliques, g.n) is None)
+    assert (spans is None) == (oracles.consecutive_clique_order(list(map(frozenset, cliques)), g.n) is None)
     assert (spans is None) != is_consecutive(cliques, order)
+    assert (spans is None) == (scattered_vertices(cliques, order, g.n) != 0)
 
 
 def test_clique_spans_refuse_a_non_consecutive_order():
     # the cliques of P4 with the middle one last: vertex 1 lies in the first
     # and the last clique but not in the one between
-    cliques = [frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})]
+    cliques = [(0, 1), (1, 2), (2, 3)]
     assert clique_spans(cliques, [0, 2, 1], 4) is None
+    assert scattered_vertices(cliques, [0, 2, 1], 4) == 1 << 1
     assert clique_spans(cliques, [0, 1, 2], 4) == ([0, 0, 1, 2], [0, 1, 2, 2])
+    assert scattered_vertices(cliques, [0, 1, 2], 4) == 0
 
 
 def test_clique_order_matches_search_on_atlas():
@@ -333,21 +353,32 @@ def test_lex_bfs_on_paths_matches_oracle(n):
 @given(RECOGNITION_INPUTS)
 @settings(max_examples=150, deadline=None)
 def test_maximal_cliques_match_pairwise_filter(g):
-    # the same cliques in the same order, each iterated in the same order,
-    # since the clique-order search and the rep are built by iterating them
+    # the same cliques in the same order, each a tuple of distinct vertices
+    # led by its generator, the vertex that comes first in the elimination
+    # order, then the rest in increasing order
     elim = perfect_elimination_order(g)
     assume(elim.failure is None)
     fast = maximal_cliques_chordal(elim)
     slow = oracles.maximal_cliques_chordal(g, elim.order)
-    assert [tuple(c) for c in fast] == [tuple(c) for c in slow]
+    assert [set(c) for c in fast] == [set(c) for c in slow]
+    rank = {v: i for i, v in enumerate(elim.order)}
+    for c in fast:
+        assert len(set(c)) == len(c)
+        assert c[0] == min(c, key=rank.__getitem__)
+        assert list(c[1:]) == sorted(c[1:])
 
 
 def assert_at_search_matches_full_scan(g):
     # "an AT exists" as by the scan over every vertex, and the very triple
-    # of the search that labelled every candidate up front
-    cliques = maximal_cliques_chordal(perfect_elimination_order(g))
-    at = find_asteroidal_triple(g, cliques)
+    # of the search that labelled every candidate up front, both on all of g
+    # and inside the components that hold a scattered vertex
+    elim = perfect_elimination_order(g)
+    cliques = maximal_cliques_chordal(elim)
+    full = (1 << g.n) - 1
+    at = find_asteroidal_triple(g, cliques, full)
     assert at == oracles.labelling_asteroidal_triple(g, cliques)
+    scattered = scattered_vertices(cliques, consecutive_clique_order(cliques, elim.order), g.n)
+    assert at == find_asteroidal_triple(g, cliques, g.reach(scattered, full))
     assert (at is None) == (oracles.full_scan_asteroidal_triple(g) is None)
     assert at is None or is_asteroidal_triple(g, at)
 
@@ -392,3 +423,24 @@ def test_asteroidal_triple_beside_interval_components():
     assert payload == Obstruction("asteroidal-triple", (11, 12, 13))
     assert is_asteroidal_triple(g, payload.witness)
     assert oracles.full_scan_asteroidal_triple(g) == (11, 12, 13)
+
+
+def test_at_search_labels_only_the_component_of_the_triple(monkeypatch):
+    # a subdivided claw beside six random interval components, all vertices
+    # relabelled; the claw's one AT is its three leaves, and no component of
+    # g - N[z] outside the claw is labelled
+    parts = [random_interval_graph(n, seed) for seed, n in enumerate((30, 40, 25, 50, 35, 20))]
+    parts.append(make_graph(7, SUBDIVIDED_CLAW))
+    edges, n = [], 0
+    for h in parts:
+        edges += [(n + u, n + v) for u, v in h.edges]
+        n += h.n
+    perm = random.Random(7).sample(range(n), n)
+    g = make_graph(n, [(perm[u], perm[v]) for u, v in edges])
+    claw = sum(1 << perm[v] for v in range(n - 7, n))
+    labelled = record_labellings(monkeypatch)
+    ok, payload = is_interval_graph(g)
+    assert not ok and payload.kind == "asteroidal-triple"
+    assert labelled and all(mask & ~claw == 0 for mask in labelled)
+    assert payload.witness == tuple(sorted(perm[v] for v in (n - 5, n - 3, n - 1)))
+    assert payload.witness == oracles.full_scan_asteroidal_triple(g)
