@@ -112,24 +112,26 @@ def _cmd_gen(args) -> int:
 def _cmd_cover(args) -> int:
     if args.family == "circular":
         cover = chi_cover(args.k, args.d)
-        _info(f"cover of size {len(cover)} = chi({args.k},{args.d}) verified")
+        what = f" = chi({args.k},{args.d})"
     elif args.family == "zdg":
         c = compressed_zn(args.n)
         cover = zn_join_cover(c) if args.method == "join" else zn_prime_cover(c)
-        _info(f"cover of size {len(cover)} for the zero-divisor graph of {args.n} verified")
+        what = f" for the zero-divisor graph of {args.n}"
     elif args.family == "boolean":
         if args.method == "join":
             cover = reduced_cover(boolean_ring_graph(args.k).graph)
         else:
             _, cover = reduced_ring_box_bounds(args.k)
-        _info(f"cover of size {len(cover)} verified")
+        what = ""
     else:  # join
         outer = graph_from_obj(_load_json(args.outer))
         parts = [graph_from_obj(_load_json(p)) for p in args.part]
         plan = make_plan(outer, parts, skip=args.skip or ())
         cover = skip_join_cover(plan)
-        _info(f"cover of size {len(cover)} for the join verified")
+        what = " for the join"
+    # written first, so a cover that cannot be written is never reported
     _emit(cover_to_json(cover), args.output)
+    _info(f"cover of size {len(cover)}{what} verified")
     return EXIT_OK
 
 

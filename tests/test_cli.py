@@ -441,6 +441,20 @@ def test_input_error_exit_codes(tmp_path, capsys):
     assert code == 0 and json.loads(out)["graph"]["n"] == 3
 
 
+def test_cover_that_cannot_be_written_is_not_reported_verified(tmp_path, capsys):
+    code, out, err = run_capture(capsys, ["cover", "zdg", "--n", "6", "-o", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert "verified" not in err
+    assert err.startswith(f"input error: cannot write {tmp_path}: ") and err.count("\n") == 1
+    # a written cover is reported as before
+    for argv, summary in [
+        (["cover", "zdg", "--n", "6"], "cover of size 2 for the zero-divisor graph of 6 verified\n"),
+        (["cover", "circular", "--k", "7", "--d", "2"], "cover of size 4 = chi(7,2) verified\n"),
+    ]:
+        code, out, err = run_capture(capsys, [*argv, "-o", str(tmp_path / "c.json")])
+        assert code == 0 and out == "" and err == summary
+
+
 def test_run_builds_no_parser_after_its_first_call(monkeypatch, capsys):
     assert run(["gen", "circular", "--k", "5", "--d", "2"]) == 0
     built = []
