@@ -432,6 +432,7 @@ def test_input_error_exit_codes(tmp_path, capsys):
         code, out, err = run_capture(capsys, [*argv, "-o", str(path)])
         assert code == 2 and out == ""
         assert f"input error: cannot write {path}: " in err and "internal error" not in err
+        assert "verified" not in err and err.count("\n") == 1
     code, _, _ = run_capture(capsys, ["nonsense"])
     assert code == 2
     # argparse refuses a half-parsed join; the parser it leaves serves the next command
@@ -441,18 +442,20 @@ def test_input_error_exit_codes(tmp_path, capsys):
     assert code == 0 and json.loads(out)["graph"]["n"] == 3
 
 
-def test_cover_that_cannot_be_written_is_not_reported_verified(tmp_path, capsys):
-    code, out, err = run_capture(capsys, ["cover", "zdg", "--n", "6", "-o", str(tmp_path)])
-    assert code == 2 and out == ""
-    assert "verified" not in err
-    assert err.startswith(f"input error: cannot write {tmp_path}: ") and err.count("\n") == 1
-    # a written cover is reported as before
+def test_written_covers_are_reported_by_family(tmp_path, capsys):
+    # the summary follows the written artifact; the boolean and zdg lines
+    # are pinned with their own commands above
+    for name, g in (("k2", complete_graph(2)), ("p3", path_graph(3))):
+        (tmp_path / f"{name}.json").write_text(json.dumps(graph_to_obj(g)))
+    join = ["--outer", str(tmp_path / "k2.json"), *["--part", str(tmp_path / "p3.json")] * 2]
     for argv, summary in [
-        (["cover", "zdg", "--n", "6"], "cover of size 2 for the zero-divisor graph of 6 verified\n"),
         (["cover", "circular", "--k", "7", "--d", "2"], "cover of size 4 = chi(7,2) verified\n"),
+        (["cover", "join", *join], "cover of size 2 for the join verified\n"),
     ]:
-        code, out, err = run_capture(capsys, [*argv, "-o", str(tmp_path / "c.json")])
-        assert code == 0 and out == "" and err == summary
+        out = tmp_path / "c.json"
+        code, _, err = run_capture(capsys, [*argv, "-o", str(out)])
+        assert code == 0 and err == summary
+        assert cover_from_obj(json.loads(out.read_text())).reps
 
 
 def test_run_builds_no_parser_after_its_first_call(monkeypatch, capsys):
