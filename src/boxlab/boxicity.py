@@ -237,8 +237,6 @@ def _boxicity_reps(g: Graph, max_l: int = DEFAULT_MAX_COVERS) -> tuple[int, list
         cursor = Fraction(0)
         for vmap, reps in per_comp:
             rep = reps[j] if j < len(reps) else reps[0]
-            if not rep.intervals:
-                continue
             lo_min = min(lo for lo, _ in rep.intervals)
             hi_max = max(hi for _, hi in rep.intervals)
             shift = cursor - lo_min

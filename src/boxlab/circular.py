@@ -125,8 +125,6 @@ def block_window_rep(k: int, d: int) -> IntervalRep:
 def rotate_rep(rep: IntervalRep, shift: int) -> IntervalRep:
     """Rotate vertex roles: the new rep assigns to (i+shift) mod k what i had."""
     k = rep.n
-    if k == 0:
-        return rep
     intervals: list[Interval] = [None] * k  # type: ignore[list-item]
     for i in range(k):
         intervals[(i + shift) % k] = rep.intervals[i]

@@ -19,7 +19,7 @@ import json
 import sys
 from functools import cache
 
-from .boxicity import boxicity_exact
+from .boxicity import DEFAULT_MAX_COVERS, boxicity_exact
 from .circular import chi_cover, circular_chi, circular_clique, circular_params
 from .errors import ConstructionDefectError, InputError, ResourceBudgetError
 from .graphs import check_edge_budget, graph_from_obj, graph_to_obj
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     box = sub.add_parser("box", help="exact boxicity with witness cover")
     box.add_argument("--graph", required=True)
-    box.add_argument("--max", type=int, default=8)
+    box.add_argument("--max", type=int, default=DEFAULT_MAX_COVERS)
     box.add_argument("-o", "--output")
     box.set_defaults(func=_cmd_box)
 

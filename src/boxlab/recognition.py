@@ -16,12 +16,12 @@ ordering of the maximal cliques; negative answers come with a re-verifiable
 obstruction (an induced cycle of length at least 4, or an asteroidal
 triple). The clique ordering comes from one deterministic pass of
 partition refinement on the cliques, and one pass over that order reads
-each vertex's span of clique positions; the asteroidal-triple search runs
-only when the spans show the order is not consecutive. A component that
-holds an asteroidal triple is not interval, so no order of its maximal
-cliques is consecutive (Fulkerson and Gross, 1965) and the refined order
-scatters one of its vertices; the search returns the triple it would return
-on the whole graph (see `find_asteroidal_triple`).
+each vertex's span of clique positions and the scattered vertices; the
+asteroidal-triple search runs only when some vertex is scattered. A
+component that holds an asteroidal triple is not interval, so no order of
+its maximal cliques is consecutive (Fulkerson and Gross, 1965) and the
+refined order scatters one of its vertices; the search returns the triple
+it would return on the whole graph (see `find_asteroidal_triple`).
 """
 
 from __future__ import annotations
@@ -370,8 +370,18 @@ def consecutive_clique_order(cliques: list[tuple[int, ...]], peo: list[int]) -> 
     return arr
 
 
-def _clique_ends(cliques: list[tuple[int, ...]], order: list[int], n: int) -> tuple[list[int], list[int]]:
-    """Each vertex's first and last position among the cliques in `order`."""
+def clique_spans(
+    cliques: list[tuple[int, ...]], order: list[int], n: int
+) -> tuple[list[int], list[int], int]:
+    """Each vertex's first and last position among the cliques in `order`, and
+    the mask of the scattered vertices, whose cliques are not consecutive
+    there: those in fewer cliques than last - first + 1.
+
+    A vertex lies in at most last - first + 1 cliques, one per position, and
+    in exactly that many when its cliques are consecutive; so no vertex is
+    scattered exactly when the spans add up to the clique sizes, and only
+    when they do not are each vertex's cliques counted.
+    """
     first, last = [-1] * n, [-1] * n
     for posn, i in enumerate(order):
         for v in cliques[i]:
@@ -380,34 +390,13 @@ def _clique_ends(cliques: list[tuple[int, ...]], order: list[int], n: int) -> tu
             last[v] = posn
     if -1 in first:
         raise ConstructionDefectError(f"vertex {first.index(-1)} missing from all cliques")
-    return first, last
-
-
-def clique_spans(
-    cliques: list[tuple[int, ...]], order: list[int], n: int
-) -> tuple[list[int], list[int]] | None:
-    """Each vertex's first and last position among the cliques in `order`, or
-    None when some vertex's cliques are not consecutive there.
-
-    A vertex lies in at most last - first + 1 cliques, one per position, and
-    in exactly that many when its cliques are consecutive; so the order is
-    consecutive exactly when the spans add up to the clique sizes.
-    """
-    first, last = _clique_ends(cliques, order, n)
-    if sum(last) - sum(first) + n != sum(map(len, cliques)):
-        return None
-    return first, last
-
-
-def scattered_vertices(cliques: list[tuple[int, ...]], order: list[int], n: int) -> int:
-    """The mask of the vertices whose cliques are not consecutive in `order`:
-    those in fewer cliques than last - first + 1."""
-    first, last = _clique_ends(cliques, order, n)
+    if sum(last) - sum(first) + n == sum(map(len, cliques)):
+        return first, last, 0
     count = [0] * n
     for c in cliques:
         for v in c:
             count[v] += 1
-    return sum(1 << v for v in range(n) if count[v] != last[v] - first[v] + 1)
+    return first, last, sum(1 << v for v in range(n) if count[v] != last[v] - first[v] + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -426,19 +415,18 @@ def is_interval_graph(g: Graph) -> tuple[bool, IntervalRep | Obstruction]:
         return False, Obstruction("chordless-cycle", hole)
     cliques = maximal_cliques_chordal(elim)
     order = consecutive_clique_order(cliques, elim.order)
-    spans = clique_spans(cliques, order, g.n)
-    if spans is None:
+    first, last, scattered = clique_spans(cliques, order, g.n)
+    if scattered:
         # chordal without a consecutive clique order: an AT must exist, in a
         # component that holds a scattered vertex (see find_asteroidal_triple)
-        within = g.reach(scattered_vertices(cliques, order, g.n), (1 << g.n) - 1)
+        within = g.reach(scattered, (1 << g.n) - 1)
         at = find_asteroidal_triple(g, cliques, within)
         if at is None:
             raise ConstructionDefectError("no consecutive clique order and no asteroidal triple", g)
         if not is_asteroidal_triple(g, at):
             raise ConstructionDefectError("AT witness failed re-verification", at)
         return False, Obstruction("asteroidal-triple", at)
-    first, last = spans
     if ends_adjacency(first, last) != g.adj:
-        raise ConstructionDefectError("clique spans do not realize the graph", spans)
+        raise ConstructionDefectError("clique spans do not realize the graph", (first, last))
     ends = [Fraction(p) for p in range(len(cliques))]
     return True, IntervalRep(tuple(zip(map(ends.__getitem__, first), map(ends.__getitem__, last))))

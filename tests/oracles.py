@@ -24,7 +24,10 @@ the outer cliques from the brute-force enumeration. The recognizer on
 frozenset cliques, with its rank-scan clique order and its asteroidal-triple
 search over every component, is the package's pipeline before the cliques
 became tuples and the search was confined to the components that hold a
-scattered vertex; it pins their representations and triples.
+scattered vertex; it pins their representations and triples. It reads
+the package's earlier span pass, which returned the spans or None; that
+pass and the second walk over the clique order that found the scattered
+vertices are kept as references for the one pass that returns both.
 """
 
 import math
@@ -45,7 +48,6 @@ from boxlab.recognition import (
     Elimination,
     Obstruction,
     _bfs_path,
-    clique_spans,
     find_chordless_cycle as package_find_chordless_cycle,
     is_asteroidal_triple,
     is_induced_cycle,
@@ -809,6 +811,46 @@ def unconfined_asteroidal_triple(
     return None
 
 
+def parent_clique_ends(cliques: list[tuple[int, ...]], order: list[int], n: int) -> tuple[list[int], list[int]]:
+    """Each vertex's first and last position among the cliques in `order`."""
+    first, last = [-1] * n, [-1] * n
+    for posn, i in enumerate(order):
+        for v in cliques[i]:
+            if first[v] < 0:
+                first[v] = posn
+            last[v] = posn
+    if -1 in first:
+        raise ConstructionDefectError(f"vertex {first.index(-1)} missing from all cliques")
+    return first, last
+
+
+def parent_clique_spans(
+    cliques: list[tuple[int, ...]], order: list[int], n: int
+) -> tuple[list[int], list[int]] | None:
+    """Each vertex's first and last position among the cliques in `order`, or
+    None when some vertex's cliques are not consecutive there.
+
+    A vertex lies in at most last - first + 1 cliques, one per position, and
+    in exactly that many when its cliques are consecutive; so the order is
+    consecutive exactly when the spans add up to the clique sizes.
+    """
+    first, last = parent_clique_ends(cliques, order, n)
+    if sum(last) - sum(first) + n != sum(map(len, cliques)):
+        return None
+    return first, last
+
+
+def parent_scattered_vertices(cliques: list[tuple[int, ...]], order: list[int], n: int) -> int:
+    """The mask of the vertices whose cliques are not consecutive in `order`:
+    those in fewer cliques than last - first + 1."""
+    first, last = parent_clique_ends(cliques, order, n)
+    count = [0] * n
+    for c in cliques:
+        for v in c:
+            count[v] += 1
+    return sum(1 << v for v in range(n) if count[v] != last[v] - first[v] + 1)
+
+
 def frozenset_is_interval_graph(g: Graph) -> tuple[bool, IntervalRep | Obstruction]:
     """The recognizer on frozenset cliques with the unconfined asteroidal-triple search."""
     if g.n == 0:
@@ -820,7 +862,7 @@ def frozenset_is_interval_graph(g: Graph) -> tuple[bool, IntervalRep | Obstructi
             raise ConstructionDefectError("hole witness failed re-verification", hole)
         return False, Obstruction("chordless-cycle", hole)
     cliques = frozenset_cliques_chordal(elim)
-    spans = clique_spans(cliques, min_rank_clique_order(cliques, elim.order), g.n)
+    spans = parent_clique_spans(cliques, min_rank_clique_order(cliques, elim.order), g.n)
     if spans is None:
         # chordal without a consecutive clique order: an AT must exist
         at = unconfined_asteroidal_triple(g, cliques)

@@ -155,6 +155,21 @@ def test_verify_rejects_intervals_that_are_not_an_object(tmp_path, capsys):
     assert "intervals" in err
 
 
+def test_verify_rejects_a_cover_that_embeds_another_graph(tmp_path, capsys):
+    # the one member realizes the path 0-1-2 given as --graph, but the cover
+    # embeds the graph with the edge 0-1 alone
+    path = {"n": 3, "edges": [[0, 1], [1, 2]]}
+    argv = _verify_files(tmp_path, path, {str(v): [[v, 1], [v + 1, 1]] for v in range(3)})
+    cpath = tmp_path / "c.json"
+    cover_obj = json.loads(cpath.read_text())
+    cover_obj["graph"] = {"n": 3, "edges": [[0, 1]]}
+    cpath.write_text(json.dumps(cover_obj))
+    code, out, err = run_capture(capsys, argv)
+    assert code == 1
+    assert json.loads(out) == {"verified": False, "violations": ["embedded graph differs from --graph"]}
+    assert err == "embedded graph differs from --graph\n"
+
+
 @pytest.mark.parametrize("keys", [("0", "1", "+1"), ("0", "+1", "1")], ids="-".join)
 def test_verify_rejects_two_keys_for_one_vertex(keys, tmp_path, capsys):
     # two keys name vertex 1, once at [0, 1] (touching vertex 0) and once at
@@ -236,15 +251,23 @@ def test_malformed_json_file_is_input_error(kind, verb, tmp_path, capsys):
     assert err.startswith(f"input error: cannot read {bad}")
 
 
-def test_uncaught_error_is_one_line_exit_1(monkeypatch, capsys):
-    def crash(k, d):
-        raise RuntimeError("boom")
+def test_uncaught_error_is_one_line_exit_1(monkeypatch, tmp_path, capsys):
+    cases = [
+        (RuntimeError("boom"), "internal error: RuntimeError: boom\n"),
+        (ConstructionDefectError("rep misses an edge", (0, 1)), "construction defect: rep misses an edge\n"),
+    ]
+    for exc, line in cases:
 
-    monkeypatch.setattr(boxlab.cli, "chi_cover", crash)
-    code, out, err = run_capture(capsys, ["cover", "circular", "--k", "7", "--d", "2"])
-    assert code == 1
-    assert out == ""
-    assert err == "internal error: RuntimeError: boom\n"
+        def crash(k, d):
+            raise exc
+
+        monkeypatch.setattr(boxlab.cli, "chi_cover", crash)
+        cpath = tmp_path / "c.json"
+        code, out, err = run_capture(capsys, ["cover", "circular", "--k", "7", "--d", "2", "-o", str(cpath)])
+        assert code == 1
+        assert out == ""
+        assert err == line
+        assert not cpath.exists()
 
 
 def test_box_command(tmp_path, capsys):

@@ -26,7 +26,6 @@ from boxlab.recognition import (
     lex_bfs_order,
     maximal_cliques_chordal,
     perfect_elimination_order,
-    scattered_vertices,
 )
 
 import oracles
@@ -251,20 +250,34 @@ def assert_order_matches_search(g):
     elim = perfect_elimination_order(g)
     cliques = maximal_cliques_chordal(elim)
     order = consecutive_clique_order(cliques, elim.order)
-    spans = clique_spans(cliques, order, g.n)
-    assert (spans is None) == (oracles.consecutive_clique_order(list(map(frozenset, cliques)), g.n) is None)
-    assert (spans is None) != is_consecutive(cliques, order)
-    assert (spans is None) == (scattered_vertices(cliques, order, g.n) != 0)
+    _, _, scattered = clique_spans(cliques, order, g.n)
+    assert (scattered != 0) == (oracles.consecutive_clique_order(list(map(frozenset, cliques)), g.n) is None)
+    assert (scattered != 0) != is_consecutive(cliques, order)
+    assert (scattered != 0) == (oracles.parent_clique_spans(cliques, order, g.n) is None)
 
 
 def test_clique_spans_refuse_a_non_consecutive_order():
     # the cliques of P4 with the middle one last: vertex 1 lies in the first
     # and the last clique but not in the one between
     cliques = [(0, 1), (1, 2), (2, 3)]
-    assert clique_spans(cliques, [0, 2, 1], 4) is None
-    assert scattered_vertices(cliques, [0, 2, 1], 4) == 1 << 1
-    assert clique_spans(cliques, [0, 1, 2], 4) == ([0, 0, 1, 2], [0, 1, 2, 2])
-    assert scattered_vertices(cliques, [0, 1, 2], 4) == 0
+    assert clique_spans(cliques, [0, 2, 1], 4) == ([0, 0, 1, 1], [0, 2, 2, 1], 1 << 1)
+    assert clique_spans(cliques, [0, 1, 2], 4) == ([0, 0, 1, 2], [0, 1, 2, 2], 0)
+
+
+@given(st.one_of(interval_graphs(), planted_at_graphs(), two_at_unions(), chordal_graphs()), st.data())
+@settings(max_examples=300, deadline=None)
+def test_clique_spans_match_parent_passes(g, data):
+    # the one pass returns the spans and the scattered vertices of the span
+    # pass and the second walk it replaced, under the refined order and
+    # under a shuffled one
+    elim = perfect_elimination_order(g)
+    cliques = maximal_cliques_chordal(elim)
+    refined = consecutive_clique_order(cliques, elim.order)
+    for order in (refined, data.draw(st.permutations(refined))):
+        first, last, scattered = clique_spans(cliques, order, g.n)
+        assert (first, last) == oracles.parent_clique_ends(cliques, order, g.n)
+        assert scattered == oracles.parent_scattered_vertices(cliques, order, g.n)
+        assert (scattered == 0) == (oracles.parent_clique_spans(cliques, order, g.n) is not None)
 
 
 def test_clique_order_matches_search_on_atlas():
@@ -377,7 +390,7 @@ def assert_at_search_matches_full_scan(g):
     full = (1 << g.n) - 1
     at = find_asteroidal_triple(g, cliques, full)
     assert at == oracles.labelling_asteroidal_triple(g, cliques)
-    scattered = scattered_vertices(cliques, consecutive_clique_order(cliques, elim.order), g.n)
+    _, _, scattered = clique_spans(cliques, consecutive_clique_order(cliques, elim.order), g.n)
     assert at == find_asteroidal_triple(g, cliques, g.reach(scattered, full))
     assert (at is None) == (oracles.full_scan_asteroidal_triple(g) is None)
     assert at is None or is_asteroidal_triple(g, at)
