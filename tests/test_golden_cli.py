@@ -74,10 +74,13 @@ def _join(outer, parts, skip=()):
 
 
 ZDG_N = (6, 12, 45, 72, 100, 180, 210, 330)
+# p^n with n = 3, 3, 2, 4: the cover's one threshold member is the explicit rep
+PRIME_POWER_N = (8, 27, 49, 81)
 BOOLEAN_K = range(2, 7)
 
 CORPUS = (
     [["cover", "zdg", "--n", str(n)] for n in ZDG_N]
+    + [["cover", "zdg", "--n", str(n)] for n in PRIME_POWER_N]
     + [["cover", "boolean", "--k", str(k)] for k in BOOLEAN_K]
     # the paper's join construction, reachable with its original bytes
     + [["cover", "zdg", "--n", str(n), "--method", "join"] for n in ZDG_N]
@@ -121,6 +124,10 @@ GOLDEN = {
     "cover zdg --n 180": (0, "ae9f1bc5bd2f51933cbe720c197d90a43dabf2fc95484aacfcd978b0a12abdb0"),
     "cover zdg --n 210": (0, "26e8b015894dfe87342e8eb36377228d7767a40b02d8e9b79e35b459bad16ebd"),
     "cover zdg --n 330": (0, "36ff9742ca2e944ce6f8f4f34d59552e97fc36ea6ab85d56514c4bb853eb1ca7"),
+    "cover zdg --n 8": (0, "ffd60a8ed049e4d235e96f749a01adb59487e037ba05df46ec664ab11e5001d0"),
+    "cover zdg --n 27": (0, "f4978203e1302bd8ba9a0f6d9f4c48481319f99601f06022d577eaf4008b8e21"),
+    "cover zdg --n 49": (0, "6b224ad6a8a7407a6ac54a4464e75c79cf8d050bf083328f45f488f24a999ac4"),
+    "cover zdg --n 81": (0, "a0b155eb45fdba7fe1e27c7a21f63968518b353a65bad3cde949820906d463b3"),
     "cover boolean --k 2": (0, "8fd5a21223c10f60c0beadd4e8533c089cfd586e077497add90719a77696d4f0"),
     "cover boolean --k 3": (0, "987698cb048062e8c06667b1978096e04869cc990adb6245da67bc9615d91d2e"),
     "cover boolean --k 4": (0, "4d8fbd5f4a0d80952ab659f56ee46518e9e38ca14c59c5c6e3f9cf619cf6db68"),
