@@ -23,7 +23,6 @@ from .graphs import (
     graph_to_obj,
     induced_subgraph,
     is_clique,
-    is_independent,
     make_graph,
     path_graph,
     reduced_graph,
@@ -61,7 +60,6 @@ from .zdg import (
     factor,
     is_box_one,
     omega_chi_certificate,
-    prime_power_rep,
     reduced_ring_box_bounds,
     threshold_rep,
     zdg_zn,

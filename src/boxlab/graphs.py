@@ -269,11 +269,6 @@ def is_clique(g: Graph, vertices) -> bool:
     return all((g.adj[v] | 1 << v) & mask == mask for v in bits(mask))
 
 
-def is_independent(g: Graph, vertices) -> bool:
-    mask = _vertex_mask(g, vertices)
-    return not any(g.adj[v] & mask for v in bits(mask))
-
-
 def edge_intersection(graphs: list[Graph]) -> Graph:
     """Graph whose edges appear in every input; inputs must share a vertex count."""
     if not graphs:

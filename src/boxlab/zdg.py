@@ -10,8 +10,9 @@ blocks over the compressed graph rebuilds the full graph exactly.
 The divisor arithmetic certifies the clique number and chromatic number of
 the compressed graph without search, yields verified interval covers of
 the full graph (one threshold member per prime of N, or the paper's join
-construction), and decides which N have an interval zero-divisor graph,
-with explicit representations for the prime power cases.
+construction), and decides which N have an interval zero-divisor graph.
+For a prime power the per-prime cover has one member, and that verified
+member is the explicit interval representation.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .graphs import (
     is_clique,
     pairs,
 )
-from .intervals import IntervalCover, IntervalRep, interval_adjacency, point, verified_cover
+from .intervals import IntervalCover, IntervalRep, verified_cover
 from .joins import lift_reps, unit_rep
 
 
@@ -452,34 +453,11 @@ def zn_prime_cover(c: CompressedZN) -> IntervalCover:
     dividing N, and for a zero divisor x the exponent min(v_p(x), e) is
     v_p(gcd(x, N)). So the graph is the edge intersection of one threshold
     graph per prime, in ascending p, each weighing a class by the exponent
-    of p in its divisor.
+    of p in its divisor. For N = p^n the one member realizes the graph
+    exactly: the layers p^i join exactly when i + j >= n.
     """
     reps = [threshold_rep(_prime_weights(c, p), e) for p, e in sorted(c.f.exponents.items())]
     return verified_cover(c.direct[0], reps, f"per-prime cover of the zero-divisor graph of {c.N}")
-
-
-def prime_power_rep(c: CompressedZN) -> IntervalRep:
-    """Explicit interval representation of the zero-divisor graph of Z_{p^n}.
-
-    Layer i is the class of gcd(x, p^n) = p^i for 1 <= i <= n-1; layers i
-    and j join exactly when i + j >= n, so this is `threshold_rep` with the
-    layer as weight and no weight-0 layer (for n = 3 the low layer sits at
-    the points 1/j instead, pinned by the tests). The result is checked for
-    exact equality with the direct graph.
-    """
-    if not c.f.is_prime_power:
-        raise InputError(f"need a prime power with exponent >= 2, got {c.N}")
-    ((p, n),) = c.f.exponents.items()
-    intervals = list(threshold_rep(_prime_weights(c, p), n).intervals)
-    if n == 3:
-        for j, v in enumerate(c.positions[0], start=1):
-            intervals[v] = point(Fraction(1, j))
-    rep = IntervalRep(tuple(intervals))
-    if interval_adjacency(rep) != c.direct[0].adj:
-        raise ConstructionDefectError(
-            f"representation for {c.N} does not realize the zero-divisor graph"
-        )
-    return rep
 
 
 # ---------------------------------------------------------------------------

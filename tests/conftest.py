@@ -1,7 +1,10 @@
+import ast
 import sys
 from pathlib import Path
 
 import pytest
+
+import boxlab
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -30,3 +33,23 @@ def count_calls(monkeypatch):
         return counts
 
     return install
+
+
+@pytest.fixture
+def package_imports():
+    """{file name: dotted names} of every package module's imports.
+
+    Modules and imported names alike are listed, relative ones without
+    their leading dots.
+    """
+
+    def names(path):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                yield node.module or ""
+                yield from (f"{node.module or ''}.{alias.name}".lstrip(".") for alias in node.names)
+
+    package = Path(boxlab.__file__).parent
+    return {path.name: tuple(names(path)) for path in sorted(package.glob("*.py"))}

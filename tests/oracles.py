@@ -28,6 +28,8 @@ scattered vertex; it pins their representations and triples. It reads
 the package's earlier span pass, which returned the spans or None; that
 pass and the second walk over the clique order that found the scattered
 vertices are kept as references for the one pass that returns both.
+The independence test is the package's, moved here because only the tests
+read it.
 """
 
 import math
@@ -41,7 +43,7 @@ from boxlab import Graph, boxicity_exact, make_graph
 from boxlab import boxicity
 from boxlab.circular import circular_params
 from boxlab.errors import ConstructionDefectError, InputError, ResourceBudgetError
-from boxlab.graphs import Coloring, Edge, bits, check_edge_budget, join_edge_count, pairs
+from boxlab.graphs import Coloring, Edge, _vertex_mask, bits, check_edge_budget, join_edge_count, pairs
 from boxlab.zdg import BOOLEAN_RING_MAX_K, ZDG_MAX_N, BooleanRingGraph
 from boxlab.intervals import CoverViolation, IntervalCover, IntervalRep, ends_adjacency
 from boxlab.recognition import (
@@ -228,6 +230,11 @@ def brute_maximal_cliques(g: Graph) -> list[list[int]]:
         c for c in cliques
         if not any(all(g.has_edge(u, w) for u in c) for w in range(g.n) if w not in c)
     )
+
+
+def is_independent(g: Graph, vertices) -> bool:
+    mask = _vertex_mask(g, vertices)
+    return not any(g.adj[v] & mask for v in bits(mask))
 
 
 def clique_sum_lower_bound(outer: Graph, part_box: list[tuple[int, bool]]) -> int:

@@ -22,13 +22,13 @@ from boxlab import (
     make_graph,
     make_plan,
     omega_chi_certificate,
-    prime_power_rep,
     reduced_cover,
     reduced_graph,
     skip_join_cover,
     verify_cover,
     zdg_zn,
     zn_join_cover,
+    zn_prime_cover,
 )
 from boxlab.circular import chi_cover, circular_chi
 from boxlab.graphs import complete_multipartite, cycle_graph, is_clique
@@ -109,8 +109,8 @@ def test_criterion_4_interval_characterization():
         f = factor(n)
         if f.is_prime or not f.is_prime_power:
             continue
-        rep = prime_power_rep(compressed_zn(n))
-        reps_ok = reps_ok and graph_of_intervals(rep) == zdg_zn(n)[0]
+        cover = zn_prime_cover(compressed_zn(n))
+        reps_ok = reps_ok and len(cover) == 1 and graph_of_intervals(cover.reps[0]) == zdg_zn(n)[0]
     _report(4, "box-one classifier matches recognition; prime power reps exact",
             not mismatches and reps_ok, started, f"mismatches={mismatches}")
 

@@ -25,8 +25,8 @@ def test_sweep_builds_one_record_per_composite(calls, capsys):
     # one call per N in the loop (97 values): a record for each composite,
     # an InputError and no row for each of the 23 primes
     assert calls["compressed_zn"] == 97
-    # one direct graph per record; the prime-power representation and the
-    # box-one verdict read the record
+    # one direct graph per record; the covers, whose one per-prime member
+    # is a prime power's representation, and the box-one verdict read the record
     assert calls["zdg_zn"] == composites
     # each N is factored once, inside compressed_zn
     assert calls["factor"] == 97

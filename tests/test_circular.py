@@ -6,7 +6,6 @@ from boxlab import (
     InputError,
     chromatic_number_exact,
     graph_of_intervals,
-    is_independent,
     is_interval_graph,
     make_graph,
     verify_cover,
@@ -21,8 +20,8 @@ from boxlab.circular import (
     step_window_rep,
 )
 
-
 import oracles
+from oracles import is_independent
 
 
 @pytest.mark.parametrize("d", range(1, 9))

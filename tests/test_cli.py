@@ -444,6 +444,26 @@ def test_sweep_zdg_reports_defect_as_failed_cell(monkeypatch, capsys):
     assert "1 failures" in err
 
 
+def test_sweep_zdg_reads_a_prime_power_rep_from_its_per_prime_cover(monkeypatch, capsys):
+    zn_prime_cover = boxlab.cli.zn_prime_cover
+
+    def broken_at_8_and_12(c):
+        if c.N in (8, 12):
+            raise ConstructionDefectError("broken for the test", c.N)
+        return zn_prime_cover(c)
+
+    monkeypatch.setattr(boxlab.cli, "zn_prime_cover", broken_at_8_and_12)
+    code, out, err = run_capture(capsys, ["sweep", "zdg", "--nmax", "20"])
+    assert code == 1
+    header, *lines = out.strip().splitlines()
+    rows = {line.split("\t")[0]: dict(zip(header.split("\t"), line.split("\t"))) for line in lines}
+    # 8 = 2^3 has no rep but the cover's one member
+    assert rows["8"]["pp_rep"] == rows["8"]["prime"] == "FAIL"
+    assert rows["12"]["prime"] == "FAIL" and rows["12"]["pp_rep"] == "-"
+    assert all(row["status"] == "PASS" for n, row in rows.items() if n not in ("8", "12"))
+    assert "2 failures" in err
+
+
 def test_input_error_exit_codes(tmp_path, capsys):
     code, _, _ = run_capture(capsys, ["gen", "circular", "--k", "3", "--d", "2"])
     assert code == 2

@@ -19,7 +19,6 @@ from boxlab import (
     graph_to_obj,
     induced_subgraph,
     is_clique,
-    is_independent,
     make_graph,
     path_graph,
     reduced_graph,
@@ -28,7 +27,7 @@ from boxlab.graphs import EDGE_BUDGET, join_edge_count
 from boxlab.zdg import _class_parts, compressed_zn
 
 import oracles
-from oracles import graphs
+from oracles import graphs, is_independent
 
 
 @given(graphs(max_n=9))

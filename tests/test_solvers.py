@@ -1,10 +1,6 @@
-import ast
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 
-import boxlab
 from boxlab import (
     ResourceBudgetError,
     chromatic_number_exact,
@@ -74,24 +70,11 @@ def test_solvers_match_brute_force(g):
         assert is_clique(g, witness)
 
 
-def _import_names(path: Path):
-    """The dotted names of the file's imports, modules and imported names alike,
-    relative ones without their leading dots."""
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            yield node.module or ""
-            yield from (f"{node.module or ''}.{alias.name}".lstrip(".") for alias in node.names)
-
-
-def test_no_package_module_but_the_root_imports_the_solvers():
+def test_no_package_module_but_the_root_imports_the_solvers(package_imports):
     # the solvers serve the tests and the benchmark's traced layers; no certificate needs them
-    package = Path(boxlab.__file__).parent
     importers = [
-        path.name
-        for path in sorted(package.glob("*.py"))
-        if path.name != "__init__.py"
-        and any("solvers" in name.split(".") for name in _import_names(path))
+        module
+        for module, names in package_imports.items()
+        if module != "__init__.py" and any("solvers" in name.split(".") for name in names)
     ]
     assert importers == []

@@ -95,6 +95,36 @@ def test_circular_sweep_verifies_each_cover_once(calls, capsys):
     assert calls["verify_cover"] == cases
 
 
+def test_zdg_sweep_realizes_only_the_verified_members(calls, monkeypatch, capsys):
+    # a prime power's explicit rep is its per-prime cover's one member, so
+    # no rep is realized outside verify_cover
+    members = []
+    counted = intervals.verify_cover
+
+    def recording(cover):
+        members.append(len(cover))
+        return counted(cover)
+
+    monkeypatch.setattr(intervals, "verify_cover", recording)
+    assert run(["sweep", "zdg", "--nmax", "100"]) == 0
+    # 74 per-prime covers and 64 join covers
+    assert calls["verify_cover"] == len(members) == 138
+    assert calls["interval_adjacency"] == sum(members) == 368
+
+
+def test_only_the_checker_and_the_recognizer_import_the_adjacency_kernels(package_imports):
+    # every other rep is realized inside verify_cover, where it leaves the library
+    def importers(name):
+        return [
+            module
+            for module, names in package_imports.items()
+            if any(imported.split(".")[-1] == name for imported in names)
+        ]
+
+    assert importers("interval_adjacency") == []
+    assert importers("ends_adjacency") == ["recognition.py"]
+
+
 # The builders below check nothing themselves; these show that the one exit
 # check catches what a builder-side check would have.
 

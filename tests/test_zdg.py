@@ -24,7 +24,6 @@ from boxlab import (
     is_interval_graph,
     make_graph,
     omega_chi_certificate,
-    prime_power_rep,
     reduced_cover,
     reduced_ring_box_bounds,
     threshold_rep,
@@ -214,17 +213,19 @@ def test_is_box_one_twice_odd_prime_square():
 
 
 def test_prime_power_rep_2_cubed_frozen():
-    rep = prime_power_rep(compressed_zn(8))
+    # the one member that `cover zdg --n 8` emits
+    (rep,) = zn_prime_cover(compressed_zn(8)).reps
     # labels (2, 4, 6): the path 2 - 4 - 6
-    assert rep.intervals[0] == (Fraction(1), Fraction(1))
+    assert rep.intervals[0] == (Fraction(1, 3), Fraction(1, 3))
     assert rep.intervals[1] == (Fraction(0), Fraction(1))
-    assert rep.intervals[2] == (Fraction(1, 2), Fraction(1, 2))
+    assert rep.intervals[2] == (Fraction(2, 3), Fraction(2, 3))
     assert graph_of_intervals(rep) == zdg_zn(8)[0]
 
 
 def test_prime_power_rep_small_cases():
-    assert graph_of_intervals(prime_power_rep(compressed_zn(9))) == complete_graph(2)
-    rep16 = prime_power_rep(compressed_zn(16))
+    (rep9,) = zn_prime_cover(compressed_zn(9)).reps
+    assert graph_of_intervals(rep9) == complete_graph(2)
+    (rep16,) = zn_prime_cover(compressed_zn(16)).reps
     g16, labels = zdg_zn(16)
     assert graph_of_intervals(rep16) == g16
     # the lone top-layer element spans two units, the middle layer one
@@ -237,13 +238,8 @@ def test_prime_power_rep_small_cases():
 
 def test_prime_power_rep_sweep():
     for p, e in ((2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (5, 3), (7, 2)):
-        rep = prime_power_rep(compressed_zn(p**e))
+        (rep,) = zn_prime_cover(compressed_zn(p**e)).reps
         assert graph_of_intervals(rep) == zdg_zn(p**e)[0]
-
-
-def test_prime_power_rep_needs_a_prime_power():
-    with pytest.raises(InputError):
-        prime_power_rep(compressed_zn(12))
 
 
 def test_boolean_ring_graphs():
@@ -327,12 +323,6 @@ def test_prime_cover_has_one_member_per_prime(n):
     assert len(cover) == primes <= max(1, compressed_box_bound(c))
     assert cover.claimed_graph == zdg_zn(n)[0]
     assert verify_cover(cover)[0]
-
-
-def test_prime_power_cover_is_the_prime_power_rep_off_n_3():
-    for n in (16, 32, 81, 625):
-        c = compressed_zn(n)
-        assert zn_prime_cover(c).reps == (prime_power_rep(c),)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
