@@ -454,7 +454,7 @@ def zn_prime_cover(c: CompressedZN) -> IntervalCover:
     v_p(gcd(x, N)). So the graph is the edge intersection of one threshold
     graph per prime, in ascending p, each weighing a class by the exponent
     of p in its divisor. For N = p^n the one member realizes the graph
-    exactly: the layers p^i join exactly when i + j >= n.
+    exactly: the layers p^i and p^j join exactly when i + j >= n.
     """
     reps = [threshold_rep(_prime_weights(c, p), e) for p, e in sorted(c.f.exponents.items())]
     return verified_cover(c.direct[0], reps, f"per-prime cover of the zero-divisor graph of {c.N}")
