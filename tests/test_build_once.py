@@ -61,4 +61,4 @@ def test_sweep_reports_a_record_defect_as_failed_row(monkeypatch, capsys):
     assert rows["12"]["status"] == "FAIL"
     assert rows["12"]["omega_chi"] == rows["12"]["cover"] == "FAIL"
     assert all(row["status"] == "PASS" for n, row in rows.items() if n != "12")
-    assert "1 failures" in err
+    assert err == "11 composite cases, 1 failures\n"

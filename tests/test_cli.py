@@ -398,13 +398,15 @@ def test_sweep_circular(capsys):
     assert lines[0].startswith("k\td")
     assert len(lines) == 1 + 5  # k in 4..8 for d = 2
     assert all(line.endswith("PASS") for line in lines[1:])
+    assert err == "5 cases, 0 failures\n"
 
 
 def test_sweep_zdg(capsys):
-    code, out, _ = run_capture(capsys, ["sweep", "zdg", "--nmax", "20"])
+    code, out, err = run_capture(capsys, ["sweep", "zdg", "--nmax", "20"])
     assert code == 0
     lines = out.strip().splitlines()
     assert all(line.endswith("PASS") for line in lines[1:])
+    assert err == "11 composite cases, 0 failures\n"
 
 
 def test_sweep_circular_reports_defect_as_failed_row(monkeypatch, capsys):
@@ -422,7 +424,7 @@ def test_sweep_circular_reports_defect_as_failed_row(monkeypatch, capsys):
     assert len(rows) == 5
     assert rows["7", "2"].endswith("FAIL (broken for the test)")
     assert all(line.endswith("PASS") for kd, line in rows.items() if kd != ("7", "2"))
-    assert "1 failures" in err
+    assert err == "5 cases, 1 failures\n"
 
 
 def test_sweep_zdg_reports_defect_as_failed_cell(monkeypatch, capsys):
@@ -441,7 +443,7 @@ def test_sweep_zdg_reports_defect_as_failed_cell(monkeypatch, capsys):
     assert rows["12"]["cover"] == "FAIL"
     assert rows["12"]["status"] == "FAIL"
     assert all(row["status"] == "PASS" for n, row in rows.items() if n != "12")
-    assert "1 failures" in err
+    assert err == "11 composite cases, 1 failures\n"
 
 
 def test_sweep_zdg_reads_a_prime_power_rep_from_its_per_prime_cover(monkeypatch, capsys):
@@ -461,7 +463,7 @@ def test_sweep_zdg_reads_a_prime_power_rep_from_its_per_prime_cover(monkeypatch,
     assert rows["8"]["pp_rep"] == rows["8"]["prime"] == "FAIL"
     assert rows["12"]["prime"] == "FAIL" and rows["12"]["pp_rep"] == "-"
     assert all(row["status"] == "PASS" for n, row in rows.items() if n not in ("8", "12"))
-    assert "2 failures" in err
+    assert err == "11 composite cases, 2 failures\n"
 
 
 def test_input_error_exit_codes(tmp_path, capsys):
