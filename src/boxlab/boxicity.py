@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import ConstructionDefectError, InputError, ResourceBudgetError
 from .graphs import Graph, bits, induced_subgraph
 from .intervals import IntervalCover, IntervalRep, make_cover, verified_cover
-from .recognition import Obstruction, asteroidal_paths, is_interval_graph
+from .recognition import Obstruction, is_interval_graph
 
 DEFAULT_VERTEX_BUDGET = 10
 DEFAULT_NONEDGE_BUDGET = 14
@@ -85,22 +84,20 @@ class _ComponentSearch:
                 mask |= 1 << i
         return mask
 
-    def _forbidden(self, h: Graph, obstruction: Obstruction) -> int:
-        """The non-edges of h that every interval supergraph of h adds one of.
+    def _forbidden(self, obstruction: Obstruction) -> int:
+        """The non-edges of g that every interval supergraph of the obstructed graph adds one of.
 
         A hole's chords; for an asteroidal triple, each third vertex paired
-        with every vertex of the witness path that avoids it.
+        with every vertex of the obstruction's path that avoids it.
         """
         w = obstruction.witness
         if obstruction.kind == "chordless-cycle":
             k = len(w)
-            chords = ((w[i], w[j]) for i, j in combinations(range(k), 2) if j - i not in (1, k - 1))
+            # j >= i + 2 skips w[i]'s successor, and w[0]'s predecessor is w[k - 1]
+            chords = ((w[i], w[j]) for i in range(k) for j in range(i + 2, k - (i == 0)))
             return self._mask(chords)
-        paths = asteroidal_paths(h, w)
-        if paths is None:
-            raise ConstructionDefectError("AT witness lost its paths", w)
         forbidden = 0
-        for path, third in zip(paths, (w[2], w[0], w[1])):
+        for path, third in zip(obstruction.paths, (w[2], w[0], w[1])):
             forbidden |= self._mask((third, p) for p in path)
         return forbidden
 
@@ -118,7 +115,7 @@ class _ComponentSearch:
     def enumerate_kills(self) -> list[IntervalRep] | None:
         """Branch on obstructions, from the one g's recognition gave, one
         added-set size per level; stop at a certified 2-cover."""
-        level = [1 << f for f in bits(self._forbidden(self.g, self.obstruction))]
+        level = [1 << f for f in bits(self._forbidden(self.obstruction))]
         while level:
             children = set()
             for added in level:
@@ -137,7 +134,7 @@ class _ComponentSearch:
                     if pair is not None:
                         return pair
                 else:
-                    children.update(added | 1 << f for f in bits(self._forbidden(h, payload)))
+                    children.update(added | 1 << f for f in bits(self._forbidden(payload)))
             level = sorted(children, key=lambda a: list(bits(a)))
         return None
 

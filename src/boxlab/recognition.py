@@ -5,18 +5,20 @@ and has no asteroidal triple (Lekkerkerker and Boland, 1962). Chordality is
 tested by one walk of the reverse Lex-BFS order, which keeps each vertex's
 later neighbours and follower: a failed check yields a hole through the
 failing vertex, and a passed one the maximal cliques, each a tuple led by
-its generator. The asteroidal-triple search tries only one simplicial vertex
-per maximal clique, looks only at the components that hold a scattered
-vertex (one whose cliques are not consecutive in the refined order), and
-labels the components of that part minus a candidate's closed neighborhood
-only when a triple needs them.
+its generator. The asteroidal-triple search tries one simplicial vertex per
+maximal clique, read off the clique spans (a vertex whose span is one
+position), looks only at the components that hold a scattered vertex (one
+whose cliques are not consecutive in the refined order), and labels the
+components of that part minus a candidate's closed neighborhood only when a
+triple needs them.
 
 Positive answers come with a representation extracted from a consecutive
-ordering of the maximal cliques; negative answers come with a re-verifiable
-obstruction (an induced cycle of length at least 4, or an asteroidal
-triple). The clique ordering comes from one deterministic pass of
-partition refinement on the cliques, and one pass over that order reads
-each vertex's span of clique positions and the scattered vertices; the
+ordering of the maximal cliques; negative answers come with an obstruction
+re-verified once: an induced cycle of length at least 4, checked on masks,
+or an asteroidal triple, which carries the three paths its re-check found.
+The clique ordering comes from one deterministic pass of partition
+refinement on the cliques, and one pass over that order reads each
+vertex's span of clique positions and the scattered vertices; the
 asteroidal-triple search runs only when some vertex is scattered. A
 component that holds an asteroidal triple is not interval, so no order of
 its maximal cliques is consecutive (Fulkerson and Gross, 1965) and the
@@ -26,9 +28,8 @@ it would return on the whole graph (see `find_asteroidal_triple`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import ConstructionDefectError
 from .graphs import Graph, bits
@@ -37,8 +38,13 @@ from .intervals import IntervalRep, ends_adjacency
 
 @dataclass(frozen=True)
 class Obstruction:
+    """A hole, the cycle in order, or an asteroidal triple (x, y, z) with the
+    `paths` x to y, y to z and z to x that its re-check found, each missing
+    the third vertex's closed neighbourhood; compared on kind and witness."""
+
     kind: str  # "chordless-cycle" | "asteroidal-triple"
     witness: tuple[int, ...]
+    paths: tuple[list[int], ...] = field(default=(), compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -157,15 +163,12 @@ def find_chordless_cycle(g: Graph, v: int, p: int, w: int) -> tuple[int, ...]:
 
 
 def is_induced_cycle(g: Graph, cycle: tuple[int, ...]) -> bool:
+    """A hole: k >= 4 distinct vertices, each adjacent within `cycle` to just its predecessor and successor."""
     k = len(cycle)
     if k < 4 or len(set(cycle)) != k:
         return False
-    for i, j in combinations(range(k), 2):
-        adjacent = g.has_edge(cycle[i], cycle[j])
-        consecutive = (j - i == 1) or (i == 0 and j == k - 1)
-        if adjacent != consecutive:
-            return False
-    return True
+    ring = sum(1 << v for v in cycle)
+    return all(g.adj[v] & ring == 1 << cycle[i - 1] | 1 << cycle[(i + 1) % k] for i, v in enumerate(cycle))
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +176,17 @@ def is_induced_cycle(g: Graph, cycle: tuple[int, ...]) -> bool:
 
 
 def find_asteroidal_triple(
-    g: Graph, cliques: list[tuple[int, ...]], within: int
+    g: Graph, first: list[int], last: list[int], within: int
 ) -> tuple[int, int, int] | None:
     """Some asteroidal triple of the chordal graph g inside the mask `within`,
     a union of whole components, or None if that part is AT-free.
 
-    `cliques` are g's maximal cliques. Only the lowest simplicial vertex of
-    each clique is tried; a vertex is simplicial exactly when it lies in one
-    maximal clique. That loses no AT. Let {x, y, z} be one, D the component
-    of g - N[x] that holds y and z, and S = N(D), which lies in N(x). D and
+    `first` and `last` are the vertices' spans in an order of g's maximal
+    cliques (`clique_spans`). Only the lowest simplicial vertex of each
+    clique is tried; a vertex is simplicial exactly when it lies in one
+    maximal clique, that is when first[v] == last[v], as a clique has one
+    position. That loses no AT. Let {x, y, z} be one, D the component of
+    g - N[x] that holds y and z, and S = N(D), which lies in N(x). D and
     the component C of g - S that holds x are full components of S, so S is
     a minimal separator and, g being chordal, a clique. By Dirac's theorem
     g[C + S] is complete or has two non-adjacent simplicial vertices, so C
@@ -197,30 +202,29 @@ def find_asteroidal_triple(
     triple needs them, as the mask of the component that holds each other
     candidate, so the tests are mask ANDs.
 
-    Only the cliques, candidates and components inside `within` are looked
-    at, and when `within` holds every component with a scattered vertex of
-    some clique order, the triple is the one the search returns on all of g.
-    An AT lies inside one component, as paths join its vertices. A
-    component that holds one is not interval, so by Fulkerson and Gross no
-    order of its maximal cliques, which are g's maximal cliques inside it,
-    is consecutive: the order restricted to them scatters some vertex, and
-    so does the whole order. Each AT of g thus lies inside `within`, so no
-    triple the loop skips is one. For z in `within`, N[z] lies in z's
+    Only the candidates and components inside `within` are looked at. A
+    clique lies in one component, so inside `within` exactly when its
+    vertices are: the candidates, per position the lowest vertex of
+    `within` with first == last there, are the lowest simplicial vertices
+    of the cliques inside `within`, as counting memberships over those
+    cliques finds them. When `within` holds every component with a
+    scattered vertex of some clique order, the triple is the one the search
+    returns on all of g. An AT lies inside one component, as paths join its
+    vertices. A component that holds one is not interval, so by Fulkerson
+    and Gross no order of its maximal cliques, which are g's maximal cliques
+    inside it, is consecutive: the order restricted to them scatters some
+    vertex, and so does the whole order. Each AT of g thus lies inside
+    `within`, so no triple the loop skips is one. For z in `within`, N[z] lies in z's
     component, so the components of `within` - N[z] are exactly those of
     g - N[z] inside `within`, and every test reads as on all of g; so the
     loop meets the same triples in the same order, less some that are not
     ATs, and returns the same first one.
     """
-    count = [0] * g.n
-    kept = [c for c in cliques if within >> c[0] & 1]
-    for c in kept:
-        for v in c:
-            count[v] += 1
-    cand = 0
-    for c in kept:
-        simplicial = [v for v in c if count[v] == 1]
-        if simplicial:
-            cand |= 1 << min(simplicial)
+    lowest: dict[int, int] = {}
+    for v in bits(within):
+        if first[v] == last[v]:
+            lowest.setdefault(first[v], v)
+    cand = sum(1 << v for v in lowest.values())
     sides = [None] * g.n
 
     def side(z: int) -> list[int]:
@@ -264,10 +268,6 @@ def asteroidal_paths(g: Graph, triple) -> tuple[list[int], list[int], list[int]]
             return None
         paths.append(path)
     return tuple(paths)
-
-
-def is_asteroidal_triple(g: Graph, triple) -> bool:
-    return asteroidal_paths(g, triple) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +420,13 @@ def is_interval_graph(g: Graph) -> tuple[bool, IntervalRep | Obstruction]:
         # chordal without a consecutive clique order: an AT must exist, in a
         # component that holds a scattered vertex (see find_asteroidal_triple)
         within = g.reach(scattered, (1 << g.n) - 1)
-        at = find_asteroidal_triple(g, cliques, within)
+        at = find_asteroidal_triple(g, first, last, within)
         if at is None:
             raise ConstructionDefectError("no consecutive clique order and no asteroidal triple", g)
-        if not is_asteroidal_triple(g, at):
+        paths = asteroidal_paths(g, at)
+        if paths is None:
             raise ConstructionDefectError("AT witness failed re-verification", at)
-        return False, Obstruction("asteroidal-triple", at)
+        return False, Obstruction("asteroidal-triple", at, paths)
     if ends_adjacency(first, last) != g.adj:
         raise ConstructionDefectError("clique spans do not realize the graph", (first, last))
     ends = [Fraction(p) for p in range(len(cliques))]

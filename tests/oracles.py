@@ -29,7 +29,11 @@ the package's earlier span pass, which returned the spans or None; that
 pass and the second walk over the clique order that found the scattered
 vertices are kept as references for the one pass that returns both.
 The independence test is the package's, moved here because only the tests
-read it.
+read it. The asteroidal-triple search that counted clique memberships and
+the pairwise hole check are the package's before the search read the
+clique spans and the check read masks, kept as references for them; the
+asteroidal-triple test is the package's wrapper, moved here because only
+the tests read it.
 """
 
 import math
@@ -50,8 +54,8 @@ from boxlab.recognition import (
     Elimination,
     Obstruction,
     _bfs_path,
+    asteroidal_paths,
     find_chordless_cycle as package_find_chordless_cycle,
-    is_asteroidal_triple,
     is_induced_cycle,
     perfect_elimination_order,
 )
@@ -856,6 +860,65 @@ def parent_scattered_vertices(cliques: list[tuple[int, ...]], order: list[int], 
         for v in c:
             count[v] += 1
     return sum(1 << v for v in range(n) if count[v] != last[v] - first[v] + 1)
+
+
+def parent_asteroidal_triple(
+    g: Graph, cliques: list[tuple[int, ...]], within: int
+) -> tuple[int, int, int] | None:
+    """The package's AT search before it read the clique spans: it counts
+    each vertex's memberships over the maximal cliques inside `within` and
+    tries the lowest vertex of each clique that lies in no other.
+    `recognition.find_asteroidal_triple` states why both give one triple."""
+    count = [0] * g.n
+    kept = [c for c in cliques if within >> c[0] & 1]
+    for c in kept:
+        for v in c:
+            count[v] += 1
+    cand = 0
+    for c in kept:
+        simplicial = [v for v in c if count[v] == 1]
+        if simplicial:
+            cand |= 1 << min(simplicial)
+    sides = [None] * g.n
+
+    def side(z: int) -> list[int]:
+        """By candidate v outside N[z], the mask of v's component of g - N[z]."""
+        mine = sides[z]
+        if mine is None:
+            mine = sides[z] = [0] * g.n
+            for comp in g.components_within(within & ~(g.adj[z] | 1 << z)):
+                for v in bits(comp & cand):
+                    mine[v] = comp
+        return mine
+
+    for x in bits(cand):
+        far_x = cand & ~g.adj[x] & -2 << x
+        if not far_x:
+            continue
+        sx = side(x)
+        for y in bits(far_x):
+            if rest := far_x & ~g.adj[y] & -2 << y & sx[y]:
+                for z in bits(rest & side(y)[x]):
+                    if side(z)[x] >> y & 1:
+                        return (x, y, z)
+    return None
+
+
+def parent_is_induced_cycle(g: Graph, cycle: tuple[int, ...]) -> bool:
+    """The package's hole check before it read masks: pair by pair."""
+    k = len(cycle)
+    if k < 4 or len(set(cycle)) != k:
+        return False
+    for i, j in combinations(range(k), 2):
+        adjacent = g.has_edge(cycle[i], cycle[j])
+        consecutive = (j - i == 1) or (i == 0 and j == k - 1)
+        if adjacent != consecutive:
+            return False
+    return True
+
+
+def is_asteroidal_triple(g: Graph, triple) -> bool:
+    return asteroidal_paths(g, triple) is not None
 
 
 def frozenset_is_interval_graph(g: Graph) -> tuple[bool, IntervalRep | Obstruction]:

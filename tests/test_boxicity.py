@@ -17,13 +17,16 @@ from boxlab import (
     path_graph,
     verify_cover,
 )
-from boxlab import recognition
+from boxlab import boxicity, recognition
 from boxlab.boxicity import _ComponentSearch
+from boxlab.cli import run
+from boxlab.graphs import graph_to_json
 
 from oracles import (
     SUBDIVIDED_CLAW,
     UnprunedSearch,
     graphs,
+    net_graph,
     planted_at_graphs,
     unpruned_boxicity_exact,
 )
@@ -213,7 +216,7 @@ def test_obstruction_records_are_sound(h, rng):
     g = make_graph(h.n, [e for e in h.edges if rng.random() < 0.7])
     search = _ComponentSearch(g, None)  # not run: only its non-edge index is used
     added = sum(1 << i for i, e in enumerate(search.nonedges) if e in h.edges)
-    forbidden = search._forbidden(h, payload)
+    forbidden = search._forbidden(payload)
     assert forbidden and not forbidden & added
     for other in supersets_avoiding(search, added, forbidden, rng):
         assert not is_interval_graph(with_added(search, other))[0]
@@ -228,7 +231,7 @@ def test_asteroidal_triple_record():
     # each third vertex against its opposite path 2-1-0-3-4, 4-3-0-5-6 or 6-5-0-1-2
     apart = [(6, p) for p in (2, 1, 0, 3, 4)] + [(2, p) for p in (4, 3, 0, 5)]
     apart += [(4, p) for p in (5, 0, 1)]
-    assert search._forbidden(h, payload) == search._mask(apart)
+    assert search._forbidden(payload) == search._mask(apart)
 
 
 def test_pruned_search_recognizes_few_candidates(count_calls):
@@ -242,3 +245,23 @@ def test_pruned_search_recognizes_few_candidates(count_calls):
     # children of g's obstruction on (37 for the skip records it replaced,
     # which reused one recognition for many later sets)
     assert counts["is_interval_graph"] < 100
+
+
+def test_box_finds_each_at_path_once(count_calls, monkeypatch, tmp_path, capsys):
+    # the oracle branches on the paths that the recognizer's re-check found;
+    # it does not search them again
+    counts = count_calls(recognition, ["asteroidal_paths"])
+    recognize, obstructions = boxicity.is_interval_graph, []
+
+    def recording(h):
+        ok, payload = recognize(h)
+        obstructions.append(None if ok else payload.kind)
+        return ok, payload
+
+    monkeypatch.setattr(boxicity, "is_interval_graph", recording)
+    path = tmp_path / "net.json"
+    path.write_text(graph_to_json(net_graph()))
+    assert run(["box", "--graph", str(path)]) == 0
+    assert capsys.readouterr().err == "boxicity 2 with verified witness cover\n"
+    assert obstructions.count("asteroidal-triple") == 1
+    assert counts["asteroidal_paths"] == 1

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -21,7 +22,6 @@ from boxlab.recognition import (
     clique_spans,
     consecutive_clique_order,
     find_asteroidal_triple,
-    is_asteroidal_triple,
     is_induced_cycle,
     lex_bfs_order,
     maximal_cliques_chordal,
@@ -38,6 +38,7 @@ from oracles import (
     disjoint_interval_graphs,
     graphs,
     interval_graphs,
+    is_asteroidal_triple,
     net_graph,
     planted_at_graphs,
     planted_hole_graphs,
@@ -66,6 +67,18 @@ def test_net_yields_asteroidal_triple():
     assert payload.kind == "asteroidal-triple"
     assert sorted(payload.witness) == [3, 4, 5]  # the three pendants
     assert is_asteroidal_triple(g, payload.witness)
+    assert_at_carries_its_paths(g, payload)
+
+
+def assert_at_carries_its_paths(g, obstruction):
+    """The paths x to y, y to z and z to x, each along edges of g and outside
+    the closed neighbourhood of the third vertex, checked on masks."""
+    x, y, z = obstruction.witness
+    assert len(obstruction.paths) == 3
+    for path, (a, b, c) in zip(obstruction.paths, ((x, y, z), (y, z, x), (z, x, y))):
+        assert (path[0], path[-1]) == (a, b)
+        assert all(g.adj[u] >> v & 1 for u, v in zip(path, path[1:]))
+        assert sum(1 << v for v in path) & (g.adj[c] | 1 << c) == 0
 
 
 def is_chordal(g) -> bool:
@@ -101,8 +114,10 @@ def test_round_trip_on_atlas():
             assert graph_of_intervals(payload) == g
         elif payload.kind == "chordless-cycle":
             assert is_induced_cycle(g, payload.witness)
+            assert payload.paths == ()
         else:
             assert is_asteroidal_triple(g, payload.witness)
+            assert_at_carries_its_paths(g, payload)
 
 
 @given(graphs(max_n=7))
@@ -201,7 +216,7 @@ def test_recognizer_checks_its_certificates(monkeypatch):
         m.setattr(recognition, "maximal_cliques_chordal", lambda elim: [(0, 1, 2)])
         with pytest.raises(ConstructionDefectError, match="do not realize"):
             is_interval_graph(path_graph(3))
-    monkeypatch.setattr(recognition, "find_asteroidal_triple", lambda g, cliques, within: None)
+    monkeypatch.setattr(recognition, "find_asteroidal_triple", lambda g, first, last, within: None)
     with pytest.raises(ConstructionDefectError, match="no asteroidal triple"):
         is_interval_graph(net_graph())
 
@@ -209,6 +224,27 @@ def test_recognizer_checks_its_certificates(monkeypatch):
 def assert_hole_through_failing_vertex(g, payload):
     assert is_induced_cycle(g, payload.witness)
     assert perfect_elimination_order(g).failure[0] in payload.witness
+
+
+@given(st.one_of(graphs(max_n=9), planted_hole_graphs()), st.data())
+@settings(max_examples=200, deadline=None)
+def test_hole_check_matches_pairwise_check(g, data):
+    # the mask check and the pairwise one agree on g's hole turned, reversed
+    # and shuffled, with a vertex repeated, cut to three vertices, and on
+    # random tuples of g's vertices, some with repeats and some short
+    vertex = st.integers(min_value=0, max_value=max(g.n - 1, 0))
+    tuples = [tuple(data.draw(st.lists(vertex, max_size=min(g.n + 2, 12)))) for _ in range(3)] if g.n else [()]
+    ok, payload = is_interval_graph(g)
+    if not ok and payload.kind == "chordless-cycle":
+        hole = payload.witness
+        turn = data.draw(st.integers(min_value=0, max_value=len(hole) - 1))
+        turned = hole[turn:] + hole[:turn]
+        holes = [hole, turned, turned[::-1]]
+        assert all(is_induced_cycle(g, h) for h in holes)
+        shuffled = tuple(data.draw(st.permutations(hole)))
+        tuples += [*holes, shuffled, hole[:-1] + hole[:1], hole + hole[:1], hole[:3]]
+    for t in tuples:
+        assert is_induced_cycle(g, t) == oracles.parent_is_induced_cycle(g, t)
 
 
 @given(RECOGNITION_INPUTS)
@@ -243,6 +279,7 @@ def test_recognizer_matches_frozenset_pipeline(g):
         assert payload.intervals == oracle_payload.intervals
     else:
         assert payload == oracle_payload
+        assert_at_carries_its_paths(g, payload)
 
 
 def assert_order_matches_search(g):
@@ -384,14 +421,18 @@ def test_maximal_cliques_match_pairwise_filter(g):
 def assert_at_search_matches_full_scan(g):
     # "an AT exists" as by the scan over every vertex, and the very triple
     # of the search that labelled every candidate up front, both on all of g
-    # and inside the components that hold a scattered vertex
+    # and inside the components that hold a scattered vertex; on both, the
+    # triple of the search that counted clique memberships
     elim = perfect_elimination_order(g)
     cliques = maximal_cliques_chordal(elim)
     full = (1 << g.n) - 1
-    at = find_asteroidal_triple(g, cliques, full)
+    first, last, scattered = clique_spans(cliques, consecutive_clique_order(cliques, elim.order), g.n)
+    at = find_asteroidal_triple(g, first, last, full)
     assert at == oracles.labelling_asteroidal_triple(g, cliques)
-    _, _, scattered = clique_spans(cliques, consecutive_clique_order(cliques, elim.order), g.n)
-    assert at == find_asteroidal_triple(g, cliques, g.reach(scattered, full))
+    assert at == oracles.parent_asteroidal_triple(g, cliques, full)
+    within = g.reach(scattered, full)
+    assert at == find_asteroidal_triple(g, first, last, within)
+    assert at == oracles.parent_asteroidal_triple(g, cliques, within)
     assert (at is None) == (oracles.full_scan_asteroidal_triple(g) is None)
     assert at is None or is_asteroidal_triple(g, at)
 
@@ -457,3 +498,14 @@ def test_at_search_labels_only_the_component_of_the_triple(monkeypatch):
     assert labelled and all(mask & ~claw == 0 for mask in labelled)
     assert payload.witness == tuple(sorted(perm[v] for v in (n - 5, n - 3, n - 1)))
     assert payload.witness == oracles.full_scan_asteroidal_triple(g)
+
+
+def test_only_the_recognizer_binds_the_at_paths(package_imports):
+    # the oracle reads an AT's paths from its obstruction: no other package
+    # module imports the path search, and no module wraps it again
+    names = [f"boxlab.{name[:-3]}".removesuffix(".__init__") for name in package_imports if name != "__main__.py"]
+    modules = list(map(importlib.import_module, names))
+    assert [m.__name__ for m in modules if hasattr(m, "asteroidal_paths")] == ["boxlab.recognition"]
+    assert not any(hasattr(m, "is_asteroidal_triple") for m in modules)
+    at_names = ("asteroidal_paths", "is_asteroidal_triple")
+    assert not any(n.split(".")[-1] in at_names for names in package_imports.values() for n in names)
