@@ -179,12 +179,20 @@ def _cmd_zdg_report(args) -> int:
     return EXIT_OK
 
 
+def _sweep_table(header: str, rows: list[str], cases: str, out_path: str | None) -> int:
+    """Write the table, then report its row count and its failures, the rows
+    whose last cell, the status, is not PASS; any failure exits 1."""
+    failures = sum(not row.endswith("\tPASS") for row in rows)
+    _emit("\n".join([header, *rows]), out_path)
+    _info(f"{len(rows)} {cases}, {failures} failures")
+    return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
+
+
 def _cmd_sweep_circular(args) -> int:
     if args.dmax >= 2 and args.kmax >= 4:  # the sweep's largest graph, refused before any row
         largest = circular_params(args.kmax, 2)
         check_edge_budget(largest.num_edges, f"the circular clique (k={args.kmax}, d=2)")
-    rows = ["k\td\tchi\treps\tstatus"]
-    failures = 0
+    rows = []
     for d in range(2, args.dmax + 1):
         for k in range(2 * d, args.kmax + 1):
             chi = circular_chi(k, d)
@@ -192,11 +200,8 @@ def _cmd_sweep_circular(args) -> int:
                 # chi_cover returns only covers it has verified to have chi members
                 rows.append(f"{k}\t{d}\t{chi}\t{len(chi_cover(k, d))}\tPASS")
             except ConstructionDefectError as exc:
-                failures += 1
                 rows.append(f"{k}\t{d}\t{chi}\t-\tFAIL ({exc})")
-    _emit("\n".join(rows), args.output)
-    _info(f"{len(rows) - 1} cases, {failures} failures")
-    return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
+    return _sweep_table("k\td\tchi\treps\tstatus", rows, "cases", args.output)
 
 
 def _cell(check) -> str:
@@ -210,8 +215,7 @@ def _cell(check) -> str:
 def _cmd_sweep_zdg(args) -> int:
     if args.nmax > ZDG_MAX_N:
         raise ResourceBudgetError(f"N = {args.nmax} exceeds the direct-graph limit {ZDG_MAX_N}")
-    rows = ["N\tomega_chi\texpand\tbox_one\tpp_rep\tcover\tprime\tstatus"]
-    failures = 0
+    rows = []
     for n in range(4, args.nmax + 1):
         try:
             c = compressed_zn(n)
@@ -237,13 +241,9 @@ def _cmd_sweep_zdg(args) -> int:
                 on_record(lambda: len(zn_join_cover(c)) <= max(1, compressed_box_bound(c))),
             ]
         cells.append(prime)
-        ok = "FAIL" not in cells
-        if not ok:
-            failures += 1
-        rows.append("\t".join([str(n), *cells, "PASS" if ok else "FAIL"]))
-    _emit("\n".join(rows), args.output)
-    _info(f"{len(rows) - 1} composite cases, {failures} failures")
-    return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
+        rows.append("\t".join([str(n), *cells, "FAIL" if "FAIL" in cells else "PASS"]))
+    header = "N\tomega_chi\texpand\tbox_one\tpp_rep\tcover\tprime\tstatus"
+    return _sweep_table(header, rows, "composite cases", args.output)
 
 
 # ---------------------------------------------------------------------------
