@@ -261,6 +261,7 @@ def test_recognizer_matches_at_first_flow(g):
         assert interval_adjacency(payload) == g.adj
     elif payload.kind == "asteroidal-triple":
         assert payload == oracle_payload
+        assert_at_carries_its_paths(g, payload)
     else:
         assert oracle_payload.kind == "chordless-cycle"
         assert_hole_through_failing_vertex(g, payload)
