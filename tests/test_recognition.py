@@ -230,8 +230,9 @@ def assert_hole_through_failing_vertex(g, payload):
 @settings(max_examples=200, deadline=None)
 def test_hole_check_matches_pairwise_check(g, data):
     # the mask check and the pairwise one agree on g's hole turned, reversed
-    # and shuffled, with a vertex repeated, cut to three vertices, and on
-    # random tuples of g's vertices, some with repeats and some short
+    # and shuffled, with a vertex repeated, cut to three vertices, and with a
+    # chord added to g, and on random tuples of g's vertices, some with
+    # repeats and some short
     vertex = st.integers(min_value=0, max_value=max(g.n - 1, 0))
     tuples = [tuple(data.draw(st.lists(vertex, max_size=min(g.n + 2, 12)))) for _ in range(3)] if g.n else [()]
     ok, payload = is_interval_graph(g)
@@ -243,6 +244,8 @@ def test_hole_check_matches_pairwise_check(g, data):
         assert all(is_induced_cycle(g, h) for h in holes)
         shuffled = tuple(data.draw(st.permutations(hole)))
         tuples += [*holes, shuffled, hole[:-1] + hole[:1], hole + hole[:1], hole[:3]]
+        chorded = make_graph(g.n, g.edges | {(min(hole[0], hole[2]), max(hole[0], hole[2]))})
+        assert not is_induced_cycle(chorded, hole) and not oracles.parent_is_induced_cycle(chorded, hole)
     for t in tuples:
         assert is_induced_cycle(g, t) == oracles.parent_is_induced_cycle(g, t)
 
