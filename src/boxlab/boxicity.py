@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from .errors import ConstructionDefectError, InputError, ResourceBudgetError
 from .graphs import Graph, bits, induced_subgraph
-from .intervals import IntervalCover, IntervalRep, make_cover, verified_cover
+from .intervals import IntervalCover, IntervalRep, verified_cover
 from .recognition import Obstruction, is_interval_graph
 
 DEFAULT_VERTEX_BUDGET = 10
