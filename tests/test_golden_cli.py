@@ -87,7 +87,9 @@ CORPUS = (
     + [["cover", "boolean", "--k", str(k), "--method", "join"] for k in BOOLEAN_K]
     + [
         ["cover", "circular", "--k", str(k), "--d", str(d)]
-        for k, d in ((4, 2), (6, 3), (7, 2), (11, 4), (13, 5), (30, 4))
+        # (11, 5) and (13, 6) slide two and three full blocks; (17, 7) ends on
+        # a remainder of three
+        for k, d in ((4, 2), (6, 3), (7, 2), (11, 4), (13, 5), (30, 4), (11, 5), (13, 6), (17, 7))
     ]
     + [
         _join("p3", ["c4", "k2", "e3"]),
@@ -152,6 +154,9 @@ GOLDEN = {
     "cover circular --k 11 --d 4": (0, "96b2fea524d2bcf21136f2d3237c192e21175219dc208aa85c1b737f775cd960"),
     "cover circular --k 13 --d 5": (0, "1d540b070cc0251da27614965d588e525d8f154b4cdc0ecbcb3d65b3ee79d416"),
     "cover circular --k 30 --d 4": (0, "241e67d9c19ce4d4c7f97af99f11e41a9f35735e9a8c73585481b5b3ba987e01"),
+    "cover circular --k 11 --d 5": (0, "4e86589a601f6b5c3a4baa7cd3745d338f7c30e43546b8f452866c4179518c42"),
+    "cover circular --k 13 --d 6": (0, "b8732bcd7b8bf76c4f89c7be44c0745db2eec67828bb8a6e7a792e2f95c91eda"),
+    "cover circular --k 17 --d 7": (0, "b7bc9332c358b3c0e5f6aa9476203e3664a1336c382c6c3fe6c67b1140ae4501"),
     "cover join --outer @p3 --part @c4 --part @k2 --part @e3": (0, "cdaf2927a5bea36d6e2c2a304218b6d3adbdc8ebc5d19bde062a5a7e0607a269"),
     "cover join --outer @k3 --part @k3 --part @c4 --part @p3 --skip 0": (0, "b94af69c574d4214a208a93c8ed88cc23b0adfa336d7562a2df1e35003f0e8a9"),
     "box --graph @c4": (0, "ef9a00cbc39b25ff1feb612a79a6a02c007013637cebeba24150c59880bdcda1"),
