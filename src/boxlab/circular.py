@@ -1,14 +1,17 @@
 """Circular cliques and chromatic-size interval covers for them.
 
 The graph on vertices 0..k-1 with i ~ j exactly when d <= |i-j| <= k-d has
-chromatic number ceil(k/d). A cover of that size is assembled from one
-interval supergraph per color class: each class is a window of consecutive
-vertices, the window's supergraph comes from one of two explicit
-constructions, and vertex-transitivity (rotation) moves the window where
-it is needed. The window constructions check nothing; `chi_cover` is the
-check: the assembled cover is verified once, by `verified_cover`, before
-it leaves, which tests that every member contains the circular clique and
-that the members meet in exactly it.
+chromatic number ceil(k/d). Write k = m*d + b with 0 <= b < d. A cover of
+that size has one interval supergraph per color class, each class a window
+of consecutive vertices: one full-window member (the stepped construction
+for m >= 3, the sliding block for m = 2 < k/d, the matching itself for
+k = 2d) rotated by i*d for each of the m full windows, plus the stepped
+construction on the remainder window rotated by m*d when b > 0. The
+window constructions check nothing; `chi_cover` is the check: the
+assembled cover is verified once, by `verified_cover`, before it leaves,
+which tests that every member contains the circular clique and that the
+members meet in exactly it. Its m + (b > 0) members are ceil(k/d) by
+construction.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConstructionDefectError, InputError
+from .errors import InputError
 from .graphs import Graph, check_edge_budget, check_vertex_budget
 from .intervals import Interval, IntervalCover, IntervalRep, point, verified_cover
 
@@ -93,30 +96,17 @@ def block_window_rep(k: int, d: int) -> IntervalRep:
     """Interval supergraph leaving 0..d-1 independent, for 2d < k < 3d.
 
     The window vertices sit at halfway points inside unit gaps; the next d
-    vertices are grouped into overlapping blocks of width b+1 whose
-    intervals slide rightward; the final b vertices span everything.
+    vertices hold a block of width b+1 that slides rightward, vertex d+t
+    spanning [t-b-1, t] (clamped at -1); the final b vertices span
+    everything.
     """
     p = circular_params(k, d)
     if p.m != 2 or p.b < 1:
         raise InputError(f"block construction needs 2d < k < 3d, got k={k}, d={d}")
-    b = p.b
-    c, e = divmod(p.d, b + 1)
     intervals: list[Interval | None] = [None] * p.k
-    for i in range(p.d):
-        intervals[i] = point(Fraction(2 * i - 1, 2))  # i - 1/2, inside (i-1, i)
-    for j in range(b + 1):
-        intervals[p.d + j] = (Fraction(-1), Fraction(j))
-    for i in range(1, c):
-        for j in range(b + 1):
-            intervals[p.d + i * (b + 1) + j] = (
-                Fraction((i - 1) * (b + 1) + j),
-                Fraction(i * (b + 1) + j),
-            )
-    for j in range(e):
-        intervals[p.d + c * (b + 1) + j] = (
-            Fraction((c - 1) * (b + 1) + j),
-            Fraction(c * (b + 1) + j),
-        )
+    for t in range(p.d):
+        intervals[t] = point(Fraction(2 * t - 1, 2))  # t - 1/2, inside (t-1, t)
+        intervals[p.d + t] = (Fraction(max(t - p.b - 1, -1)), Fraction(t))
     for i in range(2 * p.d, p.k):
         intervals[i] = (Fraction(-1), Fraction(p.d))
     return IntervalRep(tuple(intervals))
@@ -139,37 +129,24 @@ def _matching_rep(k: int, d: int) -> IntervalRep:
 
 
 def chi_cover(k: int, d: int) -> IntervalCover:
-    """Verified cover of the circular clique with exactly ceil(k/d) members.
+    """Verified cover of the circular clique with ceil(k/d) members.
 
     One interval supergraph per color class: class i is the window
-    [i*d, (i+1)*d), handled by rotating a window construction into place.
+    [i*d, (i+1)*d), the full-window member rotated by i*d, and a short
+    last class [m*d, k) takes the remainder window rotated by m*d. That
+    makes m + (b > 0) = ceil(k/d) members by construction.
     """
     p = circular_params(k, d)
     g = circular_clique(k, d)  # first, so its budgets refuse before any rep is built
-    reps: list[IntervalRep] = []
-    if p.m == 2 and p.b == 0:
-        # perfect matching: one interval graph realizes it exactly, and it
-        # leaves both classes independent; each class keeps its own copy so
-        # the cover size matches the chromatic number
-        base = _matching_rep(k, d)
-        reps = [base, base]
-    elif p.m >= 3:
+    if p.m >= 3:
         full = step_window_rep(k, d, p.d)
-        for i in range(p.m):
-            reps.append(rotate_rep(full, i * p.d))
-        if p.b:
-            short = step_window_rep(k, d, p.b)
-            reps.append(rotate_rep(short, p.m * p.d))
-    else:  # m == 2, b >= 1
-        base = block_window_rep(k, d)
-        reps = [base, rotate_rep(base, p.d)]
-        short = step_window_rep(k, d, p.b)
-        reps.append(rotate_rep(short, 2 * p.d))
-
-    cover = verified_cover(g, reps, f"cover for (k={k}, d={d})")
-    if len(cover) != p.chi:
-        raise ConstructionDefectError(
-            f"cover for (k={k}, d={d}) has {len(cover)} members, expected {p.chi}",
-            (k, d),
-        )
-    return cover
+    elif p.b:
+        full = block_window_rep(k, d)
+    else:
+        # k == 2d, a perfect matching: one interval graph realizes it
+        # exactly, and rotating it by d gives it back
+        full = _matching_rep(k, d)
+    reps = [rotate_rep(full, i * p.d) for i in range(p.m)]
+    if p.b:
+        reps.append(rotate_rep(step_window_rep(k, d, p.b), p.m * p.d))
+    return verified_cover(g, reps, f"cover for (k={k}, d={d})")

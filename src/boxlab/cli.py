@@ -197,7 +197,7 @@ def _cmd_sweep_circular(args) -> int:
         for k in range(2 * d, args.kmax + 1):
             chi = circular_chi(k, d)
             try:
-                # chi_cover returns only covers it has verified to have chi members
+                # chi_cover builds ceil(k/d) = chi members and returns them only once verified
                 rows.append(f"{k}\t{d}\t{chi}\t{len(chi_cover(k, d))}\tPASS")
             except ConstructionDefectError as exc:
                 rows.append(f"{k}\t{d}\t{chi}\t-\tFAIL ({exc})")

@@ -405,8 +405,6 @@ def clique_spans(
 
 def is_interval_graph(g: Graph) -> tuple[bool, IntervalRep | Obstruction]:
     """Decide interval-ness; returns a realized-exact representation or an obstruction."""
-    if g.n == 0:
-        return True, IntervalRep(())
     elim = perfect_elimination_order(g)
     if elim.failure is not None:
         hole = find_chordless_cycle(g, *elim.failure)

@@ -8,9 +8,12 @@ when N divides d^2 and an independent block otherwise, and joining the
 blocks over the compressed graph rebuilds the full graph exactly.
 
 The divisor arithmetic certifies the clique number and chromatic number of
-the compressed graph without search, yields verified interval covers of
-the full graph (one threshold member per prime of N, or the paper's join
-construction), and decides which N have an interval zero-divisor graph.
+the compressed graph without search: the nilpotent divisors and one
+augmenting divisor per odd-exponent prime form the clique, and every other
+divisor takes the colour of one partner in it, read off its exponents. It
+also yields verified interval covers of the full graph (one threshold
+member per prime of N, or the paper's join construction), and decides
+which N have an interval zero-divisor graph.
 For a prime power the per-prime cover has one member, and that verified
 member is the explicit interval representation.
 """
@@ -306,30 +309,23 @@ def omega_chi_certificate(c: CompressedZN) -> tuple[int, tuple[int, ...], Colori
             f"clique has {len(big_clique)} members, formula says {value}"
         )
     index_of = {d: i for i, d in enumerate(c.divisors)}
-    for i, d in enumerate(big_clique):
-        for e in big_clique[i + 1 :]:
-            if not c.graph.has_edge(index_of[d], index_of[e]):
-                raise ConstructionDefectError(f"clique members {d}, {e} not adjacent")
+    if not is_clique(c.graph, [index_of[d] for d in big_clique]):
+        raise ConstructionDefectError(f"clique {big_clique} has members that are not adjacent")
 
     psi = {d: i for i, d in enumerate(big_clique)}
-    xi_by_eta = {eta: xi for eta, xi in zip(range(1, f.b + 1), xis)}
     colors = []
     for d in c.divisors:
         if d in psi:
             colors.append(psi[d])
             continue
-        r = [(_exponent_of(d, p), n, p) for p, n in f.even_part]
-        low_even = [i for i, (ri, n, _) in enumerate(r) if ri < n]
+        low_even = [p**n for p, n in f.even_part if _exponent_of(d, p) < n]
         if low_even:
-            sigma = max(low_even)
-            _, n_sigma, p_sigma = r[sigma]
-            partner = f.N // p_sigma**n_sigma
+            partner = f.N // low_even[-1]
         else:
-            s = [(_exponent_of(d, q), m) for q, m in f.odd_part]
-            low_odd = [j for j, (sj, m) in enumerate(s) if sj <= m]
+            low_odd = [xi for (q, m), xi in zip(f.odd_part, xis) if _exponent_of(d, q) <= m]
             if not low_odd:
                 raise ConstructionDefectError(f"divisor {d} fits no coloring case")
-            partner = xi_by_eta[max(low_odd) + 1]
+            partner = low_odd[-1]
         colors.append(psi[partner])
 
     coloring = Coloring(tuple(colors))

@@ -33,7 +33,11 @@ read it. The asteroidal-triple search that counted clique memberships and
 the pairwise hole check are the package's before the search read the
 clique spans and the check read masks, kept as references for them; the
 asteroidal-triple test is the package's wrapper, moved here because only
-the tests read it.
+the tests read it. The block window built in three loops, the χ cover
+with one branch per window shape and a size check, and the ω = χ
+certificate that checked its clique pair by pair and found each colour
+partner through index lists are the package's before each stated its rule
+once, kept as references for them.
 """
 
 import math
@@ -45,11 +49,12 @@ from hypothesis import strategies as st
 
 from boxlab import Graph, boxicity_exact, make_graph
 from boxlab import boxicity
-from boxlab.circular import circular_params
+from boxlab import circular
+from boxlab.circular import _matching_rep, circular_params, rotate_rep, step_window_rep
 from boxlab.errors import ConstructionDefectError, InputError, ResourceBudgetError
 from boxlab.graphs import Coloring, Edge, _vertex_mask, bits, check_edge_budget, join_edge_count, pairs
-from boxlab.zdg import BOOLEAN_RING_MAX_K, ZDG_MAX_N, BooleanRingGraph
-from boxlab.intervals import CoverViolation, IntervalCover, IntervalRep, ends_adjacency
+from boxlab.zdg import BOOLEAN_RING_MAX_K, ZDG_MAX_N, BooleanRingGraph, CompressedZN, _exponent_of, augmenting_divisor
+from boxlab.intervals import CoverViolation, Interval, IntervalCover, IntervalRep, ends_adjacency, point, verified_cover
 from boxlab.recognition import (
     Elimination,
     Obstruction,
@@ -1024,3 +1029,131 @@ def unpruned_boxicity_exact(g: Graph, max_l: int = boxicity.DEFAULT_MAX_COVERS):
     """`boxicity_exact` with every component searched by `UnprunedSearch`."""
     with mock.patch.object(boxicity, "_ComponentSearch", UnprunedSearch):
         return boxicity_exact(g, max_l)
+
+
+def parent_block_window_rep(k: int, d: int) -> IntervalRep:
+    """Interval supergraph leaving 0..d-1 independent, for 2d < k < 3d.
+
+    The window vertices sit at halfway points inside unit gaps; the next d
+    vertices are grouped into overlapping blocks of width b+1 whose
+    intervals slide rightward; the final b vertices span everything.
+    """
+    p = circular_params(k, d)
+    if p.m != 2 or p.b < 1:
+        raise InputError(f"block construction needs 2d < k < 3d, got k={k}, d={d}")
+    b = p.b
+    c, e = divmod(p.d, b + 1)
+    intervals: list[Interval | None] = [None] * p.k
+    for i in range(p.d):
+        intervals[i] = point(Fraction(2 * i - 1, 2))  # i - 1/2, inside (i-1, i)
+    for j in range(b + 1):
+        intervals[p.d + j] = (Fraction(-1), Fraction(j))
+    for i in range(1, c):
+        for j in range(b + 1):
+            intervals[p.d + i * (b + 1) + j] = (
+                Fraction((i - 1) * (b + 1) + j),
+                Fraction(i * (b + 1) + j),
+            )
+    for j in range(e):
+        intervals[p.d + c * (b + 1) + j] = (
+            Fraction((c - 1) * (b + 1) + j),
+            Fraction(c * (b + 1) + j),
+        )
+    for i in range(2 * p.d, p.k):
+        intervals[i] = (Fraction(-1), Fraction(p.d))
+    return IntervalRep(tuple(intervals))
+
+
+def parent_chi_cover(k: int, d: int) -> IntervalCover:
+    """Verified cover of the circular clique with exactly ceil(k/d) members.
+
+    One interval supergraph per color class: class i is the window
+    [i*d, (i+1)*d), handled by rotating a window construction into place.
+    """
+    p = circular_params(k, d)
+    g = circular.circular_clique(k, d)  # first, so its budgets refuse before any rep is built
+    reps: list[IntervalRep] = []
+    if p.m == 2 and p.b == 0:
+        # perfect matching: one interval graph realizes it exactly, and it
+        # leaves both classes independent; each class keeps its own copy so
+        # the cover size matches the chromatic number
+        base = _matching_rep(k, d)
+        reps = [base, base]
+    elif p.m >= 3:
+        full = step_window_rep(k, d, p.d)
+        for i in range(p.m):
+            reps.append(rotate_rep(full, i * p.d))
+        if p.b:
+            short = step_window_rep(k, d, p.b)
+            reps.append(rotate_rep(short, p.m * p.d))
+    else:  # m == 2, b >= 1
+        base = parent_block_window_rep(k, d)
+        reps = [base, rotate_rep(base, p.d)]
+        short = step_window_rep(k, d, p.b)
+        reps.append(rotate_rep(short, 2 * p.d))
+
+    cover = verified_cover(g, reps, f"cover for (k={k}, d={d})")
+    if len(cover) != p.chi:
+        raise ConstructionDefectError(
+            f"cover for (k={k}, d={d}) has {len(cover)} members, expected {p.chi}",
+            (k, d),
+        )
+    return cover
+
+
+def parent_omega_chi_certificate(c: CompressedZN) -> tuple[int, tuple[int, ...], Coloring]:
+    """Clique number = chromatic number of the compressed graph, certified.
+
+    Returns (value, clique, coloring) where the clique has exactly `value`
+    vertices and the coloring is proper with exactly `value` colors, so
+    both bounds meet without any search. Every claim is re-checked before
+    returning.
+    """
+    f = c.f
+    value = f.root_divisor_count + f.b - 1
+    xis = [augmenting_divisor(f, eta) for eta in range(1, f.b + 1)]
+    big_clique = tuple(sorted(set(c.nilpotent) | set(xis)))
+    if len(big_clique) != value:
+        raise ConstructionDefectError(
+            f"clique has {len(big_clique)} members, formula says {value}"
+        )
+    index_of = {d: i for i, d in enumerate(c.divisors)}
+    for i, d in enumerate(big_clique):
+        for e in big_clique[i + 1 :]:
+            if not c.graph.has_edge(index_of[d], index_of[e]):
+                raise ConstructionDefectError(f"clique members {d}, {e} not adjacent")
+
+    psi = {d: i for i, d in enumerate(big_clique)}
+    xi_by_eta = {eta: xi for eta, xi in zip(range(1, f.b + 1), xis)}
+    colors = []
+    for d in c.divisors:
+        if d in psi:
+            colors.append(psi[d])
+            continue
+        r = [(_exponent_of(d, p), n, p) for p, n in f.even_part]
+        low_even = [i for i, (ri, n, _) in enumerate(r) if ri < n]
+        if low_even:
+            sigma = max(low_even)
+            _, n_sigma, p_sigma = r[sigma]
+            partner = f.N // p_sigma**n_sigma
+        else:
+            s = [(_exponent_of(d, q), m) for q, m in f.odd_part]
+            low_odd = [j for j, (sj, m) in enumerate(s) if sj <= m]
+            if not low_odd:
+                raise ConstructionDefectError(f"divisor {d} fits no coloring case")
+            partner = xi_by_eta[max(low_odd) + 1]
+        colors.append(psi[partner])
+
+    coloring = Coloring(tuple(colors))
+    if not coloring.is_proper(c.graph):
+        bad = next(
+            (c.divisors[u], c.divisors[v])
+            for u, v in pairs(c.graph.adj)
+            if colors[u] == colors[v]
+        )
+        raise ConstructionDefectError(f"coloring merges adjacent classes {bad}", bad)
+    if coloring.num_colors != value:
+        raise ConstructionDefectError(
+            f"coloring uses {coloring.num_colors} colors, formula says {value}"
+        )
+    return value, big_clique, coloring

@@ -5,6 +5,7 @@ import pytest
 from boxlab import (
     InputError,
     chromatic_number_exact,
+    cover_to_json,
     graph_of_intervals,
     is_interval_graph,
     make_graph,
@@ -169,12 +170,17 @@ def test_chi_cover_verifies_and_members_are_interval():
 
 
 def test_chi_cover_small_sweep():
-    for d in (2, 3, 4):
-        for k in range(2 * d, 2 * d + 9):
+    # the rotation loop and the sliding block emit the bytes of the
+    # branch-per-shape cover and the three-loop block
+    for d in range(1, 13):
+        for k in range(2 * d, 2 * d + 30):
             cover = chi_cover(k, d)
             assert len(cover) == circular_chi(k, d)
             ok, _ = verify_cover(cover)
             assert ok
+            assert cover_to_json(cover) == cover_to_json(oracles.parent_chi_cover(k, d))
+            if 2 * d < k < 3 * d:
+                assert block_window_rep(k, d) == oracles.parent_block_window_rep(k, d)
 
 
 def test_matching_cover_duplicates_are_distinct_objects():

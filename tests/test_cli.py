@@ -487,6 +487,46 @@ def test_input_error_exit_codes(tmp_path, capsys):
     assert code == 0 and json.loads(out)["graph"]["n"] == 3
 
 
+# each refusal is one stderr line and nothing on stdout; the second case
+# runs with a malformed BOXLAB_BUDGET in the environment
+INPUT_ERRORS = [
+    (["box", "--graph", "@c4", "--max", "0"], {}, "max_l must be at least 1"),
+    (["box", "--graph", "@c4"], {"BOXLAB_BUDGET": "abc"}, "malformed BOXLAB_BUDGET 'abc'"),
+    (["cover", "join", "--outer", "@p3", "--part", "@k2", "--part", "@k2"], {}, "need 3 parts, got 2"),
+    (
+        ["cover", "join", "--outer", "@p3", "--part", "@k2", "--part", "@k2", "--part", "@k2", "--skip", "5"],
+        {},
+        "skip index 5 out of range",
+    ),
+    (["verify", "--graph", "@c4", "--cover", "@no_reps"], {}, "malformed cover object: 'reps'"),
+    (["gen", "zdg", "--n", "1"], {}, "need N >= 2, got 1"),
+    (["zdg", "report", "--n", "1"], {}, "need N >= 2, got 1"),
+    (["gen", "boolean", "--k", "1"], {}, "need k >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, env, message", INPUT_ERRORS, ids=[" ".join(argv) for argv, _, _ in INPUT_ERRORS]
+)
+def test_input_errors_exit_2_with_one_line(argv, env, message, tmp_path, monkeypatch, capsys):
+    files = {
+        "c4": graph_to_obj(cycle_graph(4)),
+        "p3": graph_to_obj(path_graph(3)),
+        "k2": graph_to_obj(complete_graph(2)),
+        "no_reps": {"graph": graph_to_obj(cycle_graph(4))},
+    }
+    resolved = []
+    for arg in argv:
+        if arg.startswith("@"):
+            path = tmp_path / f"{arg[1:]}.json"
+            path.write_text(json.dumps(files[arg[1:]]))
+            arg = str(path)
+        resolved.append(arg)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert run_capture(capsys, resolved) == (2, "", f"input error: {message}\n")
+
+
 def test_written_covers_are_reported_by_family(tmp_path, capsys):
     # the summary follows the written artifact; the boolean and zdg lines
     # are pinned with their own commands above

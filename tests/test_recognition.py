@@ -17,7 +17,7 @@ from boxlab import (
 )
 from boxlab import Graph, recognition
 from boxlab.errors import ConstructionDefectError
-from boxlab.intervals import interval_adjacency
+from boxlab.intervals import IntervalRep, interval_adjacency
 from boxlab.recognition import (
     clique_spans,
     consecutive_clique_order,
@@ -99,7 +99,7 @@ def test_long_holes_are_found():
 
 
 def test_trivial_graphs():
-    assert is_interval_graph(empty_graph(0))[0]
+    assert is_interval_graph(empty_graph(0)) == (True, IntervalRep(()))
     assert is_interval_graph(empty_graph(1))[0]
     assert is_interval_graph(empty_graph(5))[0]
     assert is_interval_graph(complete_graph(6))[0]

@@ -9,9 +9,11 @@ from boxlab import (
     compressed_zn,
     cycle_graph,
     is_clique,
+    make_graph,
     maximal_cliques,
 )
 from boxlab.circular import circular_clique
+from boxlab.solvers import _dsatur_greedy
 
 from oracles import brute_chromatic, brute_clique, brute_maximal_cliques, graphs, net_graph
 
@@ -21,6 +23,21 @@ def test_chromatic_examples():
     assert chromatic_number_exact(complete_multipartite([2, 2, 2]))[0] == 3
     # ceil(5/2) = 3 for the circular clique on 5 vertices with distance 2
     assert chromatic_number_exact(circular_clique(5, 2))[0] == 3
+
+
+def test_chromatic_search_beats_the_greedy_bound():
+    # DSATUR spends 4 colours here but chi = omega = 3, so the exact
+    # k-colouring search runs and its success is the returned witness
+    g = make_graph(
+        9,
+        [(0, 2), (0, 4), (1, 2), (1, 4), (1, 7), (2, 3), (2, 4), (3, 7),
+         (3, 8), (4, 5), (4, 8), (5, 6), (5, 7), (5, 8), (6, 7)],
+    )
+    assert max(_dsatur_greedy(g)) + 1 == 4
+    assert clique_number_exact(g)[0] == 3
+    chi, coloring = chromatic_number_exact(g)
+    assert chi == 3 == brute_chromatic(g)
+    assert coloring.is_proper(g) and coloring.num_colors == 3
 
 
 def test_clique_examples():

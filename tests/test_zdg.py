@@ -170,6 +170,19 @@ def test_omega_chi_matches_exact_solvers():
         assert chromatic_number_exact(c.graph)[0] == value
 
 
+@pytest.mark.parametrize(
+    "n",
+    [pytest.param(range(4, 2001), id="composite-to-2000"), (2310, 30030, 510510, 9699690)],
+)
+def test_omega_chi_certificate_matches_parent(n):
+    # the value, the clique and every colour equal those of the pairwise check
+    # and index-list partners, over every composite N in range
+    for c in (compressed_zn(x) for x in n if not factor(x).is_prime):
+        value, clique, coloring = omega_chi_certificate(c)
+        want_value, want_clique, want_coloring = oracles.parent_omega_chi_certificate(c)
+        assert (value, clique, coloring.colors) == (want_value, want_clique, want_coloring.colors)
+
+
 def test_box_bound_examples():
     assert compressed_box_bound(compressed_zn(72)) == 7
     assert compressed_box_bound(compressed_zn(12)) == 3
