@@ -104,6 +104,9 @@ CORPUS = (
         ["zdg", "report", "--n", "25"],
         ["zdg", "report", "--n", "13"],
         ["gen", "zdg", "--n", "72"],
+        # 1829 vertices: the largest direct graph in the corpus
+        ["gen", "zdg", "--n", "2310"],
+        ["cover", "zdg", "--n", "2310"],
         ["gen", "zdg", "--n", "72", "--compressed"],
         ["gen", "zdg", "--n", "4"],
         ["gen", "boolean", "--k", "3"],
@@ -170,6 +173,8 @@ GOLDEN = {
     "zdg report --n 25": (0, "bcb361d8c7e819c0c045a4fd57273c6221148e71ace22be3c25f9ed148b2a368"),
     "zdg report --n 13": (0, "578cf1863277de078b465ce7a4c04ede4c5cbaf8049ae1cd72d6b091e3afcecc"),
     "gen zdg --n 72": (0, "c8540d0fdf0f54c23696de67ef54b02aab177ceda50b750c445ceb0e1173a1f0"),
+    "gen zdg --n 2310": (0, "6a0488debcf36bba9ef2b7429258a65a2f69cffb8096184c2d6c7e746086ef7c"),
+    "cover zdg --n 2310": (0, "2dfcd430ff2393f546eb2e719ab8cc8e66f1dd9a5fab045751be5f246396d02d"),
     "gen zdg --n 72 --compressed": (0, "499c2a31e5908654f567cc37f88bc77e851449f39972bf985c020cb271b8cfbe"),
     "gen zdg --n 4": (0, "ef1d4eb1223222acd550fa485a21ec244cd504664caf8d3668784a3dc3e874e0"),
     "gen boolean --k 3": (0, "240be8b269ffec516bf6da90e43bf7455a03234b6f96a0e66691a3add1f46d7b"),
