@@ -37,7 +37,6 @@ non-edge count) overrides the defaults.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 
 from .errors import ConstructionDefectError, InputError, ResourceBudgetError
 from .graphs import Graph, bits, induced_subgraph
@@ -227,11 +226,12 @@ def _boxicity_reps(g: Graph, max_l: int = DEFAULT_MAX_COVERS) -> tuple[int, list
 
     # assemble: cover j takes each component's j-th rep (first rep repeated
     # once a component runs out), normalized onto disjoint segments so cross
-    # pairs stay non-adjacent in every cover
+    # pairs stay non-adjacent in every cover; the recognizer's reps have int
+    # endpoints, so the segments do too
     reps_out = []
     for j in range(value):
         intervals: list = [None] * g.n
-        cursor = Fraction(0)
+        cursor = 0
         for vmap, reps in per_comp:
             rep = reps[j] if j < len(reps) else reps[0]
             lo_min = min(lo for lo, _ in rep.intervals)

@@ -84,11 +84,11 @@ def step_window_rep(k: int, d: int, r: int) -> IntervalRep:
     intervals: list[Interval | None] = [None] * p.k
     for i in range(r):
         intervals[i] = point(p.d - i)
-        intervals[p.d + i] = (Fraction(p.d - i), Fraction(p.d + 1))
+        intervals[p.d + i] = (p.d - i, p.d + 1)
     for i in range(r, p.d):
         intervals[i] = point(p.d + 1)
     for i in range(p.d + r, p.k):
-        intervals[i] = (Fraction(1), Fraction(p.d + 1))
+        intervals[i] = (1, p.d + 1)
     return IntervalRep(tuple(intervals))
 
 
@@ -106,9 +106,9 @@ def block_window_rep(k: int, d: int) -> IntervalRep:
     intervals: list[Interval | None] = [None] * p.k
     for t in range(p.d):
         intervals[t] = point(Fraction(2 * t - 1, 2))  # t - 1/2, inside (t-1, t)
-        intervals[p.d + t] = (Fraction(max(t - p.b - 1, -1)), Fraction(t))
+        intervals[p.d + t] = (max(t - p.b - 1, -1), t)
     for i in range(2 * p.d, p.k):
-        intervals[i] = (Fraction(-1), Fraction(p.d))
+        intervals[i] = (-1, p.d)
     return IntervalRep(tuple(intervals))
 
 

@@ -1,9 +1,10 @@
 """Exact interval representations and intersection covers.
 
-Endpoints are rationals, never floats: the constructions place points
-strictly inside open unit gaps, and exact arithmetic keeps every
-intersection test decidable. Intervals are closed; touching endpoints
-count as intersecting.
+Endpoints are exact, never floats: an integral endpoint is an `int` and any
+other a `Fraction`. The constructions put most vertices on integers and
+place the rest strictly inside open unit gaps, and exact comparison keeps
+every intersection test decidable. Intervals are closed; touching
+endpoints count as intersecting.
 
 A cover is a list of representations over one vertex set together with the
 graph it claims to certify: it is valid when every realized graph is a
@@ -22,7 +23,10 @@ from fractions import Fraction
 from .errors import ConstructionDefectError, InputError
 from .graphs import Graph, graph_from_obj, graph_to_json, graph_to_obj, int_from_obj, pairs
 
-Interval = tuple[Fraction, Fraction]
+# an int when integral, a Fraction otherwise (`exact`); the two compare and
+# hash alike, so Fraction(2) and 2 are one endpoint
+Endpoint = int | Fraction
+Interval = tuple[Endpoint, Endpoint]
 
 
 @dataclass(frozen=True)
@@ -36,20 +40,24 @@ class IntervalRep:
         return len(self.intervals)
 
 
+def exact(x: Endpoint) -> Endpoint:
+    """x as an int when it is integral, else unchanged."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def make_rep(intervals) -> IntervalRep:
     """Build a representation from (lo, hi) pairs, one per vertex in order."""
     out: list[Interval] = []
     for lo, hi in intervals:
-        flo, fhi = Fraction(lo), Fraction(hi)
+        flo, fhi = exact(Fraction(lo)), exact(Fraction(hi))
         if flo > fhi:
             raise InputError(f"empty interval [{flo}, {fhi}]")
         out.append((flo, fhi))
     return IntervalRep(tuple(out))
 
 
-def point(x) -> Interval:
-    f = Fraction(x)
-    return (f, f)
+def point(x: Endpoint) -> Interval:
+    return (x, x)
 
 
 def ends_adjacency(lo, hi) -> tuple[int, ...]:
@@ -84,8 +92,9 @@ def interval_adjacency(rep: IntervalRep) -> tuple[int, ...]:
         den = math.lcm(den, d)
         if den.bit_length() > 64:
             break  # the Fractions themselves are the keys
-    else:  # ints over the common denominator keep order and ties
-        ends = [f.numerator * (den // f.denominator) for f in ends]
+    else:
+        if den > 1:  # ints over the common denominator keep order and ties
+            ends = [f.numerator * (den // f.denominator) for f in ends]
     return ends_adjacency(ends[::2], ends[1::2])
 
 
@@ -133,12 +142,14 @@ def verify_cover(cover: IntervalCover) -> tuple[bool, list[CoverViolation]]:
             problems.append(CoverViolation("size-mismatch", i, None))
             continue
         h = interval_adjacency(rep)
-        for e in pairs(a & ~b for a, b in zip(claimed.adj, h)):
-            problems.append(CoverViolation("missing-edge", i, e))
+        missing = [a & ~b for a, b in zip(claimed.adj, h)]
+        if any(missing):
+            problems += [CoverViolation("missing-edge", i, e) for e in pairs(missing)]
         meet = h if meet is None else [a & b for a, b in zip(meet, h)]
     if meet is not None and not problems:
-        for e in pairs(a & ~b for a, b in zip(meet, claimed.adj)):
-            problems.append(CoverViolation("uncovered-non-edge", None, e))
+        extra = [a & ~b for a, b in zip(meet, claimed.adj)]
+        if any(extra):
+            problems += [CoverViolation("uncovered-non-edge", None, e) for e in pairs(extra)]
     return not problems, problems
 
 
@@ -152,12 +163,13 @@ def verified_cover(claimed: Graph, reps, what: str) -> IntervalCover:
 
 
 # ---------------------------------------------------------------------------
-# serialization: rationals as [numerator, denominator]; vertex keys are
-# decimal strings in increasing numeric order so emissions are stable, and
-# a key is read only in that canonical form, so no two keys name one vertex.
+# serialization: endpoints as [numerator, denominator], an int x as [x, 1];
+# vertex keys are decimal strings in increasing numeric order so emissions
+# are stable, and a key is read only in that canonical form, so no two keys
+# name one vertex.
 
 
-def _frac_to_obj(f: Fraction) -> list[int]:
+def _frac_to_obj(f: Endpoint) -> list[int]:
     return [f.numerator, f.denominator]
 
 

@@ -32,7 +32,7 @@ from .graphs import (
     join_edge_count,
     reduced_graph,
 )
-from .intervals import IntervalCover, IntervalRep, make_cover, point, verified_cover
+from .intervals import IntervalCover, IntervalRep, exact, make_cover, point, verified_cover
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class JoinCoverPlan:
     part_reps: tuple[tuple[IntervalRep, ...], ...]
 
 
-_UNIT = (Fraction(0), Fraction(1))
+_UNIT = (0, 1)
 
 
 def unit_rep(size: int, complete: bool) -> IntervalRep:
@@ -100,7 +100,8 @@ def _squeeze(rep: IntervalRep) -> IntervalRep:
     """Affine copy of the representation inside [0, 1/2].
 
     A strictly increasing affine map preserves the intersection structure
-    exactly, and exact rationals keep the image strictly below 1.
+    exactly, and exact rationals keep the image strictly below 1. The
+    image of the lowest endpoint is the int 0.
     """
     if not rep.intervals:
         return rep
@@ -110,7 +111,10 @@ def _squeeze(rep: IntervalRep) -> IntervalRep:
         return IntervalRep(tuple([point(0)] * rep.n))
     scale = Fraction(1, 2) / (hi_max - lo_min)
     return IntervalRep(
-        tuple(((lo - lo_min) * scale, (hi - lo_min) * scale) for lo, hi in rep.intervals)
+        tuple(
+            (exact((lo - lo_min) * scale), exact((hi - lo_min) * scale))
+            for lo, hi in rep.intervals
+        )
     )
 
 
@@ -126,7 +130,7 @@ def _lifted_rep(outer: Graph, blocks, part_index: int, part_rep: IntervalRep) ->
                 intervals[v] = _UNIT
         else:
             for v in blk:
-                intervals[v] = (Fraction(1), Fraction(2))
+                intervals[v] = (1, 2)
     return IntervalRep(tuple(intervals))
 
 

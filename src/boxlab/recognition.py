@@ -29,7 +29,6 @@ it would return on the whole graph (see `find_asteroidal_triple`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import ConstructionDefectError
 from .graphs import Graph, bits
@@ -427,5 +426,4 @@ def is_interval_graph(g: Graph) -> tuple[bool, IntervalRep | Obstruction]:
         return False, Obstruction("asteroidal-triple", at, paths)
     if ends_adjacency(first, last) != g.adj:
         raise ConstructionDefectError("clique spans do not realize the graph", (first, last))
-    ends = [Fraction(p) for p in range(len(cliques))]
-    return True, IntervalRep(tuple(zip(map(ends.__getitem__, first), map(ends.__getitem__, last))))
+    return True, IntervalRep(tuple(zip(first, last)))

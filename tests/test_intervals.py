@@ -8,23 +8,33 @@ from hypothesis import strategies as st
 
 from boxlab import (
     InputError,
+    boxicity_exact,
+    chi_cover,
     complete_graph,
+    compressed_zn,
     cover_from_obj,
     cover_to_json,
     cover_to_obj,
     cycle_graph,
     empty_graph,
     graph_of_intervals,
+    is_interval_graph,
     make_cover,
     make_graph,
+    make_plan,
     make_rep,
     path_graph,
+    reduced_ring_box_bounds,
     rep_from_obj,
     rep_to_obj,
+    skip_join_cover,
     verify_cover,
+    zn_join_cover,
+    zn_prime_cover,
 )
 from boxlab.circular import block_window_rep
-from boxlab.intervals import IntervalRep, interval_adjacency
+from boxlab.intervals import CoverViolation, IntervalRep, interval_adjacency
+from oracles import net_graph
 from oracles import graph_of_intervals as oracle_graph_of_intervals
 from oracles import verify_cover as oracle_verify_cover
 
@@ -249,3 +259,75 @@ def test_fraction_keys_keep_ties():
     rep = make_rep([(a, b), (b, c), (c, c), (a, a), (Fraction(-1), Fraction(1, r))])
     assert interval_adjacency(rep) == (0b01010, 0b00101, 0b00010, 0b00001, 0)
     assert graph_of_intervals(rep) == oracle_graph_of_intervals(rep)
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_int_endpoints_realize_as_their_fractions(data):
+    # all-int reps take the unconverted path, mixed ones the common
+    # denominator, and the large primes the Fraction keys
+    dens = data.draw(st.sampled_from([(1,), SMALL_DENS, LARGE_PRIMES, SMALL_DENS + LARGE_PRIMES]))
+    rep = data.draw(grid_reps(data.draw(st.integers(0, 12)), dens))
+    as_fractions = IntervalRep(tuple((Fraction(lo), Fraction(hi)) for lo, hi in rep.intervals))
+    assert interval_adjacency(rep) == interval_adjacency(as_fractions)
+
+
+def _integral_fractions(rep):
+    return [x for iv in rep.intervals for x in iv if isinstance(x, Fraction) and x.denominator == 1]
+
+
+def test_integral_endpoints_are_ints():
+    covers = [chi_cover(k, d) for d in range(1, 7) for k in range(2 * d, 2 * d + 13)]
+    covers += [zn_prime_cover(compressed_zn(n)) for n in (8, 12, 18, 72, 180, 2310)]
+    covers += [zn_join_cover(compressed_zn(n)) for n in (12, 72, 180)]
+    covers += [reduced_ring_box_bounds(k)[1] for k in range(2, 6)]
+    covers += [
+        skip_join_cover(make_plan(path_graph(3), [cycle_graph(4), complete_graph(2), empty_graph(3)])),
+        skip_join_cover(make_plan(complete_graph(3), [complete_graph(3), net_graph(), path_graph(3)], [0])),
+    ]
+    # components laid out side by side, and a graph of boxicity 1
+    c4_p3 = make_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6)])
+    covers += [boxicity_exact(g)[1] for g in (cycle_graph(4), net_graph(), c4_p3, path_graph(5))]
+    reps = [rep for c in covers for rep in c.reps]
+    reps += [is_interval_graph(g)[1] for g in (path_graph(6), complete_graph(4), empty_graph(3))]
+    # read from a file, [4, 2] is the int 2
+    reps.append(rep_from_obj({"n": 2, "intervals": {"0": [[1, 2], [4, 2]], "1": [[-3, 1], [6, 3]]}}))
+    assert not [_integral_fractions(r) for r in reps if _integral_fractions(r)]
+    assert reps[-1].intervals == ((Fraction(1, 2), 2), (-3, 2))
+
+
+def _mutants(cover):
+    """Member 0 with its busiest vertex shrunk to a point, member 0 dropped,
+    and the last member one vertex short."""
+    g, reps = cover.claimed_graph, list(cover.reps)
+    v = max(range(g.n), key=g.degree)
+    first = reps[0].intervals
+    shrunk = IntervalRep(first[:v] + ((first[v][1], first[v][1]),) + first[v + 1 :])
+    return [
+        make_cover(g, [shrunk] + reps[1:]),
+        make_cover(g, reps[1:]),
+        make_cover(g, reps[:-1] + [IntervalRep(reps[-1].intervals[:-1])]),
+    ]
+
+
+MUTATED = {
+    "circular 7 2": lambda: chi_cover(7, 2),
+    "circular 9 3": lambda: chi_cover(9, 3),
+    "circular 11 4": lambda: chi_cover(11, 4),
+    "zdg 72 prime": lambda: zn_prime_cover(compressed_zn(72)),
+    "zdg 72 join": lambda: zn_join_cover(compressed_zn(72)),
+    "boolean 4": lambda: reduced_ring_box_bounds(4)[1],
+    "join": lambda: skip_join_cover(
+        make_plan(path_graph(3), [cycle_graph(4), complete_graph(2), empty_graph(3)])
+    ),
+    "box c4": lambda: boxicity_exact(cycle_graph(4))[1],
+}
+
+
+@pytest.mark.parametrize("name", MUTATED)
+def test_verify_cover_matches_oracle_on_mutated_covers(name):
+    shrunk, dropped, short = _mutants(MUTATED[name]())
+    for cover in (shrunk, dropped, short):
+        assert verify_cover(cover) == oracle_verify_cover(cover)
+    assert not verify_cover(dropped)[0]
+    assert verify_cover(short) == (False, [CoverViolation("size-mismatch", len(short) - 1, None)])
