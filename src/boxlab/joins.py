@@ -5,10 +5,11 @@ boxicity is at most the sum of the parts' boxicities: every interval graph
 in a part's cover lifts to one over the whole join by keeping the part's
 intervals (squeezed into [0, 1/2]), giving [0, 1] to parts adjacent to it
 and [1, 2] to the rest. Complete parts hanging off a clique of the outer
-graph contribute nothing and can be skipped entirely.
+graph contribute nothing and can be skipped entirely, and a part with no
+vertices contributes nothing either.
 
 `lift_reps` is the one copy of that lift. It takes plain member tuples, one
-per part (empty for a skipped part), writes each part's vertices straight to
+per part (empty for a skipped or empty part), writes each part's vertices straight to
 caller-chosen target labels and checks nothing; each public cover built from
 it is verified once, by the function that returns it. `cover join` plans
 its parts with `make_plan`, the zero-divisor join cover lifts one `unit_rep`
@@ -37,7 +38,8 @@ from .intervals import IntervalCover, IntervalRep, exact, make_cover, point, ver
 
 @dataclass(frozen=True)
 class JoinCoverPlan:
-    """Outer graph, one part per outer vertex, and each part's members (none if skipped)."""
+    """Outer graph, one part per outer vertex, and each part's members (none if
+    skipped or empty)."""
 
     outer: Graph
     parts: tuple[Graph, ...]
@@ -61,7 +63,8 @@ def unit_rep(size: int, complete: bool) -> IntervalRep:
 def make_plan(outer: Graph, parts, skip=()) -> JoinCoverPlan:
     """Validated plan with the members of every part that is not skipped.
 
-    Complete and edgeless parts take their one `unit_rep`; anything else
+    A part with no vertices has boxicity 0 and takes no member. Other
+    complete and edgeless parts take their one `unit_rep`; anything else
     takes the exact boxicity oracle's witness. Nothing is checked here: the
     unit members are correct by construction, and a wrong oracle rep makes
     the lifted join cover fail its one check. Skipped parts must be
@@ -83,7 +86,7 @@ def make_plan(outer: Graph, parts, skip=()) -> JoinCoverPlan:
         raise InputError("skip set is not a clique of the outer graph")
     part_reps: list[tuple[IntervalRep, ...]] = []
     for i, part in enumerate(parts):
-        if i in skip:
+        if i in skip or part.n == 0:
             reps = ()
         elif part.is_complete() or part.is_edgeless():
             reps = (unit_rep(part.n, part.is_complete()),)
@@ -137,7 +140,7 @@ def _lifted_rep(outer: Graph, blocks, part_index: int, part_rep: IntervalRep) ->
 def lift_reps(outer: Graph, part_reps, blocks) -> list[IntervalRep]:
     """Unverified lifts of every part member into the join, part by part.
 
-    part_reps[i] holds the members of part i (empty for a skipped part);
+    part_reps[i] holds the members of part i (empty for a skipped or empty part);
     blocks[i] lists the target vertex of each vertex of part i, in order.
     The blocks must partition 0..t-1, and the lifts are over those t labels.
     """
@@ -147,11 +150,21 @@ def lift_reps(outer: Graph, part_reps, blocks) -> list[IntervalRep]:
 
 
 def skip_join_cover(plan: JoinCoverPlan) -> IntervalCover:
-    """Verified cover of the join using only the non-skipped parts' members."""
-    if plan.parts and not any(plan.part_reps):
-        raise InputError("at least one part must not be skipped")
+    """Verified cover of the join using only the non-skipped parts' members.
+
+    When every part is empty or skipped, with at least one empty, there is
+    no member to lift: the skipped parts are complete on an outer clique,
+    so the join is complete and takes one `unit_rep` (the one empty member
+    when it has no vertex, as in `reduced_cover`). Skipping every part is
+    refused.
+    """
     joined, blocks = generalized_join(plan.outer, list(plan.parts))
-    return verified_cover(joined, lift_reps(plan.outer, plan.part_reps, blocks), "join cover")
+    reps = lift_reps(plan.outer, plan.part_reps, blocks)
+    if not reps:
+        if plan.parts and all(p.n for p in plan.parts):
+            raise InputError("at least one part must not be skipped")
+        reps = [unit_rep(joined.n, True)]
+    return verified_cover(joined, reps, "join cover")
 
 
 def reduced_cover(g: Graph) -> IntervalCover:

@@ -330,6 +330,38 @@ def test_cover_join(tmp_path, capsys):
     assert len(payload["reps"]) == 2
 
 
+@pytest.mark.parametrize(
+    "parts, skip, code, members, n",
+    [
+        # an empty part has boxicity 0 and adds no member: the join is K2
+        ([0, 2], [], 0, 1, 2),
+        # no vertex at all: the one empty member
+        ([0, 0], [], 0, 1, 0),
+        # the skipped K2 and an empty part: the join is K2, one shared interval
+        ([2, 0], [0], 0, 1, 2),
+        ([2, 2], [0, 1], 2, None, None),
+    ],
+    ids=["empty-and-k2", "two-empty", "skipped-and-empty", "all-skipped"],
+)
+def test_cover_join_with_empty_parts(parts, skip, code, members, n, tmp_path, capsys):
+    argv = ["cover", "join", "--outer", str(tmp_path / "outer.json")]
+    (tmp_path / "outer.json").write_text(json.dumps(graph_to_obj(complete_graph(2))))
+    for i, size in enumerate(parts):
+        path = tmp_path / f"p{i}.json"
+        path.write_text(json.dumps(graph_to_obj(complete_graph(size))))
+        argv += ["--part", str(path)]
+    for s in skip:
+        argv += ["--skip", str(s)]
+    got, out, err = run_capture(capsys, argv)
+    assert got == code
+    if code:
+        assert out == "" and err == "input error: at least one part must not be skipped\n"
+    else:
+        payload = json.loads(out)
+        assert (len(payload["reps"]), payload["graph"]["n"]) == (members, n)
+        assert verify_cover(cover_from_obj(payload))[0]
+
+
 def test_cover_boolean_claims_no_lower_bound(capsys):
     # box(Gamma(F_2^3)) = 2 < 3, so no lower bound k may be printed
     code, out, err = run_capture(capsys, ["cover", "boolean", "--k", "3", "--method", "join"])

@@ -20,6 +20,7 @@ from boxlab import (
     skip_join_cover,
     verify_cover,
 )
+from boxlab.intervals import IntervalRep
 from boxlab.joins import lift_reps, unit_rep
 
 from oracles import clique_sum_lower_bound, net_graph
@@ -31,6 +32,16 @@ def test_join_cover_two_edgeless_parts():
     assert len(cover) == 2
     assert cover.claimed_graph == complete_multipartite([2, 2])
     assert verify_cover(cover)[0]
+
+
+def test_empty_parts_take_no_member():
+    plan = make_plan(complete_graph(2), [empty_graph(0), complete_graph(2)])
+    assert plan.part_reps == ((), (unit_rep(2, True),))
+    assert len(skip_join_cover(plan)) == 1
+    # a join with no vertex keeps one empty member, as reduced_cover gives
+    for outer, parts in ((complete_graph(2), [empty_graph(0)] * 2), (empty_graph(0), [])):
+        cover = skip_join_cover(make_plan(outer, parts))
+        assert cover.reps == reduced_cover(empty_graph(0)).reps == (IntervalRep(()),)
 
 
 def test_join_cover_single_part_passthrough():
