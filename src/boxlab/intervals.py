@@ -65,9 +65,19 @@ def ends_adjacency(lo, hi) -> tuple[int, ...]:
     for the closed intervals [lo[v], hi[v]] given by two lists of endpoints
     that compare exactly (ints or Fractions).
 
-    v meets the u with lo_u <= hi_v and hi_u >= lo_v: one AND of two prefixes.
+    v meets the u with lo_u <= hi_v and hi_u >= lo_v: one AND of two
+    prefixes. When every endpoint is an int and they span at most n + 1
+    values, as the integral covers and the recognizer's clique positions
+    do, the prefixes are indexed by value; otherwise by rank, over the
+    vertices sorted by each end. Either way there are at most n + 1 of each.
     """
     n = len(lo)
+    ends = [*lo, *hi]
+    if ends and set(map(type, ends)) == {int}:
+        base = min(ends)
+        width = max(ends) - base + 1
+        if width <= n + 1:
+            return _value_adjacency(lo, hi, base, width)
     by_lo = sorted(range(n), key=lo.__getitem__)
     by_hi = sorted(range(n), key=hi.__getitem__, reverse=True)
     lo_sorted = [lo[v] for v in by_lo]
@@ -82,6 +92,23 @@ def ends_adjacency(lo, hi) -> tuple[int, ...]:
         & ~(1 << v)
         for v in range(n)
     ])
+
+
+def _value_adjacency(lo, hi, base: int, width: int) -> tuple[int, ...]:
+    """`ends_adjacency` for int endpoints in base..base+width-1."""
+    n = len(lo)
+    starts, stops = [0] * width, [0] * width
+    for v in range(n):
+        starts[lo[v] - base] |= 1 << v
+        stops[hi[v] - base] |= 1 << v
+    # starts[i]: the vertices with lo <= base + i; stops[i]: those with hi >= base + i
+    acc = 0
+    for i in range(width):
+        acc = starts[i] = acc | starts[i]
+    acc = 0
+    for i in range(width - 1, -1, -1):
+        acc = stops[i] = acc | stops[i]
+    return tuple([starts[hi[v] - base] & stops[lo[v] - base] & ~(1 << v) for v in range(n)])
 
 
 def interval_adjacency(rep: IntervalRep) -> tuple[int, ...]:
