@@ -9,12 +9,12 @@ graph contribute nothing and can be skipped entirely, and a part with no
 vertices contributes nothing either.
 
 `lift_reps` is the one copy of that lift. It takes plain member tuples, one
-per part (empty for a skipped or empty part), writes each part's vertices straight to
-caller-chosen target labels and checks nothing; each public cover built from
-it is verified once, by the function that returns it. `cover join` plans
-its parts with `make_plan`, the zero-divisor join cover lifts one `unit_rep`
-per class, and the reduction-based cover here certifies box(G) <= number of
-neighborhood classes the same way.
+per part (empty for a skipped or empty part), writes each part's vertices
+straight to caller-chosen target labels and checks nothing; each public
+cover built from it is verified once, by the function that returns it.
+`cover join` plans its parts with `make_plan`, the zero-divisor join cover
+lifts one `unit_rep` per class, and the reduction-based cover here
+certifies box(G) <= number of neighborhood classes the same way.
 """
 
 from __future__ import annotations
@@ -140,9 +140,10 @@ def _lifted_rep(outer: Graph, blocks, part_index: int, part_rep: IntervalRep) ->
 def lift_reps(outer: Graph, part_reps, blocks) -> list[IntervalRep]:
     """Unverified lifts of every part member into the join, part by part.
 
-    part_reps[i] holds the members of part i (empty for a skipped or empty part);
-    blocks[i] lists the target vertex of each vertex of part i, in order.
-    The blocks must partition 0..t-1, and the lifts are over those t labels.
+    part_reps[i] holds the members of part i (empty for a skipped or empty
+    part); blocks[i] lists the target vertex of each vertex of part i, in
+    order. The blocks must partition 0..t-1, and the lifts are over those t
+    labels.
     """
     return [
         _lifted_rep(outer, blocks, i, rep) for i, reps in enumerate(part_reps) for rep in reps

@@ -130,7 +130,7 @@ def factor(N: int) -> FactoredN:
 
 
 # the multiples walk builds Z_9240, the slowest direct graph measured below
-# this limit, in 0.06 s of CPU (Python 3.11, 2-core VM)
+# this limit, in 0.05 s of CPU (Python 3.11, 2-core VM)
 ZDG_MAX_N = 10_000
 
 

@@ -264,8 +264,9 @@ def test_fraction_keys_keep_ties():
 @given(st.data())
 @settings(max_examples=200)
 def test_int_endpoints_realize_as_their_fractions(data):
-    # all-int reps take the unconverted path, mixed ones the common
-    # denominator, and the large primes the Fraction keys
+    # all-int reps skip the common denominator and, when narrow, take the
+    # value-indexed prefixes; mixed ones go over the common denominator and
+    # the large primes over the Fraction keys; the Fraction copies are sorted
     dens = data.draw(st.sampled_from([(1,), SMALL_DENS, LARGE_PRIMES, SMALL_DENS + LARGE_PRIMES]))
     rep = data.draw(grid_reps(data.draw(st.integers(0, 12)), dens))
     as_fractions = IntervalRep(tuple((Fraction(lo), Fraction(hi)) for lo, hi in rep.intervals))

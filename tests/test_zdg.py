@@ -40,7 +40,7 @@ from oracles import net_graph
 
 def test_zdg_zn_matches_edge_set_version():
     # primes give the empty graph; 4 has one vertex; 2310 = 2*3*5*7*11 has
-    # 1829 vertices and rows of every step between 2 and 1155
+    # 1829 vertices, whose rows step by each divisor from 2 to 1155
     for n in [*range(2, 1001), 2310]:
         assert zdg_zn(n) == oracles.zdg_zn(n)
 
