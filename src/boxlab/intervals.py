@@ -16,7 +16,6 @@ constructions leave through `verified_cover`, which checks once.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,49 +65,28 @@ def ends_adjacency(lo, hi) -> tuple[int, ...]:
     that compare exactly (ints or Fractions).
 
     v meets the u with lo_u <= hi_v and hi_u >= lo_v: one AND of two
-    prefixes. When every endpoint is an int and they span at most n + 1
-    values, as the integral covers and the recognizer's clique positions
-    do, the prefixes are indexed by value; otherwise by rank, over the
-    vertices sorted by each end. Either way there are at most n + 1 of each.
+    prefixes, indexed by the rank of each distinct endpoint after one sort.
+    A rank that starts (ends) no interval shares the prefix beside it, so at
+    most n + 1 of each kind are distinct.
     """
-    n = len(lo)
-    ends = [*lo, *hi]
-    if ends and set(map(type, ends)) == {int}:
-        base = min(ends)
-        width = max(ends) - base + 1
-        if width <= n + 1:
-            return _value_adjacency(lo, hi, base, width)
-    by_lo = sorted(range(n), key=lo.__getitem__)
-    by_hi = sorted(range(n), key=hi.__getitem__, reverse=True)
-    lo_sorted = [lo[v] for v in by_lo]
-    neg_hi_sorted = [-hi[v] for v in by_hi]
-    pre_lo, pre_hi = [0], [0]
-    for a, b in zip(by_lo, by_hi):
-        pre_lo.append(pre_lo[-1] | 1 << a)
-        pre_hi.append(pre_hi[-1] | 1 << b)
-    return tuple([
-        pre_lo[bisect_right(lo_sorted, hi[v])]
-        & pre_hi[bisect_right(neg_hi_sorted, -lo[v])]
-        & ~(1 << v)
-        for v in range(n)
-    ])
-
-
-def _value_adjacency(lo, hi, base: int, width: int) -> tuple[int, ...]:
-    """`ends_adjacency` for int endpoints in base..base+width-1."""
-    n = len(lo)
-    starts, stops = [0] * width, [0] * width
-    for v in range(n):
-        starts[lo[v] - base] |= 1 << v
-        stops[hi[v] - base] |= 1 << v
-    # starts[i]: the vertices with lo <= base + i; stops[i]: those with hi >= base + i
+    rank = {x: i for i, x in enumerate(sorted({*lo, *hi}))}
+    lo, hi = [rank[x] for x in lo], [rank[x] for x in hi]
+    starts, stops = [0] * len(rank), [0] * len(rank)
+    for v, (a, b) in enumerate(zip(lo, hi)):
+        starts[a] |= 1 << v
+        stops[b] |= 1 << v
+    # starts[i]: the vertices with lo rank <= i; stops[i]: those with hi rank >= i
     acc = 0
-    for i in range(width):
-        acc = starts[i] = acc | starts[i]
+    for i, s in enumerate(starts):
+        if s:
+            acc |= s
+        starts[i] = acc
     acc = 0
-    for i in range(width - 1, -1, -1):
-        acc = stops[i] = acc | stops[i]
-    return tuple([starts[hi[v] - base] & stops[lo[v] - base] & ~(1 << v) for v in range(n)])
+    for i in range(len(stops) - 1, -1, -1):
+        if stops[i]:
+            acc |= stops[i]
+        stops[i] = acc
+    return tuple([starts[b] & stops[a] & ~(1 << v) for v, (a, b) in enumerate(zip(lo, hi))])
 
 
 def interval_adjacency(rep: IntervalRep) -> tuple[int, ...]:

@@ -264,9 +264,9 @@ def test_fraction_keys_keep_ties():
 @given(st.data())
 @settings(max_examples=200)
 def test_int_endpoints_realize_as_their_fractions(data):
-    # all-int reps skip the common denominator and, when narrow, take the
-    # value-indexed prefixes; mixed ones go over the common denominator and
-    # the large primes over the Fraction keys; the Fraction copies are sorted
+    # all-int reps skip the common denominator, mixed ones go over it and
+    # the large primes over the Fraction keys; the copy with every endpoint
+    # a Fraction must realize the same graph
     dens = data.draw(st.sampled_from([(1,), SMALL_DENS, LARGE_PRIMES, SMALL_DENS + LARGE_PRIMES]))
     rep = data.draw(grid_reps(data.draw(st.integers(0, 12)), dens))
     as_fractions = IntervalRep(tuple((Fraction(lo), Fraction(hi)) for lo, hi in rep.intervals))
