@@ -73,8 +73,9 @@ def ends_adjacency(lo, hi) -> tuple[int, ...]:
     lo, hi = [rank[x] for x in lo], [rank[x] for x in hi]
     starts, stops = [0] * len(rank), [0] * len(rank)
     for v, (a, b) in enumerate(zip(lo, hi)):
-        starts[a] |= 1 << v
-        stops[b] |= 1 << v
+        bit = 1 << v
+        starts[a] |= bit
+        stops[b] |= bit
     # starts[i]: the vertices with lo rank <= i; stops[i]: those with hi rank >= i
     acc = 0
     for i, s in enumerate(starts):
@@ -83,8 +84,9 @@ def ends_adjacency(lo, hi) -> tuple[int, ...]:
         starts[i] = acc
     acc = 0
     for i in range(len(stops) - 1, -1, -1):
-        if stops[i]:
-            acc |= stops[i]
+        s = stops[i]
+        if s:
+            acc |= s
         stops[i] = acc
     return tuple([starts[b] & stops[a] & ~(1 << v) for v, (a, b) in enumerate(zip(lo, hi))])
 
