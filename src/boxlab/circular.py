@@ -55,12 +55,16 @@ def circular_params(k: int, d: int) -> CircularParams:
     return CircularParams(k, d)
 
 
+def check_circular_budget(k: int, d: int) -> None:
+    """Refuse, before anything is allocated, a circular clique over the edge or vertex budget."""
+    what = f"the circular clique (k={k}, d={d})"
+    check_edge_budget(circular_params(k, d).num_edges, what)
+    check_vertex_budget(k, what)  # the masks of a near-matching span all k bits
+
+
 def circular_clique(k: int, d: int) -> Graph:
     """Graph on 0..k-1 with i ~ j iff d <= |i-j| <= k-d: vertex 0's mask d..k-d, rotated by i."""
-    p = circular_params(k, d)
-    what = f"the circular clique (k={k}, d={d})"
-    check_edge_budget(p.num_edges, what)
-    check_vertex_budget(k, what)  # the masks of a near-matching span all k bits
+    check_circular_budget(k, d)
     ring, base = (1 << k) - 1, (1 << k - 2 * d + 1) - 1 << d
     return Graph.from_adj([(base << i | base >> k - i) & ring for i in range(k)])
 

@@ -20,9 +20,9 @@ import sys
 from functools import cache
 
 from .boxicity import DEFAULT_MAX_COVERS, boxicity_exact
-from .circular import chi_cover, circular_chi, circular_clique, circular_params
+from .circular import check_circular_budget, chi_cover, circular_chi, circular_clique
 from .errors import ConstructionDefectError, InputError, ResourceBudgetError
-from .graphs import check_edge_budget, graph_from_obj, graph_to_obj
+from .graphs import graph_from_obj, graph_to_obj
 from .intervals import (
     cover_from_obj,
     cover_to_json,
@@ -32,8 +32,8 @@ from .intervals import (
 from .joins import make_plan, reduced_cover, skip_join_cover
 from .recognition import is_interval_graph
 from .zdg import (
-    ZDG_MAX_N,
     boolean_ring_graph,
+    check_direct_limit,
     compressed_box_bound,
     compressed_zn,
     expand_compressed,
@@ -86,25 +86,22 @@ def _info(msg: str) -> None:
 
 def _cmd_gen(args) -> int:
     if args.family == "circular":
-        g = circular_clique(args.k, args.d)
-        _emit(graph_to_obj(g), args.output)
-    elif args.family == "zdg":
-        if args.compressed:
-            c = compressed_zn(args.n)
-            obj = graph_to_obj(c.graph)
-            obj["labels"] = list(c.divisors)
-            obj["class_size"] = list(c.sizes)
-            obj["class_complete"] = list(c.complete)
-        else:
-            g, labels = zdg_zn(args.n)
-            obj = graph_to_obj(g)
-            obj["labels"] = list(labels)
-        _emit(obj, args.output)
-    else:  # boolean
+        obj = graph_to_obj(circular_clique(args.k, args.d))
+    elif args.family == "boolean":
         ring = boolean_ring_graph(args.k)
         obj = graph_to_obj(ring.graph)
         obj["labels"] = [list(vec) for vec in ring.labels]
-        _emit(obj, args.output)
+    elif args.compressed:
+        c = compressed_zn(args.n)
+        obj = graph_to_obj(c.graph)
+        obj["labels"] = list(c.divisors)
+        obj["class_size"] = list(c.sizes)
+        obj["class_complete"] = list(c.complete)
+    else:
+        g, labels = zdg_zn(args.n)
+        obj = graph_to_obj(g)
+        obj["labels"] = list(labels)
+    _emit(obj, args.output)
     return EXIT_OK
 
 
@@ -190,8 +187,7 @@ def _sweep_table(header: str, rows: list[str], cases: str, out_path: str | None)
 
 def _cmd_sweep_circular(args) -> int:
     if args.dmax >= 2 and args.kmax >= 4:  # the sweep's largest graph, refused before any row
-        largest = circular_params(args.kmax, 2)
-        check_edge_budget(largest.num_edges, f"the circular clique (k={args.kmax}, d=2)")
+        check_circular_budget(args.kmax, 2)
     rows = []
     for d in range(2, args.dmax + 1):
         for k in range(2 * d, args.kmax + 1):
@@ -213,8 +209,7 @@ def _cell(check) -> str:
 
 
 def _cmd_sweep_zdg(args) -> int:
-    if args.nmax > ZDG_MAX_N:
-        raise ResourceBudgetError(f"N = {args.nmax} exceeds the direct-graph limit {ZDG_MAX_N}")
+    check_direct_limit(args.nmax)  # refused before any row
     rows = []
     for n in range(4, args.nmax + 1):
         try:
@@ -250,6 +245,30 @@ def _cmd_sweep_zdg(args) -> int:
 # parser
 
 
+# the option specs that several commands share
+_INT = {"type": int, "required": True}
+_FILE = {"required": True}
+_METHOD = {
+    "choices": ("prime", "join"),
+    "default": "prime",
+    "help": "prime: one threshold member per prime of N or vector coordinate (default); "
+    "join: the paper's join construction",
+}
+
+
+def _command(parser: argparse.ArgumentParser, func, **options: dict) -> None:
+    """Give `parser` one --NAME option per keyword, then the shared -o/--output, and bind `func`."""
+    for name, spec in options.items():
+        parser.add_argument(f"--{name}", **spec)
+    parser.add_argument("-o", "--output")
+    parser.set_defaults(func=func)
+
+
+def _group(verbs, name: str, dest: str, help: str):
+    """Add the verb `name`, listed with `help`, whose commands are chosen into `dest`."""
+    return verbs.add_parser(name, help=help).add_subparsers(dest=dest, required=True)
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process: `parse_args` returns a fresh namespace per call."""
@@ -257,78 +276,31 @@ def build_parser() -> argparse.ArgumentParser:
         prog="boxlab",
         description="generate, cover, and verify interval-graph certificates",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
+    verbs = parser.add_subparsers(dest="verb", required=True)
 
-    gen = sub.add_parser("gen", help="emit a graph as JSON")
-    gen_sub = gen.add_subparsers(dest="family", required=True)
-    g_circ = gen_sub.add_parser("circular")
-    g_circ.add_argument("--k", type=int, required=True)
-    g_circ.add_argument("--d", type=int, required=True)
-    g_zdg = gen_sub.add_parser("zdg")
-    g_zdg.add_argument("--n", type=int, required=True)
-    g_zdg.add_argument("--compressed", action="store_true")
-    g_bool = gen_sub.add_parser("boolean")
-    g_bool.add_argument("--k", type=int, required=True)
-    for p in (g_circ, g_zdg, g_bool):
-        p.add_argument("-o", "--output")
-        p.set_defaults(func=_cmd_gen)
+    gen = _group(verbs, "gen", "family", "emit a graph as JSON")
+    _command(gen.add_parser("circular"), _cmd_gen, k=_INT, d=_INT)
+    _command(gen.add_parser("zdg"), _cmd_gen, n=_INT, compressed={"action": "store_true"})
+    _command(gen.add_parser("boolean"), _cmd_gen, k=_INT)
 
-    cover = sub.add_parser("cover", help="emit a verified cover as JSON")
-    cover_sub = cover.add_subparsers(dest="family", required=True)
-    c_circ = cover_sub.add_parser("circular")
-    c_circ.add_argument("--k", type=int, required=True)
-    c_circ.add_argument("--d", type=int, required=True)
-    c_zdg = cover_sub.add_parser("zdg")
-    c_zdg.add_argument("--n", type=int, required=True)
-    c_bool = cover_sub.add_parser("boolean")
-    c_bool.add_argument("--k", type=int, required=True)
-    for p in (c_zdg, c_bool):
-        p.add_argument(
-            "--method",
-            choices=("prime", "join"),
-            default="prime",
-            help="prime: one threshold member per prime of N or vector coordinate (default); "
-            "join: the paper's join construction",
-        )
-    c_join = cover_sub.add_parser("join")
-    c_join.add_argument("--outer", required=True)
-    c_join.add_argument("--part", action="append", required=True)
-    c_join.add_argument("--skip", action="append", type=int)
-    for p in (c_circ, c_zdg, c_bool, c_join):
-        p.add_argument("-o", "--output")
-        p.set_defaults(func=_cmd_cover)
+    cover = _group(verbs, "cover", "family", "emit a verified cover as JSON")
+    _command(cover.add_parser("circular"), _cmd_cover, k=_INT, d=_INT)
+    _command(cover.add_parser("zdg"), _cmd_cover, n=_INT, method=_METHOD)
+    _command(cover.add_parser("boolean"), _cmd_cover, k=_INT, method=_METHOD)
+    _command(cover.add_parser("join"), _cmd_cover, outer=_FILE,
+             part={"action": "append", "required": True}, skip={"action": "append", "type": int})
 
-    verify = sub.add_parser("verify", help="check a cover against a graph")
-    verify.add_argument("--graph", required=True)
-    verify.add_argument("--cover", required=True)
-    verify.add_argument("-o", "--output")
-    verify.set_defaults(func=_cmd_verify)
+    verify = verbs.add_parser("verify", help="check a cover against a graph")
+    _command(verify, _cmd_verify, graph=_FILE, cover=_FILE)
+    box = verbs.add_parser("box", help="exact boxicity with witness cover")
+    _command(box, _cmd_box, graph=_FILE, max={"type": int, "default": DEFAULT_MAX_COVERS})
 
-    box = sub.add_parser("box", help="exact boxicity with witness cover")
-    box.add_argument("--graph", required=True)
-    box.add_argument("--max", type=int, default=DEFAULT_MAX_COVERS)
-    box.add_argument("-o", "--output")
-    box.set_defaults(func=_cmd_box)
+    zdg = _group(verbs, "zdg", "action", "zero-divisor graph reports")
+    _command(zdg.add_parser("report"), _cmd_zdg_report, n=_INT)
 
-    zdg = sub.add_parser("zdg", help="zero-divisor graph reports")
-    zdg_sub = zdg.add_subparsers(dest="action", required=True)
-    report = zdg_sub.add_parser("report")
-    report.add_argument("--n", type=int, required=True)
-    report.add_argument("-o", "--output")
-    report.set_defaults(func=_cmd_zdg_report)
-
-    sweep = sub.add_parser("sweep", help="batch pass/fail tables")
-    sweep_sub = sweep.add_subparsers(dest="family", required=True)
-    s_circ = sweep_sub.add_parser("circular")
-    s_circ.add_argument("--dmax", type=int, required=True)
-    s_circ.add_argument("--kmax", type=int, required=True)
-    s_circ.add_argument("-o", "--output")
-    s_circ.set_defaults(func=_cmd_sweep_circular)
-    s_zdg = sweep_sub.add_parser("zdg")
-    s_zdg.add_argument("--nmax", type=int, required=True)
-    s_zdg.add_argument("-o", "--output")
-    s_zdg.set_defaults(func=_cmd_sweep_zdg)
-
+    sweep = _group(verbs, "sweep", "family", "batch pass/fail tables")
+    _command(sweep.add_parser("circular"), _cmd_sweep_circular, dmax=_INT, kmax=_INT)
+    _command(sweep.add_parser("zdg"), _cmd_sweep_zdg, nmax=_INT)
     return parser
 
 
@@ -348,6 +320,8 @@ def run(argv: list[str]) -> int:
         return EXIT_BUDGET
     except ConstructionDefectError as exc:
         _info(f"construction defect: {exc}")
+        if exc.witness is not None:
+            _info(json.dumps({"witness": exc.witness}, default=str))
         return EXIT_VERIFY_FAILED
     except Exception as exc:
         _info(f"internal error: {type(exc).__name__}: {exc}")

@@ -134,6 +134,12 @@ def factor(N: int) -> FactoredN:
 ZDG_MAX_N = 10_000
 
 
+def check_direct_limit(N: int) -> None:
+    """Refuse an N whose zero-divisor graph is over the direct-graph limit ZDG_MAX_N."""
+    if N > ZDG_MAX_N:
+        raise ResourceBudgetError(f"N = {N} exceeds the direct-graph limit {ZDG_MAX_N}")
+
+
 def zdg_zn(N: int) -> tuple[Graph, tuple[int, ...]]:
     """Zero-divisor graph of Z_N with its vertex labels in increasing order.
 
@@ -146,8 +152,7 @@ def zdg_zn(N: int) -> tuple[Graph, tuple[int, ...]]:
     """
     if N < 2:
         raise InputError(f"need N >= 2, got {N}")
-    if N > ZDG_MAX_N:
-        raise ResourceBudgetError(f"N = {N} exceeds the direct-graph limit {ZDG_MAX_N}")
+    check_direct_limit(N)
     labels = tuple(x for x in range(2, N) if math.gcd(x, N) > 1)
     index = dict(zip(labels, range(len(labels))))
     adj = []

@@ -26,6 +26,7 @@ from boxlab import (
 from boxlab.circular import circular_params
 from boxlab.cli import run
 from boxlab.graphs import EDGE_BUDGET, VERIFY_MAX_N
+from boxlab.intervals import CoverViolation
 from boxlab.zdg import COMPRESSED_MAX_N
 from oracles import verify_cover as oracle_verify_cover
 
@@ -254,7 +255,17 @@ def test_malformed_json_file_is_input_error(kind, verb, tmp_path, capsys):
 def test_uncaught_error_is_one_line_exit_1(monkeypatch, tmp_path, capsys):
     cases = [
         (RuntimeError("boom"), "internal error: RuntimeError: boom\n"),
-        (ConstructionDefectError("rep misses an edge", (0, 1)), "construction defect: rep misses an edge\n"),
+        # a witness follows on a line of its own, as JSON; a value JSON cannot
+        # hold is written as its str
+        (
+            ConstructionDefectError("rep misses an edge", (0, 1)),
+            'construction defect: rep misses an edge\n{"witness": [0, 1]}\n',
+        ),
+        (
+            ConstructionDefectError("cover failed", CoverViolation("missing-edge", 1, (0, 4))),
+            'construction defect: cover failed\n{"witness": "missing-edge at rep 1: (0, 4)"}\n',
+        ),
+        (ConstructionDefectError("lost its trail"), "construction defect: lost its trail\n"),
     ]
     for exc, line in cases:
 
@@ -704,6 +715,18 @@ def test_sweep_circular_refuses_an_oversized_kmax_before_its_first_row(monkeypat
     code, out, err = run_capture(capsys, ["sweep", "circular", "--dmax", "2", "--kmax", str(kmax)])
     assert code == 3 and out == ""
     assert f"(k={kmax}, d=2) would have" in err
+
+
+def test_cli_restates_no_library_budget(package_imports):
+    # the sweeps refuse through the checks their libraries run, so each
+    # limit and refusal message is written in its library alone
+    imported = {name.split(".")[-1] for name in package_imports["cli.py"]}
+    budgets = {"ZDG_MAX_N", "COMPRESSED_MAX_N", "BOOLEAN_RING_MAX_K", "EDGE_BUDGET", "VERIFY_MAX_N"}
+    checks = {"check_edge_budget", "check_vertex_budget", "circular_params"}
+    assert imported.isdisjoint(budgets | checks)
+    package = Path(boxlab.cli.__file__).parent
+    for message, home in (("exceeds the direct-graph limit", "zdg.py"), ("would have", "graphs.py")):
+        assert [p.name for p in sorted(package.glob("*.py")) if message in p.read_text()] == [home]
 
 
 def _join(a_n, a_edges, b_n):
