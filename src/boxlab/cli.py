@@ -9,7 +9,8 @@ for fixed inputs: no timestamps, fixed key order, sorted edges.
 Exit codes: 0 success / verified, 1 verification failed or internal
 error, 2 input error (an unreadable input or an unwritable -o path), 3
 resource budget exceeded. No exception leaves `run` as a traceback:
-anything unexpected is one "internal error" line on stderr.
+anything unexpected is one "internal error" line on stderr, and a
+construction defect adds its witness as a line of JSON.
 """
 
 from __future__ import annotations
