@@ -33,9 +33,6 @@ from .graphs import (
     Graph,
     bits,
     check_edge_budget,
-    complete_graph,
-    empty_graph,
-    generalized_join,
     is_clique,
     pairs,
 )
@@ -261,28 +258,21 @@ def compressed_zn(N: int) -> CompressedZN:
     return CompressedZN(f, divs, _zero_product_graph(divs, N), sizes, complete)
 
 
-def _class_parts(c: CompressedZN) -> list[Graph]:
-    return [
-        complete_graph(size) if comp else empty_graph(size)
-        for size, comp in zip(c.sizes, c.complete)
-    ]
-
-
 def expand_compressed(c: CompressedZN) -> Graph:
-    """Rebuild the full graph by joining class blocks; checked against the direct one."""
-    # join blocks are consecutive ranges in class order; the positions come
-    # first, so the direct graph's limit refuses before the parts are built
-    to_direct = [v for blk in c.positions for v in blk]
-    joined, _ = generalized_join(c.graph, _class_parts(c))
-    adj = [0] * joined.n
-    for u, nbrs in enumerate(joined.adj):
-        adj[to_direct[u]] = sum(1 << to_direct[w] for w in bits(nbrs))
-    relabeled = Graph.from_adj(adj)
-    if relabeled != c.direct[0]:
-        raise ConstructionDefectError(
-            f"expanded graph for N={c.N} disagrees with the direct construction"
-        )
-    return relabeled
+    """Check the direct graph, and return it, against the class blocks joined over c.graph.
+
+    Each element's row must be the classes joined to its own, and its own class
+    when complete, less the element; the classes partition the direct vertices.
+    """
+    g = c.direct[0]  # first, so the direct graph's limit refuses before anything else
+    masks = [sum(1 << v for v in members) for members in c.positions]
+    for i, members in enumerate(c.positions):
+        row = sum(masks[j] for j in bits(c.graph.adj[i])) | (masks[i] if c.complete[i] else 0)
+        if any(g.adj[v] != row & ~(1 << v) for v in members):
+            raise ConstructionDefectError(
+                f"expanded graph for N={c.N} disagrees with the direct construction"
+            )
+    return g
 
 
 # ---------------------------------------------------------------------------

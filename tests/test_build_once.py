@@ -6,6 +6,7 @@ package binds them, so a rebuild hidden behind any import is seen.
 
 import pytest
 
+import boxlab.graphs
 import boxlab.zdg
 from boxlab import ConstructionDefectError
 from boxlab.cli import run
@@ -62,3 +63,13 @@ def test_sweep_reports_a_record_defect_as_failed_row(monkeypatch, capsys):
     assert rows["12"]["omega_chi"] == rows["12"]["cover"] == "FAIL"
     assert all(row["status"] == "PASS" for n, row in rows.items() if n != "12")
     assert err == "11 composite cases, 1 failures\n"
+
+
+def test_zero_divisor_graphs_build_no_join(count_calls, package_imports, capsys):
+    # the class-by-class check compares masks, so no join graph is built
+    joins = count_calls(boxlab.graphs, ("generalized_join",))
+    assert run(["sweep", "zdg", "--nmax", "100"]) == 0
+    assert run(["cover", "zdg", "--n", "72", "--method", "join"]) == 0
+    assert joins == {"generalized_join": 0}
+    imported = {name.split(".")[-1] for name in package_imports["zdg.py"]}
+    assert not imported & {"generalized_join", "complete_graph", "empty_graph"}

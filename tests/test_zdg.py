@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 import boxlab.zdg
 from boxlab import (
+    ConstructionDefectError,
+    Graph,
     InputError,
     augmenting_divisor,
     boolean_ring_graph,
@@ -100,6 +103,25 @@ def test_expand_matches_direct():
     for n in (8, 9, 12, 16, 30, 36, 72, 100):
         g = expand_compressed(compressed_zn(n))
         assert g == zdg_zn(n)[0]
+
+
+def test_expand_refuses_a_corrupted_record():
+    # the record passes; a class's block flipped, and one join edge dropped,
+    # each break a row
+    c = compressed_zn(72)
+    assert expand_compressed(c) is c.direct[0]
+    u, v = c.graph.sorted_edges()[0]
+    adj = list(c.graph.adj)
+    adj[u] &= ~(1 << v)
+    adj[v] &= ~(1 << u)
+    for broken in (
+        dataclasses.replace(c, complete=(not c.complete[0], *c.complete[1:])),
+        dataclasses.replace(c, graph=Graph.from_adj(adj)),
+    ):
+        with pytest.raises(
+            ConstructionDefectError, match="expanded graph for N=72 disagrees with the direct construction"
+        ):
+            expand_compressed(broken)
 
 
 def test_class_sizes_sum_to_zero_divisor_count():
