@@ -419,11 +419,15 @@ def is_interval_graph(g: Graph) -> tuple[bool, IntervalRep | Obstruction]:
         within = g.reach(scattered, (1 << g.n) - 1)
         at = find_asteroidal_triple(g, first, last, within)
         if at is None:
-            raise ConstructionDefectError("no consecutive clique order and no asteroidal triple", g)
+            raise ConstructionDefectError(
+                "no consecutive clique order and no asteroidal triple", tuple(bits(scattered))
+            )
         paths = asteroidal_paths(g, at)
         if paths is None:
             raise ConstructionDefectError("AT witness failed re-verification", at)
         return False, Obstruction("asteroidal-triple", at, paths)
-    if ends_adjacency(first, last) != g.adj:
-        raise ConstructionDefectError("clique spans do not realize the graph", (first, last))
+    spans = ends_adjacency(first, last)
+    if spans != g.adj:
+        v = next(v for v in range(g.n) if spans[v] != g.adj[v])
+        raise ConstructionDefectError("clique spans do not realize the graph", (v, first[v], last[v]))
     return True, IntervalRep(tuple(zip(first, last)))

@@ -12,6 +12,7 @@ import boxlab.circular
 import boxlab.cli
 import boxlab.graphs
 import boxlab.intervals
+import boxlab.recognition
 import boxlab.zdg
 from boxlab import (
     ConstructionDefectError,
@@ -20,6 +21,7 @@ from boxlab import (
     cycle_graph,
     empty_graph,
     graph_to_obj,
+    make_graph,
     path_graph,
     verify_cover,
 )
@@ -279,6 +281,24 @@ def test_uncaught_error_is_one_line_exit_1(monkeypatch, tmp_path, capsys):
         assert out == ""
         assert err == line
         assert not cpath.exists()
+
+
+def test_recognizer_defect_witness_is_the_scattered_vertices(monkeypatch, tmp_path, capsys):
+    # the net with a path hung off a pendant, 2000 vertices: the whole graph
+    # as the witness would write every edge on the line
+    edges = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5), (3, 6)]
+    g = make_graph(2000, edges + [(v, v + 1) for v in range(6, 1999)])
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(graph_to_obj(g)))
+    monkeypatch.setenv("BOXLAB_BUDGET", "3000")
+    monkeypatch.setattr(boxlab.recognition, "find_asteroidal_triple", lambda g, first, last, within: None)
+    code, out, err = run_capture(capsys, ["box", "--graph", str(gpath)])
+    assert (code, out) == (1, "")
+    message, witness = err.splitlines()
+    assert message == "construction defect: no consecutive clique order and no asteroidal triple"
+    scattered = json.loads(witness)["witness"]
+    assert scattered and scattered == sorted(set(scattered)) and set(scattered) <= set(range(6))
+    assert len(witness) < 200
 
 
 def test_box_command(tmp_path, capsys):

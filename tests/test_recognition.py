@@ -211,14 +211,19 @@ def test_lex_bfs_matches_list_label_oracle(g):
 
 def test_recognizer_checks_its_certificates(monkeypatch):
     # clique spans that do not realize the graph, and a chordal graph with
-    # neither a consecutive clique order nor an AT, are defects
+    # neither a consecutive clique order nor an AT, are defects; the first
+    # carries the lowest vertex whose row the spans miss, with its span, and
+    # the second the scattered vertices, never the graph
     with monkeypatch.context() as m:
         m.setattr(recognition, "maximal_cliques_chordal", lambda elim: [(0, 1, 2)])
-        with pytest.raises(ConstructionDefectError, match="do not realize"):
+        with pytest.raises(ConstructionDefectError, match="do not realize") as info:
             is_interval_graph(path_graph(3))
+        assert info.value.witness == (0, 0, 0)
     monkeypatch.setattr(recognition, "find_asteroidal_triple", lambda g, first, last, within: None)
-    with pytest.raises(ConstructionDefectError, match="no asteroidal triple"):
+    with pytest.raises(ConstructionDefectError, match="no asteroidal triple") as info:
         is_interval_graph(net_graph())
+    witness = info.value.witness
+    assert witness and witness == tuple(sorted(set(witness)))
 
 
 def assert_hole_through_failing_vertex(g, payload):
