@@ -10,10 +10,10 @@ vertices contributes nothing either.
 
 `lift_reps` is the one copy of that lift. It takes plain member tuples, one
 per part (empty for a skipped or empty part), writes each part's vertices
-straight to caller-chosen target labels and checks nothing; each public
-cover built from it is verified once, by the function that returns it.
-`cover join` plans its parts with `make_plan`, the zero-divisor join cover
-lifts one `unit_rep` per class, and the reduction-based cover here
+straight to caller-chosen target labels and checks nothing. `join_cover`
+is the one exit of the bound: it lifts every member and checks the cover
+once. `cover join` plans its parts with `make_plan`, the zero-divisor join
+cover lifts one `unit_rep` per class, and the reduction-based cover here
 certifies box(G) <= number of neighborhood classes the same way.
 """
 
@@ -33,7 +33,7 @@ from .graphs import (
     join_edge_count,
     reduced_graph,
 )
-from .intervals import IntervalCover, IntervalRep, exact, make_cover, point, verified_cover
+from .intervals import IntervalCover, IntervalRep, exact, point, verified_cover
 
 
 @dataclass(frozen=True)
@@ -150,22 +150,29 @@ def lift_reps(outer: Graph, part_reps, blocks) -> list[IntervalRep]:
     ]
 
 
+def join_cover(claimed: Graph, outer: Graph, part_reps, blocks, what: str) -> IntervalCover:
+    """Verified cover of `claimed`, the join of the parts over `outer`, from their members.
+
+    Every member in part_reps is lifted with `lift_reps` onto blocks, as
+    there. A join with nothing to lift has its parts complete on an outer
+    clique, or no vertex, so it is complete and takes one `unit_rep` (the
+    one empty member when it has no vertex). The cover is checked once;
+    `what` names it in a failure.
+    """
+    reps = lift_reps(outer, part_reps, blocks) or [unit_rep(claimed.n, True)]
+    return verified_cover(claimed, reps, what)
+
+
 def skip_join_cover(plan: JoinCoverPlan) -> IntervalCover:
     """Verified cover of the join using only the non-skipped parts' members.
 
-    When every part is empty or skipped, with at least one empty, there is
-    no member to lift: the skipped parts are complete on an outer clique,
-    so the join is complete and takes one `unit_rep` (the one empty member
-    when it has no vertex, as in `reduced_cover`). Skipping every part is
-    refused.
+    Skipping every part is refused before the join is built; a join whose
+    other parts are all empty takes `join_cover`'s one shared member.
     """
+    if plan.parts and all(p.n for p in plan.parts) and not any(plan.part_reps):
+        raise InputError("at least one part must not be skipped")
     joined, blocks = generalized_join(plan.outer, list(plan.parts))
-    reps = lift_reps(plan.outer, plan.part_reps, blocks)
-    if not reps:
-        if plan.parts and all(p.n for p in plan.parts):
-            raise InputError("at least one part must not be skipped")
-        reps = [unit_rep(joined.n, True)]
-    return verified_cover(joined, reps, "join cover")
+    return join_cover(joined, plan.outer, plan.part_reps, blocks, "join cover")
 
 
 def reduced_cover(g: Graph) -> IntervalCover:
@@ -176,10 +183,9 @@ def reduced_cover(g: Graph) -> IntervalCover:
     adjacent), each an edgeless part of boxicity one, and joining them over
     the quotient rebuilds g with class c's vertices in place of block c.
     Lifting one unit member per class straight onto the class members
-    certifies g.
+    certifies g; the empty graph has no class and takes `join_cover`'s one
+    empty member.
     """
-    if g.n == 0:
-        return make_cover(g, (IntervalRep(()),))
     quotient, blocks = reduced_graph(g)
     part_reps = [(unit_rep(len(blk), False),) for blk in blocks]
-    return verified_cover(g, lift_reps(quotient, part_reps, blocks), "reduced cover")
+    return join_cover(g, quotient, part_reps, blocks, "reduced cover")

@@ -37,7 +37,7 @@ from .graphs import (
     pairs,
 )
 from .intervals import IntervalCover, IntervalRep, verified_cover
-from .joins import lift_reps, unit_rep
+from .joins import join_cover, unit_rep
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +384,9 @@ def zn_join_cover(c: CompressedZN) -> IntervalCover:
         )
     # the positions first: the direct graph's limit refuses before the members are built
     positions = c.positions
-    part_reps = [
-        () if comp else (unit_rep(size, False),) for size, comp in zip(c.sizes, c.complete)
-    ]
-    reps = lift_reps(c.graph, part_reps, positions)
-    return verified_cover(c.direct[0], reps, f"cover of the zero-divisor graph of {c.N}")
+    part_reps = [() if comp else (unit_rep(n, False),) for n, comp in zip(c.sizes, c.complete)]
+    what = f"cover of the zero-divisor graph of {c.N}"
+    return join_cover(c.direct[0], c.graph, part_reps, positions, what)
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +485,12 @@ BOOLEAN_RING_MAX_K = 8  # 2^8 - 2 = 254 vertices, each with its own cover member
 
 
 def boolean_ring_graph(k: int) -> BooleanRingGraph:
-    """Build the vector-ring graph with clique and chromatic number k, certified.
+    """Build the vector-ring graph on the 2^k - 2 vectors other than 0 and 1.
 
-    The unit vectors form a k-clique, and coloring each vector by its
-    lowest set bit is proper (adjacent vectors have disjoint supports) with
-    k colors; both are checked, so omega = chi = k without any search.
+    Its clique and chromatic number are both k (the unit vectors; the
+    colour of a vector's lowest set bit), but no command reports them, so
+    nothing is checked here: the graph's one certificate, the per-coordinate
+    cover, is verified where it is built.
     """
     if k < 2:
         raise InputError(f"need k >= 2, got {k}")
@@ -501,11 +500,6 @@ def boolean_ring_graph(k: int) -> BooleanRingGraph:
     # vector m is vertex m - 1
     g = Graph.from_adj([sum(1 << s - 1 for s in masks if not s & m) for m in masks])
     labels = tuple(tuple(m >> t & 1 for t in range(k)) for m in masks)
-    if not is_clique(g, [(1 << t) - 1 for t in range(k)]):
-        raise ConstructionDefectError("unit vectors are not a clique")
-    lowest_bit = Coloring(tuple((m & -m).bit_length() - 1 for m in masks))
-    if not lowest_bit.is_proper(g) or lowest_bit.num_colors != k:
-        raise ConstructionDefectError(f"lowest-bit coloring is not a proper {k}-coloring")
     return BooleanRingGraph(k, g, labels)
 
 

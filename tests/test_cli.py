@@ -669,7 +669,7 @@ def test_direct_zdg_budget_exits_3(monkeypatch, capsys):
     # billions of elements, so a member built before the refusal would not return
     with monkeypatch.context() as guard:
         guard.setattr(boxlab.zdg, "unit_rep", _refuse("unit_rep"))
-        guard.setattr(boxlab.zdg, "lift_reps", _refuse("lift_reps"))
+        guard.setattr(boxlab.zdg, "join_cover", _refuse("join_cover"))
         argv = ["cover", "zdg", "--n", "10000000000", "--method", "join"]
         code, out, err = run_capture(capsys, argv)
         assert code == 3 and out == ""

@@ -44,6 +44,13 @@ def test_empty_parts_take_no_member():
         assert cover.reps == reduced_cover(empty_graph(0)).reps == (IntervalRep(()),)
 
 
+def test_every_join_bound_leaves_through_join_cover(package_imports):
+    # zdg lifts its classes through the one exit, and no join cover skips the check
+    zdg = {name.split(".")[-1] for name in package_imports["zdg.py"]}
+    assert "join_cover" in zdg and "lift_reps" not in zdg
+    assert "make_cover" not in {name.split(".")[-1] for name in package_imports["joins.py"]}
+
+
 def test_join_cover_single_part_passthrough():
     plan = make_plan(complete_graph(1), [path_graph(4)])
     cover = skip_join_cover(plan)

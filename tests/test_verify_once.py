@@ -88,6 +88,12 @@ def test_reduced_cover_verifies_once(calls):
     assert calls == {"verify_cover": 1, "graph_of_intervals": 0, "interval_adjacency": 2, "ends_adjacency": 2}
 
 
+def test_reduced_cover_of_the_empty_graph_verifies_once(calls):
+    # no class to lift: the one empty member leaves through the same check
+    assert reduced_cover(empty_graph(0)).reps == (IntervalRep(()),)
+    assert calls == {"verify_cover": 1, "graph_of_intervals": 0, "interval_adjacency": 1, "ends_adjacency": 1}
+
+
 def test_circular_sweep_verifies_each_cover_once(calls, capsys):
     assert run(["sweep", "circular", "--dmax", "4", "--kmax", "14"]) == 0
     cases = len(capsys.readouterr().out.strip().splitlines()) - 1
