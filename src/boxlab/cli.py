@@ -24,12 +24,7 @@ from .boxicity import DEFAULT_MAX_COVERS, boxicity_exact
 from .circular import check_circular_budget, chi_cover, circular_chi, circular_clique
 from .errors import ConstructionDefectError, InputError, ResourceBudgetError
 from .graphs import graph_from_obj, graph_to_obj
-from .intervals import (
-    cover_from_obj,
-    cover_to_json,
-    make_cover,
-    verify_cover,
-)
+from .intervals import VIOLATION_LIMIT, cover_from_obj, cover_to_json, make_cover, verify_cover
 from .joins import make_plan, reduced_cover, skip_join_cover
 from .recognition import is_interval_graph
 from .zdg import (
@@ -135,16 +130,15 @@ def _cmd_cover(args) -> int:
 def _cmd_verify(args) -> int:
     claimed = graph_from_obj(_load_json(args.graph))
     cover = cover_from_obj(_load_json(args.cover))
-    problems = []
-    if cover.claimed_graph != claimed:
-        problems.append("embedded graph differs from --graph")
-    cover = make_cover(claimed, cover.reps)
-    ok, violations = verify_cover(cover)
-    problems.extend(str(v) for v in violations)
-    result = {"verified": ok and not problems, "violations": problems}
+    problems = ["embedded graph differs from --graph"] if cover.claimed_graph != claimed else []
+    violations = verify_cover(make_cover(claimed, cover.reps))[1]
+    problems += map(str, violations)
+    result = {"verified": not problems, "violations": problems}
     _emit(result, args.output)
     for p in problems:
         _info(p)
+    if len(violations) == VIOLATION_LIMIT:
+        _info(f"the list stops at the limit of {VIOLATION_LIMIT} violations")
     if result["verified"]:
         _info(f"cover of size {len(cover.reps)} verified")
         return EXIT_OK
@@ -190,7 +184,8 @@ def _cmd_sweep_circular(args) -> int:
     if args.dmax >= 2 and args.kmax >= 4:  # the sweep's largest graph, refused before any row
         check_circular_budget(args.kmax, 2)
     rows = []
-    for d in range(2, args.dmax + 1):
+    # k runs from 2d to kmax, so no d above kmax // 2 has a row
+    for d in range(2, min(args.dmax, args.kmax // 2) + 1):
         for k in range(2 * d, args.kmax + 1):
             chi = circular_chi(k, d)
             try:

@@ -204,6 +204,11 @@ EDGE_BUDGET = 200_000  # a circular clique this size builds and verifies its cov
 VERIFY_MAX_N = 20_000
 
 
+# one interval per vertex per member: `cover zdg --n 9240 --method join`, the
+# largest cover another command builds, has 446 459 (61 members, 7319 vertices)
+COVER_ENTRY_BUDGET = 500_000
+
+
 def check_edge_budget(count: int, what: str) -> None:
     """Refuse, before anything is allocated, a graph of more than EDGE_BUDGET edges."""
     if count > EDGE_BUDGET:
@@ -215,6 +220,15 @@ def check_vertex_budget(n: int, what: str) -> None:
     width over more than VERIFY_MAX_N vertices."""
     if n > VERIFY_MAX_N:
         raise ResourceBudgetError(f"{what} has {n} vertices, the check's limit is {VERIFY_MAX_N}")
+
+
+def check_cover_budget(entries: int, what: str) -> None:
+    """Refuse, before any member is built, a cover of more than COVER_ENTRY_BUDGET
+    intervals (members times vertices)."""
+    if entries > COVER_ENTRY_BUDGET:
+        raise ResourceBudgetError(
+            f"{what} would have {entries} intervals, the limit is {COVER_ENTRY_BUDGET}"
+        )
 
 
 def join_edge_count(g: Graph, parts: list[Graph]) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import ConstructionDefectError, InputError
 from .graphs import Graph, graph_from_obj, graph_to_json, graph_to_obj, int_from_obj, pairs
@@ -139,8 +140,16 @@ class CoverViolation:
         return f"{self.kind} at {where}: {self.pair}"
 
 
+# a verdict needs one violation; a list of n^2/2 would cost far more than the check
+VIOLATION_LIMIT = 1000
+
+
 def verify_cover(cover: IntervalCover) -> tuple[bool, list[CoverViolation]]:
-    """Check the cover from scratch; failures are reported, never raised."""
+    """Check the cover from scratch; failures are reported, never raised.
+
+    At most VIOLATION_LIMIT violations are listed, the first in the order
+    they are found; the verdict does not depend on the limit.
+    """
     claimed = cover.claimed_graph
     problems: list[CoverViolation] = []
     meet = None
@@ -151,13 +160,15 @@ def verify_cover(cover: IntervalCover) -> tuple[bool, list[CoverViolation]]:
         h = interval_adjacency(rep)
         missing = [a & ~b for a, b in zip(claimed.adj, h)]
         if any(missing):
-            problems += [CoverViolation("missing-edge", i, e) for e in pairs(missing)]
+            room = max(0, VIOLATION_LIMIT - len(problems))
+            problems += [CoverViolation("missing-edge", i, e) for e in islice(pairs(missing), room)]
         meet = h if meet is None else [a & b for a, b in zip(meet, h)]
     if meet is not None and not problems:
         extra = [a & ~b for a, b in zip(meet, claimed.adj)]
         if any(extra):
-            problems += [CoverViolation("uncovered-non-edge", None, e) for e in pairs(extra)]
-    return not problems, problems
+            extra = islice(pairs(extra), VIOLATION_LIMIT)
+            problems += [CoverViolation("uncovered-non-edge", None, e) for e in extra]
+    return not problems, problems[:VIOLATION_LIMIT]
 
 
 def verified_cover(claimed: Graph, reps, what: str) -> IntervalCover:

@@ -26,6 +26,7 @@ from .boxicity import _boxicity_reps
 from .errors import InputError
 from .graphs import (
     Graph,
+    check_cover_budget,
     check_edge_budget,
     check_vertex_budget,
     generalized_join,
@@ -156,9 +157,11 @@ def join_cover(claimed: Graph, outer: Graph, part_reps, blocks, what: str) -> In
     Every member in part_reps is lifted with `lift_reps` onto blocks, as
     there. A join with nothing to lift has its parts complete on an outer
     clique, or no vertex, so it is complete and takes one `unit_rep` (the
-    one empty member when it has no vertex). The cover is checked once;
-    `what` names it in a failure.
+    one empty member when it has no vertex). A cover of more intervals
+    than the budget allows is refused before any lift, and the cover is
+    checked once; `what` names it in a refusal or a failure.
     """
+    check_cover_budget(sum(map(len, part_reps)) * claimed.n, what)
     reps = lift_reps(outer, part_reps, blocks) or [unit_rep(claimed.n, True)]
     return verified_cover(claimed, reps, what)
 

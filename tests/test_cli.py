@@ -12,6 +12,7 @@ import boxlab.circular
 import boxlab.cli
 import boxlab.graphs
 import boxlab.intervals
+import boxlab.joins
 import boxlab.recognition
 import boxlab.zdg
 from boxlab import (
@@ -27,8 +28,8 @@ from boxlab import (
 )
 from boxlab.circular import circular_params
 from boxlab.cli import run
-from boxlab.graphs import EDGE_BUDGET, VERIFY_MAX_N
-from boxlab.intervals import CoverViolation
+from boxlab.graphs import COVER_ENTRY_BUDGET, EDGE_BUDGET, VERIFY_MAX_N
+from boxlab.intervals import VIOLATION_LIMIT, CoverViolation
 from boxlab.zdg import COMPRESSED_MAX_N
 from oracles import verify_cover as oracle_verify_cover
 
@@ -127,6 +128,22 @@ def _verify_files(tmp_path, graph_obj, intervals):
     rep = {"n": graph_obj["n"], "intervals": intervals}
     cpath.write_text(json.dumps({"graph": graph_obj, "reps": [rep]}))
     return ["verify", "--graph", str(gpath), "--cover", str(cpath)]
+
+
+def test_verify_lists_at_most_the_violation_limit(tmp_path, capsys):
+    # one member puts all 300 vertices of an edgeless graph on [0, 1]: 44 850 non-edges
+    gpath, cpath = tmp_path / "g.json", tmp_path / "c.json"
+    gpath.write_text(json.dumps(graph_to_obj(empty_graph(300))))
+    member = {"n": 300, "intervals": {str(v): [[0, 1], [1, 1]] for v in range(300)}}
+    cpath.write_text(json.dumps({"graph": graph_to_obj(empty_graph(300)), "reps": [member]}))
+    code, out, err = run_capture(capsys, ["verify", "--graph", str(gpath), "--cover", str(cpath)])
+    assert code == 1
+    violations = json.loads(out)["violations"]
+    assert len(violations) == VIOLATION_LIMIT
+    assert violations[0] == "uncovered-non-edge at intersection: (0, 1)"
+    assert err.splitlines() == violations + [
+        f"the list stops at the limit of {VIOLATION_LIMIT} violations"
+    ]
 
 
 def test_verify_rejects_fractional_endpoint(tmp_path, capsys):
@@ -464,6 +481,13 @@ def test_sweep_circular(capsys):
     assert err == "5 cases, 0 failures\n"
 
 
+def test_sweep_circular_walks_d_only_while_a_row_can_exist(capsys):
+    # every d above kmax // 2 has no k in 2d..kmax; a walk over them would not end
+    huge = run_capture(capsys, ["sweep", "circular", "--dmax", "1000000000000", "--kmax", "14"])
+    assert huge == run_capture(capsys, ["sweep", "circular", "--dmax", "7", "--kmax", "14"])
+    assert huge[0] == 0 and huge[2] == "36 cases, 0 failures\n"
+
+
 def test_sweep_zdg(capsys):
     code, out, err = run_capture(capsys, ["sweep", "zdg", "--nmax", "20"])
     assert code == 0
@@ -741,7 +765,8 @@ def test_cli_restates_no_library_budget(package_imports):
     # the sweeps refuse through the checks their libraries run, so each
     # limit and refusal message is written in its library alone
     imported = {name.split(".")[-1] for name in package_imports["cli.py"]}
-    budgets = {"ZDG_MAX_N", "COMPRESSED_MAX_N", "BOOLEAN_RING_MAX_K", "EDGE_BUDGET", "VERIFY_MAX_N"}
+    budgets = {"ZDG_MAX_N", "COMPRESSED_MAX_N", "BOOLEAN_RING_MAX_K", "EDGE_BUDGET", "VERIFY_MAX_N",
+               "COVER_ENTRY_BUDGET"}
     checks = {"check_edge_budget", "check_vertex_budget", "circular_params"}
     assert imported.isdisjoint(budgets | checks)
     package = Path(boxlab.cli.__file__).parent
@@ -778,6 +803,18 @@ def test_cover_join_over_a_budget_exits_3_before_building(
     assert code == 3 and out == ""
     assert message in err
     assert calls == {"make_rep": 0, "make_cover": 0}
+
+
+def test_cover_join_over_the_cover_budget_exits_3_before_lifting(tmp_path, monkeypatch, capsys):
+    # 800 one-vertex parts over an edgeless outer graph: 800 members of 800 intervals
+    outer, part = tmp_path / "outer.json", tmp_path / "part.json"
+    outer.write_text(json.dumps(graph_to_obj(empty_graph(800))))
+    part.write_text(json.dumps(graph_to_obj(complete_graph(1))))
+    monkeypatch.setattr(boxlab.joins, "lift_reps", _refuse("lift_reps"))
+    argv = ["cover", "join", "--outer", str(outer)] + ["--part", str(part)] * 800
+    code, out, err = run_capture(capsys, argv)
+    assert code == 3 and out == ""
+    assert f"join cover would have 640000 intervals, the limit is {COVER_ENTRY_BUDGET}" in err
 
 
 def test_compressed_zn_over_its_limit_exits_3_before_factoring(monkeypatch, capsys):

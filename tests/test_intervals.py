@@ -33,7 +33,7 @@ from boxlab import (
     zn_prime_cover,
 )
 from boxlab.circular import block_window_rep
-from boxlab.intervals import CoverViolation, IntervalRep, interval_adjacency
+from boxlab.intervals import VIOLATION_LIMIT, CoverViolation, IntervalRep, interval_adjacency
 from oracles import net_graph
 from oracles import graph_of_intervals as oracle_graph_of_intervals
 from oracles import verify_cover as oracle_verify_cover
@@ -113,6 +113,25 @@ def test_verify_cover_size_mismatch_is_reported_not_raised():
     ok, problems = verify_cover(make_cover(c4, (small,)))
     assert not ok
     assert any(p.kind == "size-mismatch" for p in problems)
+
+
+@pytest.mark.parametrize(
+    "claimed, reps",
+    [
+        # 44 850 uncovered non-edges
+        (empty_graph(300), [make_rep([(0, 1)] * 300)]),
+        # 44 850 missing edges in each of two members, then a short member
+        (complete_graph(300), [make_rep([(v, v) for v in range(300)])] * 2 + [make_rep([])]),
+        # one size mismatch per member, and more members than the limit
+        (complete_graph(2), [make_rep([(0, 1)])] * (VIOLATION_LIMIT + 5)),
+    ],
+    ids=["uncovered", "missing", "size"],
+)
+def test_verify_cover_lists_the_oracles_first_violations_up_to_the_limit(claimed, reps):
+    cover = make_cover(claimed, reps)
+    ok, problems = oracle_verify_cover(cover)
+    assert len(problems) > VIOLATION_LIMIT
+    assert verify_cover(cover) == (ok, problems[:VIOLATION_LIMIT])
 
 
 def test_empty_cover_rejected():

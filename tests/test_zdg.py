@@ -38,6 +38,7 @@ from boxlab import (
 )
 
 import oracles
+from boxlab.graphs import COVER_ENTRY_BUDGET
 from oracles import net_graph
 
 
@@ -402,3 +403,9 @@ def test_direct_graph_is_built_once_per_record(monkeypatch):
     expand_compressed(c)
     zn_join_cover(c)
     assert c.direct == zdg_zn(72) and built == [72]
+
+
+def test_the_largest_zero_divisor_join_cover_is_inside_the_cover_budget():
+    # one member per non-nilpotent class over every element: 61 x 7319 intervals
+    c = compressed_zn(9240)
+    assert compressed_box_bound(c) * sum(c.sizes) == 446_459 <= COVER_ENTRY_BUDGET
