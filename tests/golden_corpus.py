@@ -50,6 +50,7 @@ INPUTS = {
     "p6": make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),
     "net": make_graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)]),
     "claw7": make_graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]),
+    "e300": empty_graph(300),
 }
 
 # the subdivided claw has 15 non-edges, one over the oracle's default budget
@@ -58,7 +59,8 @@ CASE_ENV = {"box --graph @claw7": {"BOXLAB_BUDGET": "10:15"}}
 
 @cache
 def cover_fixtures() -> dict:
-    """The 7-member cover of Z_72 and three broken copies, as JSON objects."""
+    """The 7-member cover of Z_72, three broken copies, and one member putting
+    every vertex of the edgeless 300-vertex graph on [0, 1], as JSON objects."""
     good = cover_to_obj(zn_join_cover(compressed_zn(72)))
     far, dropped, short = (json.loads(json.dumps(good)) for _ in range(3))
     # vertex 11 (17 neighbours) leaves member 1 for a far point
@@ -69,7 +71,13 @@ def cover_fixtures() -> dict:
     rep = short["reps"][4]
     rep["n"] -= 1
     del rep["intervals"][str(rep["n"])]
-    return {"z72_cover": good, "z72_far": far, "z72_dropped": dropped, "z72_short": short}
+    # 44 850 uncovered non-edges, more than the checker lists
+    e300_unit = {
+        "graph": graph_to_obj(INPUTS["e300"]),
+        "reps": [{"n": 300, "intervals": {str(v): [[0, 1], [1, 1]] for v in range(300)}}],
+    }
+    return {"z72_cover": good, "z72_far": far, "z72_dropped": dropped, "z72_short": short,
+            "e300_unit": e300_unit}
 
 
 def _join(outer, parts, skip=()):
@@ -125,6 +133,11 @@ CORPUS = (
     + [
         ["verify", "--graph", "@z72", "--cover", f"@{name}"]
         for name in ("z72_cover", "z72_far", "z72_dropped", "z72_short")
+    ]
+    + [
+        # every d above kmax // 2 is skipped, so the table is the --dmax 7 one
+        ["sweep", "circular", "--dmax", "1000000000000", "--kmax", "14"],
+        ["verify", "--graph", "@e300", "--cover", "@e300_unit"],
     ]
 )
 
@@ -193,6 +206,8 @@ GOLDEN = {
     "verify --graph @z72 --cover @z72_far": (1, "6ae691cd9416346babc5ea0e64ec1a816a49ee2053be69d95c65a3a5319bbac0"),
     "verify --graph @z72 --cover @z72_dropped": (1, "9d5cfe27259288ac5732654d1c5dae22e4a20357c0f073459352f83a3ee62e8a"),
     "verify --graph @z72 --cover @z72_short": (1, "263e7e7b9ba597a05c87d937613c18cac3bef86c9134935b331ab581367660f7"),
+    "sweep circular --dmax 1000000000000 --kmax 14": (0, "2d1691ffd4a396ce7a4d5c965b98284e8c43da2ab5b2f191b1287a50cc3a68bf"),
+    "verify --graph @e300 --cover @e300_unit": (1, "4e41036450d83a1ac8617fa4fa0a12c2232331ee3a36cef84d58f4145ccf3d96"),
 }
 
 
