@@ -154,11 +154,11 @@ def lift_reps(outer: Graph, part_reps, blocks) -> list[IntervalRep]:
 def join_cover(claimed: Graph, outer: Graph, part_reps, blocks, what: str) -> IntervalCover:
     """Verified cover of `claimed`, the join of the parts over `outer`, from their members.
 
-    Every member in part_reps is lifted with `lift_reps` onto blocks, as
-    there. A join with nothing to lift has its parts complete on an outer
-    clique, or no vertex, so it is complete and takes one `unit_rep` (the
-    one empty member when it has no vertex). A cover of more intervals
-    than the budget allows is refused before any lift, and the cover is
+    part_reps and blocks are as in `lift_reps`, which lifts every member.
+    A join with nothing to lift has its parts complete on an outer clique,
+    or no vertex, so it is complete and takes one `unit_rep` (the one
+    empty member when it has no vertex). A cover of more intervals than
+    COVER_ENTRY_BUDGET is refused before any lift, and the cover is
     checked once; `what` names it in a refusal or a failure.
     """
     check_cover_budget(sum(map(len, part_reps)) * claimed.n, what)
