@@ -138,6 +138,13 @@ CORPUS = (
         # every d above kmax // 2 is skipped, so the table is the --dmax 7 one
         ["sweep", "circular", "--dmax", "1000000000000", "--kmax", "14"],
         ["verify", "--graph", "@e300", "--cover", "@e300_unit"],
+        # the largest vector ring (254 vertices; its join cover is 8.6 MB) and
+        # 5040 = 2^4 * 3^2 * 5 * 7, several primes with one exponent above 3
+        ["gen", "boolean", "--k", "8"],
+        ["cover", "boolean", "--k", "8"],
+        ["cover", "boolean", "--k", "8", "--method", "join"],
+        ["cover", "zdg", "--n", "5040"],
+        ["zdg", "report", "--n", "5040"],
     ]
 )
 
@@ -208,6 +215,11 @@ GOLDEN = {
     "verify --graph @z72 --cover @z72_short": (1, "263e7e7b9ba597a05c87d937613c18cac3bef86c9134935b331ab581367660f7"),
     "sweep circular --dmax 1000000000000 --kmax 14": (0, "2d1691ffd4a396ce7a4d5c965b98284e8c43da2ab5b2f191b1287a50cc3a68bf"),
     "verify --graph @e300 --cover @e300_unit": (1, "4e41036450d83a1ac8617fa4fa0a12c2232331ee3a36cef84d58f4145ccf3d96"),
+    "gen boolean --k 8": (0, "9303baefb7ab2cf9246aaa4cc4417b1fb64de8d7b724b089f7be7605ecb19c1f"),
+    "cover boolean --k 8": (0, "c9931d4963d74969d55b2d3dd9c14cee57b49d0516cf37f06bf18a398720f917"),
+    "cover boolean --k 8 --method join": (0, "44432994fd1c39956c9d1af513c179025cea274fd05add815e0e11ad75ba3700"),
+    "cover zdg --n 5040": (0, "17232a6243e5f69dca47ad600102bc92e0247e679fd12a782900c7f1cfae4cc8"),
+    "zdg report --n 5040": (0, "21703674b4e84b06fb0be7a03c029b45def5b0c121ed8e1b4f1c245db242a93d"),
 }
 
 
