@@ -49,7 +49,6 @@ from .joins import (
 from .recognition import Obstruction, is_interval_graph
 from .solvers import chromatic_number_exact, clique_number_exact, maximal_cliques
 from .zdg import (
-    BooleanRingGraph,
     CompressedZN,
     FactoredN,
     augmenting_divisor,

@@ -84,9 +84,9 @@ def _cmd_gen(args) -> int:
     if args.family == "circular":
         obj = graph_to_obj(circular_clique(args.k, args.d))
     elif args.family == "boolean":
-        ring = boolean_ring_graph(args.k)
-        obj = graph_to_obj(ring.graph)
-        obj["labels"] = [list(vec) for vec in ring.labels]
+        g, labels = boolean_ring_graph(args.k)
+        obj = graph_to_obj(g)
+        obj["labels"] = [list(vec) for vec in labels]
     elif args.compressed:
         c = compressed_zn(args.n)
         obj = graph_to_obj(c.graph)
@@ -111,9 +111,9 @@ def _cmd_cover(args) -> int:
         what = f" for the zero-divisor graph of {args.n}"
     elif args.family == "boolean":
         if args.method == "join":
-            cover = reduced_cover(boolean_ring_graph(args.k).graph)
+            cover = reduced_cover(boolean_ring_graph(args.k)[0])
         else:
-            _, cover = reduced_ring_box_bounds(args.k)
+            cover = reduced_ring_box_bounds(args.k)
         what = ""
     else:  # join
         outer = graph_from_obj(_load_json(args.outer))

@@ -183,7 +183,8 @@ class CompressedZN:
 
     Vertex i is the proper divisor divisors[i]; sizes[i] counts the
     elements with that gcd; complete[i] says whether the class induces a
-    complete block (N divides the divisor squared).
+    complete block (N divides the divisor squared); valuations[i] holds the
+    exponents of N's primes, ascending, in divisors[i].
     """
 
     f: FactoredN
@@ -191,6 +192,7 @@ class CompressedZN:
     graph: Graph
     sizes: tuple[int, ...]
     complete: tuple[bool, ...]
+    valuations: tuple[tuple[int, ...], ...]
 
     @property
     def N(self) -> int:
@@ -231,21 +233,22 @@ def compressed_zn(N: int) -> CompressedZN:
     if f.is_prime:
         raise InputError(f"{N} is prime; the compressed graph needs a composite N")
     check_edge_budget(f.divisor_graph_edges, f"the divisor graph of Z_{N}")
-    # every divisor d of N with phi(N/d), the size of its class, from the primes of N
-    phi_of_cofactor = {1: 1}
-    for p, e in f.exponents.items():
-        phi_of_cofactor = {
-            d * p**i: phi * (p ** (e - i - 1) * (p - 1) if i < e else 1)
-            for d, phi in phi_of_cofactor.items()
+    # every divisor d of N with its exponents, primes ascending, and phi(N/d),
+    # the size of its class
+    classes = {1: ((), 1)}
+    for p, e in sorted(f.exponents.items()):
+        classes = {
+            d * p**i: (exps + (i,), phi * (p ** (e - i - 1) * (p - 1) if i < e else 1))
+            for d, (exps, phi) in classes.items()
             for i in range(e + 1)
         }
-    divs = tuple(sorted(d for d in phi_of_cofactor if 1 < d < N))
+    divs = tuple(sorted(d for d in classes if 1 < d < N))
     if len(divs) != f.divisor_count - 2:
         raise ConstructionDefectError(
             f"divisor count {len(divs)} does not match the factorization ({f.divisor_count - 2})"
         )
-    sizes = tuple(phi_of_cofactor[d] for d in divs)
-    zero_divisor_count = N - 1 - phi_of_cofactor[1]
+    valuations, sizes = zip(*(classes[d] for d in divs))
+    zero_divisor_count = N - 1 - classes[1][1]
     if sum(sizes) != zero_divisor_count:
         raise ConstructionDefectError(
             f"class sizes sum to {sum(sizes)}, expected {zero_divisor_count}"
@@ -255,7 +258,7 @@ def compressed_zn(N: int) -> CompressedZN:
         raise ConstructionDefectError(
             f"{sum(complete)} nilpotent divisors, the formula says {f.root_divisor_count - 1}"
         )
-    return CompressedZN(f, divs, _zero_product_graph(divs, N), sizes, complete)
+    return CompressedZN(f, divs, _zero_product_graph(divs, N), sizes, complete, valuations)
 
 
 def expand_compressed(c: CompressedZN) -> Graph:
@@ -296,14 +299,6 @@ def augmenting_divisor(f: FactoredN, eta: int) -> int:
     return xi
 
 
-def _exponent_of(value: int, prime: int) -> int:
-    e = 0
-    while value % prime == 0:
-        value //= prime
-        e += 1
-    return e
-
-
 def omega_chi_certificate(c: CompressedZN) -> tuple[int, tuple[int, ...], Coloring]:
     """Clique number = chromatic number of the compressed graph, certified.
 
@@ -326,15 +321,16 @@ def omega_chi_certificate(c: CompressedZN) -> tuple[int, tuple[int, ...], Colori
 
     psi = {d: i for i, d in enumerate(big_clique)}
     colors = []
-    for d in c.divisors:
+    for d, exps in zip(c.divisors, c.valuations):
         if d in psi:
             colors.append(psi[d])
             continue
-        low_even = [p**n for p, n in f.even_part if _exponent_of(d, p) < n]
+        v = dict(zip(sorted(f.exponents), exps))
+        low_even = [p**n for p, n in f.even_part if v[p] < n]
         if low_even:
             partner = f.N // low_even[-1]
         else:
-            low_odd = [xi for (q, m), xi in zip(f.odd_part, xis) if _exponent_of(d, q) <= m]
+            low_odd = [xi for (q, m), xi in zip(f.odd_part, xis) if v[q] <= m]
             if not low_odd:
                 raise ConstructionDefectError(f"divisor {d} fits no coloring case")
             partner = low_odd[-1]
@@ -439,14 +435,16 @@ def threshold_rep(weights, e: int) -> IntervalRep:
     return IntervalRep(tuple([next(spans[w]) for w in weights]))
 
 
-def _prime_weights(c: CompressedZN, p: int) -> list[int]:
-    """Per direct-graph vertex, the exponent of p in its class's divisor."""
-    weights = [0] * len(c.direct[1])
-    for d, members in zip(c.divisors, c.positions):
-        w = _exponent_of(d, p)
-        for v in members:
-            weights[v] = w
-    return weights
+def valuation_cover(g: Graph, valuations, exponents, what: str) -> IntervalCover:
+    """Verified cover of g as the edge intersection of one threshold graph per factor.
+
+    Member t joins u and v exactly when valuations[u][t] + valuations[v][t]
+    >= exponents[t], and `verified_cover` checks that the members meet in
+    exactly g. Both rings here are such an intersection: Z_N with one factor
+    per prime of N, the 0/1 vectors with one per coordinate.
+    """
+    reps = [threshold_rep([w[t] for w in valuations], e) for t, e in enumerate(exponents)]
+    return verified_cover(g, reps, what)
 
 
 def zn_prime_cover(c: CompressedZN) -> IntervalCover:
@@ -455,42 +453,35 @@ def zn_prime_cover(c: CompressedZN) -> IntervalCover:
     x*y = 0 mod N exactly when v_p(x) + v_p(y) >= e for every p^e exactly
     dividing N, and for a zero divisor x the exponent min(v_p(x), e) is
     v_p(gcd(x, N)). So the graph is the edge intersection of one threshold
-    graph per prime, in ascending p, each weighing a class by the exponent
-    of p in its divisor. For N = p^n the one member realizes the graph
+    graph per prime, in ascending p, each weighing an element by its class's
+    valuation from the record. For N = p^n the one member realizes the graph
     exactly: the layers p^i and p^j join exactly when i + j >= n.
     """
-    reps = [threshold_rep(_prime_weights(c, p), e) for p, e in sorted(c.f.exponents.items())]
-    return verified_cover(c.direct[0], reps, f"per-prime cover of the zero-divisor graph of {c.N}")
+    valuations = [()] * len(c.direct[1])
+    for exps, members in zip(c.valuations, c.positions):
+        for v in members:
+            valuations[v] = exps
+    exponents = [e for _, e in sorted(c.f.exponents.items())]
+    what = f"per-prime cover of the zero-divisor graph of {c.N}"
+    return valuation_cover(c.direct[0], valuations, exponents, what)
 
 
 # ---------------------------------------------------------------------------
 # 0/1 vector rings
 
 
-@dataclass(frozen=True)
-class BooleanRingGraph:
-    """Zero-divisor graph of length-k 0/1 vectors under componentwise product.
-
-    Vertices are the vectors other than all-zeros and all-ones; two vectors
-    join exactly when their supports are disjoint. The graph equals its own
-    neighborhood quotient (all classes are singletons).
-    """
-
-    k: int
-    graph: Graph
-    labels: tuple[tuple[int, ...], ...]
-
-
 BOOLEAN_RING_MAX_K = 8  # 2^8 - 2 = 254 vertices, each with its own cover member
 
 
-def boolean_ring_graph(k: int) -> BooleanRingGraph:
-    """Build the vector-ring graph on the 2^k - 2 vectors other than 0 and 1.
+def boolean_ring_graph(k: int) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
+    """Zero-divisor graph of the length-k 0/1 vectors with their bit tuples as labels.
 
-    Its clique and chromatic number are both k (the unit vectors; the
-    colour of a vector's lowest set bit), but no command reports them, so
-    nothing is checked here: the graph's one certificate, the per-coordinate
-    cover, is verified where it is built.
+    Vertices are the 2^k - 2 vectors other than 0 and 1; two vectors join
+    exactly when their componentwise product is 0, that is when their
+    supports are disjoint. Its clique and chromatic number are both k (the
+    unit vectors; the colour of a vector's lowest set bit), but no command
+    reports them, so nothing is checked here: the graph's one certificate,
+    the per-coordinate cover, is verified where it is built.
     """
     if k < 2:
         raise InputError(f"need k >= 2, got {k}")
@@ -500,23 +491,22 @@ def boolean_ring_graph(k: int) -> BooleanRingGraph:
     # vector m is vertex m - 1
     g = Graph.from_adj([sum(1 << s - 1 for s in masks if not s & m) for m in masks])
     labels = tuple(tuple(m >> t & 1 for t in range(k)) for m in masks)
-    return BooleanRingGraph(k, g, labels)
+    return g, labels
 
 
-def reduced_ring_box_bounds(k: int) -> tuple[int, IntervalCover]:
-    """(certified upper bound k, verified cover) for the vector ring.
+def reduced_ring_box_bounds(k: int) -> IntervalCover:
+    """Verified cover of the vector ring with k members, so its boxicity is at most k.
 
     Two vectors join exactly when no coordinate is set in both, so the
     graph is the edge intersection over coordinates t of the threshold
-    graphs with weight 1 - bit_t and threshold 1: member t puts the vectors
-    without bit t on one interval and those with it at points inside it.
-    No lower bound is given: box = k fails already for k = 2 and 3
-    (boxicity 1 and 2).
+    graphs with valuation 1 - bit_t and exponent 1: member t puts the
+    vectors without bit t on one interval and those with it at points
+    inside it. No lower bound is given: box = k fails already for k = 2
+    and 3 (boxicity 1 and 2).
     """
-    ring = boolean_ring_graph(k)
-    masks = range(1, 2**k - 1)
-    reps = [threshold_rep([1 - (m >> t & 1) for m in masks], 1) for t in range(k)]
-    return k, verified_cover(ring.graph, reps, f"per-coordinate cover of the vector ring of length {k}")
+    g, labels = boolean_ring_graph(k)
+    what = f"per-coordinate cover of the vector ring of length {k}"
+    return valuation_cover(g, [[1 - bit for bit in label] for label in labels], [1] * k, what)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,11 @@ with one branch per window shape and a size check, and the ω = χ
 certificate that checked its clique pair by pair and found each colour
 partner through index lists are the package's before each stated its rule
 once, kept as references for them.
+The trial division that found a divisor's exponent of one prime is the
+package's before each divisor class kept its exponents, kept for that
+certificate and as the reference for the valuation table. The vector-ring
+cover that wrote its own threshold members is the package's before both
+rings went through one valuation cover, kept as the reference for its bytes.
 """
 
 import math
@@ -53,7 +58,7 @@ from boxlab import circular
 from boxlab.circular import _matching_rep, circular_params, rotate_rep, step_window_rep
 from boxlab.errors import ConstructionDefectError, InputError, ResourceBudgetError
 from boxlab.graphs import Coloring, Edge, _vertex_mask, bits, check_edge_budget, join_edge_count, pairs
-from boxlab.zdg import BOOLEAN_RING_MAX_K, ZDG_MAX_N, BooleanRingGraph, CompressedZN, _exponent_of, augmenting_divisor
+from boxlab.zdg import BOOLEAN_RING_MAX_K, ZDG_MAX_N, CompressedZN, augmenting_divisor, threshold_rep
 from boxlab.intervals import CoverViolation, Interval, IntervalCover, IntervalRep, ends_adjacency, point, verified_cover
 from boxlab.recognition import (
     Elimination,
@@ -403,7 +408,7 @@ def zdg_zn(N: int) -> tuple[Graph, tuple[int, ...]]:
     return make_graph(len(labels), edges), labels
 
 
-def boolean_ring_graph(k: int) -> BooleanRingGraph:
+def boolean_ring_graph(k: int) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
     """Build the vector-ring graph with clique and chromatic number k, certified.
 
     The unit vectors form a k-clique, and coloring each vector by its
@@ -431,7 +436,23 @@ def boolean_ring_graph(k: int) -> BooleanRingGraph:
     lowest_bit = Coloring(tuple((m & -m).bit_length() - 1 for m in masks))
     if not lowest_bit.is_proper(g) or lowest_bit.num_colors != k:
         raise ConstructionDefectError(f"lowest-bit coloring is not a proper {k}-coloring")
-    return BooleanRingGraph(k, g, labels)
+    return g, labels
+
+
+def parent_reduced_ring_box_bounds(k: int) -> tuple[int, IntervalCover]:
+    """(certified upper bound k, verified cover) for the vector ring.
+
+    Two vectors join exactly when no coordinate is set in both, so the
+    graph is the edge intersection over coordinates t of the threshold
+    graphs with weight 1 - bit_t and threshold 1: member t puts the vectors
+    without bit t on one interval and those with it at points inside it.
+    No lower bound is given: box = k fails already for k = 2 and 3
+    (boxicity 1 and 2).
+    """
+    ring_graph, _ = boolean_ring_graph(k)
+    masks = range(1, 2**k - 1)
+    reps = [threshold_rep([1 - (m >> t & 1) for m in masks], 1) for t in range(k)]
+    return k, verified_cover(ring_graph, reps, f"per-coordinate cover of the vector ring of length {k}")
 
 
 def verify_cover(cover: IntervalCover) -> tuple[bool, list[CoverViolation]]:
@@ -1099,6 +1120,14 @@ def parent_chi_cover(k: int, d: int) -> IntervalCover:
             (k, d),
         )
     return cover
+
+
+def _exponent_of(value: int, prime: int) -> int:
+    e = 0
+    while value % prime == 0:
+        value //= prime
+        e += 1
+    return e
 
 
 def parent_omega_chi_certificate(c: CompressedZN) -> tuple[int, tuple[int, ...], Coloring]:

@@ -300,7 +300,7 @@ def test_integral_endpoints_are_ints():
     covers = [chi_cover(k, d) for d in range(1, 7) for k in range(2 * d, 2 * d + 13)]
     covers += [zn_prime_cover(compressed_zn(n)) for n in (8, 12, 18, 72, 180, 2310)]
     covers += [zn_join_cover(compressed_zn(n)) for n in (12, 72, 180)]
-    covers += [reduced_ring_box_bounds(k)[1] for k in range(2, 6)]
+    covers += [reduced_ring_box_bounds(k) for k in range(2, 6)]
     covers += [
         skip_join_cover(make_plan(path_graph(3), [cycle_graph(4), complete_graph(2), empty_graph(3)])),
         skip_join_cover(make_plan(complete_graph(3), [complete_graph(3), net_graph(), path_graph(3)], [0])),
@@ -336,7 +336,7 @@ MUTATED = {
     "circular 11 4": lambda: chi_cover(11, 4),
     "zdg 72 prime": lambda: zn_prime_cover(compressed_zn(72)),
     "zdg 72 join": lambda: zn_join_cover(compressed_zn(72)),
-    "boolean 4": lambda: reduced_ring_box_bounds(4)[1],
+    "boolean 4": lambda: reduced_ring_box_bounds(4),
     "join": lambda: skip_join_cover(
         make_plan(path_graph(3), [cycle_graph(4), complete_graph(2), empty_graph(3)])
     ),

@@ -20,6 +20,7 @@ from boxlab import (
     complete_graph,
     compressed_box_bound,
     compressed_zn,
+    cover_to_json,
     expand_compressed,
     factor,
     graph_of_intervals,
@@ -279,11 +280,11 @@ def test_prime_power_rep_sweep():
 
 
 def test_boolean_ring_graphs():
-    b2 = boolean_ring_graph(2)
-    assert b2.graph == complete_graph(2)
-    assert b2.labels == ((1, 0), (0, 1))
+    b2, b2_labels = boolean_ring_graph(2)
+    assert b2 == complete_graph(2)
+    assert b2_labels == ((1, 0), (0, 1))
 
-    b3 = boolean_ring_graph(3)
+    b3, _ = boolean_ring_graph(3)
     relabel = {m: i for i, m in enumerate([1, 2, 3, 4, 5, 6])}
     expected = make_graph(
         6,
@@ -296,27 +297,27 @@ def test_boolean_ring_graphs():
             (relabel[3], relabel[4]),
         ],
     )
-    assert b3.graph == expected
+    assert b3 == expected
     # isomorphic to the net: triangle of units with one pendant each
-    assert clique_number_exact(b3.graph)[0] == clique_number_exact(net_graph())[0] == 3
+    assert clique_number_exact(b3)[0] == clique_number_exact(net_graph())[0] == 3
 
-    b4 = boolean_ring_graph(4)
-    assert b4.graph.n == 14
-    assert clique_number_exact(b4.graph)[0] == 4
+    b4, _ = boolean_ring_graph(4)
+    assert b4.n == 14
+    assert clique_number_exact(b4)[0] == 4
 
 
 def test_reduced_ring_bounds():
     for k, expected_join in ((2, 2), (3, 6), (4, 14)):
-        upper, cover = reduced_ring_box_bounds(k)
-        assert upper == len(cover) == k
+        cover = reduced_ring_box_bounds(k)
+        assert len(cover) == k
         assert verify_cover(cover)[0]
         # the join construction: one member per vertex
-        join = reduced_cover(boolean_ring_graph(k).graph)
+        join = reduced_cover(boolean_ring_graph(k)[0])
         assert len(join) == expected_join == 2**k - 2
         assert verify_cover(join)[0]
     # box = k fails: Gamma(F_2^2) is K_2 and Gamma(F_2^3) is the net
     for k, box in ((2, 1), (3, 2)):
-        value, witness = boxicity_exact(boolean_ring_graph(k).graph)
+        value, witness = boxicity_exact(boolean_ring_graph(k)[0])
         assert value == box
         assert verify_cover(witness)[0]
 
@@ -363,9 +364,9 @@ def test_prime_cover_has_one_member_per_prime(n):
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_boolean_cover_has_one_member_per_coordinate(k):
-    upper, cover = reduced_ring_box_bounds(k)
-    assert upper == len(cover) == k
-    assert cover.claimed_graph == boolean_ring_graph(k).graph
+    cover = reduced_ring_box_bounds(k)
+    assert len(cover) == k
+    assert cover.claimed_graph == boolean_ring_graph(k)[0]
     assert verify_cover(cover)[0]
 
 
@@ -393,6 +394,25 @@ def test_compressed_record_derives_from_one_factorization():
         assert list(c.divisors) == divisors
         assert c.sizes == tuple(class_size[d] for d in divisors)
         assert c.nilpotent == tuple(d for d in divisors if d * d % n == 0)
+
+
+def test_valuations_are_the_exponents_of_each_divisor():
+    for n in range(4, 2001):
+        f = factor(n)
+        if f.is_prime:
+            continue
+        c = compressed_zn(n)
+        primes = sorted(f.exponents)
+        assert c.valuations == tuple(
+            tuple(oracles._exponent_of(d, p) for p in primes) for d in c.divisors
+        )
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_vector_ring_cover_keeps_the_parent_bytes(k):
+    upper, parent = oracles.parent_reduced_ring_box_bounds(k)
+    assert upper == k
+    assert cover_to_json(reduced_ring_box_bounds(k)) == cover_to_json(parent)
 
 
 def test_direct_graph_is_built_once_per_record(monkeypatch):
