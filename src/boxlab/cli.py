@@ -106,6 +106,7 @@ def _cmd_cover(args) -> int:
         cover = chi_cover(args.k, args.d)
         what = f" = chi({args.k},{args.d})"
     elif args.family == "zdg":
+        check_direct_limit(args.n)  # both covers span the direct graph: refused before the record
         c = compressed_zn(args.n)
         cover = zn_join_cover(c) if args.method == "join" else zn_prime_cover(c)
         what = f" for the zero-divisor graph of {args.n}"

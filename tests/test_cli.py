@@ -708,6 +708,19 @@ def test_direct_zdg_budget_exits_3(monkeypatch, capsys):
     assert "budget" in err
 
 
+def test_cover_zdg_over_the_direct_limit_exits_3_before_the_record(monkeypatch, capsys):
+    # a prime over the limit is refused as gen zdg refuses it, not as a prime
+    code, out, err = run_capture(capsys, ["cover", "zdg", "--n", "10007"])
+    assert (code, out) == (3, "") and "direct-graph limit 10000" in err
+    code, out, err = run_capture(capsys, ["cover", "zdg", "--n", "7"])
+    assert (code, out, err) == (2, "", "input error: 7 is prime; the compressed graph needs a composite N\n")
+    # 45026982000 has 2560 divisors: neither method factors it or scans its divisor graph
+    monkeypatch.setattr(boxlab.cli, "compressed_zn", _refuse("compressed_zn"))
+    for method in ("prime", "join"):
+        code, out, err = run_capture(capsys, ["cover", "zdg", "--n", "45026982000", "--method", method])
+        assert (code, out) == (3, "") and "direct-graph limit 10000" in err
+
+
 def test_zdg_report_needs_no_direct_graph(capsys):
     code, out, _ = run_capture(capsys, ["zdg", "report", "--n", "20000"])
     assert code == 0
