@@ -31,7 +31,7 @@ cover formulation never explores permutations of the same multiset.
 Budgets are deliberate: the enumeration is exponential in the number of
 non-edges, so the oracle refuses graphs beyond a small configured size.
 `BOXLAB_BUDGET` (either "V" or "V:E", vertex count and per-component
-non-edge count) overrides the defaults.
+non-edge count, each non-negative) overrides the defaults.
 """
 
 from __future__ import annotations
@@ -53,12 +53,13 @@ def budgets_from_env() -> tuple[int, int]:
     if not raw:
         return DEFAULT_VERTEX_BUDGET, DEFAULT_NONEDGE_BUDGET
     try:
-        if ":" in raw:
-            v, e = raw.split(":", 1)
-            return int(v), int(e)
-        return int(raw), DEFAULT_NONEDGE_BUDGET
+        v, e = raw.split(":", 1) if ":" in raw else (raw, DEFAULT_NONEDGE_BUDGET)
+        budgets = int(v), int(e)
+        if min(budgets) < 0:
+            raise ValueError("a budget is negative")
     except ValueError as exc:
         raise InputError(f"malformed BOXLAB_BUDGET {raw!r}") from exc
+    return budgets
 
 
 class _ComponentSearch:

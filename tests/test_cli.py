@@ -721,6 +721,30 @@ def test_cover_zdg_over_the_direct_limit_exits_3_before_the_record(monkeypatch, 
         assert (code, out) == (3, "") and "direct-graph limit 10000" in err
 
 
+# 0 refuses every graph but the empty one; a negative budget is malformed
+@pytest.mark.parametrize(
+    "budget, graph, code",
+    [
+        ("-1", empty_graph(0), 2),
+        ("10:-1", cycle_graph(4), 2),
+        ("0", empty_graph(0), 0),
+        ("10:0", cycle_graph(4), 3),
+    ],
+)
+def test_budget_values_are_not_negative(budget, graph, code, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph_to_obj(graph)))
+    monkeypatch.setenv("BOXLAB_BUDGET", budget)
+    got, out, err = run_capture(capsys, ["box", "--graph", str(path)])
+    assert got == code
+    if code == 2:
+        assert (out, err) == ("", f"input error: malformed BOXLAB_BUDGET {budget!r}\n")
+    elif code == 0:
+        assert json.loads(out)["boxicity"] == 0
+    else:
+        assert "component has 2 non-edges, budget is 0" in err
+
+
 def test_zdg_report_needs_no_direct_graph(capsys):
     code, out, _ = run_capture(capsys, ["zdg", "report", "--n", "20000"])
     assert code == 0
