@@ -66,9 +66,9 @@ class FactoredN:
 
     @property
     def exponents(self) -> dict[int, int]:
-        out = {p: 2 * n for p, n in self.even_part}
-        out.update({q: 2 * m + 1 for q, m in self.odd_part})
-        return out
+        """The exponent of each prime of N, primes ascending: the order of every valuation tuple."""
+        both = [(p, 2 * n) for p, n in self.even_part] + [(q, 2 * m + 1) for q, m in self.odd_part]
+        return dict(sorted(both))
 
     @property
     def divisor_count(self) -> int:
@@ -236,7 +236,7 @@ def compressed_zn(N: int) -> CompressedZN:
     # every divisor d of N with its exponents, primes ascending, and phi(N/d),
     # the size of its class
     classes = {1: ((), 1)}
-    for p, e in sorted(f.exponents.items()):
+    for p, e in f.exponents.items():
         classes = {
             d * p**i: (exps + (i,), phi * (p ** (e - i - 1) * (p - 1) if i < e else 1))
             for d, (exps, phi) in classes.items()
@@ -325,7 +325,7 @@ def omega_chi_certificate(c: CompressedZN) -> tuple[int, tuple[int, ...], Colori
         if d in psi:
             colors.append(psi[d])
             continue
-        v = dict(zip(sorted(f.exponents), exps))
+        v = dict(zip(f.exponents, exps))
         low_even = [p**n for p, n in f.even_part if v[p] < n]
         if low_even:
             partner = f.N // low_even[-1]
@@ -461,9 +461,8 @@ def zn_prime_cover(c: CompressedZN) -> IntervalCover:
     for exps, members in zip(c.valuations, c.positions):
         for v in members:
             valuations[v] = exps
-    exponents = [e for _, e in sorted(c.f.exponents.items())]
     what = f"per-prime cover of the zero-divisor graph of {c.N}"
-    return valuation_cover(c.direct[0], valuations, exponents, what)
+    return valuation_cover(c.direct[0], valuations, c.f.exponents.values(), what)
 
 
 # ---------------------------------------------------------------------------
