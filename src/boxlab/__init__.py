@@ -41,7 +41,6 @@ from .intervals import (
     verify_cover,
 )
 from .joins import (
-    JoinCoverPlan,
     make_plan,
     reduced_cover,
     skip_join_cover,

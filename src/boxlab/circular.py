@@ -16,7 +16,6 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
@@ -24,41 +23,21 @@ from .graphs import Graph, check_edge_budget, check_vertex_budget
 from .intervals import Interval, IntervalCover, IntervalRep, point, verified_cover
 
 
-@dataclass(frozen=True)
-class CircularParams:
-    """Validated (k, d) pair with the derived quotient and remainder."""
-
-    k: int
-    d: int
-
-    @property
-    def m(self) -> int:
-        return self.k // self.d
-
-    @property
-    def b(self) -> int:
-        return self.k % self.d
-
-    @property
-    def chi(self) -> int:
-        return -(-self.k // self.d)
-
-    @property
-    def num_edges(self) -> int:
-        """Each vertex meets the k - 2d + 1 others at circular distance d or more."""
-        return self.k * (self.k - 2 * self.d + 1) // 2
-
-
-def circular_params(k: int, d: int) -> CircularParams:
+def circular_params(k: int, d: int) -> tuple[int, int]:
+    """(m, b) with k = m*d + b and 0 <= b < d, for a valid pair k >= 2d >= 2."""
     if d < 1 or k < 2 * d:
         raise InputError(f"need k >= 2d >= 2, got k={k}, d={d}")
-    return CircularParams(k, d)
+    return divmod(k, d)
 
 
 def check_circular_budget(k: int, d: int) -> None:
-    """Refuse, before anything is allocated, a circular clique over the edge or vertex budget."""
+    """Refuse, before anything is allocated, a circular clique over the edge or vertex budget.
+
+    Each vertex meets the k - 2d + 1 others at circular distance d or more.
+    """
+    circular_params(k, d)
     what = f"the circular clique (k={k}, d={d})"
-    check_edge_budget(circular_params(k, d).num_edges, what)
+    check_edge_budget(k * (k - 2 * d + 1) // 2, what)
     check_vertex_budget(k, what)  # the masks of a near-matching span all k bits
 
 
@@ -70,7 +49,8 @@ def circular_clique(k: int, d: int) -> Graph:
 
 
 def circular_chi(k: int, d: int) -> int:
-    return circular_params(k, d).chi
+    m, b = circular_params(k, d)
+    return m + (b > 0)
 
 
 def step_window_rep(k: int, d: int, r: int) -> IntervalRep:
@@ -82,17 +62,17 @@ def step_window_rep(k: int, d: int, r: int) -> IntervalRep:
     is unchecked here, and the verification of the cover that `chi_cover`
     assembles decides, raising rather than returning a wrong certificate.
     """
-    p = circular_params(k, d)
-    if r < 1 or r not in (p.b, p.d):
-        raise InputError(f"window size r={r} must be d={p.d} or the remainder {p.b}")
-    intervals: list[Interval | None] = [None] * p.k
+    b = circular_params(k, d)[1]
+    if r < 1 or r not in (b, d):
+        raise InputError(f"window size r={r} must be d={d} or the remainder {b}")
+    intervals: list[Interval | None] = [None] * k
     for i in range(r):
-        intervals[i] = point(p.d - i)
-        intervals[p.d + i] = (p.d - i, p.d + 1)
-    for i in range(r, p.d):
-        intervals[i] = point(p.d + 1)
-    for i in range(p.d + r, p.k):
-        intervals[i] = (1, p.d + 1)
+        intervals[i] = point(d - i)
+        intervals[d + i] = (d - i, d + 1)
+    for i in range(r, d):
+        intervals[i] = point(d + 1)
+    for i in range(d + r, k):
+        intervals[i] = (1, d + 1)
     return IntervalRep(tuple(intervals))
 
 
@@ -104,15 +84,15 @@ def block_window_rep(k: int, d: int) -> IntervalRep:
     spanning [t-b-1, t] (clamped at -1); the final b vertices span
     everything.
     """
-    p = circular_params(k, d)
-    if p.m != 2 or p.b < 1:
+    m, b = circular_params(k, d)
+    if m != 2 or b < 1:
         raise InputError(f"block construction needs 2d < k < 3d, got k={k}, d={d}")
-    intervals: list[Interval | None] = [None] * p.k
-    for t in range(p.d):
+    intervals: list[Interval | None] = [None] * k
+    for t in range(d):
         intervals[t] = point(Fraction(2 * t - 1, 2))  # t - 1/2, inside (t-1, t)
-        intervals[p.d + t] = (max(t - p.b - 1, -1), t)
-    for i in range(2 * p.d, p.k):
-        intervals[i] = (-1, p.d)
+        intervals[d + t] = (max(t - b - 1, -1), t)
+    for i in range(2 * d, k):
+        intervals[i] = (-1, d)
     return IntervalRep(tuple(intervals))
 
 
@@ -140,17 +120,17 @@ def chi_cover(k: int, d: int) -> IntervalCover:
     last class [m*d, k) takes the remainder window rotated by m*d. That
     makes m + (b > 0) = ceil(k/d) members by construction.
     """
-    p = circular_params(k, d)
+    m, b = circular_params(k, d)
     g = circular_clique(k, d)  # first, so its budgets refuse before any rep is built
-    if p.m >= 3:
-        full = step_window_rep(k, d, p.d)
-    elif p.b:
+    if m >= 3:
+        full = step_window_rep(k, d, d)
+    elif b:
         full = block_window_rep(k, d)
     else:
         # k == 2d, a perfect matching: one interval graph realizes it
         # exactly, and rotating it by d gives it back
         full = _matching_rep(k, d)
-    reps = [rotate_rep(full, i * p.d) for i in range(p.m)]
-    if p.b:
-        reps.append(rotate_rep(step_window_rep(k, d, p.b), p.m * p.d))
+    reps = [rotate_rep(full, i * d) for i in range(m)]
+    if b:
+        reps.append(rotate_rep(step_window_rep(k, d, b), m * d))
     return verified_cover(g, reps, f"cover for (k={k}, d={d})")

@@ -25,7 +25,7 @@ from .circular import check_circular_budget, chi_cover, circular_chi, circular_c
 from .errors import ConstructionDefectError, InputError, ResourceBudgetError
 from .graphs import graph_from_obj, graph_to_obj
 from .intervals import VIOLATION_LIMIT, cover_from_obj, cover_to_json, make_cover, verify_cover
-from .joins import make_plan, reduced_cover, skip_join_cover
+from .joins import reduced_cover, skip_join_cover
 from .recognition import is_interval_graph
 from .zdg import (
     boolean_ring_graph,
@@ -119,8 +119,7 @@ def _cmd_cover(args) -> int:
     else:  # join
         outer = graph_from_obj(_load_json(args.outer))
         parts = [graph_from_obj(_load_json(p)) for p in args.part]
-        plan = make_plan(outer, parts, skip=args.skip or ())
-        cover = skip_join_cover(plan)
+        cover = skip_join_cover(outer, parts, args.skip or ())
         what = " for the join"
     # written first, so a cover that cannot be written is never reported
     _emit(cover_to_json(cover), args.output)

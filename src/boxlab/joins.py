@@ -12,14 +12,14 @@ vertices contributes nothing either.
 per part (empty for a skipped or empty part), writes each part's vertices
 straight to caller-chosen target labels and checks nothing. `join_cover`
 is the one exit of the bound: it lifts every member and checks the cover
-once. `cover join` plans its parts with `make_plan`, the zero-divisor join
-cover lifts one `unit_rep` per class, and the reduction-based cover here
-certifies box(G) <= number of neighborhood classes the same way.
+once. `cover join` is one call of `skip_join_cover`, which plans its
+parts with `make_plan`; the zero-divisor join cover lifts one `unit_rep`
+per class, and the reduction-based cover here certifies box(G) <= number
+of neighborhood classes the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .boxicity import _boxicity_reps
@@ -37,16 +37,6 @@ from .graphs import (
 from .intervals import IntervalCover, IntervalRep, exact, point, verified_cover
 
 
-@dataclass(frozen=True)
-class JoinCoverPlan:
-    """Outer graph, one part per outer vertex, and each part's members (none if
-    skipped or empty)."""
-
-    outer: Graph
-    parts: tuple[Graph, ...]
-    part_reps: tuple[tuple[IntervalRep, ...], ...]
-
-
 _UNIT = (0, 1)
 
 
@@ -61,8 +51,8 @@ def unit_rep(size: int, complete: bool) -> IntervalRep:
     return IntervalRep(tuple(point(v) for v in range(size)))
 
 
-def make_plan(outer: Graph, parts, skip=()) -> JoinCoverPlan:
-    """Validated plan with the members of every part that is not skipped.
+def make_plan(outer: Graph, parts, skip=()) -> tuple[tuple[IntervalRep, ...], ...]:
+    """The members of each part, in order: none for a skipped part.
 
     A part with no vertices has boxicity 0 and takes no member. Other
     complete and edgeless parts take their one `unit_rep`; anything else
@@ -85,7 +75,7 @@ def make_plan(outer: Graph, parts, skip=()) -> JoinCoverPlan:
             raise InputError(f"skipped part {i} is not complete")
     if not is_clique(outer, skip):
         raise InputError("skip set is not a clique of the outer graph")
-    part_reps: list[tuple[IntervalRep, ...]] = []
+    part_reps = []
     for i, part in enumerate(parts):
         if i in skip or part.n == 0:
             reps = ()
@@ -97,7 +87,7 @@ def make_plan(outer: Graph, parts, skip=()) -> JoinCoverPlan:
                 raise InputError(f"no cover found for part {i} within the default bound")
             reps = tuple(res[1])
         part_reps.append(reps)
-    return JoinCoverPlan(outer, parts, tuple(part_reps))
+    return tuple(part_reps)
 
 
 def _squeeze(rep: IntervalRep) -> IntervalRep:
@@ -166,16 +156,19 @@ def join_cover(claimed: Graph, outer: Graph, part_reps, blocks, what: str) -> In
     return verified_cover(claimed, reps, what)
 
 
-def skip_join_cover(plan: JoinCoverPlan) -> IntervalCover:
+def skip_join_cover(outer: Graph, parts, skip=()) -> IntervalCover:
     """Verified cover of the join using only the non-skipped parts' members.
 
-    Skipping every part is refused before the join is built; a join whose
-    other parts are all empty takes `join_cover`'s one shared member.
+    The parts are planned by `make_plan`. Skipping every part is refused
+    before the join is built; a join whose other parts are all empty takes
+    `join_cover`'s one shared member.
     """
-    if plan.parts and all(p.n for p in plan.parts) and not any(plan.part_reps):
+    parts = tuple(parts)
+    part_reps = make_plan(outer, parts, skip)
+    if parts and all(p.n for p in parts) and not any(part_reps):
         raise InputError("at least one part must not be skipped")
-    joined, blocks = generalized_join(plan.outer, list(plan.parts))
-    return join_cover(joined, plan.outer, plan.part_reps, blocks, "join cover")
+    joined, blocks = generalized_join(outer, parts)
+    return join_cover(joined, outer, part_reps, blocks, "join cover")
 
 
 def reduced_cover(g: Graph) -> IntervalCover:

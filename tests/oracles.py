@@ -37,7 +37,9 @@ the tests read it. The block window built in three loops, the χ cover
 with one branch per window shape and a size check, and the ω = χ
 certificate that checked its clique pair by pair and found each colour
 partner through index lists are the package's before each stated its rule
-once, kept as references for them.
+once, kept as references for them. The (k, d) record with its quotient,
+remainder, χ and edge count is the package's before each circular
+construction read divmod(k, d), kept for the earlier constructions here.
 The trial division that found a divisor's exponent of one prime is the
 package's before each divisor class kept its exponents, kept for that
 certificate and as the reference for the valuation table. The vector-ring
@@ -46,6 +48,7 @@ rings went through one valuation cover, kept as the reference for its bytes.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from unittest import mock
@@ -55,7 +58,7 @@ from hypothesis import strategies as st
 from boxlab import Graph, boxicity_exact, make_graph
 from boxlab import boxicity
 from boxlab import circular
-from boxlab.circular import _matching_rep, circular_params, rotate_rep, step_window_rep
+from boxlab.circular import _matching_rep, rotate_rep, step_window_rep
 from boxlab.errors import ConstructionDefectError, InputError, ResourceBudgetError
 from boxlab.graphs import Coloring, Edge, _vertex_mask, bits, check_edge_budget, join_edge_count, pairs
 from boxlab.zdg import BOOLEAN_RING_MAX_K, ZDG_MAX_N, CompressedZN, augmenting_divisor, threshold_rep
@@ -378,9 +381,40 @@ def edge_intersection(graphs: list[Graph]) -> Graph:
     return Graph(n, common)
 
 
+@dataclass(frozen=True)
+class CircularParams:
+    """Validated (k, d) pair with the derived quotient and remainder."""
+
+    k: int
+    d: int
+
+    @property
+    def m(self) -> int:
+        return self.k // self.d
+
+    @property
+    def b(self) -> int:
+        return self.k % self.d
+
+    @property
+    def chi(self) -> int:
+        return -(-self.k // self.d)
+
+    @property
+    def num_edges(self) -> int:
+        """Each vertex meets the k - 2d + 1 others at circular distance d or more."""
+        return self.k * (self.k - 2 * self.d + 1) // 2
+
+
+def parent_circular_params(k: int, d: int) -> CircularParams:
+    if d < 1 or k < 2 * d:
+        raise InputError(f"need k >= 2d >= 2, got k={k}, d={d}")
+    return CircularParams(k, d)
+
+
 def circular_clique(k: int, d: int) -> Graph:
     """Graph on 0..k-1 with i ~ j iff d <= |i-j| <= k-d."""
-    p = circular_params(k, d)
+    p = parent_circular_params(k, d)
     check_edge_budget(p.num_edges, f"the circular clique (k={k}, d={d})")
     # the j > i with d <= j - i <= k - d, so the cost is k plus the edges
     edges = [(i, j) for i in range(p.k) for j in range(i + p.d, min(p.k, i + p.k - p.d + 1))]
@@ -1059,7 +1093,7 @@ def parent_block_window_rep(k: int, d: int) -> IntervalRep:
     vertices are grouped into overlapping blocks of width b+1 whose
     intervals slide rightward; the final b vertices span everything.
     """
-    p = circular_params(k, d)
+    p = parent_circular_params(k, d)
     if p.m != 2 or p.b < 1:
         raise InputError(f"block construction needs 2d < k < 3d, got k={k}, d={d}")
     b = p.b
@@ -1091,7 +1125,7 @@ def parent_chi_cover(k: int, d: int) -> IntervalCover:
     One interval supergraph per color class: class i is the window
     [i*d, (i+1)*d), handled by rotating a window construction into place.
     """
-    p = circular_params(k, d)
+    p = parent_circular_params(k, d)
     g = circular.circular_clique(k, d)  # first, so its budgets refuse before any rep is built
     reps: list[IntervalRep] = []
     if p.m == 2 and p.b == 0:

@@ -143,17 +143,16 @@ def test_criterion_6_join_synthesis():
     for _ in range(200):
         outer = random_graph(rng.randint(1, 4))
         parts = [random_graph(rng.randint(1, 4)) for _ in range(outer.n)]
-        plan = make_plan(outer, parts)
-        cover = skip_join_cover(plan)
+        cover = skip_join_cover(outer, parts)
         ok = ok and verify_cover(cover)[0]
-        ok = ok and len(cover) == sum(len(reps) for reps in plan.part_reps)
+        ok = ok and len(cover) == sum(len(reps) for reps in make_plan(outer, parts))
 
         skip = []
         for i, p in enumerate(parts):
             if p.is_complete() and is_clique(outer, skip + [i]):
                 skip.append(i)
         if skip and len(skip) < outer.n:
-            cover2 = skip_join_cover(make_plan(outer, parts, skip=skip))
+            cover2 = skip_join_cover(outer, parts, skip=skip)
             ok = ok and verify_cover(cover2)[0]
 
         joined, _ = generalized_join(outer, parts)

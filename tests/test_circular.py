@@ -11,12 +11,13 @@ from boxlab import (
     make_graph,
     verify_cover,
 )
+from boxlab import circular
 from boxlab.circular import (
     block_window_rep,
+    check_circular_budget,
     chi_cover,
     circular_chi,
     circular_clique,
-    circular_params,
     rotate_rep,
     step_window_rep,
 )
@@ -51,10 +52,15 @@ def test_chi_formula():
     assert circular_chi(6, 3) == 2
 
 
-def test_edge_count_formula_matches_the_graph():
+def test_edge_count_formula_matches_the_graph(monkeypatch):
+    counted = []
+    monkeypatch.setattr(circular, "check_edge_budget", lambda edges, what: counted.append(edges))
     for d in range(1, 5):
         for k in range(2 * d, 2 * d + 9):
-            assert circular_params(k, d).num_edges == circular_clique(k, d).num_edges
+            edges = circular_clique(k, d).num_edges
+            counted.clear()
+            check_circular_budget(k, d)
+            assert counted == [edges]
 
 
 def test_chi_formula_matches_solver():

@@ -26,7 +26,6 @@ from boxlab import (
     path_graph,
     verify_cover,
 )
-from boxlab.circular import circular_params
 from boxlab.cli import run
 from boxlab.graphs import COVER_ENTRY_BUDGET, EDGE_BUDGET, VERIFY_MAX_N
 from boxlab.intervals import VIOLATION_LIMIT, CoverViolation
@@ -760,7 +759,8 @@ def _refuse(what):
 
 
 def _first_k_over_the_edge_budget(d):
-    return next(k for k in count(2 * d) if circular_params(k, d).num_edges > EDGE_BUDGET)
+    # each vertex meets the k - 2d + 1 others at circular distance d or more
+    return next(k for k in count(2 * d) if k * (k - 2 * d + 1) // 2 > EDGE_BUDGET)
 
 
 def test_circular_clique_over_the_edge_budget_exits_3_before_building(monkeypatch, capsys):

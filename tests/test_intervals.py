@@ -21,7 +21,6 @@ from boxlab import (
     is_interval_graph,
     make_cover,
     make_graph,
-    make_plan,
     make_rep,
     path_graph,
     reduced_ring_box_bounds,
@@ -302,8 +301,8 @@ def test_integral_endpoints_are_ints():
     covers += [zn_join_cover(compressed_zn(n)) for n in (12, 72, 180)]
     covers += [reduced_ring_box_bounds(k) for k in range(2, 6)]
     covers += [
-        skip_join_cover(make_plan(path_graph(3), [cycle_graph(4), complete_graph(2), empty_graph(3)])),
-        skip_join_cover(make_plan(complete_graph(3), [complete_graph(3), net_graph(), path_graph(3)], [0])),
+        skip_join_cover(path_graph(3), [cycle_graph(4), complete_graph(2), empty_graph(3)]),
+        skip_join_cover(complete_graph(3), [complete_graph(3), net_graph(), path_graph(3)], [0]),
     ]
     # components laid out side by side, and a graph of boxicity 1
     c4_p3 = make_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6)])
@@ -338,7 +337,7 @@ MUTATED = {
     "zdg 72 join": lambda: zn_join_cover(compressed_zn(72)),
     "boolean 4": lambda: reduced_ring_box_bounds(4),
     "join": lambda: skip_join_cover(
-        make_plan(path_graph(3), [cycle_graph(4), complete_graph(2), empty_graph(3)])
+        path_graph(3), [cycle_graph(4), complete_graph(2), empty_graph(3)]
     ),
     "box c4": lambda: boxicity_exact(cycle_graph(4))[1],
 }

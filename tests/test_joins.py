@@ -27,20 +27,19 @@ from oracles import clique_sum_lower_bound, net_graph
 
 
 def test_join_cover_two_edgeless_parts():
-    plan = make_plan(complete_graph(2), [empty_graph(2), empty_graph(2)])
-    cover = skip_join_cover(plan)
+    cover = skip_join_cover(complete_graph(2), [empty_graph(2), empty_graph(2)])
     assert len(cover) == 2
     assert cover.claimed_graph == complete_multipartite([2, 2])
     assert verify_cover(cover)[0]
 
 
 def test_empty_parts_take_no_member():
-    plan = make_plan(complete_graph(2), [empty_graph(0), complete_graph(2)])
-    assert plan.part_reps == ((), (unit_rep(2, True),))
-    assert len(skip_join_cover(plan)) == 1
+    parts = [empty_graph(0), complete_graph(2)]
+    assert make_plan(complete_graph(2), parts) == ((), (unit_rep(2, True),))
+    assert len(skip_join_cover(complete_graph(2), parts)) == 1
     # a join with no vertex keeps one empty member, as reduced_cover gives
     for outer, parts in ((complete_graph(2), [empty_graph(0)] * 2), (empty_graph(0), [])):
-        cover = skip_join_cover(make_plan(outer, parts))
+        cover = skip_join_cover(outer, parts)
         assert cover.reps == reduced_cover(empty_graph(0)).reps == (IntervalRep(()),)
 
 
@@ -52,24 +51,21 @@ def test_every_join_bound_leaves_through_join_cover(package_imports):
 
 
 def test_join_cover_single_part_passthrough():
-    plan = make_plan(complete_graph(1), [path_graph(4)])
-    cover = skip_join_cover(plan)
+    cover = skip_join_cover(complete_graph(1), [path_graph(4)])
     assert len(cover) == 1
     assert cover.claimed_graph == path_graph(4)
     assert verify_cover(cover)[0]
 
 
 def test_join_cover_octahedron():
-    plan = make_plan(complete_graph(3), [empty_graph(2)] * 3)
-    cover = skip_join_cover(plan)
+    cover = skip_join_cover(complete_graph(3), [empty_graph(2)] * 3)
     assert len(cover) == 3
     assert cover.claimed_graph == complete_multipartite([2, 2, 2])
     assert verify_cover(cover)[0]
 
 
 def test_skip_join_cover_drops_complete_clique_part():
-    plan = make_plan(complete_graph(2), [complete_graph(3), empty_graph(2)], skip=[0])
-    cover = skip_join_cover(plan)
+    cover = skip_join_cover(complete_graph(2), [complete_graph(3), empty_graph(2)], skip=[0])
     assert len(cover) == 1
     joined, _ = generalized_join(complete_graph(2), [complete_graph(3), empty_graph(2)])
     assert cover.claimed_graph == joined
@@ -78,16 +74,18 @@ def test_skip_join_cover_drops_complete_clique_part():
 
 def test_skip_join_cover_empty_skip_matches_plain():
     # with nothing skipped the cover is the plain lift of every part member
-    plan = make_plan(path_graph(3), [empty_graph(2), complete_graph(2), empty_graph(1)])
-    _, blocks = generalized_join(plan.outer, list(plan.parts))
-    assert skip_join_cover(plan).reps == tuple(lift_reps(plan.outer, plan.part_reps, blocks))
+    outer, parts = path_graph(3), [empty_graph(2), complete_graph(2), empty_graph(1)]
+    _, blocks = generalized_join(outer, parts)
+    assert skip_join_cover(outer, parts).reps == tuple(
+        lift_reps(outer, make_plan(outer, parts), blocks)
+    )
 
 
 def test_plan_members_are_unit_reps_and_none_when_skipped():
     parts = [complete_graph(3), empty_graph(2), empty_graph(1), path_graph(4)]
-    plan = make_plan(complete_graph(4), parts, skip=[0])
-    assert plan.part_reps[:3] == ((), (unit_rep(2, False),), (unit_rep(1, True),))
-    assert len(plan.part_reps[3]) == 1  # the oracle's witness for the interval path
+    part_reps = make_plan(complete_graph(4), parts, skip=[0])
+    assert part_reps[:3] == ((), (unit_rep(2, False),), (unit_rep(1, True),))
+    assert len(part_reps[3]) == 1  # the oracle's witness for the interval path
     # a one-vertex part counts as complete and keeps [0, 1]; edgeless parts get points
     assert unit_rep(1, False) == unit_rep(1, True) == make_rep([(0, 1)])
     assert unit_rep(3, False) == make_rep([(0, 0), (1, 1), (2, 2)])
@@ -102,9 +100,8 @@ def test_make_plan_validates_skip():
 
 
 def test_skip_needs_survivor():
-    plan = make_plan(complete_graph(1), [complete_graph(2)], skip=[0])
     with pytest.raises(InputError):
-        skip_join_cover(plan)
+        skip_join_cover(complete_graph(1), [complete_graph(2)], skip=[0])
 
 
 def test_lower_bound_examples():
@@ -164,9 +161,8 @@ def test_random_plans_verify_with_expected_size():
             pn = rng.randint(1, 4)
             ppairs = list(combinations(range(pn), 2))
             parts.append(make_graph(pn, [e for e in ppairs if rng.random() < 0.5]))
-        plan = make_plan(outer, parts)
-        cover = skip_join_cover(plan)
-        assert len(cover) == sum(len(reps) for reps in plan.part_reps)
+        cover = skip_join_cover(outer, parts)
+        assert len(cover) == sum(len(reps) for reps in make_plan(outer, parts))
         assert verify_cover(cover)[0]
 
 
@@ -174,8 +170,7 @@ def test_skip_cover_on_net_like_join():
     # outer path u0-u1-u2, complete middle part skippable only if clique
     outer = path_graph(3)
     parts = [empty_graph(2), complete_graph(2), empty_graph(2)]
-    plan = make_plan(outer, parts, skip=[1])
-    cover = skip_join_cover(plan)
+    cover = skip_join_cover(outer, parts, skip=[1])
     assert len(cover) == 2
     assert verify_cover(cover)[0]
 
