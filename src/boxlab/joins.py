@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .boxicity import _boxicity_reps
-from .errors import InputError
+from .errors import InputError, ResourceBudgetError
 from .graphs import (
     Graph,
     check_cover_budget,
@@ -60,7 +60,8 @@ def make_plan(outer: Graph, parts, skip=()) -> tuple[tuple[IntervalRep, ...], ..
     unit members are correct by construction, and a wrong oracle rep makes
     the lifted join cover fail its one check. Skipped parts must be
     complete and their outer vertices must form a clique. A join over the
-    vertex or edge budget is refused before any member is built.
+    vertex or edge budget is refused before any member is built, and a
+    part whose boxicity is over the oracle's bound is refused as a budget.
     """
     parts = tuple(parts)
     if len(parts) != outer.n:
@@ -84,7 +85,7 @@ def make_plan(outer: Graph, parts, skip=()) -> tuple[tuple[IntervalRep, ...], ..
         else:
             res = _boxicity_reps(part)
             if res is None:
-                raise InputError(f"no cover found for part {i} within the default bound")
+                raise ResourceBudgetError(f"no cover found for part {i} within the default bound")
             reps = tuple(res[1])
         part_reps.append(reps)
     return tuple(part_reps)

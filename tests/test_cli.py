@@ -18,6 +18,7 @@ import boxlab.zdg
 from boxlab import (
     ConstructionDefectError,
     complete_graph,
+    complete_multipartite,
     cover_from_obj,
     cycle_graph,
     empty_graph,
@@ -852,6 +853,25 @@ def test_cover_join_over_the_cover_budget_exits_3_before_lifting(tmp_path, monke
     code, out, err = run_capture(capsys, argv)
     assert code == 3 and out == ""
     assert f"join cover would have 640000 intervals, the limit is {COVER_ENTRY_BUDGET}" in err
+
+
+def test_cover_join_with_a_part_over_the_oracle_bound_exits_3(tmp_path, monkeypatch, capsys):
+    # box(K_{2x9}) = 9 is over the oracle's default bound of 8, which `box`
+    # reports as exceeded; the join cannot certify the part, so it is refused
+    monkeypatch.setenv("BOXLAB_BUDGET", "18:9")
+    files = {}
+    for name, g in (("outer", complete_graph(2)), ("k29", complete_multipartite([2] * 9)),
+                    ("k1", complete_graph(1))):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(graph_to_obj(g)))
+    argv = ["cover", "join", "--outer", str(files["outer"]), "--part", str(files["k29"]),
+            "--part", str(files["k1"])]
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: no cover found for part 0 within the default bound\n"
+    code, out, _ = run_capture(capsys, ["box", "--graph", str(files["k29"])])
+    assert code == 0
+    assert json.loads(out) == {"boxicity": None, "exceeded": True, "max": 8}
 
 
 def test_compressed_zn_over_its_limit_exits_3_before_factoring(monkeypatch, capsys):
