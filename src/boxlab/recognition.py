@@ -253,13 +253,11 @@ def asteroidal_paths(g: Graph, triple) -> tuple[list[int], list[int], list[int]]
     """The witness paths of an asteroidal triple (x, y, z), or None if it is not one.
 
     The paths join x to y, y to z and z to x, each avoiding the closed
-    neighbourhood of the third vertex.
+    neighbourhood of the third vertex. That is the whole test: a path from
+    a to b that avoids N[c] has a, b outside N[c], so the three paths
+    already make the vertices distinct and pairwise non-adjacent.
     """
     x, y, z = triple
-    if len({x, y, z}) != 3:
-        return None
-    if g.has_edge(x, y) or g.has_edge(y, z) or g.has_edge(x, z):
-        return None
     paths = []
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
         path = _bfs_path(g, a, b, g.adj[c] | 1 << c)

@@ -32,8 +32,8 @@ The independence test is the package's, moved here because only the tests
 read it. The asteroidal-triple search that counted clique memberships and
 the pairwise hole check are the package's before the search read the
 clique spans and the check read masks, kept as references for them; the
-asteroidal-triple test is the package's wrapper, moved here because only
-the tests read it. The block window built in three loops, the χ cover
+asteroidal-triple test reads the definition on neighbour sets, so the
+package's path search is checked against it. The block window built in three loops, the χ cover
 with one branch per window shape and a size check, and the ω = χ
 certificate that checked its clique pair by pair and found each colour
 partner through index lists are the package's before each stated its rule
@@ -67,7 +67,6 @@ from boxlab.recognition import (
     Elimination,
     Obstruction,
     _bfs_path,
-    asteroidal_paths,
     find_chordless_cycle as package_find_chordless_cycle,
     is_induced_cycle,
     perfect_elimination_order,
@@ -978,7 +977,22 @@ def parent_is_induced_cycle(g: Graph, cycle: tuple[int, ...]) -> bool:
 
 
 def is_asteroidal_triple(g: Graph, triple) -> bool:
-    return asteroidal_paths(g, triple) is not None
+    """From the definition: three distinct, pairwise non-adjacent vertices,
+    each pair joined by a path in g - N[third], found breadth first on
+    neighbour sets."""
+    adj = set_adj(g)
+    x, y, z = triple
+    if len({x, y, z}) != 3 or y in adj[x] or z in adj[y] or x in adj[z]:
+        return False
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        blocked = adj[c] | {c}
+        seen, frontier = {a}, [a]
+        while frontier:
+            frontier = [w for v in frontier for w in adj[v] - blocked - seen]
+            seen.update(frontier)
+        if b not in seen:
+            return False
+    return True
 
 
 def frozenset_is_interval_graph(g: Graph) -> tuple[bool, IntervalRep | Obstruction]:

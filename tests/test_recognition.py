@@ -1,5 +1,6 @@
 import importlib
 import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +20,7 @@ from boxlab import Graph, recognition
 from boxlab.errors import ConstructionDefectError
 from boxlab.intervals import IntervalRep, interval_adjacency
 from boxlab.recognition import (
+    asteroidal_paths,
     clique_spans,
     consecutive_clique_order,
     find_asteroidal_triple,
@@ -79,6 +81,28 @@ def assert_at_carries_its_paths(g, obstruction):
         assert (path[0], path[-1]) == (a, b)
         assert all(g.adj[u] >> v & 1 for u, v in zip(path, path[1:]))
         assert sum(1 << v for v in path) & (g.adj[c] | 1 << c) == 0
+
+
+def test_at_paths_match_the_definition_on_atlas():
+    # every triple of distinct vertices, and every triple with a repeated
+    # one (up to rotation, which permutes the three paths), of every graph
+    # on at most 7 vertices: the path search answers exactly when the
+    # definition holds, and its paths are the witnesses
+    ats = 0
+    for g in atlas_graphs(7):
+        adj = oracles.set_adj(g)
+        repeated = [(x, x, y) for x, y in product(range(g.n), repeat=2)]
+        for x, y, z in [*combinations(range(g.n), 3), *repeated]:
+            paths = asteroidal_paths(g, (x, y, z))
+            assert (paths is not None) == is_asteroidal_triple(g, (x, y, z)), (g, (x, y, z))
+            if paths is None:
+                continue
+            ats += 1
+            for path, (a, b, c) in zip(paths, ((x, y, z), (y, z, x), (z, x, y))):
+                assert (path[0], path[-1]) == (a, b)
+                assert all(v in adj[u] for u, v in zip(path, path[1:]))
+                assert not set(path) & (adj[c] | {c})
+    assert ats == 205
 
 
 def is_chordal(g) -> bool:
