@@ -182,6 +182,20 @@ def test_omega_chi_certificate_12_coloring_cases():
     assert colors[0] == colors[2]
 
 
+def test_omega_chi_certificate_refuses_a_coloring_that_merges_adjacent_classes():
+    # 2 and 4 share a colour in Z_72; with the class edge (2, 4) added the
+    # colouring is no longer proper, and the pair is the witness
+    c = compressed_zn(72)
+    u, v = c.divisors.index(2), c.divisors.index(4)
+    adj = list(c.graph.adj)
+    adj[u] |= 1 << v
+    adj[v] |= 1 << u
+    broken = dataclasses.replace(c, graph=Graph.from_adj(adj))
+    with pytest.raises(ConstructionDefectError, match=r"coloring merges adjacent classes \(2, 4\)") as err:
+        omega_chi_certificate(broken)
+    assert err.value.witness == (2, 4)
+
+
 def test_omega_chi_two_primes():
     value, clique, _ = omega_chi_certificate(compressed_zn(15))
     assert value == 2 and clique == (3, 5)
