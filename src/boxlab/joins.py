@@ -76,7 +76,7 @@ def make_plan(outer: Graph, parts, skip=()) -> tuple[tuple[IntervalRep, ...], ..
             raise InputError(f"skipped part {i} is not complete")
     if not is_clique(outer, skip):
         raise InputError("skip set is not a clique of the outer graph")
-    part_reps = []
+    part_reps: list[tuple[IntervalRep, ...]] = []
     for i, part in enumerate(parts):
         if i in skip or part.n == 0:
             reps = ()
@@ -164,7 +164,6 @@ def skip_join_cover(outer: Graph, parts, skip=()) -> IntervalCover:
     before the join is built; a join whose other parts are all empty takes
     `join_cover`'s one shared member.
     """
-    parts = tuple(parts)
     part_reps = make_plan(outer, parts, skip)
     if parts and all(p.n for p in parts) and not any(part_reps):
         raise InputError("at least one part must not be skipped")
