@@ -100,7 +100,7 @@ def test_make_plan_validates_skip():
 
 
 def test_skip_needs_survivor():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="at least one part must not be skipped"):
         skip_join_cover(complete_graph(1), [complete_graph(2)], skip=[0])
 
 
