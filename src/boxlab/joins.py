@@ -164,6 +164,7 @@ def skip_join_cover(outer: Graph, parts, skip=()) -> IntervalCover:
     before the join is built; a join whose other parts are all empty takes
     `join_cover`'s one shared member.
     """
+    parts = tuple(parts)
     part_reps = make_plan(outer, parts, skip)
     if parts and all(p.n for p in parts) and not any(part_reps):
         raise InputError("at least one part must not be skipped")

@@ -81,6 +81,12 @@ def test_skip_join_cover_empty_skip_matches_plain():
     )
 
 
+def test_skip_join_cover_takes_parts_from_a_generator():
+    # the parts are read three times (plan, all-skipped check, join), so a one-pass iterable must do
+    outer, parts = path_graph(3), [empty_graph(2), complete_graph(2), path_graph(3)]
+    assert skip_join_cover(outer, iter(parts), skip=[1]) == skip_join_cover(outer, parts, skip=[1])
+
+
 def test_plan_members_are_unit_reps_and_none_when_skipped():
     parts = [complete_graph(3), empty_graph(2), empty_graph(1), path_graph(4)]
     part_reps = make_plan(complete_graph(4), parts, skip=[0])
