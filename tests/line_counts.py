@@ -6,23 +6,15 @@ class and function. It imports only the standard library:
 
     python tests/line_counts.py
 
-prints one row per module, then the total. With `--against REV` each row
-also gives the module's logical lines at the git revision REV, read with
-`git show REV:src/boxlab/<module>`, and the change from REV to the working
-tree; a module missing on one side counts 0 there:
-
-    python tests/line_counts.py --against HEAD~1
+prints one row per module, then the total.
 """
 
-import argparse
 import ast
 import io
-import subprocess
 import tokenize
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "boxlab"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "boxlab"
 
 
 def docstring_lines(tree: ast.Module) -> set[int]:
@@ -51,34 +43,15 @@ def counts(source: str) -> tuple[int, int]:
     return len(lines), len(code - docstring_lines(ast.parse(source)))
 
 
-def git(*args: str) -> str:
-    done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
-    if done.returncode:
-        raise SystemExit(done.stderr.strip())
-    return done.stdout
-
-
-def sources_at(rev: str) -> dict[str, str]:
-    """Each `src/boxlab` module's source at the git revision `rev`, by file name."""
-    prefix = PACKAGE.relative_to(ROOT).as_posix()
-    names = git("ls-tree", "--name-only", f"{rev}:{prefix}").split()
-    return {name: git("show", f"{rev}:{prefix}/{name}") for name in names if name.endswith(".py")}
-
-
 def main() -> None:
-    parser = argparse.ArgumentParser(description="Line counts of each src/boxlab module.")
-    parser.add_argument("--against", metavar="REV", help="also count each module at this git revision")
-    args = parser.parse_args()
-    here = {path.name: counts(path.read_text()) for path in PACKAGE.glob("*.py")}
-    there = {name: counts(src) for name, src in sources_at(args.against).items()} if args.against else {}
-    rows = [(name, *here.get(name, (0, 0)), there.get(name, (0, 0))[1]) for name in sorted(here | there)]
-    rows.append(("total", *(sum(row[i] for row in rows) for i in (1, 2, 3))))
-    header = f"{'module':<16}{'physical':>10}{'logical':>10}"
-    print(header + (f"{args.against:>12}{'change':>8}" if args.against else ""))
-    for name, physical, logical, before in rows:
-        line = f"{name:<16}{physical:>10}{logical:>10}"
-        change = f"{logical - before:+d}" if logical != before else "0"
-        print(line + (f"{before:>12}{change:>8}" if args.against else ""))
+    total_physical = total_logical = 0
+    print(f"{'module':<16}{'physical':>10}{'logical':>10}")
+    for path in sorted(PACKAGE.glob("*.py")):
+        physical, logical = counts(path.read_text())
+        total_physical += physical
+        total_logical += logical
+        print(f"{path.name:<16}{physical:>10}{logical:>10}")
+    print(f"{'total':<16}{total_physical:>10}{total_logical:>10}")
 
 
 if __name__ == "__main__":
