@@ -33,13 +33,11 @@ read it. The asteroidal-triple search that counted clique memberships and
 the pairwise hole check are the package's before the search read the
 clique spans and the check read masks, kept as references for them; the
 asteroidal-triple test reads the definition on neighbour sets, so the
-package's path search is checked against it. The block window built in three loops, the χ cover
-with one branch per window shape and a size check, and the ω = χ
-certificate that checked its clique pair by pair and found each colour
-partner through index lists are the package's before each stated its rule
-once, kept as references for them. The (k, d) record with its quotient,
-remainder, χ and edge count is the package's before each circular
-construction read divmod(k, d), kept for the earlier constructions here.
+package's path search is checked against it. The block window built in
+three loops, the χ cover with one branch per window shape and a size
+check, and the ω = χ certificate that checked its clique pair by pair and
+found each colour partner through index lists are the package's before
+each stated its rule once, kept as references for them.
 The trial division that found a divisor's exponent of one prime is the
 package's before each divisor class kept its exponents, kept for that
 certificate and as the reference for the valuation table. The vector-ring
@@ -48,7 +46,6 @@ rings went through one valuation cover, kept as the reference for its bytes.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from unittest import mock
@@ -58,7 +55,7 @@ from hypothesis import strategies as st
 from boxlab import Graph, boxicity_exact, make_graph
 from boxlab import boxicity
 from boxlab import circular
-from boxlab.circular import _matching_rep, rotate_rep, step_window_rep
+from boxlab.circular import _matching_rep, circular_params, rotate_rep, step_window_rep
 from boxlab.errors import ConstructionDefectError, InputError, ResourceBudgetError
 from boxlab.graphs import Coloring, Edge, _vertex_mask, bits, check_edge_budget, join_edge_count, pairs
 from boxlab.zdg import BOOLEAN_RING_MAX_K, ZDG_MAX_N, CompressedZN, augmenting_divisor, threshold_rep
@@ -380,44 +377,13 @@ def edge_intersection(graphs: list[Graph]) -> Graph:
     return Graph(n, common)
 
 
-@dataclass(frozen=True)
-class CircularParams:
-    """Validated (k, d) pair with the derived quotient and remainder."""
-
-    k: int
-    d: int
-
-    @property
-    def m(self) -> int:
-        return self.k // self.d
-
-    @property
-    def b(self) -> int:
-        return self.k % self.d
-
-    @property
-    def chi(self) -> int:
-        return -(-self.k // self.d)
-
-    @property
-    def num_edges(self) -> int:
-        """Each vertex meets the k - 2d + 1 others at circular distance d or more."""
-        return self.k * (self.k - 2 * self.d + 1) // 2
-
-
-def parent_circular_params(k: int, d: int) -> CircularParams:
-    if d < 1 or k < 2 * d:
-        raise InputError(f"need k >= 2d >= 2, got k={k}, d={d}")
-    return CircularParams(k, d)
-
-
 def circular_clique(k: int, d: int) -> Graph:
     """Graph on 0..k-1 with i ~ j iff d <= |i-j| <= k-d."""
-    p = parent_circular_params(k, d)
-    check_edge_budget(p.num_edges, f"the circular clique (k={k}, d={d})")
+    circular_params(k, d)
+    check_edge_budget(k * (k - 2 * d + 1) // 2, f"the circular clique (k={k}, d={d})")
     # the j > i with d <= j - i <= k - d, so the cost is k plus the edges
-    edges = [(i, j) for i in range(p.k) for j in range(i + p.d, min(p.k, i + p.k - p.d + 1))]
-    return make_graph(p.k, edges)
+    edges = [(i, j) for i in range(k) for j in range(i + d, min(k, i + k - d + 1))]
+    return make_graph(k, edges)
 
 
 def zdg_zn(N: int) -> tuple[Graph, tuple[int, ...]]:
@@ -1107,29 +1073,28 @@ def parent_block_window_rep(k: int, d: int) -> IntervalRep:
     vertices are grouped into overlapping blocks of width b+1 whose
     intervals slide rightward; the final b vertices span everything.
     """
-    p = parent_circular_params(k, d)
-    if p.m != 2 or p.b < 1:
+    m, b = circular_params(k, d)
+    if m != 2 or b < 1:
         raise InputError(f"block construction needs 2d < k < 3d, got k={k}, d={d}")
-    b = p.b
-    c, e = divmod(p.d, b + 1)
-    intervals: list[Interval | None] = [None] * p.k
-    for i in range(p.d):
+    c, e = divmod(d, b + 1)
+    intervals: list[Interval | None] = [None] * k
+    for i in range(d):
         intervals[i] = point(Fraction(2 * i - 1, 2))  # i - 1/2, inside (i-1, i)
     for j in range(b + 1):
-        intervals[p.d + j] = (Fraction(-1), Fraction(j))
+        intervals[d + j] = (Fraction(-1), Fraction(j))
     for i in range(1, c):
         for j in range(b + 1):
-            intervals[p.d + i * (b + 1) + j] = (
+            intervals[d + i * (b + 1) + j] = (
                 Fraction((i - 1) * (b + 1) + j),
                 Fraction(i * (b + 1) + j),
             )
     for j in range(e):
-        intervals[p.d + c * (b + 1) + j] = (
+        intervals[d + c * (b + 1) + j] = (
             Fraction((c - 1) * (b + 1) + j),
             Fraction(c * (b + 1) + j),
         )
-    for i in range(2 * p.d, p.k):
-        intervals[i] = (Fraction(-1), Fraction(p.d))
+    for i in range(2 * d, k):
+        intervals[i] = (Fraction(-1), Fraction(d))
     return IntervalRep(tuple(intervals))
 
 
@@ -1139,32 +1104,32 @@ def parent_chi_cover(k: int, d: int) -> IntervalCover:
     One interval supergraph per color class: class i is the window
     [i*d, (i+1)*d), handled by rotating a window construction into place.
     """
-    p = parent_circular_params(k, d)
+    m, b = circular_params(k, d)
     g = circular.circular_clique(k, d)  # first, so its budgets refuse before any rep is built
     reps: list[IntervalRep] = []
-    if p.m == 2 and p.b == 0:
+    if m == 2 and b == 0:
         # perfect matching: one interval graph realizes it exactly, and it
         # leaves both classes independent; each class keeps its own copy so
         # the cover size matches the chromatic number
         base = _matching_rep(k, d)
         reps = [base, base]
-    elif p.m >= 3:
-        full = step_window_rep(k, d, p.d)
-        for i in range(p.m):
-            reps.append(rotate_rep(full, i * p.d))
-        if p.b:
-            short = step_window_rep(k, d, p.b)
-            reps.append(rotate_rep(short, p.m * p.d))
+    elif m >= 3:
+        full = step_window_rep(k, d, d)
+        for i in range(m):
+            reps.append(rotate_rep(full, i * d))
+        if b:
+            short = step_window_rep(k, d, b)
+            reps.append(rotate_rep(short, m * d))
     else:  # m == 2, b >= 1
         base = parent_block_window_rep(k, d)
-        reps = [base, rotate_rep(base, p.d)]
-        short = step_window_rep(k, d, p.b)
-        reps.append(rotate_rep(short, 2 * p.d))
+        reps = [base, rotate_rep(base, d)]
+        short = step_window_rep(k, d, b)
+        reps.append(rotate_rep(short, 2 * d))
 
     cover = verified_cover(g, reps, f"cover for (k={k}, d={d})")
-    if len(cover) != p.chi:
+    if len(cover) != -(-k // d):
         raise ConstructionDefectError(
-            f"cover for (k={k}, d={d}) has {len(cover)} members, expected {p.chi}",
+            f"cover for (k={k}, d={d}) has {len(cover)} members, expected {-(-k // d)}",
             (k, d),
         )
     return cover
