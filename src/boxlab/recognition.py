@@ -17,13 +17,15 @@ ordering of the maximal cliques; negative answers come with an obstruction
 re-verified once: an induced cycle of length at least 4, checked on masks,
 or an asteroidal triple, which carries the three paths its re-check found.
 The clique ordering comes from one deterministic pass of partition
-refinement on the cliques, and one pass over that order reads each
-vertex's span of clique positions and the scattered vertices; the
-asteroidal-triple search runs only when some vertex is scattered. A
-component that holds an asteroidal triple is not interval, so no order of
-its maximal cliques is consecutive (Fulkerson and Gross, 1965) and the
-refined order scatters one of its vertices; the search returns the triple
-it would return on the whole graph (see `find_asteroidal_triple`).
+refinement on the cliques, whose queue holds the indices of the cliques
+in the smaller part of each split and reads their vertices in place. One
+pass over that order reads each vertex's span of clique positions and
+the scattered vertices; the asteroidal-triple search runs only when some
+vertex is scattered. A component that holds an asteroidal triple is not
+interval, so no order of its maximal cliques is consecutive (Fulkerson and
+Gross, 1965) and the refined order scatters one of its vertices; the
+search returns the triple it would return on the whole graph (see
+`find_asteroidal_triple`).
 """
 
 from __future__ import annotations
@@ -296,15 +298,19 @@ def consecutive_clique_order(cliques: list[tuple[int, ...]], peo: list[int]) -> 
     """Order clique indices so every vertex's cliques appear consecutively.
 
     One pass of partition refinement on the cliques (Habib, McConnell, Paul
-    and Viennot, TCS 2000). The classes are contiguous ranges of one array,
-    in their final left-to-right order. A pivot is a vertex whose cliques
-    lie in two or more classes: in the first of them its cliques move to
-    the right end, in the last to the left end. Each pivot is used once.
-    With no pivot left, the clique generated last by Lex-BFS among those
-    not yet alone moves to the right end of its class; a clique's generator
-    is its vertex that comes first in `peo`, which `maximal_cliques_chordal`
-    puts first in the clique. The refined order is
-    consecutive exactly when some order is; `clique_spans` tells which.
+    and Viennot, TCS 2000). The classes are contiguous runs of one array,
+    in their final left-to-right order, class k on start[k]..end[k] - 1;
+    the runs are disjoint, so their starts order them. A pivot is a vertex
+    whose cliques lie in two or more classes: in the first of them its
+    cliques move to the right end, in the last to the left end. Each pivot
+    is used once. Each split queues the indices of the cliques in its
+    smaller part, and the vertices of each queued clique, read in place in
+    clique order, are the pivot candidates in turn. With no candidate left,
+    the clique generated last by Lex-BFS among those not yet alone moves to
+    the right end of its class; a clique's generator is its vertex that
+    comes first in `peo`, which `maximal_cliques_chordal` puts first in the
+    clique. The refined order is consecutive exactly when some order is;
+    `clique_spans` tells which.
     """
     q = len(cliques)
     rank = [0] * len(peo)
@@ -316,55 +322,54 @@ def consecutive_clique_order(cliques: list[tuple[int, ...]], peo: list[int]) -> 
             vert_cliques[v].append(i)
     gen = [rank[c[0]] for c in cliques]
     by_gen, nxt = sorted(range(q), key=gen.__getitem__), 0
-    arr, pos, cls, span = list(range(q)), list(range(q)), [0] * q, [(0, q)]
-    done, queue, head = [False] * len(peo), [], 0
+    arr, pos, cls, start, end = list(range(q)), list(range(q)), [0] * q, [0], [q]
+    done, queue = [False] * len(peo), []
+
+    def split(k: int, moved: list[int], right: bool) -> None:
+        """Move `moved` to the right or left end of class k, as a class of its own."""
+        s, e = start[k], end[k]
+        if len(moved) == e - s:
+            return
+        b = e - len(moved) if right else s + len(moved)
+        for t, i in enumerate(moved, b if right else s):
+            p, other = pos[i], arr[t]
+            arr[p], arr[t] = other, i
+            pos[other], pos[i] = p, t
+        start[k], end[k] = (s, b) if right else (b, e)
+        new_start, new_end = (b, e) if right else (s, b)
+        start.append(new_start)
+        end.append(new_end)
+        for i in moved:
+            cls[i] = len(start) - 1
+        # a vertex that now has cliques in both parts has one in the
+        # smaller part, and a clique is in the smaller part of at most
+        # log2(q) splits
+        queue.extend(moved if 2 * len(moved) <= e - s else arr[s:b] if right else arr[b:e])
+
     while True:
-        if head < len(queue):
-            x = queue[head]
-            head += 1
-            if done[x]:
-                continue
-            mine = vert_cliques[x]
-            first = last = cls[mine[0]]
-            for i in mine:
-                k = cls[i]
-                if span[k] < span[first]:
-                    first = k
-                elif span[k] > span[last]:
-                    last = k
-            if first == last:
-                continue  # not a pivot yet; a later split queues x again
-            done[x] = True
-            moves = (
-                (first, [i for i in mine if cls[i] == first], True),
-                (last, [i for i in mine if cls[i] == last], False),
-            )
-        else:
-            while nxt < q and span[cls[by_gen[nxt]]][1] - span[cls[by_gen[nxt]]][0] == 1:
-                nxt += 1
-            if nxt == q:
-                break
-            moves = ((cls[by_gen[nxt]], [by_gen[nxt]], True),)
-        for k, moved, right in moves:
-            s, e = span[k]
-            if len(moved) == e - s:
-                continue
-            b = e - len(moved) if right else s + len(moved)
-            for t, i in enumerate(moved, b if right else s):
-                p, other = pos[i], arr[t]
-                arr[p], arr[t] = other, i
-                pos[other], pos[i] = p, t
-            span[k] = (s, b) if right else (b, e)
-            span.append((b, e) if right else (s, b))
-            for i in moved:
-                cls[i] = len(span) - 1
-            # a vertex that now has cliques in both parts has one in the
-            # smaller part, and a clique is in the smaller part of at most
-            # log2(q) splits
-            smaller = moved if 2 * len(moved) <= e - s else arr[s:b] if right else arr[b:e]
-            for i in smaller:
-                queue.extend(cliques[i])
-    return arr
+        for c in queue:  # grows while it is read
+            for x in cliques[c]:
+                if done[x]:
+                    continue
+                mine = vert_cliques[x]
+                first = last = cls[mine[0]]
+                for i in mine:
+                    k = cls[i]
+                    if start[k] < start[first]:
+                        first = k
+                    elif start[k] > start[last]:
+                        last = k
+                if first == last:
+                    continue  # not a pivot yet; a later split queues x again
+                done[x] = True
+                split(first, [i for i in mine if cls[i] == first], True)
+                split(last, [i for i in mine if cls[i] == last], False)
+        queue.clear()
+        while nxt < q and end[cls[by_gen[nxt]]] - start[cls[by_gen[nxt]]] == 1:
+            nxt += 1
+        if nxt == q:
+            return arr
+        split(cls[by_gen[nxt]], [by_gen[nxt]], True)
 
 
 def clique_spans(

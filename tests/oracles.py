@@ -38,6 +38,10 @@ three loops, the χ cover with one branch per window shape and a size
 check, and the ω = χ certificate that checked its clique pair by pair and
 found each colour partner through index lists are the package's before
 each stated its rule once, kept as references for them.
+The clique order refinement that queued a copy of every vertex of the
+cliques each split set apart, and kept each class as a (start, end)
+tuple, is the package's before the queue held clique indices, kept as
+the reference its orders are compared with list for list.
 The trial division that found a divisor's exponent of one prime is the
 package's before each divisor class kept its exponents, kept for that
 certificate and as the reference for the valuation table. The vector-ring
@@ -757,6 +761,81 @@ def min_rank_clique_order(cliques: list[frozenset[int]], peo: list[int]) -> list
         for v in c:
             vert_cliques[v].append(i)
     gen = [min(map(rank.__getitem__, c)) for c in cliques]
+    by_gen, nxt = sorted(range(q), key=gen.__getitem__), 0
+    arr, pos, cls, span = list(range(q)), list(range(q)), [0] * q, [(0, q)]
+    done, queue, head = [False] * len(peo), [], 0
+    while True:
+        if head < len(queue):
+            x = queue[head]
+            head += 1
+            if done[x]:
+                continue
+            mine = vert_cliques[x]
+            first = last = cls[mine[0]]
+            for i in mine:
+                k = cls[i]
+                if span[k] < span[first]:
+                    first = k
+                elif span[k] > span[last]:
+                    last = k
+            if first == last:
+                continue  # not a pivot yet; a later split queues x again
+            done[x] = True
+            moves = (
+                (first, [i for i in mine if cls[i] == first], True),
+                (last, [i for i in mine if cls[i] == last], False),
+            )
+        else:
+            while nxt < q and span[cls[by_gen[nxt]]][1] - span[cls[by_gen[nxt]]][0] == 1:
+                nxt += 1
+            if nxt == q:
+                break
+            moves = ((cls[by_gen[nxt]], [by_gen[nxt]], True),)
+        for k, moved, right in moves:
+            s, e = span[k]
+            if len(moved) == e - s:
+                continue
+            b = e - len(moved) if right else s + len(moved)
+            for t, i in enumerate(moved, b if right else s):
+                p, other = pos[i], arr[t]
+                arr[p], arr[t] = other, i
+                pos[other], pos[i] = p, t
+            span[k] = (s, b) if right else (b, e)
+            span.append((b, e) if right else (s, b))
+            for i in moved:
+                cls[i] = len(span) - 1
+            # a vertex that now has cliques in both parts has one in the
+            # smaller part, and a clique is in the smaller part of at most
+            # log2(q) splits
+            smaller = moved if 2 * len(moved) <= e - s else arr[s:b] if right else arr[b:e]
+            for i in smaller:
+                queue.extend(cliques[i])
+    return arr
+
+
+def parent_consecutive_clique_order(cliques: list[tuple[int, ...]], peo: list[int]) -> list[int]:
+    """Order clique indices so every vertex's cliques appear consecutively.
+
+    One pass of partition refinement on the cliques (Habib, McConnell, Paul
+    and Viennot, TCS 2000). The classes are contiguous ranges of one array,
+    in their final left-to-right order. A pivot is a vertex whose cliques
+    lie in two or more classes: in the first of them its cliques move to
+    the right end, in the last to the left end. Each pivot is used once.
+    With no pivot left, the clique generated last by Lex-BFS among those
+    not yet alone moves to the right end of its class; a clique's generator
+    is its vertex that comes first in `peo`, which `maximal_cliques_chordal`
+    puts first in the clique. The refined order is
+    consecutive exactly when some order is; `clique_spans` tells which.
+    """
+    q = len(cliques)
+    rank = [0] * len(peo)
+    for i, v in enumerate(peo):
+        rank[v] = i
+    vert_cliques: list[list[int]] = [[] for _ in peo]
+    for i, c in enumerate(cliques):
+        for v in c:
+            vert_cliques[v].append(i)
+    gen = [rank[c[0]] for c in cliques]
     by_gen, nxt = sorted(range(q), key=gen.__getitem__), 0
     arr, pos, cls, span = list(range(q)), list(range(q)), [0] * q, [(0, q)]
     done, queue, head = [False] * len(peo), [], 0

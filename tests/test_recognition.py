@@ -46,6 +46,7 @@ from oracles import (
     planted_hole_graphs,
     two_at_unions,
 )
+from recognizer_stages import band_graph
 
 
 def test_c4_yields_hole():
@@ -361,6 +362,31 @@ def test_clique_order_matches_search_on_atlas():
 def test_clique_order_matches_search(g):
     assume(is_chordal(g))
     assert_order_matches_search(g)
+
+
+def assert_order_matches_parent_queue(g) -> int:
+    # the queue of clique indices reads the very vertices the queue of
+    # vertex copies popped, so the refined order is the same list; returns
+    # the number of cliques
+    elim = perfect_elimination_order(g)
+    assert elim.failure is None
+    cliques = maximal_cliques_chordal(elim)
+    order = consecutive_clique_order(cliques, elim.order)
+    assert order == oracles.parent_consecutive_clique_order(cliques, elim.order)
+    return len(cliques)
+
+
+@given(st.one_of(interval_graphs(), planted_at_graphs(), two_at_unions(), chordal_graphs()))
+@settings(max_examples=300, deadline=None)
+def test_clique_order_matches_parent_queue(g):
+    assert_order_matches_parent_queue(g)
+
+
+@pytest.mark.parametrize(
+    "g, q", [(empty_graph(0), 0), (complete_graph(6), 1), (band_graph(300), 150)], ids=["empty", "complete", "band"]
+)
+def test_clique_order_matches_parent_queue_on_fixed_graphs(g, q):
+    assert assert_order_matches_parent_queue(g) == q
 
 
 def assert_hole_found_as_by_scan(g):
