@@ -50,7 +50,7 @@ EXIT_BUDGET = 3
 
 
 def _emit(payload: dict | str, out_path: str | None) -> None:
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
+    text = payload if isinstance(payload, str) else json.dumps(payload, separators=(",", ":"))
     if not text.endswith("\n"):
         text += "\n"
     if out_path:
@@ -153,12 +153,8 @@ def _cmd_box(args) -> int:
         _info(f"boxicity exceeds {args.max}")
         return EXIT_OK
     value, cover = res
-    # the bytes of json.dumps({"boxicity": ..., "exceeded": False, "cover": ...}, indent=2)
-    _emit(
-        '{\n  "boxicity": %d,\n  "exceeded": false,\n  "cover": %s\n}'
-        % (value, cover_to_json(cover, "\n  ")),
-        args.output,
-    )
+    # the compact json.dumps of {"boxicity": ..., "exceeded": False, "cover": ...}
+    _emit('{"boxicity":%d,"exceeded":false,"cover":%s}' % (value, cover_to_json(cover)), args.output)
     _info(f"boxicity {value} with verified witness cover")
     return EXIT_OK
 

@@ -303,20 +303,14 @@ def graph_to_obj(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.sorted_edges()]}
 
 
-def graph_to_json(g: Graph, pad: str = "\n") -> str:
-    """Exactly `json.dumps(graph_to_obj(g), indent=2)` when `pad` is "\n".
+def graph_to_json(g: Graph) -> str:
+    """Exactly `json.dumps(graph_to_obj(g), separators=(",", ":"))`."""
+    return edges_to_json(g.n, g.sorted_edges())
 
-    `pad` is the newline and indentation of the object's own level, so the
-    text can stand as a value inside a larger indented document.
-    """
-    i1, i2, i3 = (pad + "  " * k for k in (1, 2, 3))
-    edge = "[" + i3 + "%d," + i3 + "%d" + i2 + "]"
-    edges = ("," + i2).join([edge % e for e in g.sorted_edges()])
-    return (
-        "{" + i1 + '"n": %d,' % g.n + i1 + '"edges": '
-        + ("[" + i2 + edges + i1 + "]" if edges else "[]")
-        + pad + "}"
-    )
+
+def edges_to_json(n: int, edges) -> str:
+    """The compact JSON graph object on 0..n-1 with `edges`, (u, v) pairs in the order given."""
+    return '{"n":%d,"edges":[%s]}' % (n, ",".join(["[%d,%d]" % e for e in edges]))
 
 
 def int_from_obj(x) -> int:

@@ -233,34 +233,20 @@ def cover_to_obj(cover: IntervalCover) -> dict:
     }
 
 
-def cover_to_json(cover: IntervalCover, pad: str = "\n") -> str:
-    """Exactly `json.dumps(cover_to_obj(cover), indent=2)` when `pad` is "\n".
+def cover_to_json(cover: IntervalCover) -> str:
+    """Exactly `json.dumps(cover_to_obj(cover), separators=(",", ":"))`.
 
-    `pad` is as in `graph_to_json`. The text is filled from one template per
-    vertex straight from the endpoints, with no intermediate dict: with
-    `indent` set the stdlib encoder runs in pure Python, one call per value.
+    The text is filled from one template per vertex straight from the
+    endpoints, with no intermediate dict.
     """
-    i1, i2, i3, i4, i5, i6 = (pad + "  " * k for k in range(1, 7))
-    end = "[" + i6 + "%d," + i6 + "%d" + i5 + "]"
-    vertex = '"%d": [' + i5 + end + "," + i5 + end + i4 + "]"
-    reps = []
-    for rep in cover.reps:
-        body = ("," + i4).join(
-            [
-                vertex % (v, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-                for v, (lo, hi) in enumerate(rep.intervals)
-            ]
-        )
-        reps.append(
-            "{" + i3 + '"n": %d,' % rep.n + i3 + '"intervals": '
-            + ("{" + i4 + body + i3 + "}" if body else "{}")
-            + i2 + "}"
-        )
-    return (
-        "{" + i1 + '"graph": ' + graph_to_json(cover.claimed_graph, i1) + ","
-        + i1 + '"reps": ' + ("[" + i2 + ("," + i2).join(reps) + i1 + "]" if reps else "[]")
-        + pad + "}"
-    )
+    reps = [
+        '{"n":%d,"intervals":{%s}}' % (rep.n, ",".join([
+            '"%d":[[%d,%d],[%d,%d]]' % (v, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+            for v, (lo, hi) in enumerate(rep.intervals)
+        ]))
+        for rep in cover.reps
+    ]
+    return '{"graph":%s,"reps":[%s]}' % (graph_to_json(cover.claimed_graph), ",".join(reps))
 
 
 def cover_from_obj(obj: dict) -> IntervalCover:

@@ -6,7 +6,9 @@ It imports no test framework, so it runs under any supported Python:
     PYTHONPATH=src python tests/golden_corpus.py
 
 runs every case in a temporary directory, prints each mismatch and exits 1
-if there is one. `tests/test_golden_cli.py` runs the same cases under pytest.
+if there is one. It also checks that every JSON output is exactly
+`json.dumps(obj, separators=(",", ":"))` of its own object plus a newline,
+so the format rule holds without pytest too. `tests/test_golden_cli.py` runs the same cases under pytest.
 """
 
 import contextlib
@@ -227,8 +229,8 @@ def key(argv):
     return " ".join(argv)
 
 
-def run_case(argv, tmp_path):
-    """Run one corpus command; returns (exit code, sha256 of the -o file)."""
+def run_output(argv, tmp_path):
+    """Run one corpus command; returns (exit code, bytes of the -o file or None)."""
     resolved = []
     for arg in argv:
         if arg.startswith("@"):
@@ -240,8 +242,19 @@ def run_case(argv, tmp_path):
         resolved.append(arg)
     out = tmp_path / "out"
     code = run(resolved + ["-o", str(out)])
-    digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
-    return code, digest
+    return code, out.read_bytes() if out.exists() else None
+
+
+def digest(data):
+    return None if data is None else hashlib.sha256(data).hexdigest()
+
+
+def is_canonical(argv, data) -> bool:
+    """Whether a JSON output is exactly its object's compact dump plus a newline;
+    the sweep commands write tab-separated tables, which pass as they are."""
+    if data is None or argv[0] == "sweep":
+        return True
+    return data == (json.dumps(json.loads(data), separators=(",", ":")) + "\n").encode()
 
 
 def main() -> int:
@@ -252,10 +265,15 @@ def main() -> int:
             tempfile.TemporaryDirectory() as tmp,
             contextlib.redirect_stderr(io.StringIO()),
         ):
-            got = run_case(argv, Path(tmp))
+            code, data = run_output(argv, Path(tmp))
+        got = code, digest(data)
         if got != GOLDEN[key(argv)]:
             failures += 1
             print(f"MISMATCH {key(argv)}: got {got}, recorded {GOLDEN[key(argv)]}")
+        elif not is_canonical(argv, data):
+            failures += 1
+            print(f"NOT COMPACT {key(argv)}: the output is not json.dumps of its object "
+                  "with separators=(',', ':') plus a newline")
     print(f"{len(CORPUS)} cases, {failures} mismatches on Python {sys.version.split()[0]}")
     return 1 if failures else 0
 

@@ -17,9 +17,11 @@ import boxlab.recognition
 import boxlab.zdg
 from boxlab import (
     ConstructionDefectError,
+    chi_cover,
     complete_graph,
     complete_multipartite,
     cover_from_obj,
+    cover_to_obj,
     cycle_graph,
     empty_graph,
     graph_to_obj,
@@ -681,6 +683,31 @@ def test_gen_output_reparses_bit_exact(tmp_path, capsys):
     first = path.read_text()
     code, _, _ = run_capture(capsys, ["gen", "zdg", "--n", "30", "-o", str(path)])
     assert path.read_text() == first
+
+
+def test_indented_inputs_read_as_their_compact_form(tmp_path, capsys):
+    # artifacts written as json.dumps(obj, indent=2), the form before the
+    # compact one, stay readable: each command gives the same exit code and bytes
+    cover = cover_to_obj(chi_cover(7, 2))
+    files = {"graph": cover["graph"], "cover": cover, "outer": graph_to_obj(complete_graph(2)),
+             "part": graph_to_obj(cycle_graph(4))}
+    results = []
+    for form in ({"indent": 2}, {"separators": (",", ":")}):
+        folder = tmp_path / str(len(results))
+        folder.mkdir()
+        path = {name: str(folder / f"{name}.json") for name in files}
+        for name, obj in files.items():
+            Path(path[name]).write_text(json.dumps(obj, **form))
+        results.append([
+            run_capture(capsys, argv)[:2]
+            for argv in (
+                ["verify", "--graph", path["graph"], "--cover", path["cover"]],
+                ["box", "--graph", path["graph"]],
+                ["cover", "join", "--outer", path["outer"], "--part", path["part"], "--part", path["part"]],
+            )
+        ])
+    assert [code for code, _ in results[0]] == [0, 0, 0]
+    assert results[0] == results[1]
 
 
 def test_direct_zdg_budget_exits_3(monkeypatch, capsys):

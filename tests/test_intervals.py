@@ -1,6 +1,11 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +23,7 @@ from boxlab import (
     cycle_graph,
     empty_graph,
     graph_of_intervals,
+    graph_to_obj,
     is_interval_graph,
     make_cover,
     make_graph,
@@ -32,6 +38,8 @@ from boxlab import (
     zn_prime_cover,
 )
 from boxlab.circular import block_window_rep
+from boxlab.cli import run
+from boxlab.graphs import graph_to_json
 from boxlab.intervals import VIOLATION_LIMIT, CoverViolation, IntervalRep, interval_adjacency
 from oracles import net_graph
 from oracles import graph_of_intervals as oracle_graph_of_intervals
@@ -194,13 +202,28 @@ def any_covers(draw):
     return make_cover(make_graph(n, edges), [make_rep(sorted(p) for p in m) for m in members])
 
 
+def compact(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
 @given(any_covers())
 @settings(max_examples=150)
 def test_cover_writer_matches_stdlib_encoder(cover):
-    assert cover_to_json(cover) == json.dumps(cover_to_obj(cover), indent=2)
-    # nested one level deep, as the box payload places it
-    nested = '{\n  "cover": ' + cover_to_json(cover, "\n  ") + "\n}"
-    assert nested == json.dumps({"cover": cover_to_obj(cover)}, indent=2)
+    assert cover_to_json(cover) == compact(cover_to_obj(cover))
+    assert graph_to_json(cover.claimed_graph) == compact(graph_to_obj(cover.claimed_graph))
+    # the box payload, with the oracle answering this cover for its graph
+    out = io.StringIO()
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        mock.patch("boxlab.cli.boxicity_exact", lambda g, max_l: (len(cover), cover)),
+        redirect_stdout(out),
+        redirect_stderr(io.StringIO()),
+    ):
+        path = Path(tmp) / "g.json"
+        path.write_text(graph_to_json(cover.claimed_graph))
+        assert run(["box", "--graph", str(path)]) == 0
+    payload = {"boxicity": len(cover), "exceeded": False, "cover": cover_to_obj(cover)}
+    assert out.getvalue() == compact(payload) + "\n"
 
 
 @given(reps())
