@@ -140,7 +140,7 @@ CORPUS = (
         # every d above kmax // 2 is skipped, so the table is the --dmax 7 one
         ["sweep", "circular", "--dmax", "1000000000000", "--kmax", "14"],
         ["verify", "--graph", "@e300", "--cover", "@e300_unit"],
-        # the largest vector ring (254 vertices; its join cover is 8.6 MB) and
+        # the largest vector ring (254 vertices; its join cover is 1.3 MB) and
         # 5040 = 2^4 * 3^2 * 5 * 7, several primes with one exponent above 3
         ["gen", "boolean", "--k", "8"],
         ["cover", "boolean", "--k", "8"],
@@ -151,77 +151,77 @@ CORPUS = (
 )
 
 GOLDEN = {
-    "cover zdg --n 6": (0, "88811587799571b576f94f06110e32798d71b12068ad8c4a71dd42bb797bad24"),
-    "cover zdg --n 12": (0, "65400b719eddaacad9b8e1f98e9b822fba369f4c87f31b59df96208dd31f41d0"),
-    "cover zdg --n 45": (0, "a8d51fd19d5ca2c340d09b7a4fdc1ca1c451bf4239a8279380daf626a0ca0203"),
-    "cover zdg --n 72": (0, "79b32577e736954536d48e2c0337801392072fd0c076552f58b3c3c9d31e56fd"),
-    "cover zdg --n 100": (0, "6b30e22a7bafd0287a1c5bd2d2065d7bf3121426305e2b9016491536638bb1bd"),
-    "cover zdg --n 180": (0, "ae9f1bc5bd2f51933cbe720c197d90a43dabf2fc95484aacfcd978b0a12abdb0"),
-    "cover zdg --n 210": (0, "26e8b015894dfe87342e8eb36377228d7767a40b02d8e9b79e35b459bad16ebd"),
-    "cover zdg --n 330": (0, "36ff9742ca2e944ce6f8f4f34d59552e97fc36ea6ab85d56514c4bb853eb1ca7"),
-    "cover zdg --n 8": (0, "ffd60a8ed049e4d235e96f749a01adb59487e037ba05df46ec664ab11e5001d0"),
-    "cover zdg --n 27": (0, "f4978203e1302bd8ba9a0f6d9f4c48481319f99601f06022d577eaf4008b8e21"),
-    "cover zdg --n 49": (0, "6b224ad6a8a7407a6ac54a4464e75c79cf8d050bf083328f45f488f24a999ac4"),
-    "cover zdg --n 81": (0, "a0b155eb45fdba7fe1e27c7a21f63968518b353a65bad3cde949820906d463b3"),
-    "cover boolean --k 2": (0, "8fd5a21223c10f60c0beadd4e8533c089cfd586e077497add90719a77696d4f0"),
-    "cover boolean --k 3": (0, "987698cb048062e8c06667b1978096e04869cc990adb6245da67bc9615d91d2e"),
-    "cover boolean --k 4": (0, "4d8fbd5f4a0d80952ab659f56ee46518e9e38ca14c59c5c6e3f9cf619cf6db68"),
-    "cover boolean --k 5": (0, "ad221ddaac581c4d9becffe82da1f5c8c12774ff7156e052a6ce6ad503e0a02a"),
-    "cover boolean --k 6": (0, "c177278227bd4e974da5ed8b727711c6ad51732a9ff4f849bf26a388d7ea5a82"),
-    "cover zdg --n 6 --method join": (0, "3ec96c416c83a26e300c9f72f42a4a1b0a01795085c5272d0fa7b3133ca88c50"),
-    "cover zdg --n 12 --method join": (0, "3aac6df349810d1b6f7ad68fa67435309adf5258e26417f00b71d7603627a200"),
-    "cover zdg --n 45 --method join": (0, "855d89e09a8c8d09e20ac362aa5d1f6775c3b8b3f087ae6f77bd468ab3c04080"),
-    "cover zdg --n 72 --method join": (0, "d0382c1cea1499c66e63da850a70995560860049c01e7ab51586d68f0a3f687f"),
-    "cover zdg --n 100 --method join": (0, "028f923f729ef438114972b91572169b26223877659da7ff57825471971afab1"),
-    "cover zdg --n 180 --method join": (0, "99acad95756f012017a4ebca7b50fcdf141665f2b44b40b879e7fae7f834d23d"),
-    "cover zdg --n 210 --method join": (0, "050a84690c3de69b6bca036acaafe872d5c77b2cd84e391241f796d0ae04a168"),
-    "cover zdg --n 330 --method join": (0, "a95b9f6ae9f5268dc1f915d0ad290e2eee08889ec0c992b9fcba14f94732f67c"),
-    "cover boolean --k 2 --method join": (0, "6a9ee846f8aaf2710e3b2fd52a7c2a2818318761a65601130509aee88823b308"),
-    "cover boolean --k 3 --method join": (0, "4e0b94a4d4d2ed8ecca9abd4e7a007401cc4fd2be6739337f3a6f807191c754c"),
-    "cover boolean --k 4 --method join": (0, "8655323378fafcf6aad13ce093cc1ac0155cbe8c601328628051c250c0c0a3a0"),
-    "cover boolean --k 5 --method join": (0, "a82524a7e0e4bd2a49ef85e65194c23c1e2e60181dae18db48e24f8ef2518a60"),
-    "cover boolean --k 6 --method join": (0, "858601a2b583834aa64451f563dd7068a3aa2d567dffa94a0c9c90312aa90242"),
-    "cover circular --k 4 --d 2": (0, "82e77a65742973b7b84ab3d13dc2e823a85e83c453f959d89f21f6adfbceb19a"),
-    "cover circular --k 6 --d 3": (0, "ee58ebd1c0f63f3ee292f5b0c954e198bb73d2b5c0bd99f327780c9c61ea1339"),
-    "cover circular --k 7 --d 2": (0, "67a9bfc96dd368120d7b25d3e8612d4cc8013f31d5683dc6e85019f4406851bc"),
-    "cover circular --k 11 --d 4": (0, "96b2fea524d2bcf21136f2d3237c192e21175219dc208aa85c1b737f775cd960"),
-    "cover circular --k 13 --d 5": (0, "1d540b070cc0251da27614965d588e525d8f154b4cdc0ecbcb3d65b3ee79d416"),
-    "cover circular --k 30 --d 4": (0, "241e67d9c19ce4d4c7f97af99f11e41a9f35735e9a8c73585481b5b3ba987e01"),
-    "cover circular --k 11 --d 5": (0, "4e86589a601f6b5c3a4baa7cd3745d338f7c30e43546b8f452866c4179518c42"),
-    "cover circular --k 13 --d 6": (0, "b8732bcd7b8bf76c4f89c7be44c0745db2eec67828bb8a6e7a792e2f95c91eda"),
-    "cover circular --k 17 --d 7": (0, "b7bc9332c358b3c0e5f6aa9476203e3664a1336c382c6c3fe6c67b1140ae4501"),
-    "cover join --outer @p3 --part @c4 --part @k2 --part @e3": (0, "cdaf2927a5bea36d6e2c2a304218b6d3adbdc8ebc5d19bde062a5a7e0607a269"),
-    "cover join --outer @k3 --part @k3 --part @c4 --part @p3 --skip 0": (0, "b94af69c574d4214a208a93c8ed88cc23b0adfa336d7562a2df1e35003f0e8a9"),
-    "box --graph @c4": (0, "ef9a00cbc39b25ff1feb612a79a6a02c007013637cebeba24150c59880bdcda1"),
-    "box --graph @c4 --max 1": (0, "62cc4307f5f5767007081675809562429425f2cf79406fe7bfabf5a525df9a88"),
-    "box --graph @int10": (0, "2adf3b2f17f74552f40a7d8a4342821f08b5f94431bb4e329f91fedfd0c7e5b8"),
-    "box --graph @p6": (0, "e2379e98da2476cb482931f84703130f3fb37def2612879092b85ab3c8fe3ed2"),
-    "box --graph @net": (0, "8a1312a312d7e3504de6428a2703f38d0ce8a03f4e5d44586aaded7d97cb7c4e"),
-    "box --graph @claw7": (0, "b77afe09fe9fafcdc95fd16073ce10f33609bca572c445abcf9ac85311d570f3"),
-    "zdg report --n 72": (0, "dbbbc55883130edd6d883fc465d9c5740edcf279df24ba1cd5f84de8c7651b35"),
-    "zdg report --n 2310": (0, "d43e010b8a096cd6ab4ed30a4b5742267c4146fb28597f4b094bd3de72b40682"),
-    "zdg report --n 25": (0, "bcb361d8c7e819c0c045a4fd57273c6221148e71ace22be3c25f9ed148b2a368"),
-    "zdg report --n 13": (0, "578cf1863277de078b465ce7a4c04ede4c5cbaf8049ae1cd72d6b091e3afcecc"),
-    "gen zdg --n 72": (0, "c8540d0fdf0f54c23696de67ef54b02aab177ceda50b750c445ceb0e1173a1f0"),
-    "gen zdg --n 2310": (0, "6a0488debcf36bba9ef2b7429258a65a2f69cffb8096184c2d6c7e746086ef7c"),
-    "cover zdg --n 2310": (0, "2dfcd430ff2393f546eb2e719ab8cc8e66f1dd9a5fab045751be5f246396d02d"),
-    "gen zdg --n 72 --compressed": (0, "499c2a31e5908654f567cc37f88bc77e851449f39972bf985c020cb271b8cfbe"),
-    "gen zdg --n 4": (0, "ef1d4eb1223222acd550fa485a21ec244cd504664caf8d3668784a3dc3e874e0"),
-    "gen boolean --k 3": (0, "240be8b269ffec516bf6da90e43bf7455a03234b6f96a0e66691a3add1f46d7b"),
-    "gen circular --k 7 --d 2": (0, "fc924cf7197ef7457e31f5933c403935778d29832c0f55887ea803776b5eb1f1"),
+    "cover zdg --n 6": (0, "cdbf0711d8d52422d8057e91fc9891c99a84c7908419dfe37aef7961194560eb"),
+    "cover zdg --n 12": (0, "343f32f67456fc8f65ff442ff5ac810fb8d7f95058759e13557d8b842e4bd21f"),
+    "cover zdg --n 45": (0, "bfcec149f91bf4104986fc3c691eaace585f2d5ba5e843818cf4ea7285d495ed"),
+    "cover zdg --n 72": (0, "9a45fddf86849c98f144ab9afbf9ffa4cc2f66e37526f4f886d483ad3c55726b"),
+    "cover zdg --n 100": (0, "86e6c68b8ce7a8ac25956309549b5b250e8c39bebd411249a754df6ebf6b2140"),
+    "cover zdg --n 180": (0, "931b5fdda52e9c08639c56c89b3e6d97e7b505f7c453c557a12091c8bc3c16f7"),
+    "cover zdg --n 210": (0, "60bff01348441b03c1b2ee85986cdf3cc0605a17038fc18c2c69b2805c52c2af"),
+    "cover zdg --n 330": (0, "0df280c2ff767d518e7f5d46150d0029ca11c8c9e66da03928059b35c4fd5ead"),
+    "cover zdg --n 8": (0, "daee59791be995f45e2780df00d3262d0d5a2585ed1b738e466c0886cefa93a2"),
+    "cover zdg --n 27": (0, "81e7a13795417d3a52c6ccff8dd86e6a88ae5646d73a4df75847844720a0b22a"),
+    "cover zdg --n 49": (0, "9516ee3637c7ea2bb0038bd412001095eb83a2aa4a2132756c746b8ff2f8342f"),
+    "cover zdg --n 81": (0, "4d7dc3f37addbf89c9e04eb34e855c0e709107664579a427b400a949b3f30c3e"),
+    "cover boolean --k 2": (0, "abc6602bc557cc335b8f346049d145c234c2340b5df90df32f217962d31bb46e"),
+    "cover boolean --k 3": (0, "ef0fa0b04cef4f140461dd8026209e173036f69f5cd1d0f50d5f605dbdf621e4"),
+    "cover boolean --k 4": (0, "38104b7049e5ffc324b9f61b92c96ea6a650238854648c5ff0dfcd31c8f37c9e"),
+    "cover boolean --k 5": (0, "49611c6528e4a52459777ddebffdc6894b9e55c3c250e114c5f5cfbdd3e334e9"),
+    "cover boolean --k 6": (0, "468afe0e3dec0dc1f6d8ebbaaffda93cf475931d9d9a9d910d157225eb92375a"),
+    "cover zdg --n 6 --method join": (0, "456aeabc02ea094386c73852e7d12e47bdfa946477e6134b89c0ed4da2ede994"),
+    "cover zdg --n 12 --method join": (0, "2a426985581ee07a7f211d066df756fb27c28170ea994d2a18d58f0a9f359a96"),
+    "cover zdg --n 45 --method join": (0, "167fdd54d3d179bb7c0b20a46067939b909d36f6b96ae9e70ac691c6f76bc584"),
+    "cover zdg --n 72 --method join": (0, "9170236ea11f4bb8803aad5e09325d1a7f075cda05a7b7b6dda97e17362c5464"),
+    "cover zdg --n 100 --method join": (0, "eee8c7afabac17d2ce87a9c060a1535d5a9001f34b78017e4f6a7e91f6b7a7fd"),
+    "cover zdg --n 180 --method join": (0, "a035b08d97d1f758d639d2925e04777ae21ecd06c1f0b7a5c1c90b54ff819095"),
+    "cover zdg --n 210 --method join": (0, "04adeb8454cad3fab5c922979de896107f414d0ef7ebf8313a274fa5bcf770ea"),
+    "cover zdg --n 330 --method join": (0, "c27177015fd3e5f3dcec90ce8ebdfeaef86795e53f0ddfc69364d10e23cb8e24"),
+    "cover boolean --k 2 --method join": (0, "a7325da89661b0c99a522e0d9f456f934804af1f15fc30b6aced550427b54996"),
+    "cover boolean --k 3 --method join": (0, "f394e8867e99d2454019ec3edda100201cd54d11d55090909cf6d8d835d5fce9"),
+    "cover boolean --k 4 --method join": (0, "36e67e758b5d5830c3806c6247016fcb76ce1fa7215b86547c026919cb0336c8"),
+    "cover boolean --k 5 --method join": (0, "2f1acf902156043964d55fe592ef187dd45b2ded5262979f70bb31c93e66bfdc"),
+    "cover boolean --k 6 --method join": (0, "7800ef21f3477505fe7a0b512f83a115a7c55cc6deb1240f483746979bf6eb5b"),
+    "cover circular --k 4 --d 2": (0, "03796479c209ab76595334a72f2a3993b267cf04b96aebc029f3a17e2117edd0"),
+    "cover circular --k 6 --d 3": (0, "85614c7d2217da7a5feea1e20adddcef76c1f4c4aacdc0dd0300db00851fff99"),
+    "cover circular --k 7 --d 2": (0, "cdb517ce663d0ca5b54ef826b265578027e460e38090e153c4bac400a7dc2e8e"),
+    "cover circular --k 11 --d 4": (0, "0e99952e056c4ebdef811221dec2a93089a2aa960a99fe95e353bf7c25e74033"),
+    "cover circular --k 13 --d 5": (0, "17a2dbdb2b0830eb50e84df9ee17c54458e1dc6afad87e6a27152ee704489458"),
+    "cover circular --k 30 --d 4": (0, "c15f14d21fae9968afcff02a5aad7a62ad6511fd2d93df2e59d302515f1a7c40"),
+    "cover circular --k 11 --d 5": (0, "18c5ed583868b5a28343e930d68b61ab124ed5af66304cfe206f3c88f76b0e44"),
+    "cover circular --k 13 --d 6": (0, "fa19c530b2ca5d58b69039a975a2cb8fc96262005501084f6d3163ccf2dcd1b6"),
+    "cover circular --k 17 --d 7": (0, "53f94fc192c748a3fc4c30a08b836b28d8bd412d63dccd689f0e6a3e1f82e9c9"),
+    "cover join --outer @p3 --part @c4 --part @k2 --part @e3": (0, "0e6d9cfa93c097988daf898a8144e6c7530f35b972434abc21c722122a25892a"),
+    "cover join --outer @k3 --part @k3 --part @c4 --part @p3 --skip 0": (0, "acf94346282444750b86ebff78a7d29496389b5591c5b01e91b189103d4bca6b"),
+    "box --graph @c4": (0, "f0a55c8f8f0a2aa6104b1aae7ee5c648631d15138ddaecad6942a8a166ef44a3"),
+    "box --graph @c4 --max 1": (0, "3b8382a7e83e13bdb2ce80ce5af920fd270a22df7d311849accfd163b6050200"),
+    "box --graph @int10": (0, "dbaef19e31108b4ec48a64adcb279eaa7db80b4bb16679fb6c2fb224b40f17a4"),
+    "box --graph @p6": (0, "d530ced92b77a258653495eaefefaef0138127f2ceeab0955e6ee861d1426a84"),
+    "box --graph @net": (0, "fa83f56e1461ffe4d1dd66ea206a8195cdc9665167273fcbfecb5bb481313d5a"),
+    "box --graph @claw7": (0, "5bdb6a56194db22753ebdc650a82e8f3a6f7ed767024aecd996aeb9e4629cc07"),
+    "zdg report --n 72": (0, "ed60ff63ec4b27f32d44b1331d043d714ba288bf88aaef263a279ca97c7015a3"),
+    "zdg report --n 2310": (0, "75e7b7c819da10d1885e9c3de010bf57e41a17e59c187e1c9a4f5354815d1b8f"),
+    "zdg report --n 25": (0, "af080f243dbcdf871d62513b577b8d4535e4c98ba9a68e20a423709932860542"),
+    "zdg report --n 13": (0, "e379e192108c7250e44224e2f640bd6e2139c57ce925b4be7d928aae72c11acd"),
+    "gen zdg --n 72": (0, "1f7ff8ce18ff72d2d02e122d5eda0dffa2d0d4cd5c8b5312e2f92add24874a9f"),
+    "gen zdg --n 2310": (0, "57c918ea52a906efaade4cc2ac7c815dbfcc5ebbd1e9e0cac9bf3c83dd276a38"),
+    "cover zdg --n 2310": (0, "49aa77aea47a365819d1b563791e40c6f8030fe43203ce5c1eb2bf4adb2f7f32"),
+    "gen zdg --n 72 --compressed": (0, "d11ce924f6b22917b8828db5ab64fd09fc34b5e96e46f602a070078ee09f621d"),
+    "gen zdg --n 4": (0, "f329a3ec6e8e0a448650a5d6eb30488190e6d33b325791a945c669c4fdb4b06e"),
+    "gen boolean --k 3": (0, "8e3434a685dfd970b6cfa4d5802190938f11f6e942050fdbe3d16b8541293635"),
+    "gen circular --k 7 --d 2": (0, "2a3b89806434a7fe37c80effa503fb30cc47105336555f06f80902841f993bbb"),
     "sweep circular --dmax 4 --kmax 14": (0, "27f8274e46f9411492e13e8bbe52eb543dc3ebd9b2d207726972d01e43ca1e52"),
     "sweep zdg --nmax 60": (0, "8c0e3b8b70160b28fda8ae4553adbf2d7d2ad0b2a882aab2adb2874ee52bb012"),
-    "verify --graph @z72 --cover @z72_cover": (0, "c755d3dcbec482786aeb857e92c35427050cfbe6e77d1997e67f6ecb1537b7ba"),
-    "verify --graph @z72 --cover @z72_far": (1, "6ae691cd9416346babc5ea0e64ec1a816a49ee2053be69d95c65a3a5319bbac0"),
-    "verify --graph @z72 --cover @z72_dropped": (1, "9d5cfe27259288ac5732654d1c5dae22e4a20357c0f073459352f83a3ee62e8a"),
-    "verify --graph @z72 --cover @z72_short": (1, "263e7e7b9ba597a05c87d937613c18cac3bef86c9134935b331ab581367660f7"),
+    "verify --graph @z72 --cover @z72_cover": (0, "df445f3d5d344ad8982e7cb8ace0e789d031222411b7436ae71bb4b85f485020"),
+    "verify --graph @z72 --cover @z72_far": (1, "cfdc68819eb3c9229c6b038b7460ad4bb9f3bffa2d15f78e1e88034909f2d737"),
+    "verify --graph @z72 --cover @z72_dropped": (1, "a7888278b318e6cbcd36273075de3d68c212103c7701a2d48cbe1090d518cddd"),
+    "verify --graph @z72 --cover @z72_short": (1, "35de0bf228857619fb868bb1ed4711e9e16b761b90002f6e18d542bd4a9d9409"),
     "sweep circular --dmax 1000000000000 --kmax 14": (0, "2d1691ffd4a396ce7a4d5c965b98284e8c43da2ab5b2f191b1287a50cc3a68bf"),
-    "verify --graph @e300 --cover @e300_unit": (1, "4e41036450d83a1ac8617fa4fa0a12c2232331ee3a36cef84d58f4145ccf3d96"),
-    "gen boolean --k 8": (0, "9303baefb7ab2cf9246aaa4cc4417b1fb64de8d7b724b089f7be7605ecb19c1f"),
-    "cover boolean --k 8": (0, "c9931d4963d74969d55b2d3dd9c14cee57b49d0516cf37f06bf18a398720f917"),
-    "cover boolean --k 8 --method join": (0, "44432994fd1c39956c9d1af513c179025cea274fd05add815e0e11ad75ba3700"),
-    "cover zdg --n 5040": (0, "17232a6243e5f69dca47ad600102bc92e0247e679fd12a782900c7f1cfae4cc8"),
-    "zdg report --n 5040": (0, "21703674b4e84b06fb0be7a03c029b45def5b0c121ed8e1b4f1c245db242a93d"),
+    "verify --graph @e300 --cover @e300_unit": (1, "599d9c344b4a8edaee0c3867ce70af07946843771852ce54a53a3348fcb72701"),
+    "gen boolean --k 8": (0, "7b37f38a274d10021e2bdf171eb60da59d4bbe4cd3029abb0967c8806a8c3d05"),
+    "cover boolean --k 8": (0, "4e3bd6d6aae3ac355d78832d544e931ba32bb8d398e602826c8b1e53e20b5857"),
+    "cover boolean --k 8 --method join": (0, "89a91fb4c9418a6deb860edb13f5ede66c7347f2a7105415bd6e959accf7d470"),
+    "cover zdg --n 5040": (0, "de4a9339d5a349706015e3ea44df8c7bb74a373ad263d1d7b637ae5033ce8adc"),
+    "zdg report --n 5040": (0, "5038fd6191a77243a56629425b5612c2f556c8214851a0c23035d5d15e84557d"),
 }
 
 
