@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError
-from .graphs import Graph, check_edge_budget, check_vertex_budget
+from .graphs import Graph, check_edge_budget, check_vertex_budget, edges_to_json
 from .intervals import Interval, IntervalCover, IntervalRep, point, verified_cover
 
 
@@ -30,15 +30,20 @@ def circular_params(k: int, d: int) -> tuple[int, int]:
     return divmod(k, d)
 
 
-def check_circular_budget(k: int, d: int) -> None:
-    """Refuse, before anything is allocated, a circular clique over the edge or vertex budget.
+def check_circular_edges(k: int, d: int) -> None:
+    """Refuse, before anything is allocated, a circular clique over the edge budget.
 
     Each vertex meets the k - 2d + 1 others at circular distance d or more.
     """
     circular_params(k, d)
-    what = f"the circular clique (k={k}, d={d})"
-    check_edge_budget(k * (k - 2 * d + 1) // 2, what)
-    check_vertex_budget(k, what)  # the masks of a near-matching span all k bits
+    check_edge_budget(k * (k - 2 * d + 1) // 2, f"the circular clique (k={k}, d={d})")
+
+
+def check_circular_budget(k: int, d: int) -> None:
+    """Refuse, before anything is allocated, a circular clique over the edge or vertex budget."""
+    check_circular_edges(k, d)
+    # the masks of a near-matching span all k bits
+    check_vertex_budget(k, f"the circular clique (k={k}, d={d})")
 
 
 def circular_clique(k: int, d: int) -> Graph:
@@ -46,6 +51,14 @@ def circular_clique(k: int, d: int) -> Graph:
     check_circular_budget(k, d)
     ring, base = (1 << k) - 1, (1 << k - 2 * d + 1) - 1 << d
     return Graph.from_adj([(base << i | base >> k - i) & ring for i in range(k)])
+
+
+def circular_clique_json(k: int, d: int) -> str:
+    """Exactly `graph_to_json(circular_clique(k, d))`, written straight from k
+    and d: the later neighbours of u are u+d..u+k-d, up to k-1. No bitset is
+    built, so only the edge budget bounds it."""
+    check_circular_edges(k, d)
+    return edges_to_json(k, [(u, v) for u in range(k) for v in range(u + d, min(k, u + k - d + 1))])
 
 
 def circular_chi(k: int, d: int) -> int:

@@ -21,7 +21,7 @@ import sys
 from functools import cache
 
 from .boxicity import DEFAULT_MAX_COVERS, boxicity_exact
-from .circular import check_circular_budget, chi_cover, circular_chi, circular_clique
+from .circular import check_circular_budget, chi_cover, circular_chi, circular_clique_json
 from .errors import ConstructionDefectError, InputError, ResourceBudgetError
 from .graphs import graph_from_obj, graph_to_obj
 from .intervals import VIOLATION_LIMIT, cover_from_obj, cover_to_json, make_cover, verify_cover
@@ -82,7 +82,7 @@ def _info(msg: str) -> None:
 
 def _cmd_gen(args) -> int:
     if args.family == "circular":
-        obj = graph_to_obj(circular_clique(args.k, args.d))
+        obj = circular_clique_json(args.k, args.d)
     elif args.family == "boolean":
         g, labels = boolean_ring_graph(args.k)
         obj = graph_to_obj(g)

@@ -1,6 +1,10 @@
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxlab import (
     InputError,
@@ -21,6 +25,8 @@ from boxlab.circular import (
     rotate_rep,
     step_window_rep,
 )
+from boxlab.cli import run
+from boxlab.graphs import graph_to_json
 
 import oracles
 from oracles import is_independent
@@ -44,6 +50,17 @@ def test_circular_clique_examples():
     assert circular_clique(4, 2).sorted_edges() == [(0, 2), (1, 3)]
     with pytest.raises(InputError):
         circular_clique(3, 2)
+
+
+@given(st.integers(2, 60).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, k // 2))))
+@settings(max_examples=150)
+def test_gen_circular_writes_the_graph_writer_bytes(kd):
+    # `gen` writes the edges straight from k and d, with no Graph
+    k, d = kd
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run(["gen", "circular", "--k", str(k), "--d", str(d)]) == 0
+    assert out.getvalue() == graph_to_json(circular_clique(k, d)) + "\n"
 
 
 def test_chi_formula():

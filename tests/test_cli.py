@@ -807,14 +807,18 @@ def test_circular_clique_over_the_edge_budget_exits_3_before_building(monkeypatc
 
 def test_circular_cover_over_the_vertex_budget_exits_3_before_building(monkeypatch, capsys):
     # k = 2d + 1 is a cycle, far inside the edge budget, but the masks of a
-    # near-matching span all k bits, so `gen` is held to the same limit
+    # near-matching span all k bits, so the cover is held to the vertex limit;
+    # `gen` builds no masks and writes the k edges
     monkeypatch.setattr(boxlab.graphs.Graph, "from_adj", _refuse("Graph.from_adj"))
     monkeypatch.setattr(boxlab.circular, "point", _refuse("point"))
     k = VERIFY_MAX_N + 1
-    for verb in ("gen", "cover"):
-        code, out, err = run_capture(capsys, [verb, "circular", "--k", str(k), "--d", str(k // 2)])
-        assert code == 3 and out == ""
-        assert f"has {k} vertices, the check's limit is {VERIFY_MAX_N}" in err
+    code, out, err = run_capture(capsys, ["cover", "circular", "--k", str(k), "--d", str(k // 2)])
+    assert code == 3 and out == ""
+    assert f"has {k} vertices, the check's limit is {VERIFY_MAX_N}" in err
+    code, out, _ = run_capture(capsys, ["gen", "circular", "--k", str(k), "--d", str(k // 2)])
+    assert code == 0
+    edges = json.loads(out)["edges"]
+    assert len(edges) == k and edges[:2] == [[0, k // 2], [0, k // 2 + 1]] and edges[-1] == [k // 2, k - 1]
 
 
 def test_sweep_circular_refuses_an_oversized_kmax_before_its_first_row(monkeypatch, capsys):
