@@ -8,7 +8,8 @@ It imports no test framework, so it runs under any supported Python:
 runs every case in a temporary directory, prints each mismatch and exits 1
 if there is one. It also checks that every JSON output is exactly
 `json.dumps(obj, separators=(",", ":"))` of its own object plus a newline,
-so the format rule holds without pytest too. `tests/test_golden_cli.py` runs the same cases under pytest.
+so the format rule holds without pytest too. `tests/test_golden_cli.py`
+runs the same cases under pytest.
 """
 
 import contextlib
