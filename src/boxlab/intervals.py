@@ -237,7 +237,8 @@ def cover_to_json(cover: IntervalCover) -> str:
     """Exactly `json.dumps(cover_to_obj(cover), separators=(",", ":"))`.
 
     The text is filled from one template per vertex straight from the
-    endpoints, with no intermediate dict.
+    endpoints, with no intermediate dict, which is faster than
+    `cover_to_obj` through the stdlib encoder.
     """
     reps = [
         '{"n":%d,"intervals":{%s}}' % (rep.n, ",".join([
