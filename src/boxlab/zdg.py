@@ -372,12 +372,10 @@ def zn_join_cover(c: CompressedZN) -> IntervalCover:
     The nilpotent classes are complete and pairwise joined, so they lift
     nothing; every other class is independent and lifts its one `unit_rep`
     onto its positions in the direct graph. The size is exactly the
-    compressed vertex count minus the nilpotent clique size.
+    compressed vertex count minus the nilpotent clique size. For N = p^2
+    the one class is nilpotent, so nothing lifts, and `join_cover`'s one
+    shared member covers the complete graph K_(p-1).
     """
-    if all(c.complete):
-        raise InputError(
-            f"every class of N={c.N} is nilpotent; the skip construction needs one more class"
-        )
     # the positions first: the direct graph's limit refuses before the members are built
     positions = c.positions
     part_reps = [() if comp else (unit_rep(n, False),) for n, comp in zip(c.sizes, c.complete)]

@@ -148,6 +148,8 @@ CORPUS = (
         ["cover", "boolean", "--k", "8", "--method", "join"],
         ["cover", "zdg", "--n", "5040"],
         ["zdg", "report", "--n", "5040"],
+        # N = p^2: one nilpotent class, so the join's one shared member
+        ["cover", "zdg", "--n", "9", "--method", "join"],
     ]
 )
 
@@ -223,6 +225,7 @@ GOLDEN = {
     "cover boolean --k 8 --method join": (0, "89a91fb4c9418a6deb860edb13f5ede66c7347f2a7105415bd6e959accf7d470"),
     "cover zdg --n 5040": (0, "de4a9339d5a349706015e3ea44df8c7bb74a373ad263d1d7b637ae5033ce8adc"),
     "zdg report --n 5040": (0, "5038fd6191a77243a56629425b5612c2f556c8214851a0c23035d5d15e84557d"),
+    "cover zdg --n 9 --method join": (0, "125a104081bc1c88f2c1957f877dc014c6c69980b901206edce1ea3f8a717e43"),
 }
 
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -449,17 +450,17 @@ def test_boolean_ring_k7_default_cover_has_k_members(capsys):
     assert verify_cover(cover)[0]
 
 
-@pytest.mark.parametrize("n", [9, 25, 49])
+@pytest.mark.parametrize("n", [4, 9, 25, 49, 121])
 def test_cover_zdg_prime_square(n, capsys):
-    # one complete class: the default emits its one member, the join refuses
-    code, out, err = run_capture(capsys, ["cover", "zdg", "--n", str(n)])
-    assert code == 0
-    cover = cover_from_obj(json.loads(out))
-    assert len(cover) == 1 and verify_cover(cover)[0]
-    assert err == f"cover of size 1 for the zero-divisor graph of {n} verified\n"
-    code, out, err = run_capture(capsys, ["cover", "zdg", "--n", str(n), "--method", "join"])
-    assert code == 2 and out == ""
-    assert "every class" in err and "nilpotent" in err
+    # one complete class: the default emits its one member, and the join,
+    # with nothing to lift, its one shared member
+    for method in ("prime", "join"):
+        code, out, err = run_capture(capsys, ["cover", "zdg", "--n", str(n), "--method", method])
+        assert code == 0
+        cover = cover_from_obj(json.loads(out))
+        assert len(cover) == 1 and verify_cover(cover)[0]
+        assert cover.claimed_graph == complete_graph(math.isqrt(n) - 1)
+        assert err == f"cover of size 1 for the zero-divisor graph of {n} verified\n"
 
 
 def test_boolean_ring_above_cap_exits_3_before_building(monkeypatch, capsys):

@@ -239,9 +239,13 @@ def test_zn_join_cover_examples():
     assert len(cover8) == 1 and verify_cover(cover8)[0]
 
 
-def test_zn_join_cover_rejects_single_complete_class():
-    with pytest.raises(InputError):
-        zn_join_cover(compressed_zn(9))
+def test_zn_join_cover_covers_a_single_complete_class():
+    # N = p^2: the one class is nilpotent, nothing lifts, and join_cover's
+    # one shared member covers K_(p-1)
+    for p in (2, 3, 5, 7, 11):
+        cover = zn_join_cover(compressed_zn(p * p))
+        assert len(cover) == 1 and verify_cover(cover)[0]
+        assert cover.claimed_graph == complete_graph(p - 1)
 
 
 def test_is_box_one_examples():
