@@ -40,7 +40,7 @@ import os
 
 from .errors import ConstructionDefectError, InputError, ResourceBudgetError
 from .graphs import Graph, bits, induced_subgraph
-from .intervals import IntervalCover, IntervalRep, verified_cover
+from .intervals import IntervalCover, IntervalRep, region_rep, verified_cover
 from .recognition import Obstruction, is_interval_graph
 
 DEFAULT_VERTEX_BUDGET = 10
@@ -213,34 +213,21 @@ def _boxicity_reps(g: Graph, max_l: int = DEFAULT_MAX_COVERS) -> tuple[int, list
     if g.n == 0:
         return 0, [IntervalRep(())]
 
-    comps = g.connected_components()
-    per_comp = []
+    blocks, comp_reps = [], []
     value = 1
-    for comp in comps:
+    for comp in g.connected_components():
         sub, vmap = induced_subgraph(g, comp)
         res = _component_boxicity(sub, max_l, e_budget)
         if res is None:
             return None
-        ell, reps = res
-        per_comp.append((vmap, reps))
-        value = max(value, ell)
+        blocks.append(vmap)
+        comp_reps.append(res[1])
+        value = max(value, res[0])
 
-    # assemble: cover j takes each component's j-th rep (first rep repeated
-    # once a component runs out), normalized onto disjoint segments so cross
-    # pairs stay non-adjacent in every cover; the recognizer's reps have int
-    # endpoints, so the segments do too
-    reps_out = []
-    for j in range(value):
-        intervals: list = [None] * g.n
-        cursor = 0
-        for vmap, reps in per_comp:
-            rep = reps[j] if j < len(reps) else reps[0]
-            lo_min = min(lo for lo, _ in rep.intervals)
-            hi_max = max(hi for _, hi in rep.intervals)
-            shift = cursor - lo_min
-            for new_v, old_v in enumerate(vmap):
-                lo, hi = rep.intervals[new_v]
-                intervals[old_v] = (lo + shift, hi + shift)
-            cursor += (hi_max - lo_min) + 1
-        reps_out.append(IntervalRep(tuple(intervals)))
-    return value, reps_out
+    # cover j lays each component's j-th rep (its first once it runs out) on
+    # a region of its own, so cross pairs stay non-adjacent in every cover
+    apart = Graph.from_adj([0] * len(blocks))
+    return value, [
+        region_rep(apart, blocks, {c: reps[j] if j < len(reps) else reps[0] for c, reps in enumerate(comp_reps)})
+        for j in range(value)
+    ]

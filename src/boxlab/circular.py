@@ -16,8 +16,6 @@ construction.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InputError
 from .graphs import Graph, check_edge_budget, check_vertex_budget, edges_to_json
 from .intervals import Interval, IntervalCover, IntervalRep, point, verified_cover
@@ -92,20 +90,20 @@ def step_window_rep(k: int, d: int, r: int) -> IntervalRep:
 def block_window_rep(k: int, d: int) -> IntervalRep:
     """Interval supergraph leaving 0..d-1 independent, for 2d < k < 3d.
 
-    The window vertices sit at halfway points inside unit gaps; the next d
-    vertices hold a block of width b+1 that slides rightward, vertex d+t
-    spanning [t-b-1, t] (clamped at -1); the final b vertices span
-    everything.
+    On even coordinates the window vertices sit at the odd points between
+    them: vertex t at 2t - 1. The next d vertices hold a block of width
+    2b + 2 that slides rightward, vertex d+t spanning [2t - 2b - 2, 2t]
+    (clamped at -2); the final b vertices span everything, [-2, 2d].
     """
     m, b = circular_params(k, d)
     if m != 2 or b < 1:
         raise InputError(f"block construction needs 2d < k < 3d, got k={k}, d={d}")
     intervals: list[Interval | None] = [None] * k
     for t in range(d):
-        intervals[t] = point(Fraction(2 * t - 1, 2))  # t - 1/2, inside (t-1, t)
-        intervals[d + t] = (max(t - b - 1, -1), t)
+        intervals[t] = point(2 * t - 1)
+        intervals[d + t] = (max(2 * (t - b - 1), -2), 2 * t)
     for i in range(2 * d, k):
-        intervals[i] = (-1, d)
+        intervals[i] = (-2, 2 * d)
     return IntervalRep(tuple(intervals))
 
 

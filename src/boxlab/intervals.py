@@ -1,10 +1,14 @@
 """Exact interval representations and intersection covers.
 
-Endpoints are exact, never floats: an integral endpoint is an `int` and any
-other a `Fraction`. The constructions put most vertices on integers and
-place the rest strictly inside open unit gaps, and exact comparison keeps
-every intersection test decidable. Intervals are closed; touching
+Endpoints are exact, never floats. Every construction writes integer
+endpoints; the reader turns each `[numerator, denominator]` pair into an
+`int` when it is integral and a `Fraction` otherwise, and exact comparison
+keeps every intersection test decidable. Intervals are closed; touching
 endpoints count as intersecting.
+
+`region_rep` is the one layout of parts on the line: the join lift places
+one member of one part with it, and the exact oracle places the witness
+reps of a graph's components.
 
 A cover is a list of representations over one vertex set together with the
 graph it claims to certify: it is valid when every realized graph is a
@@ -15,7 +19,6 @@ constructions leave through `verified_cover`, which checks once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -23,7 +26,7 @@ from itertools import islice
 from .errors import ConstructionDefectError, InputError
 from .graphs import Graph, graph_from_obj, graph_to_json, graph_to_obj, int_from_obj, pairs
 
-# an int when integral, a Fraction otherwise (`exact`); the two compare and
+# an int, or a Fraction read from a file (`exact`); the two compare and
 # hash alike, so Fraction(2) and 2 are one endpoint
 Endpoint = int | Fraction
 Interval = tuple[Endpoint, Endpoint]
@@ -94,21 +97,48 @@ def ends_adjacency(lo, hi) -> tuple[int, ...]:
 
 def interval_adjacency(rep: IntervalRep) -> tuple[int, ...]:
     """`ends_adjacency` of the representation (closed intervals, exact)."""
-    ends = [f for pair in rep.intervals for f in pair]
-    den = 1
-    for d in {f.denominator for f in ends}:
-        den = math.lcm(den, d)
-        if den.bit_length() > 64:
-            break  # the Fractions themselves are the keys
-    else:
-        if den > 1:  # ints over the common denominator keep order and ties
-            ends = [f.numerator * (den // f.denominator) for f in ends]
-    return ends_adjacency(ends[::2], ends[1::2])
+    return ends_adjacency([lo for lo, _ in rep.intervals], [hi for _, hi in rep.intervals])
 
 
 def graph_of_intervals(rep: IntervalRep) -> Graph:
     """Intersection graph of the representation (closed-interval semantics)."""
     return Graph.from_adj(interval_adjacency(rep))
+
+
+def region_rep(outer: Graph, blocks, members) -> IntervalRep:
+    """The parts of a join over `outer` side by side on the line.
+
+    blocks[i] lists the target vertex of each vertex of part i, in order;
+    the blocks must partition 0..t-1, and the rep is over those t labels.
+    Each part i in `members` keeps the rep members[i], shifted onto a
+    region of its own; the regions run left to right by part index from 0,
+    one apart. With P one past the last region, any other part spans
+    [start of its first neighbour's region, P], or [P, P + 1] when no part
+    in `members` is its neighbour. Member parts never meet each other, so
+    the rep holds the join only when they are pairwise non-adjacent in
+    `outer`; nothing is checked here.
+    """
+    intervals: list = [None] * sum(map(len, blocks))
+    start: dict[int, int] = {}
+    cursor = 0
+    for i, blk in enumerate(blocks):
+        rep = members.get(i)
+        if rep is None:
+            continue
+        lo_min = min(lo for lo, _ in rep.intervals)
+        shift = cursor - lo_min
+        for v, (lo, hi) in zip(blk, rep.intervals):
+            intervals[v] = (lo + shift, hi + shift)
+        start[i] = cursor
+        cursor += max(hi for _, hi in rep.intervals) - lo_min + 1
+    placed = sum(1 << i for i in start)
+    for i, blk in enumerate(blocks):
+        if i not in start:
+            near = outer.adj[i] & placed
+            span = (start[(near & -near).bit_length() - 1], cursor) if near else (cursor, cursor + 1)
+            for v in blk:
+                intervals[v] = span
+    return IntervalRep(tuple(intervals))
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 Replacing each vertex of an outer graph by a part graph yields a join whose
 boxicity is at most the sum of the parts' boxicities: every interval graph
 in a part's cover lifts to one over the whole join by keeping the part's
-intervals (squeezed into [0, 1/2]), giving [0, 1] to parts adjacent to it
-and [1, 2] to the rest. Complete parts hanging off a clique of the outer
-graph contribute nothing and can be skipped entirely, and a part with no
-vertices contributes nothing either.
+intervals, shifted onto [0, w] for a member of width w, giving [0, w + 1]
+to parts adjacent to it and [w + 1, w + 2] to the rest; that is
+`region_rep` with the one part as its member. Complete parts hanging off a
+clique of the outer graph contribute nothing and can be skipped entirely,
+and a part with no vertices contributes nothing either.
 
 `lift_reps` is the one copy of that lift. It takes plain member tuples, one
 per part (empty for a skipped or empty part), writes each part's vertices
@@ -20,8 +21,6 @@ of neighborhood classes the same way.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .boxicity import _boxicity_reps
 from .errors import InputError, ResourceBudgetError
 from .graphs import (
@@ -34,7 +33,7 @@ from .graphs import (
     join_edge_count,
     reduced_graph,
 )
-from .intervals import IntervalCover, IntervalRep, exact, point, verified_cover
+from .intervals import IntervalCover, IntervalRep, point, region_rep, verified_cover
 
 
 _UNIT = (0, 1)
@@ -91,44 +90,6 @@ def make_plan(outer: Graph, parts, skip=()) -> tuple[tuple[IntervalRep, ...], ..
     return tuple(part_reps)
 
 
-def _squeeze(rep: IntervalRep) -> IntervalRep:
-    """Affine copy of the representation inside [0, 1/2].
-
-    A strictly increasing affine map preserves the intersection structure
-    exactly, and exact rationals keep the image strictly below 1. The
-    image of the lowest endpoint is the int 0.
-    """
-    if not rep.intervals:
-        return rep
-    lo_min = min(lo for lo, _ in rep.intervals)
-    hi_max = max(hi for _, hi in rep.intervals)
-    if hi_max == lo_min:
-        return IntervalRep(tuple([point(0)] * rep.n))
-    scale = Fraction(1, 2) / (hi_max - lo_min)
-    return IntervalRep(
-        tuple(
-            (exact((lo - lo_min) * scale), exact((hi - lo_min) * scale))
-            for lo, hi in rep.intervals
-        )
-    )
-
-
-def _lifted_rep(outer: Graph, blocks, part_index: int, part_rep: IntervalRep) -> IntervalRep:
-    squeezed = _squeeze(part_rep)
-    intervals: list = [None] * sum(len(blk) for blk in blocks)
-    for ell, blk in enumerate(blocks):
-        if ell == part_index:
-            for pos, v in enumerate(blk):
-                intervals[v] = squeezed.intervals[pos]
-        elif outer.has_edge(ell, part_index):
-            for v in blk:
-                intervals[v] = _UNIT
-        else:
-            for v in blk:
-                intervals[v] = (1, 2)
-    return IntervalRep(tuple(intervals))
-
-
 def lift_reps(outer: Graph, part_reps, blocks) -> list[IntervalRep]:
     """Unverified lifts of every part member into the join, part by part.
 
@@ -137,9 +98,7 @@ def lift_reps(outer: Graph, part_reps, blocks) -> list[IntervalRep]:
     order. The blocks must partition 0..t-1, and the lifts are over those t
     labels.
     """
-    return [
-        _lifted_rep(outer, blocks, i, rep) for i, reps in enumerate(part_reps) for rep in reps
-    ]
+    return [region_rep(outer, blocks, {i: rep}) for i, reps in enumerate(part_reps) for rep in reps]
 
 
 def join_cover(claimed: Graph, outer: Graph, part_reps, blocks, what: str) -> IntervalCover:

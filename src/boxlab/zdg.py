@@ -24,7 +24,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from itertools import repeat
 
 from .errors import ConstructionDefectError, InputError, ResourceBudgetError
@@ -418,18 +417,22 @@ def is_box_one(c: CompressedZN) -> bool:
 def threshold_rep(weights, e: int) -> IntervalRep:
     """Interval representation of the threshold graph: x ~ y exactly when w(x) + w(y) >= e.
 
-    A vertex with 2w >= e gets the nested interval [0, w - ceil(e/2) + 1],
-    one shared per weight. A vertex with 2w < e gets its own point in the
-    open unit gap above floor(e/2) - w, and the interval of weight w'
-    reaches into that gap exactly when w' >= e - w; two points never meet.
-    The j-th of the s vertices of one low weight, in vertex order, sits at
-    j/(s+1) of the way across its gap.
+    One scale serves the member: L is one more than the largest number of
+    vertices that share a low weight (2w < e). A vertex with 2w >= e gets
+    the nested interval [0, L(w - ceil(e/2) + 1)], one shared per weight.
+    A vertex with 2w < e gets its own point in the open gap of length L
+    above L(floor(e/2) - w), and the interval of weight w' reaches into
+    that gap exactly when w' >= e - w; two points never meet. The j-th
+    vertex of one low weight, counting from 1 in vertex order, sits at
+    L(floor(e/2) - w) + j.
     """
     half_down, half_up = e // 2, (e + 1) // 2
-    spans = {w: repeat((0, w - half_up + 1)) for w in set(weights) if 2 * w >= e}
-    for w, s in Counter(w for w in weights if 2 * w < e).items():
-        gap = (half_down - w) * (s + 1)
-        spans[w] = iter([(x, x) for x in (Fraction(gap + j, s + 1) for j in range(1, s + 1))])
+    low = Counter(w for w in weights if 2 * w < e)
+    scale = 1 + max(low.values(), default=0)
+    spans = {w: repeat((0, scale * (w - half_up + 1))) for w in set(weights) if 2 * w >= e}
+    for w, s in low.items():
+        gap = scale * (half_down - w)
+        spans[w] = iter([(x, x) for x in range(gap + 1, gap + s + 1)])
     return IntervalRep(tuple([next(spans[w]) for w in weights]))
 
 

@@ -47,11 +47,18 @@ package's before each divisor class kept its exponents, kept for that
 certificate and as the reference for the valuation table. The vector-ring
 cover that wrote its own threshold members is the package's before both
 rings went through one valuation cover, kept as the reference for its bytes.
+The join lift that squeezed a part's member into [0, 1/2], the threshold
+member with its points at j/(s + 1) inside unit gaps, and the exact
+oracle's own loop that laid its components out are the package's before
+every construction wrote integer endpoints and one layout served joins and
+components, kept as the references whose member graphs the integer ones
+must realize.
 """
 
 import math
 from fractions import Fraction
-from itertools import combinations, permutations
+from collections import Counter
+from itertools import combinations, permutations, repeat
 from unittest import mock
 
 from hypothesis import strategies as st
@@ -63,7 +70,17 @@ from boxlab.circular import _matching_rep, circular_params, rotate_rep, step_win
 from boxlab.errors import ConstructionDefectError, InputError, ResourceBudgetError
 from boxlab.graphs import Coloring, Edge, _vertex_mask, bits, check_edge_budget, join_edge_count, pairs
 from boxlab.zdg import BOOLEAN_RING_MAX_K, ZDG_MAX_N, CompressedZN, augmenting_divisor, threshold_rep
-from boxlab.intervals import CoverViolation, Interval, IntervalCover, IntervalRep, ends_adjacency, point, verified_cover
+from boxlab.intervals import (
+    CoverViolation,
+    Interval,
+    IntervalCover,
+    IntervalRep,
+    ends_adjacency,
+    exact,
+    point,
+    verified_cover,
+)
+from boxlab.joins import _UNIT
 from boxlab.recognition import (
     Elimination,
     Obstruction,
@@ -1278,3 +1295,89 @@ def parent_omega_chi_certificate(c: CompressedZN) -> tuple[int, tuple[int, ...],
             f"coloring uses {coloring.num_colors} colors, formula says {value}"
         )
     return value, big_clique, coloring
+
+
+def parent_squeeze(rep: IntervalRep) -> IntervalRep:
+    """Affine copy of the representation inside [0, 1/2].
+
+    A strictly increasing affine map preserves the intersection structure
+    exactly, and exact rationals keep the image strictly below 1. The
+    image of the lowest endpoint is the int 0.
+    """
+    if not rep.intervals:
+        return rep
+    lo_min = min(lo for lo, _ in rep.intervals)
+    hi_max = max(hi for _, hi in rep.intervals)
+    if hi_max == lo_min:
+        return IntervalRep(tuple([point(0)] * rep.n))
+    scale = Fraction(1, 2) / (hi_max - lo_min)
+    return IntervalRep(
+        tuple(
+            (exact((lo - lo_min) * scale), exact((hi - lo_min) * scale))
+            for lo, hi in rep.intervals
+        )
+    )
+
+
+def parent_lifted_rep(outer: Graph, blocks, part_index: int, part_rep: IntervalRep) -> IntervalRep:
+    squeezed = parent_squeeze(part_rep)
+    intervals: list = [None] * sum(len(blk) for blk in blocks)
+    for ell, blk in enumerate(blocks):
+        if ell == part_index:
+            for pos, v in enumerate(blk):
+                intervals[v] = squeezed.intervals[pos]
+        elif outer.has_edge(ell, part_index):
+            for v in blk:
+                intervals[v] = _UNIT
+        else:
+            for v in blk:
+                intervals[v] = (1, 2)
+    return IntervalRep(tuple(intervals))
+
+
+def parent_lift_reps(outer: Graph, part_reps, blocks) -> list[IntervalRep]:
+    """`joins.lift_reps` over the squeezing lift."""
+    return [
+        parent_lifted_rep(outer, blocks, i, rep) for i, reps in enumerate(part_reps) for rep in reps
+    ]
+
+
+def parent_threshold_rep(weights, e: int) -> IntervalRep:
+    """Interval representation of the threshold graph: x ~ y exactly when w(x) + w(y) >= e.
+
+    A vertex with 2w >= e gets the nested interval [0, w - ceil(e/2) + 1],
+    one shared per weight. A vertex with 2w < e gets its own point in the
+    open unit gap above floor(e/2) - w, and the interval of weight w'
+    reaches into that gap exactly when w' >= e - w; two points never meet.
+    The j-th of the s vertices of one low weight, in vertex order, sits at
+    j/(s+1) of the way across its gap.
+    """
+    half_down, half_up = e // 2, (e + 1) // 2
+    spans = {w: repeat((0, w - half_up + 1)) for w in set(weights) if 2 * w >= e}
+    for w, s in Counter(w for w in weights if 2 * w < e).items():
+        gap = (half_down - w) * (s + 1)
+        spans[w] = iter([(x, x) for x in (Fraction(gap + j, s + 1) for j in range(1, s + 1))])
+    return IntervalRep(tuple([next(spans[w]) for w in weights]))
+
+
+def parent_assemble_components(n: int, per_comp, value: int) -> list[IntervalRep]:
+    """The exact oracle's witness reps from (vmap, reps) per component, by its own loop."""
+    # assemble: cover j takes each component's j-th rep (first rep repeated
+    # once a component runs out), normalized onto disjoint segments so cross
+    # pairs stay non-adjacent in every cover; the recognizer's reps have int
+    # endpoints, so the segments do too
+    reps_out = []
+    for j in range(value):
+        intervals: list = [None] * n
+        cursor = 0
+        for vmap, reps in per_comp:
+            rep = reps[j] if j < len(reps) else reps[0]
+            lo_min = min(lo for lo, _ in rep.intervals)
+            hi_max = max(hi for _, hi in rep.intervals)
+            shift = cursor - lo_min
+            for new_v, old_v in enumerate(vmap):
+                lo, hi = rep.intervals[new_v]
+                intervals[old_v] = (lo + shift, hi + shift)
+            cursor += (hi_max - lo_min) + 1
+        reps_out.append(IntervalRep(tuple(intervals)))
+    return reps_out

@@ -122,22 +122,22 @@ def test_step_rep_rejects_bad_window():
 
 def test_block_rep_values_8_3():
     rep = block_window_rep(8, 3)
-    assert rep.intervals[0] == (F(-1, 2), F(-1, 2))
-    assert rep.intervals[1] == (F(1, 2), F(1, 2))
-    assert rep.intervals[2] == (F(3, 2), F(3, 2))
-    assert rep.intervals[3] == (F(-1), F(0))
-    assert rep.intervals[4] == (F(-1), F(1))
-    assert rep.intervals[5] == (F(-1), F(2))
-    assert rep.intervals[6] == (F(-1), F(3))
-    assert rep.intervals[7] == (F(-1), F(3))
+    assert rep.intervals[0] == (-1, -1)
+    assert rep.intervals[1] == (1, 1)
+    assert rep.intervals[2] == (3, 3)
+    assert rep.intervals[3] == (-2, 0)
+    assert rep.intervals[4] == (-2, 2)
+    assert rep.intervals[5] == (-2, 4)
+    assert rep.intervals[6] == (-2, 6)
+    assert rep.intervals[7] == (-2, 6)
 
 
 def test_block_rep_values_7_3():
     rep = block_window_rep(7, 3)
-    assert rep.intervals[3] == (F(-1), F(0))
-    assert rep.intervals[4] == (F(-1), F(1))
-    assert rep.intervals[5] == (F(0), F(2))
-    assert rep.intervals[6] == (F(-1), F(3))
+    assert rep.intervals[3] == (-2, 0)
+    assert rep.intervals[4] == (-2, 2)
+    assert rep.intervals[5] == (0, 4)
+    assert rep.intervals[6] == (-2, 6)
 
 
 def test_block_rep_5_2_verifies():
@@ -193,17 +193,22 @@ def test_chi_cover_verifies_and_members_are_interval():
 
 
 def test_chi_cover_small_sweep():
-    # the rotation loop and the sliding block emit the bytes of the
-    # branch-per-shape cover and the three-loop block
+    # the rotation loop emits the bytes of the branch-per-shape cover; the
+    # sliding block is the three-loop one on doubled coordinates, so its
+    # covers realize the same member graphs
     for d in range(1, 13):
         for k in range(2 * d, 2 * d + 30):
             cover = chi_cover(k, d)
             assert len(cover) == circular_chi(k, d)
             ok, _ = verify_cover(cover)
             assert ok
-            assert cover_to_json(cover) == cover_to_json(oracles.parent_chi_cover(k, d))
+            parent = oracles.parent_chi_cover(k, d)
             if 2 * d < k < 3 * d:
-                assert block_window_rep(k, d) == oracles.parent_block_window_rep(k, d)
+                block = oracles.parent_block_window_rep(k, d).intervals
+                assert block_window_rep(k, d).intervals == tuple((2 * lo, 2 * hi) for lo, hi in block)
+                assert list(map(graph_of_intervals, cover.reps)) == list(map(graph_of_intervals, parent.reps))
+            else:
+                assert cover_to_json(cover) == cover_to_json(parent)
 
 
 def test_matching_cover_duplicates_are_distinct_objects():

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -271,9 +270,10 @@ def test_prime_power_rep_2_cubed_frozen():
     # the one member that `cover zdg --n 8` emits
     (rep,) = zn_prime_cover(compressed_zn(8)).reps
     # labels (2, 4, 6): the path 2 - 4 - 6
-    assert rep.intervals[0] == (Fraction(1, 3), Fraction(1, 3))
-    assert rep.intervals[1] == (Fraction(0), Fraction(1))
-    assert rep.intervals[2] == (Fraction(2, 3), Fraction(2, 3))
+    # scale L = 3: the two low-weight points 1 and 2 inside [0, 3]
+    assert rep.intervals[0] == (1, 1)
+    assert rep.intervals[1] == (0, 3)
+    assert rep.intervals[2] == (2, 2)
     assert graph_of_intervals(rep) == zdg_zn(8)[0]
 
 
@@ -283,12 +283,12 @@ def test_prime_power_rep_small_cases():
     (rep16,) = zn_prime_cover(compressed_zn(16)).reps
     g16, labels = zdg_zn(16)
     assert graph_of_intervals(rep16) == g16
-    # the lone top-layer element spans two units, the middle layer one
-    assert rep16.intervals[labels.index(8)] == (Fraction(0), Fraction(2))
-    assert rep16.intervals[labels.index(4)] == (Fraction(0), Fraction(1))
-    for x in (2, 6, 10, 14):
-        lo, hi = rep16.intervals[labels.index(x)]
-        assert lo == hi and 1 < lo < 2
+    # scale L = 5 (four elements of weight 1): the lone top-layer element
+    # spans two gaps, the middle layer one, and the bottom layer sits in the
+    # second gap
+    assert rep16.intervals[labels.index(8)] == (0, 10)
+    assert rep16.intervals[labels.index(4)] == (0, 5)
+    assert [rep16.intervals[labels.index(x)] for x in (2, 6, 10, 14)] == [(6, 6), (7, 7), (8, 8), (9, 9)]
 
 
 def test_prime_power_rep_sweep():
@@ -354,11 +354,12 @@ def test_threshold_rep_realizes_the_threshold_graph(weights, e):
 def test_threshold_rep_shares_one_interval_per_high_weight():
     rep = threshold_rep([3, 0, 2, 3, 1, 2, 0], 4)
     assert rep.intervals[0] is rep.intervals[3] and rep.intervals[2] is rep.intervals[5]
-    assert rep.intervals[0] == (Fraction(0), Fraction(2))
-    assert rep.intervals[2] == (Fraction(0), Fraction(1))
-    # weight 1 alone in the gap (1, 2), weight 0 twice in the gap (2, 3)
-    assert rep.intervals[4] == (Fraction(3, 2), Fraction(3, 2))
-    assert [rep.intervals[v][0] for v in (1, 6)] == [Fraction(7, 3), Fraction(8, 3)]
+    # scale L = 3, one more than the two vertices of weight 0
+    assert rep.intervals[0] == (0, 6)
+    assert rep.intervals[2] == (0, 3)
+    # weight 1 alone in the gap (3, 6), weight 0 twice in the gap (6, 9)
+    assert rep.intervals[4] == (4, 4)
+    assert [rep.intervals[v] for v in (1, 6)] == [(7, 7), (8, 8)]
 
 
 @st.composite
