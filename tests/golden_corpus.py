@@ -154,47 +154,47 @@ CORPUS = (
 )
 
 GOLDEN = {
-    "cover zdg --n 6": (0, "cdbf0711d8d52422d8057e91fc9891c99a84c7908419dfe37aef7961194560eb"),
-    "cover zdg --n 12": (0, "343f32f67456fc8f65ff442ff5ac810fb8d7f95058759e13557d8b842e4bd21f"),
-    "cover zdg --n 45": (0, "bfcec149f91bf4104986fc3c691eaace585f2d5ba5e843818cf4ea7285d495ed"),
-    "cover zdg --n 72": (0, "9a45fddf86849c98f144ab9afbf9ffa4cc2f66e37526f4f886d483ad3c55726b"),
-    "cover zdg --n 100": (0, "86e6c68b8ce7a8ac25956309549b5b250e8c39bebd411249a754df6ebf6b2140"),
-    "cover zdg --n 180": (0, "931b5fdda52e9c08639c56c89b3e6d97e7b505f7c453c557a12091c8bc3c16f7"),
-    "cover zdg --n 210": (0, "60bff01348441b03c1b2ee85986cdf3cc0605a17038fc18c2c69b2805c52c2af"),
-    "cover zdg --n 330": (0, "0df280c2ff767d518e7f5d46150d0029ca11c8c9e66da03928059b35c4fd5ead"),
-    "cover zdg --n 8": (0, "daee59791be995f45e2780df00d3262d0d5a2585ed1b738e466c0886cefa93a2"),
-    "cover zdg --n 27": (0, "81e7a13795417d3a52c6ccff8dd86e6a88ae5646d73a4df75847844720a0b22a"),
+    "cover zdg --n 6": (0, "47b921b4ce04b444bac308296f71ce9204b690cda78b04cb315f76206df1ae8c"),
+    "cover zdg --n 12": (0, "78bb5a5171d44c5e2ed004f94c0137fc71734059a42c43b1bd186135a5b8de16"),
+    "cover zdg --n 45": (0, "f2a977fa132c3cd5056da7c19c8c872f0922db668ccee59c839d5b5d19656634"),
+    "cover zdg --n 72": (0, "02046cc8791dab22d5ffd6b08e902d352365857745462e7e5eb43f059cbe4dc1"),
+    "cover zdg --n 100": (0, "5e326a538f00eb7d7aab0da6db191a62282150c85f8d5ca4f7a95df1994a9ac2"),
+    "cover zdg --n 180": (0, "1709a06cafd9a87e3b4c84cd112690111b11920a3e636e4ac8fc28fa919fda8a"),
+    "cover zdg --n 210": (0, "f5883596b4c5a2e4f8d5465a4caefba6c2e3ff418f8df1c57879b5c7ce922690"),
+    "cover zdg --n 330": (0, "7806ddf498246bc054ddc058388cd81503af8e93be398bb571e2a94aa5f3d4e6"),
+    "cover zdg --n 8": (0, "1577298a33ab3370a8c83d7c1667563600e2ea3e2bc357f9cb4be2f9b6f10903"),
+    "cover zdg --n 27": (0, "ddaf6e508e0dac1e6310a4bec0b747fff83e2fe13bddccd8ccb3fd9fec29ad73"),
     "cover zdg --n 49": (0, "9516ee3637c7ea2bb0038bd412001095eb83a2aa4a2132756c746b8ff2f8342f"),
-    "cover zdg --n 81": (0, "4d7dc3f37addbf89c9e04eb34e855c0e709107664579a427b400a949b3f30c3e"),
-    "cover boolean --k 2": (0, "abc6602bc557cc335b8f346049d145c234c2340b5df90df32f217962d31bb46e"),
-    "cover boolean --k 3": (0, "ef0fa0b04cef4f140461dd8026209e173036f69f5cd1d0f50d5f605dbdf621e4"),
-    "cover boolean --k 4": (0, "38104b7049e5ffc324b9f61b92c96ea6a650238854648c5ff0dfcd31c8f37c9e"),
-    "cover boolean --k 5": (0, "49611c6528e4a52459777ddebffdc6894b9e55c3c250e114c5f5cfbdd3e334e9"),
-    "cover boolean --k 6": (0, "468afe0e3dec0dc1f6d8ebbaaffda93cf475931d9d9a9d910d157225eb92375a"),
-    "cover zdg --n 6 --method join": (0, "456aeabc02ea094386c73852e7d12e47bdfa946477e6134b89c0ed4da2ede994"),
-    "cover zdg --n 12 --method join": (0, "2a426985581ee07a7f211d066df756fb27c28170ea994d2a18d58f0a9f359a96"),
-    "cover zdg --n 45 --method join": (0, "167fdd54d3d179bb7c0b20a46067939b909d36f6b96ae9e70ac691c6f76bc584"),
-    "cover zdg --n 72 --method join": (0, "9170236ea11f4bb8803aad5e09325d1a7f075cda05a7b7b6dda97e17362c5464"),
-    "cover zdg --n 100 --method join": (0, "eee8c7afabac17d2ce87a9c060a1535d5a9001f34b78017e4f6a7e91f6b7a7fd"),
-    "cover zdg --n 180 --method join": (0, "a035b08d97d1f758d639d2925e04777ae21ecd06c1f0b7a5c1c90b54ff819095"),
-    "cover zdg --n 210 --method join": (0, "04adeb8454cad3fab5c922979de896107f414d0ef7ebf8313a274fa5bcf770ea"),
-    "cover zdg --n 330 --method join": (0, "c27177015fd3e5f3dcec90ce8ebdfeaef86795e53f0ddfc69364d10e23cb8e24"),
-    "cover boolean --k 2 --method join": (0, "a7325da89661b0c99a522e0d9f456f934804af1f15fc30b6aced550427b54996"),
-    "cover boolean --k 3 --method join": (0, "f394e8867e99d2454019ec3edda100201cd54d11d55090909cf6d8d835d5fce9"),
-    "cover boolean --k 4 --method join": (0, "36e67e758b5d5830c3806c6247016fcb76ce1fa7215b86547c026919cb0336c8"),
-    "cover boolean --k 5 --method join": (0, "2f1acf902156043964d55fe592ef187dd45b2ded5262979f70bb31c93e66bfdc"),
-    "cover boolean --k 6 --method join": (0, "7800ef21f3477505fe7a0b512f83a115a7c55cc6deb1240f483746979bf6eb5b"),
+    "cover zdg --n 81": (0, "5a04c22343a3937de53cc0d330c2e88aafde8b6ecb31be6ba368a1e5df7b2d41"),
+    "cover boolean --k 2": (0, "79bf2bb295fb7b1506e371a7bad3c670c81f0ba2049dc6aa83982b5beda35f3f"),
+    "cover boolean --k 3": (0, "f3729c7d6a3869c47006a1db0e2a90cc21d40a82e2848a3fa36de36937f12b44"),
+    "cover boolean --k 4": (0, "e785ca5317456b010f1bda79391d723c21508c1c35b29fee4813dce8291e804a"),
+    "cover boolean --k 5": (0, "e6b49322fd6051ea86541fceaa3c591aac80d5d4da627c7e851712d62d2a7876"),
+    "cover boolean --k 6": (0, "c66597e6566bdc6715f5b345d3d1e2b86dc0f6fecb7aa7590fc6c0d922420630"),
+    "cover zdg --n 6 --method join": (0, "ab6b423678bfc1cd05b044ab33159138b8b2b9fa6c9af1717e7c4da66d8ed758"),
+    "cover zdg --n 12 --method join": (0, "f274a674cde6719f2b5e0322f5fcc4915f7dc20a9873ea52f4734648e2ba6d3b"),
+    "cover zdg --n 45 --method join": (0, "925031b27c38c06a297e6fe894782d90fdfa7947411d8007893024757b928da6"),
+    "cover zdg --n 72 --method join": (0, "e2ca629f0eaf4aa0c798b72c4697eaac0cf8b49155582d8b8e3b52b1673bd33e"),
+    "cover zdg --n 100 --method join": (0, "cb9666dad4e49f7fb45be2971f28878ba5fe94caa732ebf4ec8d702bace48820"),
+    "cover zdg --n 180 --method join": (0, "5982660fd57a3f45308a6b2102d32d861e1e2041b38e16a60332ffae226a2251"),
+    "cover zdg --n 210 --method join": (0, "fe885896048c6931b34a808dead8b1a4a9c3f4bb211c13c3b0a59c3e3d425168"),
+    "cover zdg --n 330 --method join": (0, "b7d4baa916f529882a327a625cf99c9187397fbc5892de43a1e5d465811c82cc"),
+    "cover boolean --k 2 --method join": (0, "29adec34fdacdadc8250ab40034830b1b6111901d254416a55e338836c93a7a2"),
+    "cover boolean --k 3 --method join": (0, "b490a2b1d30011daaeb486bd9dcf8c2dbf166ce258c7cd56195439879d891471"),
+    "cover boolean --k 4 --method join": (0, "f65f11ff11f98c567b4c2539d26054acbfdaf4f9e849cd28fdb5568d3a70fc45"),
+    "cover boolean --k 5 --method join": (0, "b3f933c28e8874c6fcf8f4af975ad13aa559136a985694d0817f7c1b86c6fef8"),
+    "cover boolean --k 6 --method join": (0, "44b24a13468d6b9ddf5b496ef38a33a7d5f0089c89eb08ea7379ffc635a3df8a"),
     "cover circular --k 4 --d 2": (0, "03796479c209ab76595334a72f2a3993b267cf04b96aebc029f3a17e2117edd0"),
     "cover circular --k 6 --d 3": (0, "85614c7d2217da7a5feea1e20adddcef76c1f4c4aacdc0dd0300db00851fff99"),
     "cover circular --k 7 --d 2": (0, "cdb517ce663d0ca5b54ef826b265578027e460e38090e153c4bac400a7dc2e8e"),
-    "cover circular --k 11 --d 4": (0, "0e99952e056c4ebdef811221dec2a93089a2aa960a99fe95e353bf7c25e74033"),
-    "cover circular --k 13 --d 5": (0, "17a2dbdb2b0830eb50e84df9ee17c54458e1dc6afad87e6a27152ee704489458"),
+    "cover circular --k 11 --d 4": (0, "694157c80f38053439bdfb75f770f2a7dbdf25c4d7565afec736c735ef641bee"),
+    "cover circular --k 13 --d 5": (0, "9cc15aa97b518525e09ec379284271254ffdf37f7d3442e182e8e5d3d1a86812"),
     "cover circular --k 30 --d 4": (0, "c15f14d21fae9968afcff02a5aad7a62ad6511fd2d93df2e59d302515f1a7c40"),
-    "cover circular --k 11 --d 5": (0, "18c5ed583868b5a28343e930d68b61ab124ed5af66304cfe206f3c88f76b0e44"),
-    "cover circular --k 13 --d 6": (0, "fa19c530b2ca5d58b69039a975a2cb8fc96262005501084f6d3163ccf2dcd1b6"),
-    "cover circular --k 17 --d 7": (0, "53f94fc192c748a3fc4c30a08b836b28d8bd412d63dccd689f0e6a3e1f82e9c9"),
-    "cover join --outer @p3 --part @c4 --part @k2 --part @e3": (0, "0e6d9cfa93c097988daf898a8144e6c7530f35b972434abc21c722122a25892a"),
-    "cover join --outer @k3 --part @k3 --part @c4 --part @p3 --skip 0": (0, "acf94346282444750b86ebff78a7d29496389b5591c5b01e91b189103d4bca6b"),
+    "cover circular --k 11 --d 5": (0, "ad15d0034b5c6e628d6d65f6290f3473980fb32303665b16c2ac8acc25d84678"),
+    "cover circular --k 13 --d 6": (0, "17b31dc66ecee47b77473db13e7bc20452fff55b28872de5533f630715f512ad"),
+    "cover circular --k 17 --d 7": (0, "14d9b7c2c6ede0a91b278426e28457d413c9e4673df25e43c9fad3dc9d05b7ed"),
+    "cover join --outer @p3 --part @c4 --part @k2 --part @e3": (0, "0b53eac1aa51043cad069e74fdf1a79373db4370e6a892e402c44e93e2ac4e0d"),
+    "cover join --outer @k3 --part @k3 --part @c4 --part @p3 --skip 0": (0, "e605bb30cff73d927adc6bb23cf8dc182203cc18dce833870cf435fc1f3054b2"),
     "box --graph @c4": (0, "f0a55c8f8f0a2aa6104b1aae7ee5c648631d15138ddaecad6942a8a166ef44a3"),
     "box --graph @c4 --max 1": (0, "3b8382a7e83e13bdb2ce80ce5af920fd270a22df7d311849accfd163b6050200"),
     "box --graph @int10": (0, "dbaef19e31108b4ec48a64adcb279eaa7db80b4bb16679fb6c2fb224b40f17a4"),
@@ -207,7 +207,7 @@ GOLDEN = {
     "zdg report --n 13": (0, "e379e192108c7250e44224e2f640bd6e2139c57ce925b4be7d928aae72c11acd"),
     "gen zdg --n 72": (0, "1f7ff8ce18ff72d2d02e122d5eda0dffa2d0d4cd5c8b5312e2f92add24874a9f"),
     "gen zdg --n 2310": (0, "57c918ea52a906efaade4cc2ac7c815dbfcc5ebbd1e9e0cac9bf3c83dd276a38"),
-    "cover zdg --n 2310": (0, "49aa77aea47a365819d1b563791e40c6f8030fe43203ce5c1eb2bf4adb2f7f32"),
+    "cover zdg --n 2310": (0, "9c7555a312bc4c9b1937bd644c41beeeebca1e84910871c752d6be65cf776af8"),
     "gen zdg --n 72 --compressed": (0, "d11ce924f6b22917b8828db5ab64fd09fc34b5e96e46f602a070078ee09f621d"),
     "gen zdg --n 4": (0, "f329a3ec6e8e0a448650a5d6eb30488190e6d33b325791a945c669c4fdb4b06e"),
     "gen boolean --k 3": (0, "8e3434a685dfd970b6cfa4d5802190938f11f6e942050fdbe3d16b8541293635"),
@@ -221,9 +221,9 @@ GOLDEN = {
     "sweep circular --dmax 1000000000000 --kmax 14": (0, "2d1691ffd4a396ce7a4d5c965b98284e8c43da2ab5b2f191b1287a50cc3a68bf"),
     "verify --graph @e300 --cover @e300_unit": (1, "599d9c344b4a8edaee0c3867ce70af07946843771852ce54a53a3348fcb72701"),
     "gen boolean --k 8": (0, "7b37f38a274d10021e2bdf171eb60da59d4bbe4cd3029abb0967c8806a8c3d05"),
-    "cover boolean --k 8": (0, "4e3bd6d6aae3ac355d78832d544e931ba32bb8d398e602826c8b1e53e20b5857"),
-    "cover boolean --k 8 --method join": (0, "89a91fb4c9418a6deb860edb13f5ede66c7347f2a7105415bd6e959accf7d470"),
-    "cover zdg --n 5040": (0, "de4a9339d5a349706015e3ea44df8c7bb74a373ad263d1d7b637ae5033ce8adc"),
+    "cover boolean --k 8": (0, "1f8ad465ebdeb7c6469da4d3212507cf564f7180f2e9cbf999b08099940a1038"),
+    "cover boolean --k 8 --method join": (0, "a3335aa92cf154e636c07d759fe1ff5a390fb6f4ce3dc22c3b113f440aa9733f"),
+    "cover zdg --n 5040": (0, "040709584ccdc1783f09fcea3a325075fd969152ff912ea7b417e3ae006c88b8"),
     "zdg report --n 5040": (0, "5038fd6191a77243a56629425b5612c2f556c8214851a0c23035d5d15e84557d"),
     "cover zdg --n 9 --method join": (0, "125a104081bc1c88f2c1957f877dc014c6c69980b901206edce1ea3f8a717e43"),
 }
