@@ -8,7 +8,8 @@ It imports no test framework, so it runs under any supported Python:
 runs every case in a temporary directory, prints each mismatch and exits 1
 if there is one. It also checks that every JSON output is exactly
 `json.dumps(obj, separators=(",", ":"))` of its own object plus a newline,
-so the format rule holds without pytest too. `tests/test_golden_cli.py`
+and that every endpoint a `cover` or `box` command writes is an integer
+`[x, 1]`, so both rules hold without pytest too. `tests/test_golden_cli.py`
 runs the same cases under pytest.
 """
 
@@ -24,6 +25,7 @@ from pathlib import Path
 from unittest import mock
 
 from boxlab import (
+    circular_clique,
     complete_graph,
     compressed_zn,
     cover_to_obj,
@@ -54,7 +56,14 @@ INPUTS = {
     "net": make_graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)]),
     "claw7": make_graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]),
     "e300": empty_graph(300),
+    "c11_4": circular_clique(11, 4),
 }
+
+# covers written before every construction took integer endpoints, kept as
+# `verify` inputs so that reading [num, den] with den > 1 stays tested:
+# z72_join.json is the output of `cover zdg --n 72 --method join` (sha256
+# 9170236e...), c11_4.json that of `cover circular --k 11 --d 4` (0e99952e...)
+FRACTIONAL = Path(__file__).resolve().parent / "fractional"
 
 # the subdivided claw has 15 non-edges, one over the oracle's default budget
 CASE_ENV = {"box --graph @claw7": {"BOXLAB_BUDGET": "10:15"}}
@@ -62,8 +71,9 @@ CASE_ENV = {"box --graph @claw7": {"BOXLAB_BUDGET": "10:15"}}
 
 @cache
 def cover_fixtures() -> dict:
-    """The 7-member cover of Z_72, three broken copies, and one member putting
-    every vertex of the edgeless 300-vertex graph on [0, 1], as JSON objects."""
+    """The 7-member cover of Z_72, three broken copies, one member putting
+    every vertex of the edgeless 300-vertex graph on [0, 1], and the two
+    fractional covers, as JSON objects."""
     good = cover_to_obj(zn_join_cover(compressed_zn(72)))
     far, dropped, short = (json.loads(json.dumps(good)) for _ in range(3))
     # vertex 11 (17 neighbours) leaves member 1 for a far point
@@ -79,8 +89,10 @@ def cover_fixtures() -> dict:
         "graph": graph_to_obj(INPUTS["e300"]),
         "reps": [{"n": 300, "intervals": {str(v): [[0, 1], [1, 1]] for v in range(300)}}],
     }
+    fractional = {f"{path.stem}_fractional": json.loads(path.read_text())
+                  for path in sorted(FRACTIONAL.glob("*.json"))}
     return {"z72_cover": good, "z72_far": far, "z72_dropped": dropped, "z72_short": short,
-            "e300_unit": e300_unit}
+            "e300_unit": e300_unit, **fractional}
 
 
 def _join(outer, parts, skip=()):
@@ -150,6 +162,8 @@ CORPUS = (
         ["zdg", "report", "--n", "5040"],
         # N = p^2: one nilpotent class, so the join's one shared member
         ["cover", "zdg", "--n", "9", "--method", "join"],
+        ["verify", "--graph", "@z72", "--cover", "@z72_join_fractional"],
+        ["verify", "--graph", "@c11_4", "--cover", "@c11_4_fractional"],
     ]
 )
 
@@ -226,6 +240,8 @@ GOLDEN = {
     "cover zdg --n 5040": (0, "040709584ccdc1783f09fcea3a325075fd969152ff912ea7b417e3ae006c88b8"),
     "zdg report --n 5040": (0, "5038fd6191a77243a56629425b5612c2f556c8214851a0c23035d5d15e84557d"),
     "cover zdg --n 9 --method join": (0, "125a104081bc1c88f2c1957f877dc014c6c69980b901206edce1ea3f8a717e43"),
+    "verify --graph @z72 --cover @z72_join_fractional": (0, "df445f3d5d344ad8982e7cb8ace0e789d031222411b7436ae71bb4b85f485020"),
+    "verify --graph @c11_4 --cover @c11_4_fractional": (0, "df445f3d5d344ad8982e7cb8ace0e789d031222411b7436ae71bb4b85f485020"),
 }
 
 
@@ -261,6 +277,18 @@ def is_canonical(argv, data) -> bool:
     return data == (json.dumps(json.loads(data), separators=(",", ":")) + "\n").encode()
 
 
+def is_integral(argv, data) -> bool:
+    """Whether every endpoint of a `cover` or `box` output has denominator 1;
+    other outputs, and a `box` that found no cover, pass as they are."""
+    if data is None or argv[0] not in ("cover", "box"):
+        return True
+    obj = json.loads(data)
+    cover = obj.get("cover") if argv[0] == "box" else obj
+    return cover is None or all(
+        den == 1 for rep in cover["reps"] for ends in rep["intervals"].values() for _, den in ends
+    )
+
+
 def main() -> int:
     failures = 0
     for argv in CORPUS:
@@ -278,6 +306,9 @@ def main() -> int:
             failures += 1
             print(f"NOT COMPACT {key(argv)}: the output is not json.dumps of its object "
                   "with separators=(',', ':') plus a newline")
+        elif not is_integral(argv, data):
+            failures += 1
+            print(f"NOT INTEGRAL {key(argv)}: an endpoint has a denominator other than 1")
     print(f"{len(CORPUS)} cases, {failures} mismatches on Python {sys.version.split()[0]}")
     return 1 if failures else 0
 
