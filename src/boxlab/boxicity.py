@@ -39,7 +39,7 @@ from __future__ import annotations
 import os
 
 from .errors import ConstructionDefectError, InputError, ResourceBudgetError
-from .graphs import Graph, bits, induced_subgraph
+from .graphs import Graph, bits, empty_graph, induced_subgraph
 from .intervals import IntervalCover, IntervalRep, region_rep, verified_cover
 from .recognition import Obstruction, is_interval_graph
 
@@ -226,7 +226,7 @@ def _boxicity_reps(g: Graph, max_l: int = DEFAULT_MAX_COVERS) -> tuple[int, list
 
     # cover j lays each component's j-th rep (its first once it runs out) on
     # a region of its own, so cross pairs stay non-adjacent in every cover
-    apart = Graph.from_adj([0] * len(blocks))
+    apart = empty_graph(len(blocks))
     return value, [
         region_rep(apart, blocks, {c: reps[j] if j < len(reps) else reps[0] for c, reps in enumerate(comp_reps)})
         for j in range(value)
