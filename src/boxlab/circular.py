@@ -3,15 +3,12 @@
 The graph on vertices 0..k-1 with i ~ j exactly when d <= |i-j| <= k-d has
 chromatic number ceil(k/d). Write k = m*d + b with 0 <= b < d. A cover of
 that size has one interval supergraph per color class, each class a window
-of consecutive vertices: one full-window member (the stepped construction
-for m >= 3, the sliding block for m = 2 < k/d, the matching itself for
-k = 2d) rotated by i*d for each of the m full windows, plus the stepped
-construction on the remainder window rotated by m*d when b > 0. The
-window constructions check nothing; `chi_cover` is the check: the
-assembled cover is verified once, by `verified_cover`, before it leaves,
-which tests that every member contains the circular clique and that the
-members meet in exactly it. Its m + (b > 0) members are ceil(k/d) by
-construction.
+of consecutive vertices: the stepped member on a full window rotated by
+i*d for each of the m full windows, plus the stepped member on the
+remainder window rotated by m*d when b > 0. One construction serves every
+k >= 2d; `step_window_rep` proves what each member misses, and `chi_cover`
+verifies the assembled cover once, by `verified_cover`, before it leaves.
+Its m + (b > 0) members are ceil(k/d) by construction.
 """
 
 from __future__ import annotations
@@ -65,13 +62,20 @@ def circular_chi(k: int, d: int) -> int:
 
 
 def step_window_rep(k: int, d: int, r: int) -> IntervalRep:
-    """Interval supergraph leaving the window 0..r-1 independent.
+    """Interval supergraph of the circular clique that misses exactly the
+    pairs {u, u+t} with 0 <= u < r and 1 <= t <= d-1, for 1 <= r <= d.
 
-    Stepped construction: window vertex i sits at the isolated value d-i,
-    which meets the ramp [d-i, d+1] of its partner d+i; everything from
-    d+r on spans [1, d+1]. Sound on its own for k >= 3d; for shorter k it
-    is unchecked here, and the verification of the cover that `chi_cover`
-    assembles decides, raising rather than returning a wrong certificate.
+    Window vertex i < r sits at the point d-i; vertex d+j, for j < r, spans
+    [d-j, d+1]; vertices r..d-1 sit at d+1; vertices d+r..k-1 span
+    [1, d+1]. Every vertex outside the window holds d+1, so those vertices
+    form a clique. The window points are distinct, and i meets d+j exactly
+    when j >= i. So the non-edges are the window pairs, the pairs {i, v}
+    with r <= v < d and the pairs {i, d+j} with j < i: exactly the pairs
+    {u, u+t} above. As k >= 2d, each has circular distance t < d, so each
+    is a non-edge of the circular clique. Every non-edge of the clique is
+    {u, u+t mod k} for exactly one u and one t <= d-1 < k/2, so windows
+    that partition 0..k-1, rotated into place, give members that meet in
+    exactly the clique.
     """
     b = circular_params(k, d)[1]
     if r < 1 or r not in (b, d):
@@ -94,6 +98,8 @@ def block_window_rep(k: int, d: int) -> IntervalRep:
     them: vertex t at 2t - 1. The next d vertices hold a block of width
     2b + 2 that slides rightward, vertex d+t spanning [2t - 2b - 2, 2t]
     (clamped at -2); the final b vertices span everything, [-2, 2d].
+    No command calls it: `chi_cover` uses the stepped member for every
+    k >= 2d, and this one stays only as a layer of the benchmark's trace.
     """
     m, b = circular_params(k, d)
     if m != 2 or b < 1:
@@ -116,31 +122,18 @@ def rotate_rep(rep: IntervalRep, shift: int) -> IntervalRep:
     return IntervalRep(tuple(intervals))
 
 
-def _matching_rep(k: int, d: int) -> IntervalRep:
-    # k == 2d: the graph is a perfect matching {i, i+d}; give each pair its
-    # own isolated point
-    intervals = [point(i % d) for i in range(k)]
-    return IntervalRep(tuple(intervals))
-
-
 def chi_cover(k: int, d: int) -> IntervalCover:
     """Verified cover of the circular clique with ceil(k/d) members.
 
     One interval supergraph per color class: class i is the window
-    [i*d, (i+1)*d), the full-window member rotated by i*d, and a short
-    last class [m*d, k) takes the remainder window rotated by m*d. That
-    makes m + (b > 0) = ceil(k/d) members by construction.
+    [i*d, (i+1)*d), the stepped member on d vertices rotated by i*d, and a
+    short last class [m*d, k) takes the stepped member on b vertices
+    rotated by m*d. That makes m + (b > 0) = ceil(k/d) members by
+    construction, for every k >= 2d.
     """
     m, b = circular_params(k, d)
     g = circular_clique(k, d)  # first, so its budgets refuse before any rep is built
-    if m >= 3:
-        full = step_window_rep(k, d, d)
-    elif b:
-        full = block_window_rep(k, d)
-    else:
-        # k == 2d, a perfect matching: one interval graph realizes it
-        # exactly, and rotating it by d gives it back
-        full = _matching_rep(k, d)
+    full = step_window_rep(k, d, d)
     reps = [rotate_rep(full, i * d) for i in range(m)]
     if b:
         reps.append(rotate_rep(step_window_rep(k, d, b), m * d))

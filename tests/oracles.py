@@ -66,7 +66,7 @@ from hypothesis import strategies as st
 from boxlab import Graph, boxicity_exact, make_graph
 from boxlab import boxicity
 from boxlab import circular
-from boxlab.circular import _matching_rep, circular_params, rotate_rep, step_window_rep
+from boxlab.circular import circular_params, rotate_rep, step_window_rep
 from boxlab.errors import ConstructionDefectError, InputError, ResourceBudgetError
 from boxlab.graphs import Coloring, Edge, _vertex_mask, bits, check_edge_budget, join_edge_count, pairs
 from boxlab.zdg import BOOLEAN_RING_MAX_K, ZDG_MAX_N, CompressedZN, augmenting_divisor, threshold_rep
@@ -1191,6 +1191,13 @@ def parent_block_window_rep(k: int, d: int) -> IntervalRep:
         )
     for i in range(2 * d, k):
         intervals[i] = (Fraction(-1), Fraction(d))
+    return IntervalRep(tuple(intervals))
+
+
+def _matching_rep(k: int, d: int) -> IntervalRep:
+    # k == 2d: the graph is a perfect matching {i, i+d}; give each pair its
+    # own isolated point
+    intervals = [point(i % d) for i in range(k)]
     return IntervalRep(tuple(intervals))
 
 

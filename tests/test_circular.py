@@ -26,7 +26,7 @@ from boxlab.circular import (
     step_window_rep,
 )
 from boxlab.cli import run
-from boxlab.graphs import graph_to_json
+from boxlab.graphs import EDGE_BUDGET, graph_to_json
 
 import oracles
 from oracles import is_independent
@@ -193,30 +193,60 @@ def test_chi_cover_verifies_and_members_are_interval():
 
 
 def test_chi_cover_small_sweep():
-    # the rotation loop emits the bytes of the branch-per-shape cover; the
-    # sliding block is the three-loop one on doubled coordinates, so its
-    # covers realize the same member graphs
+    # from three full windows on, the one stepped construction emits the
+    # bytes of the branch-per-shape cover; below 3d the kill-set test checks
+    # every member
     for d in range(1, 13):
         for k in range(2 * d, 2 * d + 30):
             cover = chi_cover(k, d)
             assert len(cover) == circular_chi(k, d)
             ok, _ = verify_cover(cover)
             assert ok
-            parent = oracles.parent_chi_cover(k, d)
-            if 2 * d < k < 3 * d:
-                block = oracles.parent_block_window_rep(k, d).intervals
-                assert block_window_rep(k, d).intervals == tuple((2 * lo, 2 * hi) for lo, hi in block)
-                assert list(map(graph_of_intervals, cover.reps)) == list(map(graph_of_intervals, parent.reps))
-            else:
-                assert cover_to_json(cover) == cover_to_json(parent)
+            if k >= 3 * d:
+                assert cover_to_json(cover) == cover_to_json(oracles.parent_chi_cover(k, d))
 
 
-def test_matching_cover_duplicates_are_distinct_objects():
-    cover = chi_cover(4, 2)
-    assert len(cover) == 2
-    assert cover.reps[0] == cover.reps[1]
-    ok, _ = verify_cover(cover)
-    assert ok
+def test_block_rep_is_the_parent_block_doubled():
+    # the sliding block on doubled coordinates, so it realizes the graph of
+    # the half-point block it replaced
+    for d in range(2, 13):
+        for k in range(2 * d + 1, 3 * d):
+            block = oracles.parent_block_window_rep(k, d).intervals
+            assert block_window_rep(k, d).intervals == tuple((2 * lo, 2 * hi) for lo, hi in block)
+
+
+def test_each_member_misses_exactly_its_window_pairs():
+    # the lemma in `step_window_rep`: member i keeps every edge of the
+    # circular clique and misses exactly the pairs {u, u+t mod k} with u in
+    # its window and 1 <= t < d, so the windows' kill sets partition the
+    # clique's non-edges
+    for d in range(1, 13):
+        for k in range(2 * d, 2 * d + 40):
+            g, ring = circular_clique(k, d), (1 << k) - 1
+            cover = chi_cover(k, d)
+            for i, rep in enumerate(cover.reps):
+                kill = [0] * k
+                for u in range(i * d, min((i + 1) * d, k)):
+                    for t in range(1, d):
+                        v = (u + t) % k
+                        kill[u] |= 1 << v
+                        kill[v] |= 1 << u
+                adj = graph_of_intervals(rep).adj
+                assert all(g.adj[v] & ~adj[v] == 0 for v in range(k))
+                assert list(adj) == [ring ^ (1 << v) ^ kill[v] for v in range(k)]
+
+
+@given(
+    st.integers(1, 400)
+    .flatmap(lambda d: st.tuples(st.integers(2 * d, 2 * d + 400), st.just(d)))
+    .filter(lambda kd: kd[0] * (kd[0] - 2 * kd[1] + 1) // 2 <= EDGE_BUDGET)
+)
+@settings(max_examples=20, deadline=None)
+def test_chi_cover_verifies_on_larger_pairs(kd):
+    k, d = kd
+    cover = chi_cover(k, d)
+    assert len(cover) == -(-k // d)
+    assert verify_cover(cover)[0]
 
 
 def test_window_reps_keep_window_points_disjoint():

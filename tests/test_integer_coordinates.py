@@ -2,10 +2,9 @@
 realizes exactly the graph of the fractional member it replaced.
 
 The fractional forms are in `oracles`: the join lift that squeezed a part
-into [0, 1/2], the threshold member with points at j/(s + 1), the block
-window at half points and the exact oracle's own component loop. Each
-construction is built twice, once with the fractional form patched in, and
-compared member by member.
+into [0, 1/2], the threshold member with points at j/(s + 1) and the exact
+oracle's own component loop. Each construction is built twice, once with
+the fractional form patched in, and compared member by member.
 """
 
 from contextlib import ExitStack
@@ -16,8 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from boxlab import boxicity, circular, joins, zdg
-from boxlab.circular import chi_cover
+from boxlab import boxicity, joins, zdg
 from boxlab.graphs import Graph, induced_subgraph
 from boxlab.intervals import graph_of_intervals
 from boxlab.joins import reduced_cover, skip_join_cover
@@ -35,7 +33,6 @@ from oracles import disjoint_union, graphs
 FRACTIONAL = {
     (joins, "lift_reps"): oracles.parent_lift_reps,
     (zdg, "threshold_rep"): oracles.parent_threshold_rep,
-    (circular, "block_window_rep"): oracles.parent_block_window_rep,
 }
 
 
@@ -64,7 +61,6 @@ def test_the_fractional_forms_write_fractions():
     covers = [
         fractional(zn_join_cover, compressed_zn(72)),
         fractional(zn_prime_cover, compressed_zn(72)),
-        fractional(chi_cover, 11, 4),
     ]
     for cover in covers:
         assert any(type(x) is Fraction for rep in cover.reps for ends in rep.intervals for x in ends)
@@ -117,12 +113,6 @@ def test_threshold_points_sit_inside_open_gaps(weights, e):
 def test_vector_ring_members_keep_their_graphs(k):
     assert_same_members(reduced_ring_box_bounds, k)
     assert_same_members(reduced_cover, boolean_ring_graph(k)[0])
-
-
-@given(st.integers(1, 12).flatmap(lambda d: st.tuples(st.integers(2 * d, 2 * d + 40), st.just(d))))
-@settings(max_examples=60, deadline=None)
-def test_circular_members_keep_their_graphs(pair):
-    assert_same_members(chi_cover, *pair)
 
 
 def parent_boxicity_reps(g: Graph):
