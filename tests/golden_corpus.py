@@ -118,8 +118,8 @@ CORPUS = (
     + [["cover", "boolean", "--k", str(k), "--method", "join"] for k in BOOLEAN_K]
     + [
         ["cover", "circular", "--k", str(k), "--d", str(d)]
-        # (11, 5) and (13, 6) slide two and three full blocks; (17, 7) ends on
-        # a remainder of three
+        # (4, 2) and (6, 3) have k = 2d; (11, 5), (13, 6) and (17, 7) have two
+        # full windows below 3d and a remainder of one, one and three
         for k, d in ((4, 2), (6, 3), (7, 2), (11, 4), (13, 5), (30, 4), (11, 5), (13, 6), (17, 7))
     ]
     + [
@@ -198,15 +198,15 @@ GOLDEN = {
     "cover boolean --k 4 --method join": (0, "f65f11ff11f98c567b4c2539d26054acbfdaf4f9e849cd28fdb5568d3a70fc45"),
     "cover boolean --k 5 --method join": (0, "b3f933c28e8874c6fcf8f4af975ad13aa559136a985694d0817f7c1b86c6fef8"),
     "cover boolean --k 6 --method join": (0, "44b24a13468d6b9ddf5b496ef38a33a7d5f0089c89eb08ea7379ffc635a3df8a"),
-    "cover circular --k 4 --d 2": (0, "03796479c209ab76595334a72f2a3993b267cf04b96aebc029f3a17e2117edd0"),
-    "cover circular --k 6 --d 3": (0, "85614c7d2217da7a5feea1e20adddcef76c1f4c4aacdc0dd0300db00851fff99"),
+    "cover circular --k 4 --d 2": (0, "48afcab91c14a91eb6c0181dfdd0881722e6b5af029df9d3aa12c36568707f02"),
+    "cover circular --k 6 --d 3": (0, "4b701450f92807e7f098d7f2f78a6e0d75ee9638f9ed2ed5525495a107ac201f"),
     "cover circular --k 7 --d 2": (0, "cdb517ce663d0ca5b54ef826b265578027e460e38090e153c4bac400a7dc2e8e"),
-    "cover circular --k 11 --d 4": (0, "694157c80f38053439bdfb75f770f2a7dbdf25c4d7565afec736c735ef641bee"),
-    "cover circular --k 13 --d 5": (0, "9cc15aa97b518525e09ec379284271254ffdf37f7d3442e182e8e5d3d1a86812"),
+    "cover circular --k 11 --d 4": (0, "88e03df39d753fef9c348ea0d8d5175b6aac90e6fac2feffdbfa72e127182189"),
+    "cover circular --k 13 --d 5": (0, "cfc36c4d7d40a3d75f97199117d9c0001523a1c0fce8479898bfbdf8ec3b6f31"),
     "cover circular --k 30 --d 4": (0, "c15f14d21fae9968afcff02a5aad7a62ad6511fd2d93df2e59d302515f1a7c40"),
-    "cover circular --k 11 --d 5": (0, "ad15d0034b5c6e628d6d65f6290f3473980fb32303665b16c2ac8acc25d84678"),
-    "cover circular --k 13 --d 6": (0, "17b31dc66ecee47b77473db13e7bc20452fff55b28872de5533f630715f512ad"),
-    "cover circular --k 17 --d 7": (0, "14d9b7c2c6ede0a91b278426e28457d413c9e4673df25e43c9fad3dc9d05b7ed"),
+    "cover circular --k 11 --d 5": (0, "f364dbc755b34931209a00f22f1734bd42a2d8eb1d6cfe8bfa9dd269293c547e"),
+    "cover circular --k 13 --d 6": (0, "d6ea8b46a0f55b5a4a9c94fb54990b7b09a771838c46d470f7c5ed34169ed6eb"),
+    "cover circular --k 17 --d 7": (0, "ac84e4c26955f1eeabbf423f30a544b1415e7009381290765d555523d628605b"),
     "cover join --outer @p3 --part @c4 --part @k2 --part @e3": (0, "0b53eac1aa51043cad069e74fdf1a79373db4370e6a892e402c44e93e2ac4e0d"),
     "cover join --outer @k3 --part @k3 --part @c4 --part @p3 --skip 0": (0, "e605bb30cff73d927adc6bb23cf8dc182203cc18dce833870cf435fc1f3054b2"),
     "box --graph @c4": (0, "f0a55c8f8f0a2aa6104b1aae7ee5c648631d15138ddaecad6942a8a166ef44a3"),
