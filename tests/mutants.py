@@ -80,9 +80,9 @@ MUTANTS = (
 )
 
 
-def occurrences(mutant: Mutant, root: Path = ROOT) -> int:
+def occurrences(mutant: Mutant) -> int:
     """How often the mutant's text occurs in its file; a live mutant has 1."""
-    path = root / mutant.file
+    path = ROOT / mutant.file
     return path.read_text().count(mutant.text) if path.exists() else 0
 
 
