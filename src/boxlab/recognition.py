@@ -2,15 +2,17 @@
 
 Decision procedure: a graph is an interval graph exactly when it is chordal
 and has no asteroidal triple (Lekkerkerker and Boland, 1962). Chordality is
-tested by one walk of the reverse Lex-BFS order, which keeps each vertex's
-later neighbours and follower: a failed check yields a hole through the
-failing vertex, and a passed one the maximal cliques, each a tuple led by
-its generator. The asteroidal-triple search tries one simplicial vertex per
-maximal clique, read off the clique spans (a vertex whose span is one
-position), looks only at the components that hold a scattered vertex (one
-whose cliques are not consecutive in the refined order), and labels the
-components of that part minus a candidate's closed neighborhood only when a
-triple needs them.
+tested in one Lex-BFS pass whose cells each keep their members' neighbour
+visited last: a vertex's later neighbours in the reverse order and its
+follower are known when Lex-BFS visits it, and are checked then. A failed
+check yields a hole through the failing vertex, and a passed one the
+maximal cliques, each a tuple led by its generator. The asteroidal-triple
+search tries one simplicial vertex per maximal clique, read off the
+clique spans (a vertex whose span is one position), looks only at the
+components that hold a scattered vertex (one whose cliques are not
+consecutive in the refined order), and labels the components of that
+part minus a candidate's closed neighborhood only when a triple needs
+them.
 
 Positive answers come with a representation extracted from a consecutive
 ordering of the maximal cliques; negative answers come with an obstruction
@@ -52,32 +54,40 @@ class Obstruction:
 # chordality
 
 
-def lex_bfs_order(g: Graph) -> list[int]:
-    """Lexicographic BFS visit order, by partition refinement on int bitsets.
+def lex_bfs_order(g: Graph) -> tuple[list[int], list[int]]:
+    """Lexicographic BFS visit order, by partition refinement on int bitsets,
+    and each vertex's parent: its neighbour visited last before it, or -1.
 
     The cells are the classes of equal label, largest label first. The first
     cell's lowest vertex is visited next, which is the smallest vertex with
-    the largest label; then each cell splits into its neighbours and the rest.
+    the largest label; then each cell splits in place into its neighbours
+    and the rest. A label lists the visited neighbours, so the vertices of
+    one cell share them, and the one visited last: each cell keeps that
+    vertex beside it, v for the part of a cell inside N(v), and a vertex
+    takes its cell's when it is visited.
     """
-    cells = [(1 << g.n) - 1] if g.n else []
-    order: list[int] = []
+    cells, parents = ([(1 << g.n) - 1], [-1]) if g.n else ([], [])
+    order, parent = [], [-1] * g.n
     while cells:
-        low = cells[0] & -cells[0]
+        head = cells[0]
+        low = head & -head
         v = low.bit_length() - 1
         order.append(v)
-        cells[0] ^= low
+        parent[v] = parents[0]
+        if head == low:
+            del cells[0], parents[0]
+        else:
+            cells[0] = head ^ low
         nv = g.adj[v]
-        split = []
-        for cell in cells:
-            inside = cell & nv
-            if inside:
-                split.append(inside)
-                if inside != cell:
-                    split.append(cell ^ inside)
-            elif cell:
-                split.append(cell)
-        cells = split
-    return order
+        for i, cell in enumerate(cells):  # the part split off is read next, and misses N(v)
+            if inside := cell & nv:
+                if inside == cell:
+                    parents[i] = v
+                else:
+                    cells[i] = inside
+                    cells.insert(i + 1, cell ^ inside)
+                    parents.insert(i, v)
+    return order, parent
 
 
 @dataclass(frozen=True)
@@ -89,36 +99,41 @@ class Elimination:
 
 
 def perfect_elimination_order(g: Graph) -> Elimination:
-    """The follower check on the reverse of a Lex-BFS visit order.
+    """The follower check on the reverse of a Lex-BFS visit order, made as
+    Lex-BFS visits each vertex.
 
     That order is a perfect elimination order exactly on chordal graphs,
-    where `failure` is None. A vertex waits from its own turn to its
-    follower's, the first of its later neighbours to come, so each
-    follower is set once and checked then. A failure names, of the
-    vertices some follower misses, the one Lex-BFS visited first: the
-    exact oracle's candidates G + A, which Lex-BFS all enters at vertex 0,
-    then tend to report the same hole, and its search tree stays small.
+    where `failure` is None. A vertex's later neighbours in the reverse
+    order are those visited before it, and its follower, the first of them
+    there, is the one visited last: its Lex-BFS parent. The check at v's
+    visit asks that N[p], for p = follower[v], hold all of later[v]. A
+    failure names, of the vertices some check misses, the one Lex-BFS
+    visited first, w; of the checks (v, p) that miss w, the one whose p
+    Lex-BFS visited last, then the lowest v. The exact oracle's candidates
+    G + A, which Lex-BFS all enters at vertex 0, then tend to report the
+    same hole, and its search tree stays small.
     """
-    order = lex_bfs_order(g)[::-1]
-    later, follower = [0] * g.n, [-1] * g.n
-    rest, waiting, missed, failures = (1 << g.n) - 1, 0, 0, []
-    for p in order:
-        rest ^= 1 << p
-        later[p] = g.adj[p] & rest
-        mine = g.adj[p] & waiting
-        waiting ^= mine
-        for v in bits(mine):
-            follower[v] = p
-            if miss := later[v] & ~(g.adj[p] | 1 << p):
+    visit, follower = lex_bfs_order(g)
+    adj, later = g.adj, [0] * g.n
+    seen, missed, failures = 0, 0, []
+    for v in visit:
+        later[v] = mine = adj[v] & seen
+        seen |= 1 << v
+        if mine:
+            p = follower[v]
+            if mine & adj[p] != mine ^ 1 << p:  # N(p) misses some of later[v] but p
+                miss = mine & ~(adj[p] | 1 << p)
                 missed |= miss
                 failures.append((v, p, miss))
-        if later[p]:
-            waiting |= 1 << p
     failure = None
     if missed:
-        w = next(w for w in reversed(order) if missed >> w & 1)
-        failure = next((v, p, w) for v, p, miss in failures if miss >> w & 1)
-    return Elimination(order, later, follower, failure)
+        rank = [0] * g.n
+        for i, v in enumerate(visit):
+            rank[v] = i
+        w = min(bits(missed), key=rank.__getitem__)
+        _, v, p = min((-rank[p], v, p) for v, p, miss in failures if miss >> w & 1)
+        failure = (v, p, w)
+    return Elimination(visit[::-1], later, follower, failure)
 
 
 def _bfs_path(g: Graph, start: int, goal: int, blocked: int) -> list[int] | None:
@@ -274,7 +289,7 @@ def asteroidal_paths(g: Graph, triple) -> tuple[list[int], list[int], list[int]]
 
 
 def maximal_cliques_chordal(elim: Elimination) -> list[tuple[int, ...]]:
-    """Maximal cliques of a chordal graph from its elimination walk.
+    """Maximal cliques of a chordal graph from its `Elimination`.
 
     The candidates are C(v), v with its later neighbours, as the tuple of v
     and then its later neighbours in increasing order, so v, the clique's
@@ -302,9 +317,10 @@ def consecutive_clique_order(cliques: list[tuple[int, ...]], peo: list[int]) -> 
     in their final left-to-right order, class k on start[k]..end[k] - 1;
     the runs are disjoint, so their starts order them. A pivot is a vertex
     whose cliques lie in two or more classes: in the first of them its
-    cliques move to the right end, in the last to the left end. Each pivot
-    is used once. Each split queues the indices of the cliques in its
-    smaller part, and the vertices of each queued clique, read in place in
+    cliques move to the right end, in the last to the left end, unless that
+    class holds one clique, which would move whole. Each pivot is used
+    once. Each split queues the indices of the cliques in its smaller
+    part, and the vertices of each queued clique, read in place in
     clique order, are the pivot candidates in turn. With no candidate left,
     the clique generated last by Lex-BFS among those not yet alone moves to
     the right end of its class; a clique's generator is its vertex that
@@ -362,8 +378,9 @@ def consecutive_clique_order(cliques: list[tuple[int, ...]], peo: list[int]) -> 
                 if first == last:
                     continue  # not a pivot yet; a later split queues x again
                 done[x] = True
-                split(first, [i for i in mine if cls[i] == first], True)
-                split(last, [i for i in mine if cls[i] == last], False)
+                for k, right in ((first, True), (last, False)):
+                    if end[k] - start[k] > 1:  # a one-clique class would move whole
+                        split(k, [i for i in mine if cls[i] == k], right)
         queue.clear()
         while nxt < q and end[cls[by_gen[nxt]]] - start[cls[by_gen[nxt]]] == 1:
             nxt += 1

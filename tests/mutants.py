@@ -42,6 +42,9 @@ class Mutant(NamedTuple):
 CIRCULAR = "src/boxlab/circular.py"
 LEMMA = "tests/test_circular.py::test_each_member_misses_exactly_its_window_pairs"
 SWEEP = "tests/test_circular.py::test_chi_cover_small_sweep"
+RECOGNITION = "src/boxlab/recognition.py"
+ELIMINATION = ("tests/test_recognition.py::test_elimination_matches_reverse_walk",
+               "tests/test_recognition.py::test_elimination_matches_reverse_walk_on_random_graphs")
 
 MUTANTS = (
     # the stepped member's window point one step right: vertex 0 then meets
@@ -56,11 +59,11 @@ MUTANTS = (
     Mutant("rotation-off-by-two", CIRCULAR,
            "rotate_rep(full, i * d)", "rotate_rep(full, i * (d + 2))", (LEMMA, SWEEP)),
     # a queued clique's vertices read in reverse
-    Mutant("clique-queue-reversed", "src/boxlab/recognition.py",
+    Mutant("clique-queue-reversed", RECOGNITION,
            "for x in cliques[c]:", "for x in reversed(cliques[c]):",
            ("tests/test_recognition.py::test_clique_order_matches_parent_queue",)),
     # an asteroidal triple accepted on two of its three paths
-    Mutant("at-two-paths", "src/boxlab/recognition.py",
+    Mutant("at-two-paths", RECOGNITION,
            "for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):",
            "for a, b, c in ((x, y, z), (y, z, x)):",
            ("tests/test_recognition.py::test_at_paths_match_the_definition_on_atlas",)),
@@ -77,6 +80,27 @@ MUTANTS = (
     Mutant("threshold-points-from-zero", "src/boxlab/zdg.py",
            "range(gap + 1, gap + s + 1)", "range(gap, gap + s)",
            ("tests/test_integer_coordinates.py::test_threshold_points_sit_inside_open_gaps",)),
+    # of the checks that miss w, the one whose p Lex-BFS visited first
+    Mutant("failure-tie-break-sign", RECOGNITION, "-rank[p]", "rank[p]", ELIMINATION),
+    # a cell wholly inside N(v) keeps its old parent, not v
+    Mutant("whole-cell-keeps-parent", RECOGNITION, "parents[i] = v", "pass",
+           ("tests/test_recognition.py::test_lex_bfs_matches_list_label_oracle", *ELIMINATION)),
+    # two-clique classes are never split by a pivot
+    Mutant("one-clique-guard-two", RECOGNITION,
+           "if end[k] - start[k] > 1:", "if end[k] - start[k] > 2:",
+           ("tests/test_recognition.py::test_clique_order_matches_parent_queue",)),
+    # the compression check without a complete class's own row
+    Mutant("expand-without-own-class", "src/boxlab/zdg.py",
+           " | (masks[i] if c.complete[i] else 0)", "",
+           ("tests/test_zdg.py::test_expand_matches_direct",)),
+    # the AT search labels components over all of g, not inside `within`
+    Mutant("at-search-whole-graph", RECOGNITION,
+           "within & ~(g.adj[z] | 1 << z)", "(1 << g.n) - 1 & ~(g.adj[z] | 1 << z)",
+           ("tests/test_recognition.py::test_at_search_labels_only_the_component_of_the_triple",)),
+    # a circular clique checked against the edge budget alone
+    Mutant("circular-budget-without-vertices", CIRCULAR,
+           'check_vertex_budget(k, f"the circular clique (k={k}, d={d})")', "None",
+           ("tests/test_cli.py::test_circular_cover_over_the_vertex_budget_exits_3_before_building",)),
 )
 
 
@@ -115,7 +139,7 @@ def main(names: list[str]) -> int:
         t0 = time.monotonic()
         verdict = run_mutant(mutant)
         verdicts.append(verdict)
-        print(f"{verdict:<9}{mutant.name:<30}{time.monotonic() - t0:6.1f} s")
+        print(f"{verdict:<9}{mutant.name:<34}{time.monotonic() - t0:6.1f} s")
     counts = ", ".join(f"{verdicts.count(v)} {v}" for v in ("killed", "survived", "stale", "error"))
     print(f"{len(chosen)} mutants: {counts} in {time.monotonic() - started:.1f} s")
     return 0 if verdicts.count("killed") == len(chosen) else 1

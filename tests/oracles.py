@@ -38,6 +38,11 @@ three loops, the χ cover with one branch per window shape and a size
 check, and the ω = χ certificate that checked its clique pair by pair and
 found each colour partner through index lists are the package's before
 each stated its rule once, kept as references for them.
+The Lex-BFS that rebuilt its list of cells at every step, with the walk
+over its reverse order that kept a mask of the vertices waiting for their
+follower, is the package's before Lex-BFS kept a parent per cell and the
+follower check ran at each visit, kept as the reference all four fields of
+its `Elimination` are compared with.
 The clique order refinement that queued a copy of every vertex of the
 cliques each split set apart, and kept each class as a (start, end)
 tuple, is the package's before the queue held clique indices, kept as
@@ -495,11 +500,13 @@ def verify_cover(cover: IntervalCover) -> tuple[bool, list[CoverViolation]]:
     return not problems, problems
 
 
-def lex_bfs_order(g: Graph) -> list[int]:
-    """Lexicographic BFS visit order (simple O(n^2) label version)."""
+def lex_bfs_order(g: Graph) -> tuple[list[int], list[int]]:
+    """Lexicographic BFS visit order (simple O(n^2) label version), and each
+    vertex's parent: its neighbour visited last before it, or -1."""
     labels: list[list[int]] = [[] for _ in range(g.n)]
     visited = [False] * g.n
     order: list[int] = []
+    parent = [-1] * g.n
     for step in range(g.n):
         v = max(
             (u for u in range(g.n) if not visited[u]),
@@ -510,7 +517,69 @@ def lex_bfs_order(g: Graph) -> list[int]:
         for w in bits(g.adj[v]):
             if not visited[w]:
                 labels[w].append(g.n - step)
+                parent[w] = v
+    return order, parent
+
+
+def parent_lex_bfs_order(g: Graph) -> list[int]:
+    """Lexicographic BFS visit order, by partition refinement on int bitsets.
+
+    The cells are the classes of equal label, largest label first. The first
+    cell's lowest vertex is visited next, which is the smallest vertex with
+    the largest label; then each cell splits into its neighbours and the rest.
+    """
+    cells = [(1 << g.n) - 1] if g.n else []
+    order: list[int] = []
+    while cells:
+        low = cells[0] & -cells[0]
+        v = low.bit_length() - 1
+        order.append(v)
+        cells[0] ^= low
+        nv = g.adj[v]
+        split = []
+        for cell in cells:
+            inside = cell & nv
+            if inside:
+                split.append(inside)
+                if inside != cell:
+                    split.append(cell ^ inside)
+            elif cell:
+                split.append(cell)
+        cells = split
     return order
+
+
+def parent_perfect_elimination_order(g: Graph) -> Elimination:
+    """The follower check on the reverse of a Lex-BFS visit order.
+
+    That order is a perfect elimination order exactly on chordal graphs,
+    where `failure` is None. A vertex waits from its own turn to its
+    follower's, the first of its later neighbours to come, so each
+    follower is set once and checked then. A failure names, of the
+    vertices some follower misses, the one Lex-BFS visited first: the
+    exact oracle's candidates G + A, which Lex-BFS all enters at vertex 0,
+    then tend to report the same hole, and its search tree stays small.
+    """
+    order = parent_lex_bfs_order(g)[::-1]
+    later, follower = [0] * g.n, [-1] * g.n
+    rest, waiting, missed, failures = (1 << g.n) - 1, 0, 0, []
+    for p in order:
+        rest ^= 1 << p
+        later[p] = g.adj[p] & rest
+        mine = g.adj[p] & waiting
+        waiting ^= mine
+        for v in bits(mine):
+            follower[v] = p
+            if miss := later[v] & ~(g.adj[p] | 1 << p):
+                missed |= miss
+                failures.append((v, p, miss))
+        if later[p]:
+            waiting |= 1 << p
+    failure = None
+    if missed:
+        w = next(w for w in reversed(order) if missed >> w & 1)
+        failure = next((v, p, w) for v, p, miss in failures if miss >> w & 1)
+    return Elimination(order, later, follower, failure)
 
 
 def find_chordless_cycle(g: Graph) -> tuple[int, ...]:
